@@ -1,12 +1,15 @@
 """Versioned JSON result cache keyed by (kind, parameters).
 
 Cache hits must reproduce computation byte-for-byte, so everything stored is
-already in canonical JSON form (sorted keys, compact separators).
+already in canonical JSON form (sorted keys, compact separators).  Entries are
+written to a temporary file and renamed into place, and an unreadable or
+truncated entry reads as a miss, so a crash never leaves an entry that is served.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -30,16 +33,25 @@ class ResultCache:
 
     def get(self, kind: str, key: str):
         path = self.path_for(kind, key)
-        if path is None or not path.exists():
+        if path is None:
             return None
-        return json.loads(path.read_text())
+        try:
+            return json.loads(path.read_text())
+        except (OSError, ValueError):  # missing, unreadable or truncated
+            return None
 
     def put(self, kind: str, key: str, obj) -> None:
         path = self.path_for(kind, key)
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def get_or_compute(self, kind: str, key: str, compute):
         got = self.get(kind, key)

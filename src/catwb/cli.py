@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cache import ResultCache
-from .errors import BudgetExceeded, TypeParseError, UnsupportedType
+from .errors import BudgetExceeded, InvalidArgument, TypeParseError, UnsupportedType
 from .exactmath import MPoly
 from .ftriangle import check_recurrence, f_closed, verify_dual
 from .fmverify import verify_fm, verify_fm_dn_general
@@ -48,16 +48,16 @@ class RunConfig:
 
     def __post_init__(self):
         if self.group_cap <= 0 or self.poset_cap <= 0:
-            raise ValueError("caps must be positive")
+            raise InvalidArgument("caps must be positive")
         if self.format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}")
+            raise InvalidArgument(f"format must be one of {FORMATS}")
 
     @staticmethod
     def from_args(args) -> "RunConfig":
         return RunConfig(
             group_cap=args.group_cap if args.group_cap is not None else 100_000,
             poset_cap=getattr(args, "poset_cap", None) or 2_000_000,
-            m_grid=tuple(int(v) for v in args.m_grid.split(",")) if getattr(args, "m_grid", None) else (1, 2, 3),
+            m_grid=_int_list(args.m_grid, "--m-grid") if getattr(args, "m_grid", None) else (1, 2, 3),
             types=tuple(getattr(args, "types", "").split(",")) if getattr(args, "types", None) else (),
             format=getattr(args, "format", None) or "latex",
             cache_dir=args.cache_dir,
@@ -86,6 +86,13 @@ def _add_common(p: argparse.ArgumentParser, fmt: bool = True):
 def _int_env(name: str, default=None):
     raw = _env(name)
     return int(raw) if raw is not None else default
+
+
+def _int_list(raw: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in raw.split(","))
+    except ValueError:
+        raise InvalidArgument(f"{flag} expects comma-separated integers, got {raw!r}") from None
 
 
 def _parse_type(s: str) -> RootSystemType:
@@ -165,7 +172,7 @@ def cmd_export_poset(args) -> int:
 
 def cmd_chains(args) -> int:
     t = _parse_type(args.type)
-    jumps = tuple(int(x) for x in args.jumps.split(","))
+    jumps = _int_list(args.jumps, "--jumps")
     res = chain_counts_classical(
         t, args.m, jumps, group_cap=args.group_cap, poset_cap=args.poset_cap
     )
@@ -391,7 +398,7 @@ def main(argv=None) -> int:
         wgroup.set_disk_cache(ResultCache(args.cache_dir))
     try:
         return args.func(args)
-    except (TypeParseError, UnsupportedType) as exc:
+    except (TypeParseError, UnsupportedType, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:

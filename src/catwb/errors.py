@@ -17,6 +17,10 @@ class DegreeError(CatwbError, ValueError):
     """A polynomial exceeded the degree bound required by a transform."""
 
 
+class InvalidArgument(CatwbError, ValueError):
+    """An argument is malformed or outside the domain of a computation."""
+
+
 class ClassificationError(CatwbError, ValueError):
     """A root subset did not match any catalog diagram."""
 
@@ -39,3 +43,7 @@ class SingularPoint(CatwbError, ZeroDivisionError):
 
 class MissingTable(CatwbError, LookupError):
     """A required decomposition or character table is unavailable."""
+
+
+class InvariantError(CatwbError, RuntimeError):
+    """An internal consistency check failed: a defect, not a bad input."""

@@ -1,6 +1,7 @@
-"""Exact arithmetic core: rationals, the quadratic field Q(sqrt 5), univariate
-polynomials in the Fuss parameter m, and sparse bivariate polynomials in (x, y)
-whose coefficients are such m-polynomials.
+"""Exact arithmetic core: rationals, the quadratic field Q(sqrt 5) and its
+ring of integers Z[tau], univariate polynomials in the Fuss parameter m, and
+sparse bivariate polynomials in (x, y) whose coefficients are such
+m-polynomials.
 
 Everything here is immutable and exact; no floats anywhere.  Rational numbers
 are `fractions.Fraction` throughout.
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DegreeError
+from .errors import DegreeError, InvalidArgument
 
 Rational = Fraction  # the coefficient field used everywhere
 
@@ -141,6 +142,63 @@ def _promote_quad(v) -> QuadExt:
     if isinstance(v, (int, Fraction)):
         return QuadExt(_as_fraction(v), Fraction(0))
     raise TypeError(f"cannot coerce {type(v).__name__} to QuadExt")
+
+
+class GoldInt:
+    """u + v*tau with integer components, tau the golden ratio (tau^2 = tau+1):
+    the ring Z[tau] of integers of Q(sqrt 5), in pure integer arithmetic.
+    Integer multiples k*x are supported; x // y is the quotient, exact
+    whenever y divides x (as for int), so callers check q * y == x."""
+
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: int, v: int = 0):
+        self.u = u
+        self.v = v
+
+    def __add__(self, o):
+        return GoldInt(self.u + o.u, self.v + o.v)
+
+    def __sub__(self, o):
+        return GoldInt(self.u - o.u, self.v - o.v)
+
+    def __neg__(self):
+        return GoldInt(-self.u, -self.v)
+
+    def __mul__(self, o):
+        return GoldInt(self.u * o.u + self.v * o.v, self.u * o.v + self.v * o.u + self.v * o.v)
+
+    def __rmul__(self, k: int):
+        return GoldInt(k * self.u, k * self.v)
+
+    def __floordiv__(self, o):
+        # x / y = x * conj(y) / N(y), with conj(u + v tau) = (u + v) - v tau
+        norm = o.u * o.u + o.u * o.v - o.v * o.v
+        num = self * GoldInt(o.u + o.v, -o.v)
+        return GoldInt(num.u // norm, num.v // norm)
+
+    def __bool__(self):
+        return self.u != 0 or self.v != 0
+
+    def __eq__(self, o):
+        return isinstance(o, GoldInt) and self.u == o.u and self.v == o.v
+
+    def __hash__(self):
+        return hash((self.u, self.v))
+
+    def __repr__(self):
+        return f"GoldInt({self.u},{self.v})"
+
+    def sign(self) -> int:
+        # u + v*tau = ((2u+v) + v*sqrt5)/2
+        a, b = 2 * self.u + self.v, self.v
+        if b == 0:
+            return -1 if a < 0 else (1 if a > 0 else 0)
+        if a == 0:
+            return 1 if b > 0 else -1
+        if (a > 0) == (b > 0):
+            return 1 if a > 0 else -1
+        return (1 if a > 0 else -1) if a * a > 5 * b * b else (1 if b > 0 else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +540,7 @@ class MPoly:
     def eval_m(self, m_value: int) -> "MPoly":
         """Evaluate every coefficient at a concrete m >= 0."""
         if m_value < 0:
-            raise ValueError("m must be non-negative")
+            raise InvalidArgument("m must be non-negative")
         out = {}
         for key, c in self.terms.items():
             v = c.eval(m_value)

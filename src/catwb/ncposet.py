@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvalidArgument
 from .exactmath import M, MPoly, gen_binomial
 from .ftriangle import NarayanaVector
 from .rootdata import RootSystemType
@@ -96,7 +96,7 @@ def _build_ncm(
     poset_cap: int | None,
 ) -> NCmPoset:
     if m < 1:
-        raise ValueError("m must be a positive integer")
+        raise InvalidArgument("m must be a positive integer")
     cap = DEFAULT_POSET_CAP if poset_cap is None else poset_cap
     core = build_nc(t, group_cap)
     n_elements = _count_multichains(core, m)

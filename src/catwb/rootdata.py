@@ -1,5 +1,5 @@
-"""Catalog of finite root-system types: Cartan/Coxeter data, simple systems in
-exact coordinates, parabolic deletion structure, and classification of
+"""Catalog of finite root-system types: Coxeter data, Gram matrices read off
+the Coxeter diagrams, parabolic deletion structure, and classification of
 sub-root-systems by their Coxeter diagrams.
 
 Types are multisets of irreducible factors.  The aliases B1 = A1, D2 = A1xA1,
@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from .errors import ClassificationError, TypeParseError, UnsupportedType
-from .exactmath import GOLDEN, QuadExt
+from .exactmath import GoldInt, QuadExt
 
 _FAMILIES = ("A", "B", "D", "E", "F", "H", "I")
 
@@ -231,7 +230,45 @@ def diagram_edges(f: Irreducible) -> list[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Simple systems in exact coordinates
+# Gram matrices from Coxeter diagrams
+# ---------------------------------------------------------------------------
+
+
+def gram_matrix(f: Irreducible) -> list[list]:
+    """Doubled Gram matrix 2<a_i, a_j> of the simple roots of an F, E or H
+    factor, read off the Coxeter diagram: over Z for F and E, over Z[tau]
+    for H.  Every simple root has squared length 2 except the short F4 nodes
+    2 and 3 (length 1); a label 3 edge joins roots of equal length a and
+    gives -a, label 4 gives -2 and label 5 gives -2 tau."""
+    if f.family not in ("F", "E", "H"):
+        raise UnsupportedType(f"no Gram matrix for {f}")
+    ring = GoldInt if f.family == "H" else int
+    norms = [1 if f.family == "F" and i >= 2 else 2 for i in range(f.rank)]
+    gram = [[ring(2 * a if i == j else 0) for j in range(f.rank)] for i, a in enumerate(norms)]
+    for i, j, label in diagram_edges(f):
+        entry = {3: ring(-norms[i]), 4: ring(-2), 5: GoldInt(0, -2)}[label]
+        gram[i][j] = gram[j][i] = entry
+    return gram
+
+
+def edge_label(p, nu, nv) -> int:
+    """Coxeter label m of two simple roots from their inner product p and
+    squared lengths nu, nv.  With x = 4 p^2 and y = nu nv, 4 cos^2(pi/m) = x/y
+    is 1, 2 or 3 for m = 3, 4, 6 and a root of x^2 - 3xy + y^2 for m = 5;
+    each test is an exact identity in the ring of the entries."""
+    if not p:
+        return 2
+    x, y = 4 * p * p, nu * nv
+    for label, k in ((3, 1), (4, 2), (6, 3)):
+        if x == k * y:
+            return label
+    if x * x + y * y == 3 * x * y:
+        return 5
+    raise ClassificationError(f"unrecognized angle: 4<u,v>^2 = {x!r}, |u|^2 |v|^2 = {y!r}")
+
+
+# ---------------------------------------------------------------------------
+# Sub-root-systems given by exact coordinate vectors
 # ---------------------------------------------------------------------------
 
 Vector = tuple
@@ -244,94 +281,6 @@ def dot(u: Vector, v: Vector):
     for a, b in zip(u[1:], v[1:]):
         acc = acc + a * b
     return acc
-
-
-@dataclass(frozen=True)
-class SimpleSystem:
-    """Simple roots of an irreducible factor as exact coordinate vectors,
-    together with the diagram edge labels they must reproduce."""
-
-    type: Irreducible
-    vectors: tuple[Vector, ...]
-    edges: tuple[tuple[int, int, int], ...]
-
-    def gram(self) -> list[list]:
-        return [[dot(u, v) for v in self.vectors] for u in self.vectors]
-
-
-def _e(i: int, dim: int) -> Vector:
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
-
-
-def _vec(*entries) -> Vector:
-    return tuple(Fraction(x) for x in entries)
-
-
-_E8_SIMPLES = (
-    tuple(Fraction(1, 2) * s for s in (1, -1, -1, -1, -1, -1, -1, 1)),
-    _vec(1, 1, 0, 0, 0, 0, 0, 0),
-    _vec(-1, 1, 0, 0, 0, 0, 0, 0),
-    _vec(0, -1, 1, 0, 0, 0, 0, 0),
-    _vec(0, 0, -1, 1, 0, 0, 0, 0),
-    _vec(0, 0, 0, -1, 1, 0, 0, 0),
-    _vec(0, 0, 0, 0, -1, 1, 0, 0),
-    _vec(0, 0, 0, 0, 0, -1, 1, 0),
-)
-
-
-@lru_cache(maxsize=None)
-def golden_root_system(rank: int) -> tuple[Vector, ...]:
-    """All roots of H3 (30) or H4 (120) in golden-ratio coordinates, norm 4."""
-    tau = GOLDEN
-    inv_tau = tau - 1  # 1/tau = tau - 1
-    one = QuadExt.of(1)
-    zero = QuadExt.of(0)
-    two = QuadExt.of(2)
-    roots: set[Vector] = set()
-    if rank == 3:
-        base = [two, zero, zero]
-        for i in range(3):
-            for s in (1, -1):
-                v = [zero] * 3
-                v[i] = two * s
-                roots.add(tuple(v))
-        cyc = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-        for perm in cyc:
-            for s0 in (1, -1):
-                for s1 in (1, -1):
-                    for s2 in (1, -1):
-                        vals = [one * s0, tau * s1, inv_tau * s2]
-                        v = [zero] * 3
-                        for pos, val in zip(perm, vals):
-                            v[pos] = val
-                        roots.add(tuple(v))
-    elif rank == 4:
-        for i in range(4):
-            for s in (1, -1):
-                v = [zero] * 4
-                v[i] = two * s
-                roots.add(tuple(v))
-        for signs in range(16):
-            v = tuple(one * (1 if signs >> i & 1 else -1) for i in range(4))
-            roots.add(v)
-        import itertools
-
-        for perm in itertools.permutations(range(4)):
-            # even permutations only
-            inv = sum(1 for i in range(4) for j in range(i + 1, 4) if perm[i] > perm[j])
-            if inv % 2:
-                continue
-            for s1 in (1, -1):
-                for s2 in (1, -1):
-                    for s3 in (1, -1):
-                        vals = [zero, one * s1, tau * s2, inv_tau * s3]
-                        v = [zero] * 4
-                        for pos, val in zip(perm, vals):
-                            v[pos] = val
-                        roots.add(tuple(v))
-    else:
-        raise UnsupportedType(f"H{rank}")
-    return tuple(sorted(roots, key=lambda v: tuple((c.a, c.b) for c in v)))
 
 
 def _lex_positive(v: Vector) -> bool:
@@ -372,103 +321,6 @@ def _simple_roots_of_positive_system(positives: Sequence[Vector], inner: InnerPr
         if negatives == 1:
             simples.append(alpha)
     return simples
-
-
-@lru_cache(maxsize=None)
-def _golden_simple_system(rank: int) -> tuple[Vector, ...]:
-    roots = golden_root_system(rank)
-    positives = [v for v in roots if _lex_positive(v)]
-    simples = _simple_roots_of_positive_system(positives, dot)
-    if len(simples) != rank:
-        raise ClassificationError(f"H{rank} simple system has size {len(simples)}")
-    # order along the path so that the unique 5-labelled edge sits first
-    chain = _order_path(simples, lambda u, v: dot(u, v) != 0)
-    if _pair_label(chain[0], chain[1]) != 5:
-        chain.reverse()
-    return tuple(chain)
-
-
-def _order_path(nodes: list, adjacent) -> list:
-    """Order the nodes of a path graph from one endpoint to the other."""
-    degs = {i: sum(1 for j, v in enumerate(nodes) if j != i and adjacent(nodes[i], v)) for i in range(len(nodes))}
-    ends = [i for i, d in degs.items() if d == 1]
-    cur = min(ends)
-    order = [cur]
-    seen = {cur}
-    while len(order) < len(nodes):
-        for j in range(len(nodes)):
-            if j not in seen and adjacent(nodes[order[-1]], nodes[j]):
-                order.append(j)
-                seen.add(j)
-                break
-        else:
-            raise ClassificationError("nodes do not form a path")
-    return [nodes[i] for i in order]
-
-
-def _pair_label(u: Vector, v: Vector, nu=None, nv=None) -> int:
-    """Edge label for two simple roots from the exact angle: cos^2(pi/label)."""
-    p = dot(u, v)
-    if not p:
-        return 2
-    nu = nu if nu is not None else dot(u, u)
-    nv = nv if nv is not None else dot(v, v)
-    return _label_from_cos2(p * p / (nu * nv))
-
-
-def _label_from_cos2(c2) -> int:
-    table = {
-        Fraction(1, 4): 3,
-        Fraction(1, 2): 4,
-        Fraction(3, 4): 6,
-    }
-    if isinstance(c2, QuadExt):
-        if c2 == QuadExt(Fraction(3, 8), Fraction(1, 8)):  # (3 + sqrt5)/8 = cos^2(pi/5)
-            return 5
-        if c2.b == 0:
-            c2 = c2.a
-        else:
-            raise ClassificationError(f"unrecognized angle cos^2 = {c2}")
-    c2 = Fraction(c2)
-    if c2 in table:
-        return table[c2]
-    raise ClassificationError(f"unrecognized angle cos^2 = {c2}")
-
-
-@lru_cache(maxsize=None)
-def simple_system(f: Irreducible) -> SimpleSystem:
-    """Exact simple roots for an irreducible catalog factor.
-
-    A_n lives in (n+1)-space as e_i - e_{i+1}; B_n and D_n use signed
-    coordinates; F4 and the E types use the standard crystallographic
-    coordinates; H3 and H4 use golden-ratio coordinates over Q(sqrt 5).
-    I2(a) is handled abstractly and carries no coordinates.
-    """
-    n = f.rank
-    if f.family == "A":
-        vecs = tuple(tuple(_e(i, n + 1)[j] - _e(i + 1, n + 1)[j] for j in range(n + 1)) for i in range(n))
-    elif f.family == "B":
-        vecs = tuple(
-            tuple(_e(i, n)[j] - _e(i + 1, n)[j] for j in range(n)) for i in range(n - 1)
-        ) + (_e(n - 1, n),)
-    elif f.family == "D":
-        vecs = tuple(
-            tuple(_e(i, n)[j] - _e(i + 1, n)[j] for j in range(n)) for i in range(n - 1)
-        ) + (tuple(_e(n - 2, n)[j] + _e(n - 1, n)[j] for j in range(n)),)
-    elif f.family == "F":
-        vecs = (
-            _vec(0, 1, -1, 0),
-            _vec(0, 0, 1, -1),
-            _vec(0, 0, 0, 1),
-            tuple(Fraction(1, 2) * s for s in (1, -1, -1, -1)),
-        )
-    elif f.family == "E":
-        vecs = _E8_SIMPLES[:n]
-    elif f.family == "H":
-        vecs = _golden_simple_system(n)
-    else:
-        raise UnsupportedType(f"no coordinates for {f}")
-    return SimpleSystem(f, vecs, tuple(diagram_edges(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +453,7 @@ def classify_subsystem(roots: Iterable[Vector], inner: InnerProduct = dot) -> Ro
         for j in range(i + 1, len(simples)):
             p = inner(simples[i], simples[j])
             if p:
-                lab = _label_from_cos2(p * p / (inner(simples[i], simples[i]) * inner(simples[j], simples[j])))
-                edges.append((i, j, lab))
+                edges.append((i, j, edge_label(p, inner(simples[i], simples[i]), inner(simples[j], simples[j]))))
     result = _classify_diagram(len(simples), edges)
     if positive_root_count(result) != len(positives):
         raise ClassificationError(

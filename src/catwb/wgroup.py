@@ -1,14 +1,16 @@
 """Finite reflection-group engine.
 
-Provides per-family exact element representations (permutations for A, signed
-permutations for B/D, root-index permutations with exact matrices for F4, E6,
-H3, H4, abstract rotation/reflection indices for the dihedral types), absolute
-length and order, the non-crossing partition poset NC, Mobius machinery,
-characteristic polynomials, parabolic-type classification and decomposition
-numbers.
+Each backend computes in one integral ring: permutations for A and signed
+permutations for B/D over Z; root-index permutations for F4 and E6 over Z
+and for H3 and H4 over Z[tau], with the Gram matrix read off the Coxeter
+diagram; abstract rotation/reflection indices for the dihedral types.  On
+top of them: absolute length and order, the non-crossing partition poset NC,
+Mobius machinery, characteristic polynomials, parabolic-type classification
+through one fraction-free (Bareiss) kernel, and decomposition numbers.
 
 Element tables and posets are immutable once built and cached per type.  E7
-and E8 exceed the default group cap and are rejected up front.
+and E8 exceed the default group cap and are rejected up front.  Broken
+internal invariants raise InvariantError, also under python -O.
 """
 
 from __future__ import annotations
@@ -20,16 +22,23 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
 
-from .errors import BudgetExceeded, ClassificationError, NotComparable, UnsupportedType
-from .exactmath import M, MPoly, MUniPoly, QuadExt, gen_binomial
+from .errors import (
+    BudgetExceeded,
+    ClassificationError,
+    InvalidArgument,
+    InvariantError,
+    NotComparable,
+    UnsupportedType,
+)
+from .exactmath import GoldInt, M, MPoly, MUniPoly, gen_binomial
 from .rootdata import (
     Irreducible,
     RootSystemType,
     _classify_diagram,
-    _label_from_cos2 as _angle_label,
-    dot,
+    edge_label,
+    gram_matrix,
     group_order,
-    simple_system,
+    positive_root_count,
 )
 
 DEFAULT_GROUP_CAP = 100_000
@@ -37,40 +46,55 @@ DEFAULT_POSET_CAP = 2_000_000  # pairs visited by a Mobius sweep
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra helpers (tiny matrices over Fraction or QuadExt)
+# Exact linear algebra over the backend's ring (Z or Z[tau])
 # ---------------------------------------------------------------------------
 
 
-def _nullspace(rows, zero, one):
-    """Kernel basis of the matrix given by `rows` acting on column vectors."""
-    ncols = len(rows[0]) if rows else 0
-    mat = [list(r) for r in rows]
+def _divexact(a, b):
+    q = a // b
+    if q * b != a:
+        raise InvariantError(f"{a!r} is not divisible by {b!r}")
+    return q
+
+
+def _fixed_space(mat):
+    """Integral basis of the fixed space of a square matrix over Z or Z[tau],
+    i.e. of the kernel of mat - 1.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): every update
+    (p*a - f*b) / prev divides exactly by the previous pivot, and at the end
+    the matrix is d times its reduced echelon form, d the last pivot.  Each
+    free column f gives the kernel vector with d at f and minus column f of
+    the pivot rows at the pivot columns.
+    """
+    ring = type(mat[0][0])
+    one = ring(1)
+    n = len(mat)
+    rows = [[x - one if i == j else x for j, x in enumerate(row)] for i, row in enumerate(mat)]
+    prev = one
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, n) if rows[i][c]), None)
         if pr is None:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(n):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [_divexact(p * a - f * b, prev) for a, b in zip(rows[i], prow)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
     basis = []
-    pivot_of_col = {c: i for i, c in enumerate(pivots)}
-    for fc in range(ncols):
-        if fc in pivot_of_col:
+    for fc in range(n):
+        if fc in pivots:
             continue
-        v = [zero] * ncols
-        v[fc] = one
-        for pc, pr in pivot_of_col.items():
-            v[pc] = zero - mat[pr][fc]
+        v = [ring(0)] * n
+        v[fc] = prev
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
 
@@ -87,59 +111,6 @@ def _iter_bits(mask: int):
 # ---------------------------------------------------------------------------
 
 
-class GoldInt:
-    """u + v*tau with integer components, tau the golden ratio (tau^2 = tau+1).
-    The coordinate ring for the H types; pure integer arithmetic."""
-
-    __slots__ = ("u", "v")
-
-    def __init__(self, u: int, v: int):
-        self.u = u
-        self.v = v
-
-    def __add__(self, o):
-        return GoldInt(self.u + o.u, self.v + o.v)
-
-    def __sub__(self, o):
-        return GoldInt(self.u - o.u, self.v - o.v)
-
-    def __neg__(self):
-        return GoldInt(-self.u, -self.v)
-
-    def __mul__(self, o):
-        return GoldInt(self.u * o.u + self.v * o.v, self.u * o.v + self.v * o.u + self.v * o.v)
-
-    def __bool__(self):
-        return self.u != 0 or self.v != 0
-
-    def __eq__(self, o):
-        return isinstance(o, GoldInt) and self.u == o.u and self.v == o.v
-
-    def __hash__(self):
-        return hash((self.u, self.v))
-
-    def __repr__(self):
-        return f"GoldInt({self.u},{self.v})"
-
-    def half(self) -> "GoldInt":
-        assert self.u % 2 == 0 and self.v % 2 == 0
-        return GoldInt(self.u // 2, self.v // 2)
-
-    def sign(self) -> int:
-        # u + v*tau = ((2u+v) + v*sqrt5)/2
-        a, b = 2 * self.u + self.v, self.v
-        if b == 0:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        return (1 if a > 0 else -1) if a * a > 5 * b * b else (1 if b > 0 else -1)
-
-    def to_quadext(self) -> QuadExt:
-        return QuadExt(Fraction(2 * self.u + self.v, 2), Fraction(self.v, 2))
-
-
 def _scalar_sign(x) -> int:
     if isinstance(x, GoldInt):
         return x.sign()
@@ -151,10 +122,9 @@ class RootGeometry:
     signed root list, the permutation each reflection induces on it, and
     classification of parabolic sub-root-systems by index arithmetic."""
 
-    def __init__(self, pos_roots, inner, reflect, exact):
+    def __init__(self, pos_roots, inner, reflect):
         self.pos_roots = pos_roots
         self.inner = inner
-        self.exact = exact
         self.all_roots = list(pos_roots) + [tuple(-c for c in v) for v in pos_roots]
         self.index = {v: i for i, v in enumerate(self.all_roots)}
         self.npos = len(pos_roots)
@@ -177,7 +147,7 @@ class RootGeometry:
     def classify(self, pos_indices: list[int]) -> RootSystemType:
         """Classify the closed subsystem with the given positive-root indices:
         extract simples by the one-negative criterion, label the diagram by
-        exact angles, and match against the catalog."""
+        exact identities in the ring, and match against the catalog."""
         if not pos_indices:
             return RootSystemType.empty()
         inset = set(pos_indices)
@@ -197,18 +167,15 @@ class RootGeometry:
                     raise ClassificationError("root subset is not closed")
             if negatives == 1:
                 simples.append(i)
-        inner, exact = self.inner, self.exact
+        inner = self.inner
         edges = []
         for ii in range(len(simples)):
             for jj in range(ii + 1, len(simples)):
                 u, v = self.pos_roots[simples[ii]], self.pos_roots[simples[jj]]
                 p = inner(u, v)
                 if p:
-                    cos2 = exact(p) * exact(p) / (exact(inner(u, u)) * exact(inner(v, v)))
-                    edges.append((ii, jj, _angle_label(cos2)))
+                    edges.append((ii, jj, edge_label(p, inner(u, u), inner(v, v))))
         result = _classify_diagram(len(simples), edges)
-        from .rootdata import positive_root_count
-
         if positive_root_count(result) != len(pos_indices):
             raise ClassificationError(
                 f"{result} expects {positive_root_count(result)} positive roots, got {len(pos_indices)}"
@@ -216,14 +183,16 @@ class RootGeometry:
         return result
 
 
-def _int_reflect_factory(inner):
+def _reflection(inner):
+    """The reflection s_alpha(beta) = beta - (2<alpha, beta>/<alpha, alpha>) alpha,
+    whose coefficient must divide exactly in the ring."""
+    norm = lru_cache(maxsize=None)(lambda alpha: inner(alpha, alpha))
+
     def reflect(alpha, beta):
-        p2 = inner(alpha, beta)
-        if not p2:
+        p = inner(alpha, beta)
+        if not p:
             return beta
-        n2 = inner(alpha, alpha)
-        coef, rem = divmod(2 * p2, n2)
-        assert rem == 0
+        coef = _divexact(2 * p, norm(alpha))
         return tuple(b - coef * a for a, b in zip(alpha, beta))
 
     return reflect
@@ -231,9 +200,6 @@ def _int_reflect_factory(inner):
 
 class PermBackend:
     """Type A_n as permutations of n+1 points, stored in one-line form."""
-
-    field_zero = Fraction(0)
-    field_one = Fraction(1)
 
     def __init__(self, n: int):
         self.type = Irreducible("A", n)
@@ -255,7 +221,7 @@ class PermBackend:
         self.reflections = refls
         self.simple_reflections = [refls[self._pair_index(i, i + 1)] for i in range(n)]
         self.inner = _int_dot
-        self.geometry = RootGeometry(roots, _int_dot, _int_reflect_factory(_int_dot), Fraction)
+        self.geometry = RootGeometry(roots, _int_dot, _reflection(_int_dot))
 
     def _pair_index(self, i, j):
         dim = self.points
@@ -274,12 +240,6 @@ class PermBackend:
         dim = self.points
         return [tuple(1 if i == p[j] else 0 for j in range(dim)) for i in range(dim)]
 
-    def to_field(self, x):
-        return Fraction(x)
-
-    def vec_from_field(self, vec):
-        return _clear_fraction_vec(vec)
-
     def fixed_space_codim(self, p) -> int:
         seen = [False] * self.points
         cycles = 0
@@ -297,33 +257,9 @@ def _int_dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _clear_fraction_vec(vec):
-    from math import lcm
-
-    denom = 1
-    for x in vec:
-        denom = lcm(denom, Fraction(x).denominator)
-    return tuple(int(Fraction(x) * denom) for x in vec)
-
-
-def _clear_quadext_vec(vec):
-    from math import lcm
-
-    denom = 1
-    pairs = []
-    for x in vec:
-        u, v = x.a - x.b, 2 * x.b  # x = u + v*tau
-        pairs.append((u, v))
-        denom = lcm(denom, u.denominator, v.denominator)
-    return tuple(GoldInt(int(u * denom), int(v * denom)) for u, v in pairs)
-
-
 class SignedPermBackend:
     """Types B_n and D_n as signed permutations in one-line form: entry i is
     the signed image of i+1."""
-
-    field_zero = Fraction(0)
-    field_one = Fraction(1)
 
     def __init__(self, n: int, family: str):
         self.type = Irreducible(family, n)
@@ -363,7 +299,7 @@ class SignedPermBackend:
             simples.append(self._swap(n - 2, n - 1, -1))
         self.simple_reflections = simples
         self.inner = _int_dot
-        self.geometry = RootGeometry(roots, _int_dot, _int_reflect_factory(_int_dot), Fraction)
+        self.geometry = RootGeometry(roots, _int_dot, _reflection(_int_dot))
 
     def _swap(self, i, j, sign):
         p = list(range(1, self.rank + 1))
@@ -394,12 +330,6 @@ class SignedPermBackend:
             rows[abs(v) - 1][j] = 1 if v > 0 else -1
         return [tuple(r) for r in rows]
 
-    def to_field(self, x):
-        return Fraction(x)
-
-    def vec_from_field(self, vec):
-        return _clear_fraction_vec(vec)
-
     def fixed_space_codim(self, p) -> int:
         n = self.rank
         seen = [False] * n
@@ -423,38 +353,19 @@ class RootPermBackend:
     """F4, E6, H3, H4: elements act as permutations of the full root list,
     stored as 256-padded byte tables so composition is a single translate().
 
-    Root coordinates live in the simple-root basis: integers for the
-    crystallographic types (with the Gram form doubled to stay integral) and
-    GoldInt pairs for the H types.  Exact matrices over Fraction or QuadExt
-    are reconstructed from the images of the simple roots when geometry is
-    needed.
+    Roots live in the simple-root basis with the doubled Gram matrix read off
+    the Coxeter diagram, so coordinates and inner products stay in one ring:
+    integers for the crystallographic types, GoldInt elements of Z[tau] for
+    the H types.  The matrix of an element, in that basis and ring, is read
+    off the images of the simple roots when geometry is needed.
     """
 
     def __init__(self, irr: Irreducible):
         self.type = irr
         self.rank = n = irr.rank
-        ss = simple_system(irr)
-        gram_exact = ss.gram()
-        self.is_gold = irr.family == "H"
-        if self.is_gold:
-            self.field_zero, self.field_one = QuadExt.of(0), QuadExt.of(1)
-            # golden-coordinate gram entries lie in Z[tau]
-            def to_gold(x):
-                u, v = x.a - x.b, 2 * x.b
-                assert u.denominator == 1 and v.denominator == 1
-                return GoldInt(int(u), int(v))
-
-            gram = [[to_gold(x) for x in row] for row in gram_exact]
-            zero = GoldInt(0, 0)
-            one = GoldInt(1, 0)
-            exact = GoldInt.to_quadext
-        else:
-            self.field_zero, self.field_one = Fraction(0), Fraction(1)
-            gram = [[int(2 * Fraction(x)) for x in row] for row in gram_exact]  # doubled
-            zero, one = 0, 1
-            exact = Fraction
-        self.gram = gram
-        self._mode_zero, self._mode_one = zero, one
+        self.gram = gram = gram_matrix(irr)
+        ring = type(gram[0][0])
+        zero = ring(0)
 
         def inner(u, v):
             acc = zero
@@ -470,20 +381,9 @@ class RootPermBackend:
             return acc
 
         self.inner = inner
-        if self.is_gold:
+        reflect = _reflection(inner)
 
-            def reflect(alpha, beta):
-                p = inner(alpha, beta)
-                if not p:
-                    return beta
-                coef = (p + p).half().half()  # all H roots have gram-norm 4
-                return tuple(b - coef * a for a, b in zip(alpha, beta))
-
-        else:
-            reflect = _int_reflect_factory(inner)
-        self._reflect = reflect
-
-        units = [tuple(one if j == i else zero for j in range(n)) for i in range(n)]
+        units = [tuple(ring(int(i == j)) for j in range(n)) for i in range(n)]
         roots = set(units)
         frontier = list(units)
         while frontier:
@@ -512,7 +412,7 @@ class RootPermBackend:
         self.simple_root_indices = [self.root_index[u] for u in units]
         pos_index = {v: i for i, v in enumerate(self.pos_roots)}
         self.simple_reflections = [self.reflections[pos_index[u]] for u in units]
-        self.geometry = RootGeometry(self.pos_roots, inner, reflect, exact)
+        self.geometry = RootGeometry(self.pos_roots, inner, reflect)
 
     @staticmethod
     def _sort_key(v):
@@ -539,22 +439,8 @@ class RootPermBackend:
         cols = [self.root_coords[p[idx]] for idx in self.simple_root_indices]
         return [tuple(cols[j][i] for j in range(n)) for i in range(n)]
 
-    def to_field(self, x):
-        return x.to_quadext() if self.is_gold else Fraction(x)
-
-    def vec_from_field(self, vec):
-        return _clear_quadext_vec(vec) if self.is_gold else _clear_fraction_vec(vec)
-
     def fixed_space_codim(self, p) -> int:
-        mat = self.matrix(p)
-        n = self.rank
-        zero, one = self.field_zero, self.field_one
-        to_f = self.to_field
-        shifted = [
-            tuple(to_f(mat[i][j]) - (one if i == j else zero) for j in range(n))
-            for i in range(n)
-        ]
-        return n - len(_nullspace(shifted, zero, one))
+        return self.rank - len(_fixed_space(self.matrix(p)))
 
 
 class DihedralBackend:
@@ -666,7 +552,8 @@ def _enumerate_group(irr: Irreducible, group_cap: int | None) -> GroupTable:
                     seen.add(v)
                     nxt.append(v)
         frontier = nxt
-    assert len(seen) == order, f"enumerated {len(seen)} of expected {order}"
+    if len(seen) != order:
+        raise InvariantError(f"enumerated {len(seen)} of expected {order}")
     elements = sorted(seen)
     index = {w: i for i, w in enumerate(elements)}
     # absolute length by breadth-first layering over the full reflection set
@@ -686,16 +573,18 @@ def _enumerate_group(irr: Irreducible, group_cap: int | None) -> GroupTable:
     abs_len = [lengths[w] for w in elements]
     coxeter = reduce(mul, backend.simple_reflections)
     table = GroupTable(irr, backend, elements, index, abs_len, coxeter)
-    assert table.abs_length_of(coxeter) == irr.rank
+    if table.abs_length_of(coxeter) != irr.rank:
+        raise InvariantError(f"Coxeter element of {irr} has length {table.abs_length_of(coxeter)}")
     return table
 
 
 def abs_length(table: GroupTable, w) -> int:
-    """Absolute length via the fixed-space codimension; asserted to agree
+    """Absolute length via the fixed-space codimension; checked to agree
     with the breadth-first layering oracle."""
     codim = table.backend.fixed_space_codim(w)
     bfs = table.abs_length_of(w)
-    assert codim == bfs, f"length methods disagree on {w!r}: {codim} vs {bfs}"
+    if codim != bfs:
+        raise InvariantError(f"length methods disagree on {w!r}: {codim} vs {bfs}")
     return codim
 
 
@@ -719,17 +608,8 @@ def parabolic_type_of(table: GroupTable, w) -> RootSystemType:
     backend = table.backend
     if isinstance(backend, DihedralBackend):
         return backend.parabolic_type(w)
-    mat = backend.matrix(w)
-    n_ambient = len(mat)
-    zero, one = backend.field_zero, backend.field_one
-    to_f = backend.to_field
-    shifted = [
-        tuple(to_f(mat[i][j]) - (one if i == j else zero) for j in range(n_ambient))
-        for i in range(n_ambient)
-    ]
-    fix_basis = [backend.vec_from_field(v) for v in _nullspace(shifted, zero, one)]
     geom = backend.geometry
-    return geom.classify(geom.orthogonal_positives(fix_basis))
+    return geom.classify(geom.orthogonal_positives(_fixed_space(backend.matrix(w))))
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +704,7 @@ class Poset:
 
     def zeta_poly(self, i: int, j: int) -> list[Fraction]:
         """Exact coefficients of the zeta polynomial Z(i, j; z), interpolated
-        from multichain counts; Z(-1) is asserted to equal the Mobius value."""
+        from multichain counts; Z(-1) is checked to equal the Mobius value."""
         if not self.leq(i, j):
             raise NotComparable(f"{i} is not below {j}")
         deg = self.ranks[j] - self.ranks[i]
@@ -832,7 +712,8 @@ class Poset:
         coeffs = _lagrange(list(range(deg + 1)), values)
         z_at_neg1 = _poly_eval(coeffs, Fraction(-1))
         mu = self.mobius(i, j)
-        assert z_at_neg1 == mu, f"zeta(-1) = {z_at_neg1} but mobius = {mu}"
+        if z_at_neg1 != mu:
+            raise InvariantError(f"zeta(-1) = {z_at_neg1} but mobius = {mu}")
         return coeffs
 
     def rank_counts(self) -> list[int]:
@@ -994,8 +875,10 @@ def _build_nc_fresh(t: RootSystemType, group_cap: int | None) -> NCCore:
                 quot[i][j] = nc_index[q]
     poset = Poset(ranks, up)
     partypes = [parabolic_type_of(table, w) for w in elems]
-    assert partypes[0] == RootSystemType.empty()
-    assert partypes[-1] == t, f"Coxeter element classified as {partypes[-1]}"
+    if partypes[0] != RootSystemType.empty():
+        raise InvariantError(f"identity classified as {partypes[0]}")
+    if partypes[-1] != t:
+        raise InvariantError(f"Coxeter element classified as {partypes[-1]}")
     return NCCore(t, n, poset, quot, partypes, elems)
 
 
@@ -1168,7 +1051,7 @@ def _decomposition_numbers(
             mult //= factorial(len(list(grp)))
         values = set(variants.values())
         if len(values) != 1 or len(variants) != mult:
-            raise AssertionError(f"type-tuple symmetry violated at {key}: {variants}")
+            raise InvariantError(f"type-tuple symmetry violated at {key}: {variants}")
         counts[key] = values.pop()
     return DecompositionTable(t, counts)
 
@@ -1197,7 +1080,7 @@ def chain_count_formula(t: RootSystemType, m: int, jumps: tuple[int, ...]) -> in
     f = t.single()
     n = f.rank
     if sum(jumps) != n:
-        raise ValueError("jumps must sum to the rank")
+        raise InvalidArgument("jumps must sum to the rank")
     if f.family == "A":
         v = Fraction(1, n + 1) * gen_binomial(n + 1, jumps[-1])
         for s in jumps[:-1]:
@@ -1217,7 +1100,8 @@ def chain_count_formula(t: RootSystemType, m: int, jumps: tuple[int, ...]) -> in
             v += term
     else:
         raise UnsupportedType(f"no closed chain count for {t}")
-    assert v.denominator == 1
+    if v.denominator != 1:
+        raise InvariantError(f"chain count {v} of {t} is not an integer")
     return v.numerator
 
 
@@ -1226,7 +1110,7 @@ def chain_count_brute(poset: Poset, rank: int, jumps: tuple[int, ...]) -> int:
     jumps: descending multichains with prescribed co-ranks."""
     partial = list(itertools.accumulate(jumps))
     if partial[-1] != rank:
-        raise ValueError("jumps must sum to the rank")
+        raise InvalidArgument("jumps must sum to the rank")
     needed = [rank - p for p in partial[:-1]]  # ranks in the primal order
     if not needed:
         return 1

@@ -1,5 +1,6 @@
 """CLI surface: emission formats, exit codes, caching, report files."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,9 +9,18 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from catwb.cache import ResultCache
 from catwb.cli import main
 
 SCHEMA_DIR = Path(__file__).parent.parent / "src/catwb/schemas"
+
+# sha256 of `catwb export-poset <type> --m 1`; pinned so a change to the root
+# tables, the NC sort order or the cores shows up as a changed digest
+EXPORT_POSET_SHA256 = {
+    "F4": "eb7ca85d22250489f860c38dee09464bed4a6b87a9c4852cf189776d85399d16",
+    "H3": "d8a16041874644fa23f595649133d6fc0a689387d69c4973ea81fec1116b153f",
+    "H4": "5204f68d15422b2ccf56d17952d1a4bf4c4219f311a3b55bcaf1fa32842a2a24",
+}
 
 
 def run(capsys, argv):
@@ -63,6 +73,22 @@ class TestExitCodes:
     def test_group_cap_flag(self):
         assert main(["mtriangle", "B3", "--mode", "brute", "--m", "1", "--group-cap", "10"]) == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ftriangle", "A2", "--m", "-1"],
+            ["mtriangle", "A2", "--mode", "brute", "--m", "0"],
+            ["chains", "A2", "--m", "1", "--jumps", "1,2"],
+            ["chains", "A2", "--m", "1", "--jumps", "x"],
+            ["verify", "--suite", "all", "--m-grid", "a"],
+            ["verify", "--suite", "carlitz", "--group-cap", "0"],
+        ],
+    )
+    def test_bad_input_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCache:
     def test_warm_cache_is_byte_identical(self, capsys, tmp_path):
@@ -93,6 +119,29 @@ class TestCache:
         )
         assert rc2 == 0
         assert json.loads(out_file.read_text()) == obj
+
+    @pytest.mark.parametrize("type_name", sorted(EXPORT_POSET_SHA256))
+    def test_export_poset_bytes_are_pinned(self, capsys, tmp_path, type_name):
+        out_file = tmp_path / "poset.json"
+        rc, _ = run(capsys, ["export-poset", type_name, "--m", "1", "--out", str(out_file)])
+        assert rc == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == EXPORT_POSET_SHA256[type_name]
+
+    def test_truncated_entry_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("poset", "A2_m1", {"ranks": [0, 1, 1, 2]})
+        path = cache.path_for("poset", "A2_m1")
+        path.write_text(path.read_text()[:-4])
+        assert cache.get("poset", "A2_m1") is None
+
+    def test_put_leaves_no_temporary_file(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("poset", "A2_m1", {"ranks": [0]})
+        cache.put("poset", "A2_m1", {"ranks": [0, 1]})
+        with pytest.raises(TypeError):
+            cache.put("poset", "B2_m1", object())  # not JSON: the write fails
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["A2_m1.json"]
+        assert cache.get("poset", "A2_m1") == {"ranks": [0, 1]}
 
     def test_export_b2_matches_census(self, capsys, tmp_path):
         from catwb.ncposet import rank_census

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from catwb.errors import DegreeError
 from catwb.exactmath import (
     GOLDEN,
+    GoldInt,
     M,
     MPoly,
     MUniPoly,
@@ -96,6 +97,24 @@ class TestQuadExt:
     def test_hash_consistency_with_rationals(self):
         assert hash(QuadExt.of(3)) == hash(Fraction(3))
         assert QuadExt.of(3) == 3
+
+
+class TestGoldInt:
+    def test_golden_ratio(self):
+        tau = GoldInt(0, 1)
+        assert tau * tau == tau + GoldInt(1)
+        assert 3 * tau == tau + tau + tau
+        assert GoldInt(1, -1).sign() < 0  # 1 - tau < 0
+
+    def test_division_is_exact_when_it_divides(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            x = GoldInt(rng.randint(-20, 20), rng.randint(-20, 20))
+            y = GoldInt(rng.randint(-20, 20), rng.randint(-20, 20))
+            if y:
+                assert (x * y) // y == x
+        q = GoldInt(1) // GoldInt(2)
+        assert q * GoldInt(2) != GoldInt(1)
 
 
 def random_mpoly(rng, max_deg=3, max_mdeg=2):

@@ -1,4 +1,4 @@
-"""Root-system catalog: type algebra, simple systems, deletions, and the
+"""Root-system catalog: type algebra, Gram matrices, deletions, and the
 subsystem classifier."""
 
 import random
@@ -7,19 +7,18 @@ from fractions import Fraction
 import pytest
 
 from catwb.errors import ClassificationError, TypeParseError
+from catwb.exactmath import GoldInt, QuadExt
 from catwb.rootdata import (
     RootSystemType,
     classify_subsystem,
     deletion_types,
-    diagram_edges,
     dot,
-    golden_root_system,
+    edge_label,
     group_order,
     ir,
     positive_root_count,
-    simple_system,
 )
-from catwb.rootdata import _pair_label
+from catwb.wgroup import _backend_for
 
 
 class TestTypeAlgebra:
@@ -110,18 +109,13 @@ class TestDeletions:
 class TestSimpleSystems:
     @pytest.mark.parametrize("s", ["A4", "B4", "D5", "F4", "E6", "E7", "E8", "H3", "H4"])
     def test_angles_reproduce_diagram(self, s):
-        f = ir(s).single()
-        ss = simple_system(f)
-        expected = {(i, j): lab for i, j, lab in diagram_edges(f)}
-        n = f.rank
-        for i in range(n):
-            for j in range(i + 1, n):
-                lab = _pair_label(ss.vectors[i], ss.vectors[j])
-                assert lab == expected.get((i, j), 2)
+        # the full positive system of each backend classifies back to its type
+        geom = _backend_for(ir(s).single()).geometry
+        assert geom.classify(list(range(geom.npos))) == ir(s)
 
     def test_golden_root_counts(self):
-        assert len(golden_root_system(3)) == 30
-        assert len(golden_root_system(4)) == 120
+        assert _backend_for(ir("H3").single()).nroots == 30
+        assert _backend_for(ir("H4").single()).nroots == 120
 
     def test_positive_root_counts(self):
         assert positive_root_count(ir("H3")) == 15
@@ -145,16 +139,18 @@ class TestClassify:
         assert str(classify_subsystem(roots)) == "A1xA1"
 
     def test_full_f4(self):
-        ss = simple_system(ir("F4").single())
+        half = Fraction(1, 2)
+        simples = [tuple(Fraction(c) for c in v) for v in ((0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1))]
+        simples.append((half, -half, -half, -half))
         # generate all roots by reflection closure of the simple system
         from catwb.rootdata import _reflect
 
-        roots = set(ss.vectors)
-        frontier = list(ss.vectors)
+        roots = set(simples)
+        frontier = list(simples)
         while frontier:
             new = []
             for beta in frontier:
-                for alpha in ss.vectors:
+                for alpha in simples:
                     img = _reflect(beta, alpha, dot)
                     if img not in roots:
                         roots.add(img)
@@ -185,6 +181,20 @@ class TestClassify:
                 tuple(signs[perm[i]] * v[perm[i]] for i in range(4)) for v in base
             ]
             assert str(classify_subsystem(moved)) == "A2"
+
+    @pytest.mark.parametrize(
+        "p,nu,nv,label",
+        [
+            (0, 2, 2, 2),
+            (-1, 2, 2, 3),
+            (-1, 2, 1, 4),
+            (-3, 6, 2, 6),
+            (GoldInt(0, -2), GoldInt(4), GoldInt(4), 5),
+            (QuadExt.of(Fraction(-1, 4), Fraction(-1, 4)), QuadExt.of(1), QuadExt.of(1), 5),
+        ],
+    )
+    def test_edge_label_in_each_ring(self, p, nu, nv, label):
+        assert edge_label(p, nu, nv) == label
 
     def test_not_closed_raises(self):
         roots = [(1, -1, 0), (1, 0, -1)]  # reflection closure needs (0, 1, -1)

@@ -2,6 +2,8 @@
 machinery, classification, decomposition numbers, chain counts."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -84,6 +86,25 @@ class TestAbsoluteOrder:
         rng = random.Random(17)
         for w in rng.sample(g.elements, 500):
             assert g.backend.fixed_space_codim(w) == g.abs_length_of(w)
+
+    def test_length_disagreement_raises_under_python_O(self):
+        # the BFS oracle is corrupted at the identity; the check must survive -O
+        code = (
+            "from catwb.errors import InvariantError\n"
+            "from catwb.rootdata import ir\n"
+            "from catwb.wgroup import abs_length, enumerate_group\n"
+            "g = enumerate_group(ir('A2').single())\n"
+            "g.abs_len[g.index[g.backend.identity]] = 1\n"
+            "try:\n"
+            "    abs_length(g, g.backend.identity)\n"
+            "except InvariantError as exc:\n"
+            "    print('InvariantError:', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "InvariantError: length methods disagree" in proc.stdout
 
     def test_abs_leq(self):
         g = enumerate_group(ir("A3").single())
