@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DegreeError, InvalidArgument
+from .errors import DegreeError, InvalidArgument, InvariantError
 
 Rational = Fraction  # the coefficient field used everywhere
 
@@ -384,7 +384,8 @@ def gen_binomial(N, K: int):
 def binom_int(n: int, k: int) -> int:
     """Integer binomial under the same convention, for plain integer inputs."""
     v = gen_binomial(n, k)
-    assert v.denominator == 1
+    if v.denominator != 1:
+        raise InvariantError(f"binom({n}, {k}) = {v} is not an integer")
     return v.numerator
 
 

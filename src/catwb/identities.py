@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SingularPoint
+from .errors import InvalidArgument, SingularPoint
 from .exactmath import gen_binomial
 
 
@@ -64,7 +64,8 @@ class CarlitzKernel:
 
 def _binom_over_top(N: Fraction, K: int) -> Fraction:
     """binom(N, K)/N for K >= 1, as the cancelled product; polynomial in N."""
-    assert K >= 1
+    if K < 1:
+        raise InvalidArgument(f"binom(N, K)/N needs K >= 1, got K = {K}")
     out = Fraction(1)
     for i in range(1, K):
         out *= N - i

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from .errors import BudgetExceeded, InvalidArgument
+
+from .errors import BudgetExceeded, InvalidArgument, InvariantError, UnsupportedType
 from .exactmath import M, MPoly, gen_binomial
 from .ftriangle import NarayanaVector
-from .rootdata import RootSystemType
+from .rootdata import RootSystemType, fuss_catalan
 from .wgroup import (
     DEFAULT_POSET_CAP,
     NCCore,
@@ -59,20 +60,6 @@ class MTriangle:
     poly: MPoly
 
 
-def _count_multichains(core: NCCore, m: int) -> int:
-    size = core.size
-    vec = [1] * size
-    for _ in range(m - 1):
-        nxt = [0] * size
-        for j in range(size):
-            total = 0
-            for i in _iter_bits(core.poset.down[j]):
-                total += vec[i]
-            nxt[j] = total
-        vec = nxt
-    return sum(vec)
-
-
 def build_ncm(
     t: RootSystemType,
     m: int,
@@ -97,14 +84,16 @@ def _build_ncm(
 ) -> NCmPoset:
     if m < 1:
         raise InvalidArgument("m must be a positive integer")
+    if not t.is_irreducible:
+        raise UnsupportedType(f"build_nc requires an irreducible type, got {t}")
     cap = DEFAULT_POSET_CAP if poset_cap is None else poset_cap
-    core = build_nc(t, group_cap)
-    n_elements = _count_multichains(core, m)
+    n_elements = fuss_catalan(t, m)
     if n_elements * n_elements > cap:
         raise BudgetExceeded(
             f"NC^{m}({t}) has {n_elements} elements; {n_elements}^2 pairs exceed the poset cap {cap}",
             n_elements,
         )
+    core = build_nc(t, group_cap)
     size = core.size
     ups_list = [sorted(_iter_bits(core.poset.up[i])) for i in range(size)]
     top = core.top
@@ -126,7 +115,8 @@ def _build_ncm(
 
     for start in range(size):
         extend([start])
-    assert len(elements) == n_elements
+    if len(elements) != n_elements:
+        raise InvariantError(f"NC^{m}({t}) has {len(elements)} elements, Cat^({m}) = {n_elements}")
     elements.sort()
     N = len(elements)
     ranks = [core.poset.ranks[delta[0]] for delta in elements]
@@ -155,8 +145,10 @@ def _build_ncm(
     ncm = NCmPoset(t, m, core, elements, poset)
     # the unique maximum (c; identity, ..., identity)
     top_idx = ncm.maximum()
-    assert all(up[i] >> top_idx & 1 for i in range(N)), "maximum is not above everything"
-    assert ranks[top_idx] == t.rank
+    if not all(up[i] >> top_idx & 1 for i in range(N)):
+        raise InvariantError(f"the maximum of NC^{m}({t}) is not above everything")
+    if ranks[top_idx] != t.rank:
+        raise InvariantError(f"the maximum of NC^{m}({t}) has rank {ranks[top_idx]}")
     return ncm
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from math import factorial
+from functools import lru_cache
+from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .errors import ClassificationError, TypeParseError, UnsupportedType
@@ -167,44 +167,56 @@ def ir(s: str) -> RootSystemType:
 # ---------------------------------------------------------------------------
 
 
-def group_order_irr(f: Irreducible) -> int:
+_EXCEPTIONAL_DEGREES = {
+    ("H", 3): (2, 6, 10),
+    ("H", 4): (2, 12, 20, 30),
+    ("F", 4): (2, 6, 8, 12),
+    ("E", 6): (2, 5, 6, 8, 9, 12),
+    ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+    ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
+}
+
+
+def degrees_irr(f: Irreducible) -> tuple[int, ...]:
+    """Degrees of the basic invariants of an irreducible reflection group."""
+    n = f.rank
     if f.family == "A":
-        return factorial(f.rank + 1)
+        return tuple(range(2, n + 2))
     if f.family == "B":
-        return 2**f.rank * factorial(f.rank)
+        return tuple(range(2, 2 * n + 1, 2))
     if f.family == "D":
-        return 2 ** (f.rank - 1) * factorial(f.rank)
+        return tuple(range(2, 2 * n - 1, 2)) + (n,)
     if f.family == "I":
-        return 2 * f.param
-    if f.family == "H":
-        return 120 if f.rank == 3 else 14400
-    if f.family == "F":
-        return 1152
-    return {6: 51840, 7: 2903040, 8: 696729600}[f.rank]
+        return (2, f.param)
+    return _EXCEPTIONAL_DEGREES[(f.family, n)]
+
+
+def group_order_irr(f: Irreducible) -> int:
+    return prod(degrees_irr(f))
 
 
 def group_order(t: RootSystemType) -> int:
-    return reduce(lambda acc, f: acc * group_order_irr(f), t.factors, 1)
+    return prod(group_order_irr(f) for f in t.factors)
 
 
 def positive_root_count_irr(f: Irreducible) -> int:
-    if f.family == "A":
-        return f.rank * (f.rank + 1) // 2
-    if f.family == "B":
-        return f.rank**2
-    if f.family == "D":
-        return f.rank * (f.rank - 1)
-    if f.family == "I":
-        return f.param
-    if f.family == "H":
-        return 15 if f.rank == 3 else 60
-    if f.family == "F":
-        return 24
-    return {6: 36, 7: 63, 8: 120}[f.rank]
+    return sum(d - 1 for d in degrees_irr(f))
 
 
 def positive_root_count(t: RootSystemType) -> int:
     return sum(positive_root_count_irr(f) for f in t.factors)
+
+
+def fuss_catalan(t: RootSystemType, m: int) -> int:
+    """Fuss-Catalan number Cat^(m)(W) = prod (m h + d_i) / d_i over the
+    degrees of each factor, h its largest degree: the size of NC^m."""
+    out = 1
+    for f in t.factors:
+        ds = degrees_irr(f)
+        h = max(ds)
+        out *= prod(m * h + d for d in ds)
+        out //= group_order_irr(f)
+    return out
 
 
 def diagram_edges(f: Irreducible) -> list[tuple[int, int, int]]:

@@ -4,13 +4,19 @@ Each backend computes in one integral ring: permutations for A and signed
 permutations for B/D over Z; root-index permutations for F4 and E6 over Z
 and for H3 and H4 over Z[tau], with the Gram matrix read off the Coxeter
 diagram; abstract rotation/reflection indices for the dihedral types.  On
-top of them: absolute length and order, the non-crossing partition poset NC,
-Mobius machinery, characteristic polynomials, parabolic-type classification
-through one fraction-free (Bareiss) kernel, and decomposition numbers.
+top of them: the non-crossing partition poset NC, Mobius machinery,
+characteristic polynomials, parabolic-type classification, decomposition
+numbers and chain counts.
 
-Element tables and posets are immutable once built and cached per type.  E7
-and E8 exceed the default group cap and are rejected up front.  Broken
-internal invariants raise InvariantError, also under python -O.
+NC is built top down from the Coxeter element c without enumerating W: one
+fraction-free (Bareiss) kernel computation per element gives its fixed space,
+hence its rank, the reflections below it and its parabolic type.  Only
+enumerate_group lists W; with its breadth-first absolute lengths it is the
+oracle the tests compare the NC build against.
+
+Posets are immutable once built and cached per type.  E7 and E8 exceed the
+default group cap and are rejected up front.  Broken internal invariants raise
+InvariantError, also under python -O.
 """
 
 from __future__ import annotations
@@ -198,7 +204,15 @@ def _reflection(inner):
     return reflect
 
 
-class PermBackend:
+class _MatrixBackend:
+    """A backend whose elements act by integral matrices (self.matrix)."""
+
+    def fixed_space_codim(self, p) -> int:
+        mat = self.matrix(p)
+        return len(mat) - len(_fixed_space(mat))
+
+
+class PermBackend(_MatrixBackend):
     """Type A_n as permutations of n+1 points, stored in one-line form."""
 
     def __init__(self, n: int):
@@ -240,24 +254,12 @@ class PermBackend:
         dim = self.points
         return [tuple(1 if i == p[j] else 0 for j in range(dim)) for i in range(dim)]
 
-    def fixed_space_codim(self, p) -> int:
-        seen = [False] * self.points
-        cycles = 0
-        for i in range(self.points):
-            if not seen[i]:
-                cycles += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = p[j]
-        return self.points - cycles
-
 
 def _int_dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-class SignedPermBackend:
+class SignedPermBackend(_MatrixBackend):
     """Types B_n and D_n as signed permutations in one-line form: entry i is
     the signed image of i+1."""
 
@@ -330,26 +332,8 @@ class SignedPermBackend:
             rows[abs(v) - 1][j] = 1 if v > 0 else -1
         return [tuple(r) for r in rows]
 
-    def fixed_space_codim(self, p) -> int:
-        n = self.rank
-        seen = [False] * n
-        positive_cycles = 0
-        for i in range(n):
-            if seen[i]:
-                continue
-            sign = 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                v = p[j]
-                sign *= 1 if v > 0 else -1
-                j = abs(v) - 1
-            if sign > 0:
-                positive_cycles += 1
-        return n - positive_cycles
 
-
-class RootPermBackend:
+class RootPermBackend(_MatrixBackend):
     """F4, E6, H3, H4: elements act as permutations of the full root list,
     stored as 256-padded byte tables so composition is a single translate().
 
@@ -367,17 +351,16 @@ class RootPermBackend:
         ring = type(gram[0][0])
         zero = ring(0)
 
+        @lru_cache(maxsize=None)
+        def covector(u):
+            # the first argument is always a root, so each covector is kept
+            return tuple(sum((u[i] * gram[i][j] for i in range(n) if u[i]), zero) for j in range(n))
+
         def inner(u, v):
             acc = zero
-            for i in range(n):
-                ui = u[i]
-                if ui:
-                    row = gram[i]
-                    s = zero
-                    for j in range(n):
-                        if v[j]:
-                            s = s + row[j] * v[j]
-                    acc = acc + ui * s
+            for a, b in zip(covector(u), v):
+                if a and b:
+                    acc = acc + a * b
             return acc
 
         self.inner = inner
@@ -403,16 +386,18 @@ class RootPermBackend:
         if self.nroots > 255:
             raise BudgetExceeded(f"too many roots for byte tables in {irr}", self.nroots)
         self.pos_roots = [v for v in self.root_coords if self._is_pos(v)]
+        self.geometry = geom = RootGeometry(self.pos_roots, inner, reflect)
+        # the byte tables re-index the geometry's reflection permutations
         tail = bytes(range(self.nroots, 256))
         self.identity = bytes(range(self.nroots)) + tail
+        to_coords = [self.root_index[v] for v in geom.all_roots]
+        from_coords = [geom.index[v] for v in self.root_coords]
         self.reflections = [
-            bytes(self.root_index[reflect(alpha, beta)] for beta in self.root_coords) + tail
-            for alpha in self.pos_roots
+            bytes(to_coords[perm[g]] for g in from_coords) + tail for perm in geom.refl_perms
         ]
         self.simple_root_indices = [self.root_index[u] for u in units]
         pos_index = {v: i for i, v in enumerate(self.pos_roots)}
         self.simple_reflections = [self.reflections[pos_index[u]] for u in units]
-        self.geometry = RootGeometry(self.pos_roots, inner, reflect)
 
     @staticmethod
     def _sort_key(v):
@@ -438,9 +423,6 @@ class RootPermBackend:
         n = self.rank
         cols = [self.root_coords[p[idx]] for idx in self.simple_root_indices]
         return [tuple(cols[j][i] for j in range(n)) for i in range(n)]
-
-    def fixed_space_codim(self, p) -> int:
-        return self.rank - len(_fixed_space(self.matrix(p)))
 
 
 class DihedralBackend:
@@ -474,17 +456,17 @@ class DihedralBackend:
             return p
         return ("r", (-p[1]) % self.a)
 
-    def fixed_space_codim(self, p) -> int:
+    def nc_step(self, p):
+        """Rank, reflections below and parabolic type of p: nothing is below
+        the identity, s_k alone is below s_k, every reflection below a rotation."""
         if p == ("r", 0):
-            return 0
-        return 1 if p[0] == "s" else 2
-
-    def parabolic_type(self, p) -> RootSystemType:
-        if p == ("r", 0):
-            return RootSystemType.empty()
+            return 0, [], RootSystemType.empty()
         if p[0] == "s":
-            return RootSystemType.irreducible("A", 1)
-        return RootSystemType.irreducible("I", 2, self.a)
+            return 1, [p[1]], RootSystemType.irreducible("A", 1)
+        return 2, list(range(self.a)), RootSystemType.irreducible("I", 2, self.a)
+
+    def fixed_space_codim(self, p) -> int:
+        return self.nc_step(p)[0]
 
 
 def _backend_for(irr: Irreducible):
@@ -532,12 +514,17 @@ def enumerate_group(irr: Irreducible, group_cap: int | None = None) -> GroupTabl
     return _enumerate_group(irr, group_cap)
 
 
-@lru_cache(maxsize=None)
-def _enumerate_group(irr: Irreducible, group_cap: int | None) -> GroupTable:
+def _check_group_cap(irr: Irreducible, group_cap: int | None) -> int:
     cap = DEFAULT_GROUP_CAP if group_cap is None else group_cap
     order = group_order(RootSystemType.make(irr))
     if order > cap:
         raise BudgetExceeded(f"|W({irr})| = {order} exceeds group cap {cap}", order)
+    return order
+
+
+@lru_cache(maxsize=None)
+def _enumerate_group(irr: Irreducible, group_cap: int | None) -> GroupTable:
+    order = _check_group_cap(irr, group_cap)
     backend = _backend_for(irr)
     mul = backend.mul
     # closure under the simple reflections
@@ -602,14 +589,23 @@ def coxeter_element(table: GroupTable):
     return table.coxeter
 
 
+def _nc_step(backend, w):
+    """Rank, reflections below (indices into backend.reflections) and type of
+    w <= c, all from Fix(w): the rank is its codimension (Carter's lemma), and
+    the reflections below w are those whose roots are orthogonal to it
+    (Brady-Watt), the positive roots of the parabolic subsystem of w."""
+    if isinstance(backend, DihedralBackend):
+        return backend.nc_step(w)
+    mat = backend.matrix(w)
+    fix = _fixed_space(mat)
+    below = backend.geometry.orthogonal_positives(fix)
+    return len(mat) - len(fix), below, backend.geometry.classify(below)
+
+
 def parabolic_type_of(table: GroupTable, w) -> RootSystemType:
     """Type of w as a parabolic Coxeter element: classify the sub-root-system
     orthogonal to the fixed space of w."""
-    backend = table.backend
-    if isinstance(backend, DihedralBackend):
-        return backend.parabolic_type(w)
-    geom = backend.geometry
-    return geom.classify(geom.orthogonal_positives(_fixed_space(backend.matrix(w))))
+    return _nc_step(table.backend, w)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -840,41 +836,39 @@ def _build_nc(t: RootSystemType, group_cap: int | None) -> NCCore:
 
 
 def _build_nc_fresh(t: RootSystemType, group_cap: int | None) -> NCCore:
+    """Build NC top down from c without enumerating W: the lower covers of w
+    are t w for the reflections t below w, walked level by level."""
     irr = t.single()
-    table = enumerate_group(irr, group_cap)
-    backend = table.backend
-    mul, inv = backend.mul, backend.inv
+    _check_group_cap(irr, group_cap)
+    backend = _backend_for(irr)
+    mul, inv, refls = backend.mul, backend.inv, backend.reflections
     n = irr.rank
-    c = table.coxeter
-    lengths = {w: table.abs_len[i] for i, w in enumerate(table.elements)}
-    # length of w^-1 c computed as length of c^-1 w, avoiding per-element inverses
-    c_inv = inv(c)
-    members = []
-    for w in table.elements:
-        lw = lengths[w]
-        if lw + lengths[mul(c_inv, w)] == n:
-            members.append((lw, w))
-    members.sort()
-    elems = [w for _, w in members]
-    ranks = [lw for lw, _ in members]
-    nc_index = {w: i for i, w in enumerate(elems)}
-    size = len(elems)
-    up = [0] * size
-    quot: list[dict[int, int]] = [dict() for _ in range(size)]
-    inverses = [inv(w) for w in elems]
-    for i in range(size):
+    steps = {}  # w -> (rank, lower covers, parabolic type)
+    level = {reduce(mul, backend.simple_reflections)}
+    for depth in range(n + 1):
+        nxt = set()
+        for w in level:
+            rank, below, ptype = _nc_step(backend, w)
+            if rank != n - depth:
+                raise InvariantError(f"{w!r} at depth {depth} below c has length {rank}")
+            covers = [mul(refls[i], w) for i in below]
+            steps[w] = (rank, covers, ptype)
+            nxt.update(covers)
+        level = nxt
+    elems = sorted(steps, key=lambda w: (steps[w][0], w))
+    index = {w: i for i, w in enumerate(elems)}
+    # top down, each up-set is complete before it is pushed to the covers
+    up = [0] * len(elems)
+    for i in reversed(range(len(elems))):
         up[i] |= 1 << i
-        quot[i][i] = 0
-        ri = ranks[i]
-        for j in range(size):
-            if ranks[j] <= ri or i == j:
-                continue
-            q = mul(inverses[i], elems[j])
-            if ri + lengths[q] == ranks[j]:
-                up[i] |= 1 << j
-                quot[i][j] = nc_index[q]
-    poset = Poset(ranks, up)
-    partypes = [parabolic_type_of(table, w) for w in elems]
+        for v in steps[elems[i]][1]:
+            up[index[v]] |= up[i]
+    quot = []
+    for i, u in enumerate(elems):
+        u_inv = inv(u)
+        quot.append({j: index[mul(u_inv, elems[j])] for j in _iter_bits(up[i])})
+    poset = Poset([steps[w][0] for w in elems], up)
+    partypes = [steps[w][2] for w in elems]
     if partypes[0] != RootSystemType.empty():
         raise InvariantError(f"identity classified as {partypes[0]}")
     if partypes[-1] != t:

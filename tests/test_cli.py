@@ -82,6 +82,7 @@ class TestExitCodes:
             ["chains", "A2", "--m", "1", "--jumps", "x"],
             ["verify", "--suite", "all", "--m-grid", "a"],
             ["verify", "--suite", "carlitz", "--group-cap", "0"],
+            ["mtriangle", "E6xA1", "--mode", "brute", "--m", "1"],
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, argv):

@@ -14,6 +14,7 @@ from catwb.rootdata import (
     deletion_types,
     dot,
     edge_label,
+    fuss_catalan,
     group_order,
     ir,
     positive_root_count,
@@ -65,6 +66,16 @@ class TestTypeAlgebra:
         assert group_order(ir("H3")) == 120
         assert group_order(ir("E8")) == 696729600
         assert group_order(ir("I2(7)")) == 14
+
+    def test_fuss_catalan(self):
+        assert [fuss_catalan(ir(f"A{n}"), 1) for n in range(1, 6)] == [2, 5, 14, 42, 132]
+        assert fuss_catalan(ir("B3"), 2) == 84  # binom((m + 1) n, n)
+        assert fuss_catalan(ir("I2(7)"), 3) == 46  # (m + 1)(m a + 2) / 2
+        assert fuss_catalan(ir("E6"), 1) == 833
+        assert fuss_catalan(ir("E7"), 2) == 144210
+        assert fuss_catalan(ir("E8"), 1) == 25080
+        assert fuss_catalan(ir("A2xA1"), 1) == 5 * 2
+        assert fuss_catalan(RootSystemType.empty(), 4) == 1
 
 
 class TestDeletions:

@@ -1,6 +1,8 @@
 """Reflection-group engine: enumeration, absolute order, NC posets, Mobius
 machinery, classification, decomposition numbers, chain counts."""
 
+import hashlib
+import json
 import random
 import subprocess
 import sys
@@ -22,7 +24,9 @@ from catwb.wgroup import (
     enumerate_group,
     interval_rank_genfun,
     mobius,
+    nc_core_to_obj,
     nc_rank_genfun,
+    parabolic_type_of,
     zeta_poly,
 )
 
@@ -182,6 +186,41 @@ class TestNCPoset:
                 # antisymmetry via strict rank increase off the diagonal
                 if i != j:
                     assert poset.ranks[i] < poset.ranks[j]
+
+
+class TestTopDownBuild:
+    """build_nc walks down from c and never enumerates W; here NC is rebuilt
+    from the enumerated group and its breadth-first lengths and compared."""
+
+    @pytest.mark.parametrize(
+        "s", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "D4", "D5", "F4", "H3", "I2(5)", "I2(8)"]
+    )
+    def test_matches_enumerated_group(self, s):
+        t = ir(s)
+        g = enumerate_group(t.single())
+        mul, inv, c = g.backend.mul, g.backend.inv, coxeter_element(g)
+        members = sorted(
+            (g.abs_length_of(w), w)
+            for w in g.elements
+            if g.abs_length_of(w) + g.abs_length_of(mul(inv(w), c)) == t.rank
+        )
+        elems = [w for _, w in members]
+        index = {w: i for i, w in enumerate(elems)}
+        core = build_nc(t)
+        assert core.elements == elems
+        assert core.poset.ranks == [r for r, _ in members]
+        for i, u in enumerate(elems):
+            above = [j for j, w in enumerate(elems) if abs_leq(g, u, w)]
+            assert list(_iter_bits(core.poset.up[i])) == above
+            assert core.quot[i] == {j: index[mul(inv(u), elems[j])] for j in above}
+        assert core.partypes == [parabolic_type_of(g, w) for w in elems]
+
+    def test_e6_core_bytes_are_pinned(self):
+        # sha256 of the core produced by the earlier build that enumerated W
+        blob = json.dumps(nc_core_to_obj(build_nc(ir("E6"))), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "7ec0a3bea9e63b1914c4592f100749e150427e506f07c1743394254b4adca26e"
+        )
 
 
 class TestCharPoly:
