@@ -24,7 +24,7 @@ from .identities import failure_dump, run_named_cases, run_random_suite
 from .ncposet import export_poset_obj, m_triangle_bruteforce, m_triangle_formula
 from .report import VerificationReport
 from .rootdata import RootSystemType
-from .wgroup import chain_counts_classical
+from .wgroup import chain_counts_classical, set_disk_cache
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -392,10 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cache_dir", None):
-        from . import wgroup
-
-        wgroup.set_disk_cache(ResultCache(args.cache_dir))
+    # the --cache-dir cache serves this command only, not later library calls
+    cache_dir = getattr(args, "cache_dir", None)
+    previous = set_disk_cache(ResultCache(cache_dir)) if cache_dir else None
     try:
         return args.func(args)
     except (TypeParseError, UnsupportedType, InvalidArgument) as exc:
@@ -404,6 +403,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    finally:
+        if cache_dir:
+            set_disk_cache(previous)
 
 
 if __name__ == "__main__":

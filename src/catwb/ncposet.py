@@ -137,7 +137,7 @@ def _build_ncm(
         coord_masks.append(le_mask)
     up = []
     for delta in elements:
-        mask = coord_masks[0][delta[1]] if m >= 1 else (1 << N) - 1
+        mask = coord_masks[0][delta[1]]
         for i in range(2, m + 1):
             mask &= coord_masks[i - 1][delta[i]]
         up.append(mask)

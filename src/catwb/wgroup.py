@@ -25,7 +25,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import factorial
 
 from .errors import (
@@ -36,7 +36,7 @@ from .errors import (
     NotComparable,
     UnsupportedType,
 )
-from .exactmath import GoldInt, M, MPoly, MUniPoly, gen_binomial
+from .exactmath import GoldInt, M, MPoly, gen_binomial
 from .rootdata import (
     Irreducible,
     RootSystemType,
@@ -105,11 +105,21 @@ def _fixed_space(mat):
     return basis
 
 
-def _iter_bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
+_NONZERO = bytes([0] + [1] * 255)
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+
+
+def _iter_bits(mask: int) -> list[int]:
+    """Set bits of mask in increasing order, by a C-level scan of its bytes."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    flags = data.translate(_NONZERO)
+    out = []
+    k = flags.find(1)
+    while k >= 0:
+        for i in _BYTE_BITS[data[k]]:
+            out.append(8 * k + i)
+        k = flags.find(1, k + 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -615,19 +625,24 @@ def parabolic_type_of(table: GroupTable, w) -> RootSystemType:
 
 @dataclass
 class Poset:
-    """A finite graded poset: ranks plus an up-relation stored as bit rows."""
+    """A finite graded poset: ranks plus an up-relation stored as bit rows.
+    `down`, its transpose, is computed on first use; m_triangle reads only up."""
 
     ranks: list[int]
     up: list[int]  # up[i] has bit j set iff element i <= element j
 
     def __post_init__(self):
         self.size = len(self.ranks)
+        self._mobius: dict[tuple[int, int], int] = {}
+
+    @cached_property
+    def down(self) -> list[int]:
+        """down[j] has bit i set iff element i <= element j."""
         down = [0] * self.size
         for i, mask in enumerate(self.up):
             for j in _iter_bits(mask):
                 down[j] |= 1 << i
-        self.down = down
-        self._mobius: dict[tuple[int, int], int] = {}
+        return down
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
@@ -650,7 +665,8 @@ class Poset:
 
     def mobius_column_vectors(self) -> list[list[int]]:
         """For each w, the x-polynomial sum of mu(u, w) x^rank(u) over u <= w,
-        as integer coefficient lists indexed by rank."""
+        as integer coefficient lists indexed by rank: the column recursion over
+        down-sets, the reference the tests compare m_triangle against."""
         top_rank = max(self.ranks, default=0)
         order = sorted(range(self.size), key=lambda i: self.ranks[i])
         g: list[list[int] | None] = [None] * self.size
@@ -666,20 +682,22 @@ class Poset:
         return g
 
     def m_triangle(self) -> MPoly:
-        """Sum of mu(u, w) x^rank(u) y^rank(w) over all pairs u <= w."""
-        g = self.mobius_column_vectors()
-        terms: dict[tuple[int, int], MUniPoly] = {}
-        acc: dict[tuple[int, int], int] = {}
-        for w, vec in enumerate(g):
-            rw = self.ranks[w]
-            for ru, cval in enumerate(vec):
-                if cval:
-                    key = (ru, rw)
-                    acc[key] = acc.get(key, 0) + cval
-        for key, v in acc.items():
-            if v:
-                terms[key] = MUniPoly.const(v)
-        return MPoly(terms)
+        """Sum of mu(u, w) x^rank(u) y^rank(w) over all pairs u <= w, by the row
+        recursion over up-sets in decreasing rank: h_s(u) = sum of mu(u, w) over
+        w >= u of rank s = [rank u = s] - sum of h_s(v) over v > u."""
+        top_rank = max(self.ranks, default=0)
+        h = [[0] * self.size for _ in range(top_rank + 1)]
+        tri = [[0] * (top_rank + 1) for _ in range(top_rank + 1)]
+        for u in sorted(range(self.size), key=self.ranks.__getitem__, reverse=True):
+            ru = self.ranks[u]
+            h[ru][u] = 1
+            tri[ru][ru] += 1
+            above = _iter_bits(self.up[u] & ~(1 << u))
+            for s in range(ru + 1, top_rank + 1):
+                hs = h[s]
+                hs[u] = v = -sum(map(hs.__getitem__, above))
+                tri[ru][s] += v
+        return MPoly({(ru, s): v for ru, row in enumerate(tri) for s, v in enumerate(row) if v})
 
     def zeta_values(self, i: int, j: int, max_z: int) -> list[int]:
         """Multichain counts from i to j with z links, for z = 0..max_z."""
@@ -788,10 +806,12 @@ REPR_VERSION = 1
 _disk_cache = None  # ResultCache set by the CLI; library default is in-memory only
 
 
-def set_disk_cache(cache) -> None:
-    """Install a ResultCache so expensive poset cores persist across runs."""
+def set_disk_cache(cache):
+    """Install a ResultCache so expensive poset cores persist across runs;
+    returns the cache it replaces."""
     global _disk_cache
-    _disk_cache = cache
+    previous, _disk_cache = _disk_cache, cache
+    return previous
 
 
 def nc_core_to_obj(core: NCCore) -> dict:
@@ -902,8 +922,9 @@ def _char_poly(t: RootSystemType, group_cap: int | None) -> MPoly:
             out = out * char_poly(RootSystemType.make(f), group_cap)
         return out
     core = build_nc(t, group_cap)
-    g_top = core.poset.mobius_column_vectors()[core.top]
-    return MPoly({(0, i): MUniPoly.const(v) for i, v in enumerate(g_top) if v})
+    # row y^n of the M-triangle: c is the only element of rank n
+    tri = core.poset.m_triangle()
+    return MPoly({(0, i): v for (i, s), v in tri.terms.items() if s == core.rank})
 
 
 def char_poly_at_neg_y(t: RootSystemType, group_cap: int | None = None) -> MPoly:

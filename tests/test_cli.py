@@ -105,6 +105,16 @@ class TestCache:
             assert out1 == out2
         assert list(tmp_path.rglob("*.json"))
 
+    def test_cache_dir_serves_one_command_only(self, capsys, tmp_path):
+        from catwb.rootdata import ir
+        from catwb.wgroup import _build_nc, build_nc
+
+        rc, _ = run(capsys, ["ftriangle", "A1", "--cache-dir", str(tmp_path)])
+        assert rc == 0
+        _build_nc.cache_clear()  # so that the core below is really built
+        build_nc(ir("A3"))
+        assert not (tmp_path / "v1" / "nccore" / "A3.json").exists()
+
     def test_export_poset(self, capsys, tmp_path):
         out_file = tmp_path / "poset.json"
         rc, _ = run(capsys, ["export-poset", "A2", "--m", "1", "--out", str(out_file)])

@@ -6,12 +6,16 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from catwb.errors import BudgetExceeded, NotComparable
+from catwb.exactmath import MPoly
+from catwb.ncposet import build_ncm
 from catwb.rootdata import group_order, ir
 from catwb.wgroup import (
+    Poset,
     _iter_bits,
     abs_length,
     abs_leq,
@@ -24,6 +28,7 @@ from catwb.wgroup import (
     enumerate_group,
     interval_rank_genfun,
     mobius,
+    nc_core_from_obj,
     nc_core_to_obj,
     nc_rank_genfun,
     parabolic_type_of,
@@ -186,6 +191,53 @@ class TestNCPoset:
                 # antisymmetry via strict rank increase off the diagonal
                 if i != j:
                     assert poset.ranks[i] < poset.ranks[j]
+
+
+class TestIterBits:
+    def test_matches_naive_scan_on_large_masks(self):
+        rng = random.Random(11)
+        masks = [0, 1, 1 << 7, 1 << 8, 1 << 14_999, 1 | 1 << 20_000]
+        masks += [rng.getrandbits(rng.randint(1, 15_000)) for _ in range(100)]  # dense
+        masks += [sum(1 << rng.randrange(15_000) for _ in range(rng.randint(1, 40))) for _ in range(100)]
+        for mask in masks:
+            assert _iter_bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _poset(case: str) -> Poset:
+    """The NC core for "T", the poset NC^m(T) for "T/m"."""
+    name, _, m = case.partition("/")
+    return build_ncm(ir(name), int(m)).poset if m else build_nc(ir(name)).poset
+
+
+class TestMTriangleSweep:
+    """m_triangle sweeps up-sets once; the column recursion over down-sets and
+    the pairwise Mobius function are the references."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "F4", "H3", "I2(5)", "A2/3", "B3/2", "H3/2"],
+    )
+    def test_matches_column_recursion_and_pairwise_mobius(self, case):
+        poset = _poset(case)
+        columns, pairs = Counter(), Counter()
+        for w, vec in enumerate(poset.mobius_column_vectors()):
+            for ru, v in enumerate(vec):
+                columns[ru, poset.ranks[w]] += v
+        for u in range(poset.size):
+            for w in _iter_bits(poset.up[u]):
+                pairs[poset.ranks[u], poset.ranks[w]] += poset.mobius(u, w)
+        assert poset.m_triangle() == MPoly(columns) == MPoly(pairs)
+
+    def test_down_is_built_on_demand_as_the_transpose_of_up(self):
+        built = _poset("H3/2")
+        fresh = Poset(list(built.ranks), list(built.up))
+        fresh.m_triangle()
+        assert "down" not in vars(fresh)  # the sweep reads up only
+        loaded = nc_core_from_obj(nc_core_to_obj(build_nc(ir("F4")))).poset
+        for poset in (fresh, loaded):
+            n = poset.size
+            naive = [sum(1 << i for i in range(n) if poset.up[i] >> j & 1) for j in range(n)]
+            assert poset.down == naive
 
 
 class TestTopDownBuild:
