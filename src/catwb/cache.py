@@ -13,7 +13,7 @@ import os
 import re
 from pathlib import Path
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def _safe(s: str) -> str:

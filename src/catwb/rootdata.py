@@ -247,15 +247,17 @@ def diagram_edges(f: Irreducible) -> list[tuple[int, int, int]]:
 
 
 def gram_matrix(f: Irreducible) -> list[list]:
-    """Doubled Gram matrix 2<a_i, a_j> of the simple roots of an F, E or H
-    factor, read off the Coxeter diagram: over Z for F and E, over Z[tau]
-    for H.  Every simple root has squared length 2 except the short F4 nodes
-    2 and 3 (length 1); a label 3 edge joins roots of equal length a and
-    gives -a, label 4 gives -2 and label 5 gives -2 tau."""
-    if f.family not in ("F", "E", "H"):
+    """Doubled Gram matrix 2<a_i, a_j> of the simple roots of any factor but
+    I2(a), read off the Coxeter diagram: over Z for A, B, D, F and E, over
+    Z[tau] for H.  Every simple root has squared length 2 except the short
+    ones, B's last node and F4's nodes 2 and 3 (length 1); a label 3 edge
+    joins roots of equal length a and gives -a, label 4 gives -2 and label 5
+    gives -2 tau."""
+    if f.family == "I":
         raise UnsupportedType(f"no Gram matrix for {f}")
     ring = GoldInt if f.family == "H" else int
-    norms = [1 if f.family == "F" and i >= 2 else 2 for i in range(f.rank)]
+    short = {"B": (f.rank - 1,), "F": (2, 3)}.get(f.family, ())
+    norms = [1 if i in short else 2 for i in range(f.rank)]
     gram = [[ring(2 * a if i == j else 0) for j in range(f.rank)] for i, a in enumerate(norms)]
     for i, j, label in diagram_edges(f):
         entry = {3: ring(-norms[i]), 4: ring(-2), 5: GoldInt(0, -2)}[label]

@@ -1,12 +1,16 @@
 """Finite reflection-group engine.
 
-Each backend computes in one integral ring: permutations for A and signed
-permutations for B/D over Z; root-index permutations for F4 and E6 over Z
-and for H3 and H4 over Z[tau], with the Gram matrix read off the Coxeter
-diagram; abstract rotation/reflection indices for the dihedral types.  On
-top of them: the non-crossing partition poset NC, Mobius machinery,
-characteristic polynomials, parabolic-type classification, decomposition
-numbers and chain counts.
+Two backends, each in one integral ring: every type but I2(a) acts by
+permutations of its roots, with the Gram matrix read off the Coxeter diagram
+(over Z for A, B, D, F and E, over Z[tau] for H), and the dihedral types by
+abstract rotation/reflection indices.  On top of them: the non-crossing
+partition poset NC, Mobius machinery, characteristic polynomials,
+parabolic-type classification, decomposition numbers and chain counts.
+
+The canonical order of NC sorts its elements by (rank, byte string), where
+the byte string lists the images of the roots, the roots taken in
+increasing simple-root coordinates; NC indices, cached cores and exported
+posets all follow it.
 
 NC is built top down from the Coxeter element c without enumerating W: one
 fraction-free (Bareiss) kernel computation per element gives its fixed space,
@@ -45,6 +49,7 @@ from .rootdata import (
     gram_matrix,
     group_order,
     positive_root_count,
+    positive_root_count_irr,
 )
 
 DEFAULT_GROUP_CAP = 100_000
@@ -134,7 +139,7 @@ def _scalar_sign(x) -> int:
 
 
 class RootGeometry:
-    """Index-level root geometry shared by the concrete backends: the full
+    """Index-level root geometry of the root-permutation backend: the full
     signed root list, the permutation each reflection induces on it, and
     classification of parabolic sub-root-systems by index arithmetic."""
 
@@ -214,147 +219,24 @@ def _reflection(inner):
     return reflect
 
 
-class _MatrixBackend:
-    """A backend whose elements act by integral matrices (self.matrix)."""
-
-    def fixed_space_codim(self, p) -> int:
-        mat = self.matrix(p)
-        return len(mat) - len(_fixed_space(mat))
-
-
-class PermBackend(_MatrixBackend):
-    """Type A_n as permutations of n+1 points, stored in one-line form."""
-
-    def __init__(self, n: int):
-        self.type = Irreducible("A", n)
-        self.rank = n
-        self.points = n + 1
-        self.identity = tuple(range(n + 1))
-        dim = n + 1
-        roots = []
-        refls = []
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                v = [0] * dim
-                v[i], v[j] = 1, -1
-                roots.append(tuple(v))
-                p = list(range(dim))
-                p[i], p[j] = j, i
-                refls.append(tuple(p))
-        self.pos_roots = roots
-        self.reflections = refls
-        self.simple_reflections = [refls[self._pair_index(i, i + 1)] for i in range(n)]
-        self.inner = _int_dot
-        self.geometry = RootGeometry(roots, _int_dot, _reflection(_int_dot))
-
-    def _pair_index(self, i, j):
-        dim = self.points
-        return sum(dim - 1 - k for k in range(i)) + (j - i - 1)
-
-    def mul(self, p, q):
-        return tuple(p[x] for x in q)
-
-    def inv(self, p):
-        out = [0] * len(p)
-        for i, v in enumerate(p):
-            out[v] = i
-        return tuple(out)
-
-    def matrix(self, p):
-        dim = self.points
-        return [tuple(1 if i == p[j] else 0 for j in range(dim)) for i in range(dim)]
-
-
-def _int_dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-class SignedPermBackend(_MatrixBackend):
-    """Types B_n and D_n as signed permutations in one-line form: entry i is
-    the signed image of i+1."""
-
-    def __init__(self, n: int, family: str):
-        self.type = Irreducible(family, n)
-        self.rank = n
-        self.family = family
-        self.identity = tuple(range(1, n + 1))
-        roots = []
-        refls = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = [0] * n
-                v[i], v[j] = 1, -1
-                roots.append(tuple(v))
-                refls.append(self._swap(i, j, 1))
-                v = [0] * n
-                v[i], v[j] = 1, 1
-                roots.append(tuple(v))
-                refls.append(self._swap(i, j, -1))
-        if family == "B":
-            for i in range(n):
-                v = [0] * n
-                v[i] = 1
-                roots.append(tuple(v))
-                p = list(range(1, n + 1))
-                p[i] = -p[i]
-                refls.append(tuple(p))
-        self.pos_roots = roots
-        self.reflections = refls
-        simples = []
-        for i in range(n - 1):
-            simples.append(self._swap(i, i + 1, 1))
-        if family == "B":
-            p = list(range(1, n + 1))
-            p[n - 1] = -p[n - 1]
-            simples.append(tuple(p))
-        else:
-            simples.append(self._swap(n - 2, n - 1, -1))
-        self.simple_reflections = simples
-        self.inner = _int_dot
-        self.geometry = RootGeometry(roots, _int_dot, _reflection(_int_dot))
-
-    def _swap(self, i, j, sign):
-        p = list(range(1, self.rank + 1))
-        p[i], p[j] = sign * (j + 1), sign * (i + 1)
-        return tuple(p)
-
-    def mul(self, p, q):
-        out = []
-        for s in q:
-            t = p[abs(s) - 1]
-            out.append(t if s > 0 else -t)
-        return tuple(out)
-
-    def inv(self, p):
-        out = [0] * len(p)
-        for i, v in enumerate(p):
-            if v > 0:
-                out[v - 1] = i + 1
-            else:
-                out[-v - 1] = -(i + 1)
-        return tuple(out)
-
-    def matrix(self, p):
-        n = self.rank
-        rows = [[0] * n for _ in range(n)]
-        for j in range(n):
-            v = p[j]
-            rows[abs(v) - 1][j] = 1 if v > 0 else -1
-        return [tuple(r) for r in rows]
-
-
-class RootPermBackend(_MatrixBackend):
-    """F4, E6, H3, H4: elements act as permutations of the full root list,
-    stored as 256-padded byte tables so composition is a single translate().
+class RootPermBackend:
+    """Every type but I2(a): elements act as permutations of the full root
+    list, stored as 256-padded byte tables so composition is a single
+    translate().  Types with more than 255 roots raise BudgetExceeded.
 
     Roots live in the simple-root basis with the doubled Gram matrix read off
     the Coxeter diagram, so coordinates and inner products stay in one ring:
     integers for the crystallographic types, GoldInt elements of Z[tau] for
-    the H types.  The matrix of an element, in that basis and ring, is read
-    off the images of the simple roots when geometry is needed.
+    the H types.  The roots are listed in increasing coordinates, so an
+    element's byte string is its images of the roots in that order.  The
+    matrix of an element, in that basis and ring, is read off the images of
+    the simple roots when geometry is needed.
     """
 
     def __init__(self, irr: Irreducible):
+        nroots = 2 * positive_root_count_irr(irr)
+        if nroots > 255:
+            raise BudgetExceeded(f"{irr} has {nroots} roots; byte tables hold at most 255", nroots)
         self.type = irr
         self.rank = n = irr.rank
         self.gram = gram = gram_matrix(irr)
@@ -373,7 +255,6 @@ class RootPermBackend(_MatrixBackend):
                     acc = acc + a * b
             return acc
 
-        self.inner = inner
         reflect = _reflection(inner)
 
         units = [tuple(ring(int(i == j)) for j in range(n)) for i in range(n)]
@@ -393,8 +274,6 @@ class RootPermBackend(_MatrixBackend):
         self.root_coords = sorted(roots, key=self._sort_key)
         self.root_index = {v: i for i, v in enumerate(self.root_coords)}
         self.nroots = len(self.root_coords)
-        if self.nroots > 255:
-            raise BudgetExceeded(f"too many roots for byte tables in {irr}", self.nroots)
         self.pos_roots = [v for v in self.root_coords if self._is_pos(v)]
         self.geometry = geom = RootGeometry(self.pos_roots, inner, reflect)
         # the byte tables re-index the geometry's reflection permutations
@@ -424,15 +303,16 @@ class RootPermBackend(_MatrixBackend):
         return q.translate(p)
 
     def inv(self, p):
-        out = bytearray(256)
-        for i, v in enumerate(p):
-            out[v] = i
-        return bytes(out)
+        # the table sending p[i] to i
+        return bytes.maketrans(p, self.identity)
 
     def matrix(self, p):
         n = self.rank
         cols = [self.root_coords[p[idx]] for idx in self.simple_root_indices]
         return [tuple(cols[j][i] for j in range(n)) for i in range(n)]
+
+    def fixed_space_codim(self, p) -> int:
+        return self.rank - len(_fixed_space(self.matrix(p)))
 
 
 class DihedralBackend:
@@ -446,8 +326,6 @@ class DihedralBackend:
         self.identity = ("r", 0)
         self.reflections = [("s", k) for k in range(a)]
         self.simple_reflections = [("s", 0), ("s", 1)]
-        self.pos_roots = None
-        self.inner = None
 
     def mul(self, p, q):
         a = self.a
@@ -480,15 +358,9 @@ class DihedralBackend:
 
 
 def _backend_for(irr: Irreducible):
-    if irr.family == "A":
-        return PermBackend(irr.rank)
-    if irr.family in ("B", "D"):
-        return SignedPermBackend(irr.rank, irr.family)
     if irr.family == "I":
         return DihedralBackend(irr.param)
-    if irr.family in ("F", "E", "H"):
-        return RootPermBackend(irr)
-    raise UnsupportedType(str(irr))
+    return RootPermBackend(irr)
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +720,10 @@ def _build_nc(t: RootSystemType, group_cap: int | None) -> NCCore:
     if _disk_cache is not None:
         stored = _disk_cache.get("nccore", str(t))
         if stored is not None:
-            return nc_core_from_obj(stored)
+            try:
+                return nc_core_from_obj(stored)
+            except (KeyError, TypeError, ValueError):  # stale or incomplete: a miss
+                pass
     core = _build_nc_fresh(t, group_cap)
     if _disk_cache is not None:
         _disk_cache.put("nccore", str(t), nc_core_to_obj(core))

@@ -17,6 +17,9 @@ SCHEMA_DIR = Path(__file__).parent.parent / "src/catwb/schemas"
 # sha256 of `catwb export-poset <type> --m 1`; pinned so a change to the root
 # tables, the NC sort order or the cores shows up as a changed digest
 EXPORT_POSET_SHA256 = {
+    "A3": "5b6744de2fd6cb025c8d94af6498cb07af27d488560198a74f1f339b557599d2",
+    "B3": "f721d7e0f0696bd27c4d0344e48deb75d42e3702ff6d9833a6fe4161a14d49f7",
+    "D4": "04d1c335c63d234cb8370fda984463b22d0b7153aca3bca2869f790ee9690e42",
     "F4": "eb7ca85d22250489f860c38dee09464bed4a6b87a9c4852cf189776d85399d16",
     "H3": "d8a16041874644fa23f595649133d6fc0a689387d69c4973ea81fec1116b153f",
     "H4": "5204f68d15422b2ccf56d17952d1a4bf4c4219f311a3b55bcaf1fa32842a2a24",
@@ -73,6 +76,12 @@ class TestExitCodes:
     def test_group_cap_flag(self):
         assert main(["mtriangle", "B3", "--mode", "brute", "--m", "1", "--group-cap", "10"]) == 3
 
+    def test_byte_table_bound(self, capsys):
+        # |W(A16)| = 17! is under this cap, but its 272 roots do not fit a byte table
+        assert main(["mtriangle", "A16", "--mode", "formula", "--group-cap", str(10**15)]) == 3
+        err = capsys.readouterr().err
+        assert "272 roots" in err and "at most 255" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -113,7 +122,38 @@ class TestCache:
         assert rc == 0
         _build_nc.cache_clear()  # so that the core below is really built
         build_nc(ir("A3"))
-        assert not (tmp_path / "v1" / "nccore" / "A3.json").exists()
+        assert not ResultCache(tmp_path).path_for("nccore", "A3").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["export-poset", "A3", "--m", "2", "--out", "OUT"], ["mtriangle", "A3", "--mode", "formula"]],
+        ids=["export-poset", "mtriangle"],
+    )
+    @pytest.mark.parametrize("corrupt", ["stale_version", "missing_key"])
+    def test_unreadable_core_is_a_miss(self, capsys, tmp_path, argv, corrupt):
+        from catwb.ncposet import _build_ncm
+        from catwb.wgroup import _build_nc, _char_poly, _decomposition_numbers
+
+        def run_in(cache_dir):
+            for cached in (_build_nc, _build_ncm, _char_poly, _decomposition_numbers):
+                cached.cache_clear()  # so that the core is read from the cache directory
+            out_file = cache_dir / "out.json"
+            args = [str(out_file) if a == "OUT" else a for a in argv]
+            rc, out = run(capsys, args + ["--cache-dir", str(cache_dir)])
+            assert rc == 0
+            return out.replace(str(out_file), "OUT"), out_file.read_bytes() if out_file.exists() else None
+
+        cold = run_in(tmp_path / "cold")
+        entry = ResultCache(tmp_path / "cold").path_for("nccore", "A3").read_bytes()
+        obj = json.loads(entry)
+        if corrupt == "stale_version":
+            obj["repr_version"] = 0
+        else:
+            del obj["quot"]
+        broken = ResultCache(tmp_path / "broken")
+        broken.put("nccore", "A3", obj)
+        assert run_in(tmp_path / "broken") == cold
+        assert broken.path_for("nccore", "A3").read_bytes() == entry
 
     def test_export_poset(self, capsys, tmp_path):
         out_file = tmp_path / "poset.json"

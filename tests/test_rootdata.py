@@ -127,6 +127,9 @@ class TestSimpleSystems:
     def test_golden_root_counts(self):
         assert _backend_for(ir("H3").single()).nroots == 30
         assert _backend_for(ir("H4").single()).nroots == 120
+        assert _backend_for(ir("A15").single()).nroots == 240
+        assert _backend_for(ir("B11").single()).nroots == 242
+        assert _backend_for(ir("D11").single()).nroots == 220
 
     def test_positive_root_counts(self):
         assert positive_root_count(ir("H3")) == 15

@@ -267,6 +267,13 @@ class TestTopDownBuild:
             assert core.quot[i] == {j: index[mul(inv(u), elems[j])] for j in above}
         assert core.partypes == [parabolic_type_of(g, w) for w in elems]
 
+    @pytest.mark.parametrize("s,nroots", [("A16", 272), ("B12", 288), ("D12", 264)])
+    def test_byte_table_bound(self, s, nroots):
+        # raised before any root is generated, although |W| is within the cap
+        with pytest.raises(BudgetExceeded, match=f"{nroots} roots; byte tables hold at most 255") as exc:
+            build_nc(ir(s), group_cap=10**15)
+        assert exc.value.estimate == nroots
+
     def test_e6_core_bytes_are_pinned(self):
         # sha256 of the core produced by the earlier build that enumerated W
         blob = json.dumps(nc_core_to_obj(build_nc(ir("E6"))), sort_keys=True)
