@@ -1,9 +1,8 @@
-"""Versioned JSON result cache keyed by (kind, parameters).
-
-Cache hits must reproduce computation byte-for-byte, so everything stored is
-already in canonical JSON form (sorted keys, compact separators).  Entries are
-written to a temporary file and renamed into place, and an unreadable or
-truncated entry reads as a miss, so a crash never leaves an entry that is served.
+"""Versioned JSON store keyed by (kind, key), holding the NC cores behind
+wgroup._build_nc, which validates each entry it reads; budgets are checked
+before it is consulted.  Entries are canonical JSON, written to a temporary
+file and renamed into place; an unreadable or truncated entry reads as a miss,
+so a crash never leaves an entry that is served.
 """
 
 from __future__ import annotations
@@ -52,11 +51,3 @@ class ResultCache:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-
-    def get_or_compute(self, kind: str, key: str, compute):
-        got = self.get(kind, key)
-        if got is not None:
-            return got
-        obj = compute()
-        self.put(kind, key, obj)
-        return obj

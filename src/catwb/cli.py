@@ -3,7 +3,7 @@ export, chain counts, and the dual-triangle check.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error, 3 budget
 exceeded.  Flags can be defaulted through CATWB_-prefixed environment
-variables; --cache-dir enables the on-disk result cache.
+variables; --cache-dir persists NC cores and holds the verify report.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .identities import failure_dump, run_named_cases, run_random_suite
 from .ncposet import export_poset_obj, m_triangle_bruteforce, m_triangle_formula
 from .report import VerificationReport
 from .rootdata import RootSystemType
-from .wgroup import chain_counts_classical, set_disk_cache
+from .wgroup import DEFAULT_GROUP_CAP, DEFAULT_POSET_CAP, chain_counts_classical, set_disk_cache
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -38,12 +38,11 @@ FORMATS = ("json", "csv", "latex")
 class RunConfig:
     """Validated run settings assembled from flags and CATWB_ env overrides."""
 
-    group_cap: int = 100_000
-    poset_cap: int = 2_000_000
+    group_cap: int = DEFAULT_GROUP_CAP
+    poset_cap: int = DEFAULT_POSET_CAP
     m_grid: tuple[int, ...] = (1, 2, 3)
     types: tuple[str, ...] = ()
     format: str = "latex"
-    cache_dir: str | None = None
     seed: int = 7
 
     def __post_init__(self):
@@ -55,12 +54,11 @@ class RunConfig:
     @staticmethod
     def from_args(args) -> "RunConfig":
         return RunConfig(
-            group_cap=args.group_cap if args.group_cap is not None else 100_000,
-            poset_cap=getattr(args, "poset_cap", None) or 2_000_000,
+            group_cap=args.group_cap if args.group_cap is not None else DEFAULT_GROUP_CAP,
+            poset_cap=getattr(args, "poset_cap", None) or DEFAULT_POSET_CAP,
             m_grid=_int_list(args.m_grid, "--m-grid") if getattr(args, "m_grid", None) else (1, 2, 3),
             types=tuple(getattr(args, "types", "").split(",")) if getattr(args, "types", None) else (),
             format=getattr(args, "format", None) or "latex",
-            cache_dir=args.cache_dir,
             seed=args.seed,
         )
 
@@ -70,7 +68,7 @@ def _env(name: str, default=None):
 
 
 def _add_common(p: argparse.ArgumentParser, fmt: bool = True):
-    p.add_argument("--cache-dir", default=_env("CACHE_DIR"), help="directory for the result cache")
+    p.add_argument("--cache-dir", default=_env("CACHE_DIR"), help="directory for the NC core cache")
     p.add_argument("--group-cap", type=int, default=_int_env("GROUP_CAP"), help="group order cap")
     p.add_argument("--poset-cap", type=int, default=_int_env("POSET_CAP"), help="poset pair cap")
     p.add_argument("--seed", type=int, default=_int_env("SEED", 7), help="random seed")
@@ -99,10 +97,9 @@ def _parse_type(s: str) -> RootSystemType:
     return RootSystemType.parse(s)
 
 
-def _emit_poly(poly_obj: list, fmt: str) -> str:
+def _emit_poly(poly: MPoly, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(poly_obj, sort_keys=True, separators=(",", ":"))
-    poly = MPoly.from_json_obj(poly_obj)
+        return poly.dumps()
     if fmt == "csv":
         lines = ["k,l,coeff"]
         for k, l, c in poly.iter_terms():
@@ -112,58 +109,33 @@ def _emit_poly(poly_obj: list, fmt: str) -> str:
 
 
 def cmd_ftriangle(args) -> int:
-    t = _parse_type(args.type)
-    cache = ResultCache(args.cache_dir)
-    key = f"{t}_m{args.m if args.m is not None else 'sym'}"
-
-    def compute():
-        poly = f_closed(t).poly
-        if args.m is not None:
-            poly = poly.eval_m(args.m)
-        return poly.to_json_obj()
-
-    obj = cache.get_or_compute("ftriangle", key, compute)
-    print(_emit_poly(obj, args.format))
+    poly = f_closed(_parse_type(args.type)).poly
+    if args.m is not None:
+        poly = poly.eval_m(args.m)
+    print(_emit_poly(poly, args.format))
     return EXIT_OK
 
 
 def cmd_mtriangle(args) -> int:
     t = _parse_type(args.type)
-    cache = ResultCache(args.cache_dir)
     if args.mode == "brute":
         if args.m is None:
             print("error: brute mode requires --m", file=sys.stderr)
             return EXIT_USAGE
-        key = f"{t}_brute_m{args.m}"
-
-        def compute():
-            return m_triangle_bruteforce(
-                t, args.m, group_cap=args.group_cap, poset_cap=args.poset_cap
-            ).poly.to_json_obj()
-
+        poly = m_triangle_bruteforce(
+            t, args.m, group_cap=args.group_cap, poset_cap=args.poset_cap
+        ).poly
     else:
-        key = f"{t}_formula_m{args.m if args.m is not None else 'sym'}"
-
-        def compute():
-            poly = m_triangle_formula(t, group_cap=args.group_cap).poly
-            if args.m is not None:
-                poly = poly.eval_m(args.m)
-            return poly.to_json_obj()
-
-    obj = cache.get_or_compute("mtriangle", key, compute)
-    print(_emit_poly(obj, args.format))
+        poly = m_triangle_formula(t, group_cap=args.group_cap).poly
+        if args.m is not None:
+            poly = poly.eval_m(args.m)
+    print(_emit_poly(poly, args.format))
     return EXIT_OK
 
 
 def cmd_export_poset(args) -> int:
     t = _parse_type(args.type)
-    cache = ResultCache(args.cache_dir)
-    key = f"{t}_m{args.m}"
-    obj = cache.get_or_compute(
-        "poset",
-        key,
-        lambda: export_poset_obj(t, args.m, group_cap=args.group_cap, poset_cap=args.poset_cap),
-    )
+    obj = export_poset_obj(t, args.m, group_cap=args.group_cap, poset_cap=args.poset_cap)
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     Path(args.out).write_text(payload)
     print(f"wrote {obj['num_elements']} elements to {args.out}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceeded, InvalidArgument, InvariantError, UnsupportedType
+from .errors import BudgetExceeded, InvalidArgument, InvariantError
 from .exactmath import M, MPoly, gen_binomial
 from .ftriangle import NarayanaVector
 from .rootdata import RootSystemType, fuss_catalan
@@ -21,9 +21,12 @@ from .wgroup import (
     DEFAULT_POSET_CAP,
     NCCore,
     Poset,
-    build_nc,
+    build_nc,  # re-exported: the benchmark tracer test patches ncposet.build_nc
     char_poly_at_neg_y,
     decomposition_numbers,
+    _build_nc,
+    _check_group_cap,
+    _check_irreducible,
     _iter_bits,
 )
 
@@ -70,22 +73,12 @@ def build_ncm(
 
     The order relation is the component-wise reverse of the NC order on
     coordinates 1..m; coordinate 0 is unconstrained.  BudgetExceeded when the
-    Mobius pair sweep would exceed the poset cap.
+    Mobius pair sweep would exceed the poset cap (from Cat^(m), checked first)
+    or the group exceeds the group cap, before the memo is consulted.
     """
-    return _build_ncm(t, m, group_cap, poset_cap)
-
-
-@lru_cache(maxsize=None)
-def _build_ncm(
-    t: RootSystemType,
-    m: int,
-    group_cap: int | None,
-    poset_cap: int | None,
-) -> NCmPoset:
     if m < 1:
         raise InvalidArgument("m must be a positive integer")
-    if not t.is_irreducible:
-        raise UnsupportedType(f"build_nc requires an irreducible type, got {t}")
+    _check_irreducible(t)
     cap = DEFAULT_POSET_CAP if poset_cap is None else poset_cap
     n_elements = fuss_catalan(t, m)
     if n_elements * n_elements > cap:
@@ -93,7 +86,14 @@ def _build_ncm(
             f"NC^{m}({t}) has {n_elements} elements; {n_elements}^2 pairs exceed the poset cap {cap}",
             n_elements,
         )
-    core = build_nc(t, group_cap)
+    _check_group_cap(t, group_cap)
+    return _build_ncm(t, m)
+
+
+@lru_cache(maxsize=None)
+def _build_ncm(t: RootSystemType, m: int) -> NCmPoset:
+    n_elements = fuss_catalan(t, m)
+    core = _build_nc(t)
     size = core.size
     ups_list = [sorted(_iter_bits(core.poset.up[i])) for i in range(size)]
     top = core.top

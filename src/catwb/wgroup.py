@@ -18,9 +18,10 @@ hence its rank, the reflections below it and its parabolic type.  Only
 enumerate_group lists W; with its breadth-first absolute lengths it is the
 oracle the tests compare the NC build against.
 
-Posets are immutable once built and cached per type.  E7 and E8 exceed the
-default group cap and are rejected up front.  Broken internal invariants raise
-InvariantError, also under python -O.
+Posets are immutable once built and memoised by type alone: every public
+entry point checks the group cap from the closed-form |W| before any memo or
+disk read, so E7 and E8 are rejected up front under the default cap.  Broken
+internal invariants raise InvariantError, also under python -O.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .rootdata import (
     _classify_diagram,
     edge_label,
     gram_matrix,
-    group_order,
+    group_order_irr,
     positive_root_count,
     positive_root_count_irr,
 )
@@ -393,20 +394,29 @@ class GroupTable:
 
 def enumerate_group(irr: Irreducible, group_cap: int | None = None) -> GroupTable:
     """Enumerate W for one irreducible type; BudgetExceeded above the cap."""
-    return _enumerate_group(irr, group_cap)
+    _check_group_cap(RootSystemType.make(irr), group_cap)
+    return _enumerate_group(irr)
 
 
-def _check_group_cap(irr: Irreducible, group_cap: int | None) -> int:
+def _check_group_cap(t: RootSystemType, group_cap: int | None) -> None:
+    """BudgetExceeded when the closed-form |W| of a factor of t exceeds the
+    cap.  Public entry points call it before any memo or disk read, so the
+    memoised functions behind them are keyed by the type alone."""
     cap = DEFAULT_GROUP_CAP if group_cap is None else group_cap
-    order = group_order(RootSystemType.make(irr))
-    if order > cap:
-        raise BudgetExceeded(f"|W({irr})| = {order} exceeds group cap {cap}", order)
-    return order
+    for irr in t.factors:
+        order = group_order_irr(irr)
+        if order > cap:
+            raise BudgetExceeded(f"|W({irr})| = {order} exceeds group cap {cap}", order)
+
+
+def _check_irreducible(t: RootSystemType) -> None:
+    if not t.is_irreducible:
+        raise UnsupportedType(f"build_nc requires an irreducible type, got {t}")
 
 
 @lru_cache(maxsize=None)
-def _enumerate_group(irr: Irreducible, group_cap: int | None) -> GroupTable:
-    order = _check_group_cap(irr, group_cap)
+def _enumerate_group(irr: Irreducible) -> GroupTable:
+    order = group_order_irr(irr)
     backend = _backend_for(irr)
     mul = backend.mul
     # closure under the simple reflections
@@ -709,14 +719,15 @@ def nc_core_from_obj(obj: dict) -> NCCore:
 
 
 def build_nc(t: RootSystemType, group_cap: int | None = None) -> NCCore:
-    """Build NC for an irreducible catalog type."""
-    return _build_nc(t, group_cap)
+    """Build NC for an irreducible catalog type; BudgetExceeded above the
+    group cap, checked before the memo and the disk cache are consulted."""
+    _check_irreducible(t)
+    _check_group_cap(t, group_cap)
+    return _build_nc(t)
 
 
 @lru_cache(maxsize=None)
-def _build_nc(t: RootSystemType, group_cap: int | None) -> NCCore:
-    if not t.is_irreducible:
-        raise UnsupportedType(f"build_nc requires an irreducible type, got {t}")
+def _build_nc(t: RootSystemType) -> NCCore:
     if _disk_cache is not None:
         stored = _disk_cache.get("nccore", str(t))
         if stored is not None:
@@ -724,17 +735,16 @@ def _build_nc(t: RootSystemType, group_cap: int | None) -> NCCore:
                 return nc_core_from_obj(stored)
             except (KeyError, TypeError, ValueError):  # stale or incomplete: a miss
                 pass
-    core = _build_nc_fresh(t, group_cap)
+    core = _build_nc_fresh(t)
     if _disk_cache is not None:
         _disk_cache.put("nccore", str(t), nc_core_to_obj(core))
     return core
 
 
-def _build_nc_fresh(t: RootSystemType, group_cap: int | None) -> NCCore:
+def _build_nc_fresh(t: RootSystemType) -> NCCore:
     """Build NC top down from c without enumerating W: the lower covers of w
     are t w for the reflections t below w, walked level by level."""
     irr = t.single()
-    _check_group_cap(irr, group_cap)
     backend = _backend_for(irr)
     mul, inv, refls = backend.mul, backend.inv, backend.reflections
     n = irr.rank
@@ -784,19 +794,20 @@ def zeta_poly(core_or_poset, u: int, w: int) -> list[Fraction]:
 def char_poly(t: RootSystemType, group_cap: int | None = None) -> MPoly:
     """Characteristic polynomial of NC(t) in the variable y: the rank-weighted
     Mobius sums toward the top element.  Multiplicative over factors."""
-    return _char_poly(t, group_cap)
+    _check_group_cap(t, group_cap)
+    return _char_poly(t)
 
 
 @lru_cache(maxsize=None)
-def _char_poly(t: RootSystemType, group_cap: int | None) -> MPoly:
+def _char_poly(t: RootSystemType) -> MPoly:
     if not t.factors:
         return MPoly.const(1)
     if not t.is_irreducible:
         out = MPoly.const(1)
         for f in t.factors:
-            out = out * char_poly(RootSystemType.make(f), group_cap)
+            out = out * _char_poly(RootSystemType.make(f))
         return out
-    core = build_nc(t, group_cap)
+    core = _build_nc(t)
     # row y^n of the M-triangle: c is the only element of rank n
     tri = core.poset.m_triangle()
     return MPoly({(0, i): v for (i, s), v in tri.terms.items() if s == core.rank})
@@ -817,11 +828,6 @@ def interval_rank_genfun(core: NCCore, w: int) -> list[int]:
 
 def nc_rank_genfun(t: RootSystemType, group_cap: int | None = None) -> tuple[int, ...]:
     """Rank census of NC(t); multiplicative (convolution) over factors."""
-    return _nc_rank_genfun(t, group_cap)
-
-
-@lru_cache(maxsize=None)
-def _nc_rank_genfun(t: RootSystemType, group_cap: int | None) -> tuple[int, ...]:
     out = [1]
     for f in t.factors:
         core = build_nc(RootSystemType.make(f), group_cap)
@@ -885,50 +891,39 @@ def decomposition_numbers(
     t: RootSystemType, max_d: int | None = None, group_cap: int | None = None
 ) -> DecompositionTable:
     """Count minimal products below the Coxeter element by parabolic type
-    tuple, walking strict chains from the identity; order symmetry of the
-    counts is verified before collapsing to sorted keys."""
-    return _decomposition_numbers(t, max_d, group_cap)
+    tuple: the decomposition numbers of Krattenthaler-Muller.  Strict chains
+    from the identity are counted per end point in one pass in rank order,
+    not walked; order symmetry of the counts is verified before collapsing
+    to sorted keys."""
+    _check_irreducible(t)
+    _check_group_cap(t, group_cap)
+    return _decomposition_numbers(t, max_d)
 
 
 @lru_cache(maxsize=None)
-def _decomposition_numbers(
-    t: RootSystemType, max_d: int | None, group_cap: int | None
-) -> DecompositionTable:
-    core = build_nc(t, group_cap)
+def _decomposition_numbers(t: RootSystemType, max_d: int | None) -> DecompositionTable:
+    core = _build_nc(t)
     n = core.rank
     depth = n if max_d is None else min(max_d, n)
-    size = core.size
-    type_ids: dict[RootSystemType, int] = {}
-    types: list[RootSystemType] = []
-
-    def tid(T: RootSystemType) -> int:
-        got = type_ids.get(T)
-        if got is None:
-            got = len(types)
-            type_ids[T] = got
-            types.append(T)
-        return got
-
-    ups: list[list[int]] = []
-    stepty: list[list[int]] = []
-    poset = core.poset
-    for i in range(size):
-        js = [j for j in _iter_bits(poset.up[i]) if j != i]
-        ups.append(js)
-        stepty.append([tid(core.partypes[core.quot[i][j]]) for j in js])
-
+    types = list(dict.fromkeys(core.partypes))
+    type_ids = {T: k for k, T in enumerate(types)}
+    # the type of the step u -> w is that of the element u^-1 w
+    tid = [type_ids[T] for T in core.partypes]
+    up, quot = core.poset.up, core.quot
+    # paths[j][tau]: strict chains from the identity to j with step types tau;
+    # elements are in rank order, so every chain reaches j before j is read
+    paths = [Counter() for _ in range(core.size)]
+    paths[0][()] = 1
     buckets: Counter = Counter()
-
-    def walk(i: int, prefix: tuple):
-        nxt_len = len(prefix) + 1
-        for j, ty in zip(ups[i], stepty[i]):
-            tau = prefix + (ty,)
-            buckets[tau] += 1
-            if nxt_len < depth:
-                walk(j, tau)
-
-    if depth >= 1:
-        walk(0, ())
+    for i in range(core.size):
+        row, paths[i] = paths[i], None
+        buckets.update(row)
+        steps = [(paths[j], tid[quot[i][j]]) for j in _iter_bits(up[i]) if j != i]
+        for tau, cnt in row.items():
+            if len(tau) < depth:
+                for target, ty in steps:
+                    target[tau + (ty,)] += cnt
+    del buckets[()]
 
     by_key: dict[tuple[RootSystemType, ...], dict[tuple, int]] = {}
     for tau, cnt in buckets.items():

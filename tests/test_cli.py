@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from catwb.cache import ResultCache
 from catwb.cli import main
 
 SCHEMA_DIR = Path(__file__).parent.parent / "src/catwb/schemas"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 # sha256 of `catwb export-poset <type> --m 1`; pinned so a change to the root
 # tables, the NC sort order or the cores shows up as a changed digest
@@ -30,6 +32,16 @@ def run(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr().out
     return rc, out
+
+
+def clear_memos():
+    """Forget the in-process results, so that cores are read from or written
+    to the cache directory of the next command."""
+    from catwb.ncposet import _build_ncm
+    from catwb.wgroup import _build_nc, _char_poly, _decomposition_numbers
+
+    for cached in (_build_nc, _build_ncm, _char_poly, _decomposition_numbers):
+        cached.cache_clear()
 
 
 class TestEmission:
@@ -102,6 +114,7 @@ class TestExitCodes:
 
 class TestCache:
     def test_warm_cache_is_byte_identical(self, capsys, tmp_path):
+        clear_memos()
         for args in (
             ["ftriangle", "B3", "--format", "json", "--cache-dir", str(tmp_path)],
             ["mtriangle", "B2", "--mode", "brute", "--m", "2", "--cache-dir", str(tmp_path)],
@@ -112,7 +125,41 @@ class TestCache:
             rc2, out2 = run(capsys, args)
             assert rc2 == 0
             assert out1 == out2
-        assert list(tmp_path.rglob("*.json"))
+        for name in ("B2", "I2(5)"):
+            assert ResultCache(tmp_path).path_for("nccore", name).exists()
+
+    @pytest.mark.parametrize(
+        "argv,cap",
+        [
+            (["mtriangle", "B3", "--mode", "brute", "--m", "1"], ["--group-cap", "10"]),
+            (["mtriangle", "B3", "--mode", "brute", "--m", "1"], ["--poset-cap", "5"]),
+            (["mtriangle", "B3", "--mode", "formula"], ["--group-cap", "10"]),
+            (["export-poset", "B3", "--m", "1", "--out", "OUT"], ["--group-cap", "10"]),
+        ],
+    )
+    def test_budgets_hold_on_a_warm_cache(self, capsys, tmp_path, argv, cap):
+        args = [str(tmp_path / "out.json") if a == "OUT" else a for a in argv]
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert main(args + cap) == 3
+        assert main(args + cache) == 0
+        assert main(args + cap + cache) == 3
+
+    def test_result_entries_are_not_served(self, capsys, tmp_path):
+        out_file = tmp_path / "out.json"
+        commands = [["mtriangle", "A2"], ["export-poset", "A2", "--m", "1", "--out", str(out_file)]]
+
+        def outcome(argv):
+            out_file.unlink(missing_ok=True)
+            rc, out = run(capsys, argv)
+            return rc, out, out_file.read_bytes() if out_file.exists() else None
+
+        uncached = [outcome(argv) for argv in commands]
+        cache = ResultCache(tmp_path / "cache")
+        for kind, key in (("mtriangle", "A2_formula_msym"), ("poset", "A2_m1")):
+            path = cache.path_for(kind, key)
+            path.parent.mkdir(parents=True)
+            path.write_text("{}")
+        assert [outcome(argv + ["--cache-dir", str(cache.dir)]) for argv in commands] == uncached
 
     def test_cache_dir_serves_one_command_only(self, capsys, tmp_path):
         from catwb.rootdata import ir
@@ -246,11 +293,13 @@ class TestRunConfig:
 
 
 def test_subprocess_smoke():
+    pythonpath = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "catwb.cli", "ftriangle", "A2"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert "3 m x" in proc.stdout

@@ -14,7 +14,7 @@ from catwb.ncposet import (
     rank_census,
 )
 from catwb.rootdata import ir
-from catwb.wgroup import build_nc
+from catwb.wgroup import build_nc, char_poly, decomposition_numbers
 
 
 class TestBuildNcm:
@@ -71,6 +71,14 @@ class TestBuildNcm:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             build_ncm(ir("A3"), 3, poset_cap=100)
+
+    def test_memo_ignores_caps(self):
+        # the caps are checked up front; the memoised results are keyed by the mathematics
+        t = ir("D4")
+        assert build_ncm(t, 2) is build_ncm(t, 2, group_cap=100_000, poset_cap=2_000_000)
+        assert build_nc(t) is build_nc(t, group_cap=100_000)
+        assert decomposition_numbers(t) is decomposition_numbers(t, group_cap=100_000)
+        assert char_poly(t) is char_poly(t, group_cap=100_000)
 
     @pytest.mark.parametrize("s,m", [("A2", 2), ("B2", 2), ("I2(5)", 3)])
     def test_graded(self, s, m):

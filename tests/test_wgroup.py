@@ -3,10 +3,12 @@ machinery, classification, decomposition numbers, chain counts."""
 
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -109,8 +111,14 @@ class TestAbsoluteOrder:
             "except InvariantError as exc:\n"
             "    print('InvariantError:', exc)\n"
         )
+        src = Path(__file__).resolve().parent.parent / "src"
+        pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0, proc.stderr
         assert "InvariantError: length methods disagree" in proc.stdout
@@ -326,6 +334,32 @@ class TestDecomposition:
         # the builder itself verifies permutation symmetry; reaching here means it held
         table = decomposition_numbers(ir("B3"))
         assert table.n(ir("A1"), ir("B2")) == table.n(ir("B2"), ir("A1"))
+
+    @pytest.mark.parametrize(
+        "s", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "D5", "F4", "H3", "H4", "I2(5)"]
+    )
+    def test_matches_recursive_chain_walk(self, s):
+        t = ir(s)
+        core = build_nc(t)
+        walked = Counter()  # strict chains from the identity by ordered step types
+
+        def walk(i, prefix):
+            for j in _iter_bits(core.poset.up[i]):
+                if j != i:
+                    tau = prefix + (core.partypes[core.quot[i][j]],)
+                    walked[tau] += 1
+                    if len(tau) < t.rank:
+                        walk(j, tau)
+
+        walk(0, ())
+        for d in range(t.rank + 1):
+            expected = {(): 1}
+            for tau, cnt in walked.items():
+                if len(tau) <= d:
+                    key = tuple(sorted(tau, key=lambda T: (T.rank, str(T))))
+                    # every ordering of the same types has the same count
+                    assert expected.setdefault(key, cnt) == cnt, (tau, d)
+            assert decomposition_numbers(t, max_d=d).counts == expected, d
 
 
 class TestDiskCache:
