@@ -53,9 +53,10 @@ class RunConfig:
 
     @staticmethod
     def from_args(args) -> "RunConfig":
+        poset_cap = getattr(args, "poset_cap", None)
         return RunConfig(
             group_cap=args.group_cap if args.group_cap is not None else DEFAULT_GROUP_CAP,
-            poset_cap=getattr(args, "poset_cap", None) or DEFAULT_POSET_CAP,
+            poset_cap=poset_cap if poset_cap is not None else DEFAULT_POSET_CAP,
             m_grid=_int_list(args.m_grid, "--m-grid") if getattr(args, "m_grid", None) else (1, 2, 3),
             types=tuple(getattr(args, "types", "").split(",")) if getattr(args, "types", None) else (),
             format=getattr(args, "format", None) or "latex",

@@ -3,8 +3,10 @@ ring of integers Z[tau], univariate polynomials in the Fuss parameter m, and
 sparse bivariate polynomials in (x, y) whose coefficients are such
 m-polynomials.
 
-Everything here is immutable and exact; no floats anywhere.  Rational numbers
-are `fractions.Fraction` throughout.
+Everything here is immutable and exact; no floats anywhere.  Scalars are
+ints and `fractions.Fraction`s; an m-polynomial keeps integer numerators over
+one common denominator, so its arithmetic is integer arithmetic, and its
+coefficients come back as Fractions only when read.
 """
 
 from __future__ import annotations
@@ -12,12 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DegreeError, InvalidArgument, InvariantError
-
-Rational = Fraction  # the coefficient field used everywhere
+from .errors import DegreeError, InvalidArgument
 
 
 def _as_fraction(v) -> Fraction:
@@ -207,30 +208,38 @@ class GoldInt:
 
 
 class MUniPoly:
-    """A polynomial in the Fuss parameter m with Fraction coefficients.
+    """A polynomial in the Fuss parameter m with rational coefficients.
 
-    Stored as a tuple of coefficients by ascending power, trailing zeros
-    trimmed; the zero polynomial is the empty tuple.
+    Stored as integer numerators `nums` by ascending power, trailing zeros
+    trimmed, over one positive common denominator `den`, in lowest terms:
+    gcd(den, *nums) == 1, and the zero polynomial is ((), 1).  `coeffs` gives
+    the same coefficients as a tuple of Fractions.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        _normalise(self, [c.numerator * (den // c.denominator) for c in cs], den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):  # copy and pickle without __setattr__
+        return _mup, (list(self.nums), self.den)
 
     # construction helpers -------------------------------------------------
 
     @staticmethod
     def const(c) -> "MUniPoly":
-        return MUniPoly((_as_fraction(c),))
+        c = _as_fraction(c)
+        return _mup([c.numerator], c.denominator)
 
     @staticmethod
     def var() -> "MUniPoly":
         """The polynomial m itself."""
-        return MUniPoly((Fraction(0), Fraction(1)))
+        return _mup([0, 1], 1)
 
     @staticmethod
     def coerce(v) -> "MUniPoly":
@@ -241,45 +250,59 @@ class MUniPoly:
     # inspection ------------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients by ascending power, as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial given degree -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def constant_value(self) -> Fraction:
         """The value of a degree-<=0 polynomial as a Fraction."""
-        if len(self.coeffs) > 1:
+        if len(self.nums) > 1:
             raise ValueError(f"{self} is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[0], self.den) if self.nums else Fraction(0)
 
     def eval(self, m_value) -> Fraction:
+        """The value at an exact m = p/q, by a homogeneous integer Horner."""
         v = _as_fraction(m_value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        p, q = v.numerator, v.denominator
+        acc, qk = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * p + c * qk
+            qk *= q
+        return Fraction(acc * q, self.den * qk)
 
     def is_nonneg(self) -> bool:
         """Whether every stored coefficient is >= 0."""
-        return all(c >= 0 for c in self.coeffs)
+        return all(a >= 0 for a in self.nums)
 
     # arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
         other = MUniPoly.coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return MUniPoly(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)
-        )
+        a, b, den = self.nums, other.nums, self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            a = [c * (other.den // g) for c in a]
+            b = [c * (den // g) for c in b]
+            den *= other.den // g
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _mup(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MUniPoly(-c for c in self.coeffs)
+        return _mup([-a for a in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-MUniPoly.coerce(other))
@@ -289,21 +312,20 @@ class MUniPoly:
 
     def __mul__(self, other):
         other = MUniPoly.coerce(other)
-        if not self.coeffs or not other.coeffs:
+        a, b = self.nums, other.nums
+        if not a or not b:
             return MUniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return MUniPoly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, d in enumerate(b):
+                    out[i + j] += c * d
+        return _mup(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        s = _as_fraction(scalar)
-        return MUniPoly(c / s for c in self.coeffs)
+        return self * (1 / _as_fraction(scalar))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -317,11 +339,11 @@ class MUniPoly:
         if isinstance(other, (int, Fraction)):
             other = MUniPoly.const(other)
         if isinstance(other, MUniPoly):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return self.format()
@@ -355,6 +377,24 @@ class MUniPoly:
         return out.replace("+ -", "- ")
 
 
+def _normalise(p: MUniPoly, nums: list[int], den: int) -> None:
+    """Store nums/den (den > 0) in p: trailing zeros trimmed, lowest terms."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [a // g for a in nums]
+        den //= g
+    object.__setattr__(p, "nums", tuple(nums))
+    object.__setattr__(p, "den", den)
+
+
+def _mup(nums: list[int], den: int) -> MUniPoly:
+    p = object.__new__(MUniPoly)
+    _normalise(p, nums, den)
+    return p
+
+
 M = MUniPoly.var()
 ONE = MUniPoly.const(1)
 
@@ -363,16 +403,14 @@ def gen_binomial(N, K: int):
     """Generalized binomial coefficient N(N-1)...(N-K+1)/K!, zero for K < 0.
 
     N may be an integer, a Fraction, or an MUniPoly in m; the result has the
-    matching kind (Fraction for numeric N, MUniPoly otherwise).
+    matching kind (Fraction for numeric N, MUniPoly otherwise).  Polynomial
+    results are memoised; integral N goes through `binom_int`.
     """
     if isinstance(N, MUniPoly):
-        if K < 0:
-            return MUniPoly()
-        out = MUniPoly.const(1)
-        for i in range(K):
-            out = out * (N - i)
-        return out / factorial(K)
+        return _binom_poly(N, K) if K >= 0 else MUniPoly()
     N = _as_fraction(N)
+    if N.denominator == 1:
+        return Fraction(binom_int(N.numerator, K))
     if K < 0:
         return Fraction(0)
     num = Fraction(1)
@@ -381,12 +419,20 @@ def gen_binomial(N, K: int):
     return num / factorial(K)
 
 
+@lru_cache(maxsize=None)
+def _binom_poly(N: MUniPoly, K: int) -> MUniPoly:
+    out = ONE
+    for i in range(K):
+        out = out * (N - i)
+    return out / factorial(K)
+
+
 def binom_int(n: int, k: int) -> int:
-    """Integer binomial under the same convention, for plain integer inputs."""
-    v = gen_binomial(n, k)
-    if v.denominator != 1:
-        raise InvariantError(f"binom({n}, {k}) = {v} is not an integer")
-    return v.numerator
+    """Integer binomial under the same convention: `math.comb`, with
+    C(n, k) = (-1)^k C(k-n-1, k) for n < 0, and 0 for k < 0."""
+    if k < 0:
+        return 0
+    return comb(n, k) if n >= 0 else (-1) ** k * comb(k - n - 1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +457,12 @@ class MPoly:
                 if c:
                     t[key] = c
         object.__setattr__(self, "terms", t)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return MPoly, (self.terms,)
 
     # construction helpers -------------------------------------------------
 
@@ -633,7 +685,7 @@ class MPoly:
                 if cs == "-1":
                     parts.append("-" + mono)
                     continue
-                if len(c.coeffs) - c.coeffs.count(Fraction(0)) > 1:
+                if len(c.nums) - c.nums.count(0) > 1:
                     cs = f"\\left({cs}\\right)" if latex else f"({cs})"
                 sep = " " if latex else "*"
                 parts.append(cs + sep + mono)
@@ -647,24 +699,39 @@ def poly_eval_m(p: MPoly, m_value: int) -> MPoly:
     return p.eval_m(m_value)
 
 
+@lru_cache(maxsize=None)
+def _fm_kernel(n: int, k: int, l: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """x^(k+l) (1+y)^k y^l (1-xy)^(n-k-l), the transform of x^k y^l, as
+    ((deg_x, deg_y), integer coefficient) pairs."""
+    r = n - k - l
+    return tuple(
+        ((k + l + b, a + l + b), comb(k, a) * comb(r, b) * (-1) ** b)
+        for a in range(k + 1)
+        for b in range(r + 1)
+    )
+
+
 def substitute_fm(F: MPoly, n: int) -> MPoly:
     """The rank-n cluster-to-partition transform of a polynomial F(x, y):
 
         (1 - x y)^n * F( x(1+y)/(1-xy), xy/(1-xy) )
 
-    computed exactly by clearing the (1-xy) denominators monomial by monomial.
+    computed exactly by clearing the (1-xy) denominators monomial by monomial:
+    each x^k y^l contributes its integer kernel, scaled by the coefficient's
+    numerators over the common denominator of F.
     Requires total degree of F at most n so the result is a polynomial.
     """
     if F.total_degree > n:
         raise DegreeError(
             f"total degree {F.total_degree} exceeds rank {n}; denominator cannot clear"
         )
-    x = MPoly.x()
-    y = MPoly.y()
-    x_num = x * (1 + y)  # numerator of the x-substitute
-    y_num = x * y  # numerator of the y-substitute
-    one_minus_xy = 1 - x * y
-    out = MPoly.zero()
+    den = lcm(*(c.den for c in F.terms.values()))
+    width = max((len(c.nums) for c in F.terms.values()), default=0)
+    acc: dict[tuple[int, int], list[int]] = {}
     for (k, l), c in F.terms.items():
-        out = out + (x_num**k) * (y_num**l) * (one_minus_xy ** (n - k - l)) * c
-    return out
+        nums = [a * (den // c.den) for a in c.nums]
+        for key, kv in _fm_kernel(n, k, l):
+            row = acc.setdefault(key, [0] * width)
+            for i, a in enumerate(nums):
+                row[i] += kv * a
+    return MPoly({key: _mup(row, den) for key, row in acc.items()})

@@ -83,12 +83,8 @@ def f_i2(a) -> MPoly:
     )
 
 
-def _poly(terms: dict[tuple[int, int], MUniPoly]) -> MPoly:
-    return MPoly(terms)
-
-
 def _f_h3() -> MPoly:
-    return _poly(
+    return MPoly(
         {
             (3, 0): M * (5 * M + 2) * (5 * M + 4) / 3,
             (2, 1): M * (5 * M + 2),
@@ -105,7 +101,7 @@ def _f_h3() -> MPoly:
 
 
 def _f_h4() -> MPoly:
-    return _poly(
+    return MPoly(
         {
             (4, 0): M * (3 * M + 1) * (5 * M + 3) * (15 * M + 14) / 4,
             (3, 1): M * (3 * M + 1) * (5 * M + 3),
@@ -127,7 +123,7 @@ def _f_h4() -> MPoly:
 
 
 def _f_f4() -> MPoly:
-    return _poly(
+    return MPoly(
         {
             (4, 0): M * (2 * M + 1) * (3 * M + 1) * (6 * M + 5) / 2,
             (3, 1): 2 * M * (2 * M + 1) * (3 * M + 1),
@@ -149,7 +145,7 @@ def _f_f4() -> MPoly:
 
 
 def _f_e6() -> MPoly:
-    return _poly(
+    return MPoly(
         {
             (6, 0): M * (2 * M + 1) * (3 * M + 1) * (4 * M + 1) * (6 * M + 5) * (12 * M + 7) / 30,
             (5, 1): M * (2 * M + 1) * (3 * M + 1) * (4 * M + 1) * (12 * M + 7) / 5,
@@ -184,7 +180,7 @@ def _f_e6() -> MPoly:
 
 
 def _f_e7() -> MPoly:
-    return _poly(
+    return MPoly(
         {
             (7, 0): M * (3 * M + 1) * (3 * M + 2) * (9 * M + 2) * (9 * M + 4) * (9 * M + 5) * (9 * M + 8) / 280,
             (6, 1): M * (3 * M + 1) * (3 * M + 2) * (9 * M + 2) * (9 * M + 4) * (9 * M + 5) / 40,
@@ -227,7 +223,7 @@ def _f_e7() -> MPoly:
 
 
 def _f_e8() -> MPoly:
-    return _poly(
+    return MPoly(
         {
             (8, 0): M * (3 * M + 1) * (5 * M + 1) * (5 * M + 2) * (5 * M + 3) * (15 * M + 8) * (15 * M + 11) * (15 * M + 14) / 1344,
             (7, 1): M * (3 * M + 1) * (5 * M + 1) * (5 * M + 2) * (5 * M + 3) * (15 * M + 8) * (15 * M + 11) / 168,

@@ -63,15 +63,11 @@ class CarlitzKernel:
 
 
 def _binom_over_top(N: Fraction, K: int) -> Fraction:
-    """binom(N, K)/N for K >= 1, as the cancelled product; polynomial in N."""
+    """binom(N, K)/N for K >= 1, as the cancelled product binom(N-1, K-1)/K;
+    polynomial in N."""
     if K < 1:
         raise InvalidArgument(f"binom(N, K)/N needs K >= 1, got K = {K}")
-    out = Fraction(1)
-    for i in range(1, K):
-        out *= N - i
-    from math import factorial
-
-    return out / factorial(K)
+    return gen_binomial(N - 1, K - 1) / K
 
 
 def kernel(k: int, n: int, alpha, beta, *, a: int, b: int, c: int, d: int) -> Fraction:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .errors import BudgetExceeded, InvalidArgument, InvariantError
 from .exactmath import M, MPoly, gen_binomial
@@ -189,8 +190,6 @@ def m_triangle_formula(t: RootSystemType, group_cap: int | None = None) -> MTria
     """
     table = decomposition_numbers(t, group_cap=group_cap)
     acc = MPoly.zero()
-    from math import factorial
-
     for key, n_value in table.counts.items():
         d = len(key)
         orderings = factorial(d)

@@ -104,9 +104,15 @@ class TestExitCodes:
             ["verify", "--suite", "all", "--m-grid", "a"],
             ["verify", "--suite", "carlitz", "--group-cap", "0"],
             ["mtriangle", "E6xA1", "--mode", "brute", "--m", "1"],
+            ["verify", "--suite", "chains", "--types", "A2", "--m-grid", "1", "--poset-cap", "0"],
+            ["CATWB_POSET_CAP=0", "verify", "--suite", "chains", "--types", "A2", "--m-grid", "1"],
         ],
     )
-    def test_bad_input_is_a_usage_error(self, capsys, argv):
+    def test_bad_input_is_a_usage_error(self, capsys, monkeypatch, argv):
+        # leading NAME=value words set environment variables, as in a shell
+        while "=" in argv[0]:
+            monkeypatch.setenv(*argv[0].split("=", 1))
+            argv = argv[1:]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

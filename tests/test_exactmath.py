@@ -1,8 +1,10 @@
 """Exact arithmetic core: m-polynomials, bivariate polynomials, the quadratic
 field, generalized binomials, and the rank-n transform."""
 
+import copy
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,6 +24,8 @@ from catwb.exactmath import (
     gen_binomial,
     substitute_fm,
 )
+from catwb.ftriangle import f_closed
+from catwb.rootdata import ir
 
 
 class TestMUniPoly:
@@ -76,6 +80,92 @@ class TestGenBinomial:
         assert binom_int(7, 3) == 35
         assert binom_int(-1, 3) == -1
 
+    def test_integer_n_matches_the_product_definition(self):
+        for n in range(-12, 13):
+            for k in range(-1, 11):
+                value = gen_binomial(n, k)
+                assert type(value) is Fraction
+                assert value == binom_by_product(Fraction(n), k), (n, k)
+                assert gen_binomial(Fraction(n), k) == value
+
+    def test_fraction_n_matches_the_product_definition(self):
+        for n in (Fraction(7, 2), Fraction(-5, 3), Fraction(1, 7), Fraction(-23, 4)):
+            for k in range(-1, 9):
+                assert gen_binomial(n, k) == binom_by_product(n, k), (n, k)
+
+    def test_polynomial_n_is_memoised_and_specializes(self):
+        rng = random.Random(5)
+        for N in (3 * M + 1, 2 * M - 5, M / 3 + 2, Fraction(-7, 2) * M, MUniPoly.const(4)):
+            for k in range(-1, 8):
+                poly = gen_binomial(N, k)
+                if k >= 0:
+                    assert gen_binomial(N + 0, k) is poly  # an equal key, a new object
+                for _ in range(3):
+                    v = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                    assert poly.eval(v) == binom_by_product(N.eval(v), k), (N, k, v)
+
+
+class TestIntegralRepresentation:
+    """MUniPoly arithmetic against plain Fraction tuples (ascending powers,
+    trailing zeros trimmed), on seeded random operands."""
+
+    @staticmethod
+    def random_coeffs(rng):
+        return [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) * rng.randint(0, 1)
+                for _ in range(rng.randint(0, 5))]
+
+    def test_matches_fraction_tuples(self):
+        rng = random.Random(20261018)
+        for _ in range(400):
+            a, b = self.random_coeffs(rng), self.random_coeffs(rng)
+            P, Q = MUniPoly(a), MUniPoly(b)
+            s = Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 20))
+            for poly, ref in (
+                (P, ref_trim(a)),
+                (P + Q, ref_add(a, b)),
+                (P - Q, ref_add(a, [-c for c in b])),
+                (P * Q, ref_mul(a, b)),
+                (P / s, ref_trim([c / s for c in a])),
+                (P * s + 3, ref_add([c * s for c in a], [Fraction(3)])),
+                (2 - P, ref_add([Fraction(2)], [-c for c in a])),
+            ):
+                assert poly.coeffs == ref
+                assert poly.den > 0 and math.gcd(poly.den, *poly.nums) == 1
+                if not ref:
+                    assert (poly.nums, poly.den) == ((), 1)
+                for _ in range(2):
+                    v = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                    assert poly.eval(v) == sum(c * v**i for i, c in enumerate(ref))
+            assert (P == Q) == (ref_trim(a) == ref_trim(b))
+            assert P * Q == Q * P and hash(P * Q) == hash(Q * P)
+            assert (P + Q) - Q == P and hash((P + Q) - Q) == hash(P)
+
+    def test_zero_and_constants(self):
+        assert (MUniPoly().nums, MUniPoly().den) == ((), 1)
+        assert ((M + 1) - (M + 1)).den == 1
+        assert MUniPoly.const(Fraction(-6, 4)).nums == (-3,)
+        assert MUniPoly.const(Fraction(-6, 4)).den == 2
+        assert MUniPoly.const(5) == 5 and MUniPoly.const(Fraction(1, 2)) == Fraction(1, 2)
+        with pytest.raises(ZeroDivisionError):
+            M / 0
+
+    def test_objects_are_immutable(self):
+        p = MUniPoly((1, 2))
+        for name, value in (("nums", (5,)), ("den", 3), ("coeffs", (Fraction(5),))):
+            with pytest.raises(AttributeError):
+                setattr(p, name, value)
+        assert p.coeffs == (Fraction(1), Fraction(2))
+        q = MPoly.x()
+        with pytest.raises(AttributeError):
+            q.terms = {}
+        assert q == MPoly.term(1, 0)
+
+    def test_copies_and_pickles_are_equal(self):
+        F = f_closed(ir("B3"))
+        for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            assert clone(M / 3 - 1) == M / 3 - 1
+            assert clone(F) == F and clone(F.poly).dumps() == F.poly.dumps()
+
 
 class TestQuadExt:
     def test_field_axioms_spot(self):
@@ -115,6 +205,46 @@ class TestGoldInt:
                 assert (x * y) // y == x
         q = GoldInt(1) // GoldInt(2)
         assert q * GoldInt(2) != GoldInt(1)
+
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return ref_trim(out)
+
+
+def binom_by_product(n, k):
+    """N(N-1)...(N-K+1)/K! for numeric N, zero for K < 0."""
+    if k < 0:
+        return 0
+    out = Fraction(1)
+    for i in range(k):
+        out *= n - i
+    return out / math.factorial(k)
+
+
+def substitute_fm_by_products(F, n):
+    """The transform as a sum over the monomials of F of products of MPoly
+    powers: x^k y^l -> (x(1+y))^k (xy)^l (1-xy)^(n-k-l)."""
+    x, y = MPoly.x(), MPoly.y()
+    out = MPoly.zero()
+    for (k, l), c in F.terms.items():
+        out = out + (x * (1 + y)) ** k * (x * y) ** l * (1 - x * y) ** (n - k - l) * c
+    return out
 
 
 def random_mpoly(rng, max_deg=3, max_mdeg=2):
@@ -209,6 +339,37 @@ class TestSubstituteFm:
     def test_degree_error(self):
         with pytest.raises(DegreeError):
             substitute_fm(MPoly.term(2, 1), 2)
+        with pytest.raises(DegreeError):
+            substitute_fm(f_closed(ir("B3")).poly, 2)
+
+    @pytest.mark.parametrize(
+        "s",
+        [f"A{n}" for n in range(1, 9)]
+        + [f"B{n}" for n in range(2, 9)]
+        + [f"D{n}" for n in range(4, 9)]
+        + [f"I2({a})" for a in (3, 4, 5, 6, 7, 8, 12)]
+        + ["H3", "H4", "F4", "E6", "E7", "E8", "A2xB2"],
+    )
+    def test_matches_monomial_products_on_the_catalog(self, s):
+        t = ir(s)
+        F = f_closed(t).poly
+        for n in (t.rank, t.rank + 1):
+            assert substitute_fm(F, n) == substitute_fm_by_products(F, n)
+
+    def test_matches_monomial_products_on_random_triangles(self):
+        rng = random.Random(4242)
+        for _ in range(60):
+            n = rng.randint(0, 5)
+            F = MPoly(
+                {
+                    (k, rng.randint(0, n - k)): MUniPoly(
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, 3))
+                    )
+                    for k in (rng.randint(0, n) for _ in range(rng.randint(0, 6)))
+                }
+            )
+            assert F.total_degree <= n
+            assert substitute_fm(F, n) == substitute_fm_by_products(F, n)
 
     def test_multiplicative_across_rank_split(self):
         rng = random.Random(99)
