@@ -41,9 +41,5 @@ class SingularPoint(CatwbError, ZeroDivisionError):
     """A kernel denominator form vanished at an evaluation point."""
 
 
-class MissingTable(CatwbError, LookupError):
-    """A required decomposition or character table is unavailable."""
-
-
 class InvariantError(CatwbError, RuntimeError):
     """An internal consistency check failed: a defect, not a bad input."""

@@ -1,7 +1,8 @@
-"""Exact arithmetic core: rationals, the quadratic field Q(sqrt 5) and its
-ring of integers Z[tau], univariate polynomials in the Fuss parameter m, and
-sparse bivariate polynomials in (x, y) whose coefficients are such
-m-polynomials.
+"""Exact arithmetic core: the ring Z[tau] of integers of Q(sqrt 5) (`GoldInt`,
+the one representation of the golden-ratio field), univariate polynomials in
+the Fuss parameter m, sparse bivariate polynomials in (x, y) whose
+coefficients are such m-polynomials, and the two polynomial transforms the
+identities need, each one integer kernel per monomial.
 
 Everything here is immutable and exact; no floats anywhere.  Scalars are
 ints and `fractions.Fraction`s; an m-polynomial keeps integer numerators over
@@ -12,11 +13,10 @@ coefficients come back as Fractions only when read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import DegreeError, InvalidArgument
 
@@ -30,119 +30,8 @@ def _as_fraction(v) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic field Q(sqrt 5)
+# The ring Z[tau] of integers of Q(sqrt 5)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadExt:
-    """An element a + b*sqrt(5) of Q(sqrt 5), with exact Fraction components.
-
-    Supports field arithmetic and the order inherited from the real embedding
-    with sqrt(5) > 0.
-    """
-
-    a: Fraction
-    b: Fraction
-
-    @staticmethod
-    def of(a, b=0) -> "QuadExt":
-        return QuadExt(_as_fraction(a), _as_fraction(b))
-
-    def __add__(self, other):
-        other = _promote_quad(other)
-        return QuadExt(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-_promote_quad(other))
-
-    def __rsub__(self, other):
-        return _promote_quad(other) + (-self)
-
-    def __mul__(self, other):
-        other = _promote_quad(other)
-        return QuadExt(
-            self.a * other.a + 5 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadExt":
-        norm = self.a * self.a - 5 * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 5)")
-        return QuadExt(self.a / norm, -self.b / norm)
-
-    def __truediv__(self, other):
-        return self * _promote_quad(other).inverse()
-
-    def __rtruediv__(self, other):
-        return _promote_quad(other) * self.inverse()
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def sign(self) -> int:
-        """Sign of the real number a + b*sqrt(5)."""
-        if self.b == 0:
-            return -1 if self.a < 0 else (1 if self.a > 0 else 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a^2 with 5 b^2
-        if self.a * self.a > 5 * self.b * self.b:
-            return 1 if self.a > 0 else -1
-        return 1 if self.b > 0 else -1
-
-    def __lt__(self, other):
-        return (self - _promote_quad(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - _promote_quad(other)).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - _promote_quad(other)).sign() > 0
-
-    def __ge__(self, other):
-        return (self - _promote_quad(other)).sign() >= 0
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        if isinstance(other, QuadExt):
-            return self.a == other.a and self.b == other.b
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"{self.a}"
-        return f"({self.a}+{self.b}*sqrt5)"
-
-
-SQRT5 = QuadExt(Fraction(0), Fraction(1))
-GOLDEN = QuadExt(Fraction(1, 2), Fraction(1, 2))  # (1 + sqrt 5)/2
-
-
-def _promote_quad(v) -> QuadExt:
-    if isinstance(v, QuadExt):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return QuadExt(_as_fraction(v), Fraction(0))
-    raise TypeError(f"cannot coerce {type(v).__name__} to QuadExt")
 
 
 class GoldInt:
@@ -610,13 +499,6 @@ class MPoly:
             acc += c.constant_value() * x_value**k * y_value**l
         return acc
 
-    def subs_x_y(self, new_x: "MPoly", new_y: "MPoly") -> "MPoly":
-        """Substitute polynomials for x and y."""
-        out = MPoly.zero()
-        for (k, l), c in self.terms.items():
-            out = out + (new_x**k) * (new_y**l) * c
-        return out
-
     def set_diagonal(self) -> "MPoly":
         """The specialization y := x, collected on powers of x."""
         out: dict[tuple[int, int], MUniPoly] = {}
@@ -711,27 +593,49 @@ def _fm_kernel(n: int, k: int, l: int) -> tuple[tuple[tuple[int, int], int], ...
     )
 
 
+@lru_cache(maxsize=None)
+def _dual_kernel(n: int, k: int, l: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """(-1)^n (-1-x)^k (-1-y)^l, the dual transform of x^k y^l, as
+    ((deg_x, deg_y), integer coefficient) pairs."""
+    sign = (-1) ** (n + k + l)
+    return tuple(
+        ((a, b), sign * comb(k, a) * comb(l, b)) for a in range(k + 1) for b in range(l + 1)
+    )
+
+
+def _apply_kernel(F: MPoly, kernel: Callable[[int, int, int], tuple], n: int) -> MPoly:
+    """The linear map sending each x^k y^l to kernel(n, k, l), applied to F:
+    integer numerators over the common denominator of F's coefficients are
+    accumulated per output monomial, and each MUniPoly is built once."""
+    den = lcm(*(c.den for c in F.terms.values()))
+    width = max((len(c.nums) for c in F.terms.values()), default=0)
+    acc: dict[tuple[int, int], list[int]] = {}
+    for (k, l), c in F.terms.items():
+        nums = [a * (den // c.den) for a in c.nums]
+        for key, kv in kernel(n, k, l):
+            row = acc.setdefault(key, [0] * width)
+            for i, a in enumerate(nums):
+                row[i] += kv * a
+    return MPoly({key: _mup(row, den) for key, row in acc.items()})
+
+
 def substitute_fm(F: MPoly, n: int) -> MPoly:
     """The rank-n cluster-to-partition transform of a polynomial F(x, y):
 
         (1 - x y)^n * F( x(1+y)/(1-xy), xy/(1-xy) )
 
     computed exactly by clearing the (1-xy) denominators monomial by monomial:
-    each x^k y^l contributes its integer kernel, scaled by the coefficient's
-    numerators over the common denominator of F.
+    each x^k y^l contributes its integer kernel.
     Requires total degree of F at most n so the result is a polynomial.
     """
     if F.total_degree > n:
         raise DegreeError(
             f"total degree {F.total_degree} exceeds rank {n}; denominator cannot clear"
         )
-    den = lcm(*(c.den for c in F.terms.values()))
-    width = max((len(c.nums) for c in F.terms.values()), default=0)
-    acc: dict[tuple[int, int], list[int]] = {}
-    for (k, l), c in F.terms.items():
-        nums = [a * (den // c.den) for a in c.nums]
-        for key, kv in _fm_kernel(n, k, l):
-            row = acc.setdefault(key, [0] * width)
-            for i, a in enumerate(nums):
-                row[i] += kv * a
-    return MPoly({key: _mup(row, den) for key, row in acc.items()})
+    return _apply_kernel(F, _fm_kernel, n)
+
+
+def substitute_dual(F: MPoly, n: int) -> MPoly:
+    """The rank-n dual transform (-1)^n F(-1-x, -1-y), one integer kernel
+    per monomial of F."""
+    return _apply_kernel(F, _dual_kernel, n)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import UnsupportedType
-from .exactmath import M, MPoly, MUniPoly, gen_binomial
+from .exactmath import M, MPoly, MUniPoly, gen_binomial, substitute_dual
 from .report import VerificationReport
 from .rootdata import Irreducible, RootSystemType, deletion_types
 
@@ -365,13 +365,7 @@ def narayana_closed(t: RootSystemType) -> NarayanaVector:
 
 def dual_f_triangle(t: RootSystemType) -> MPoly:
     """(-1)^rank * F(-1-x, -1-y), symbolic in m."""
-    F = f_closed(t).poly
-    neg1_minus_x = MPoly.const(-1) - MPoly.x()
-    neg1_minus_y = MPoly.const(-1) - MPoly.y()
-    out = F.subs_x_y(neg1_minus_x, neg1_minus_y)
-    if t.rank % 2:
-        out = -out
-    return out
+    return substitute_dual(f_closed(t).poly, t.rank)
 
 
 def _narayana_weighted(t: RootSystemType, nar_m, nar_1) -> MPoly:

@@ -1,6 +1,9 @@
 """Catalog of finite root-system types: Coxeter data, Gram matrices read off
-the Coxeter diagrams, parabolic deletion structure, and classification of
-sub-root-systems by their Coxeter diagrams.
+the Coxeter diagrams, the Coxeter label of two roots from exact inner
+products (`edge_label`), classification of labelled Coxeter diagrams, and the
+types left by deleting one node of a diagram.  Root vectors themselves live
+in the group backends of `wgroup`, which classify sub-root-systems with
+these diagram tools.
 
 Types are multisets of irreducible factors.  The aliases B1 = A1, D2 = A1xA1,
 D3 = A3, I2(3) = A2 and I2(4) = B2 are normalized at construction so that
@@ -13,10 +16,10 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .errors import ClassificationError, TypeParseError, UnsupportedType
-from .exactmath import GoldInt, QuadExt
+from .exactmath import GoldInt
 
 _FAMILIES = ("A", "B", "D", "E", "F", "H", "I")
 
@@ -282,63 +285,7 @@ def edge_label(p, nu, nv) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Sub-root-systems given by exact coordinate vectors
-# ---------------------------------------------------------------------------
-
-Vector = tuple
-InnerProduct = Callable[[Vector, Vector], object]
-
-
-def dot(u: Vector, v: Vector):
-    """Standard inner product; exact over Fraction or QuadExt entries."""
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
-
-
-def _lex_positive(v: Vector) -> bool:
-    for c in v:
-        s = c.sign() if isinstance(c, QuadExt) else (0 if c == 0 else (1 if c > 0 else -1))
-        if s > 0:
-            return True
-        if s < 0:
-            return False
-    return False
-
-
-def _negate(v: Vector) -> Vector:
-    return tuple(-c for c in v)
-
-
-def _reflect(beta: Vector, alpha: Vector, inner: InnerProduct) -> Vector:
-    coef = 2 * inner(alpha, beta) / inner(alpha, alpha)
-    return tuple(b - coef * a for a, b in zip(alpha, beta))
-
-
-def _simple_roots_of_positive_system(positives: Sequence[Vector], inner: InnerProduct) -> list[Vector]:
-    """Roots sending only themselves negative: the simple system."""
-    pos_set = set(positives)
-    simples = []
-    for alpha in positives:
-        negatives = 0
-        for beta in positives:
-            img = _reflect(beta, alpha, inner)
-            if img in pos_set:
-                continue
-            if _negate(img) in pos_set:
-                negatives += 1
-                if negatives > 1:
-                    break
-            else:
-                raise ClassificationError("input is not a closed root subsystem")
-        if negatives == 1:
-            simples.append(alpha)
-    return simples
-
-
-# ---------------------------------------------------------------------------
-# Deletion structure and subsystem classification
+# Classification of Coxeter diagrams, and deletions
 # ---------------------------------------------------------------------------
 
 
@@ -445,32 +392,3 @@ def deletion_types(t: RootSystemType) -> tuple[RootSystemType, ...]:
         sub_edges = [(remap[i], remap[j], lab) for i, j, lab in edges if i != removed and j != removed]
         out.append(_classify_diagram(len(keep), sub_edges))
     return tuple(out)
-
-
-def classify_subsystem(roots: Iterable[Vector], inner: InnerProduct = dot) -> RootSystemType:
-    """Classify a closed sub-root-system given by exact vectors.
-
-    Signs are normalized lexicographically, a simple system is extracted, and
-    the resulting labeled diagram is matched against the catalog.
-    """
-    pos: dict[Vector, None] = {}
-    for v in roots:
-        if all((c.sign() if isinstance(c, QuadExt) else (1 if c > 0 else (-1 if c < 0 else 0))) == 0 for c in v):
-            raise ClassificationError("zero vector is not a root")
-        pos.setdefault(v if _lex_positive(v) else _negate(v), None)
-    positives = list(pos)
-    if not positives:
-        return RootSystemType.empty()
-    simples = _simple_roots_of_positive_system(positives, inner)
-    edges = []
-    for i in range(len(simples)):
-        for j in range(i + 1, len(simples)):
-            p = inner(simples[i], simples[j])
-            if p:
-                edges.append((i, j, edge_label(p, inner(simples[i], simples[i]), inner(simples[j], simples[j]))))
-    result = _classify_diagram(len(simples), edges)
-    if positive_root_count(result) != len(positives):
-        raise ClassificationError(
-            f"classified {result} expects {positive_root_count(result)} positive roots, got {len(positives)}"
-        )
-    return result

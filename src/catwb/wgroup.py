@@ -7,14 +7,15 @@ abstract rotation/reflection indices.  On top of them: the non-crossing
 partition poset NC, Mobius machinery, characteristic polynomials,
 parabolic-type classification, decomposition numbers and chain counts.
 
+Each root has one index, its place in increasing simple-root coordinates.
 The canonical order of NC sorts its elements by (rank, byte string), where
-the byte string lists the images of the roots, the roots taken in
-increasing simple-root coordinates; NC indices, cached cores and exported
-posets all follow it.
+the byte string lists the images of the roots in that order; NC indices,
+cached cores and exported posets all follow it.
 
-NC is built top down from the Coxeter element c without enumerating W: one
-fraction-free (Bareiss) kernel computation per element gives its fixed space,
-hence its rank, the reflections below it and its parabolic type.  Only
+NC is built top down from the Coxeter element c without enumerating W: each
+backend's nc_step gives the rank of an element, the reflections below it and
+its parabolic type, for the root backend from one fraction-free (Bareiss)
+kernel computation of its fixed space and the reflection byte tables.  Only
 enumerate_group lists W; with its breadth-first absolute lengths it is the
 oracle the tests compare the NC build against.
 
@@ -41,7 +42,7 @@ from .errors import (
     NotComparable,
     UnsupportedType,
 )
-from .exactmath import GoldInt, M, MPoly, gen_binomial
+from .exactmath import GoldInt, MPoly, MUniPoly, gen_binomial
 from .rootdata import (
     Irreducible,
     RootSystemType,
@@ -133,76 +134,16 @@ def _iter_bits(mask: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_sign(x) -> int:
-    if isinstance(x, GoldInt):
-        return x.sign()
-    return -1 if x < 0 else (1 if x > 0 else 0)
+def _is_pos(v) -> bool:
+    """Whether the first nonzero coordinate of v is positive."""
+    for c in v:
+        if c:
+            return (c.sign() if isinstance(c, GoldInt) else c) > 0
+    return False
 
 
-class RootGeometry:
-    """Index-level root geometry of the root-permutation backend: the full
-    signed root list, the permutation each reflection induces on it, and
-    classification of parabolic sub-root-systems by index arithmetic."""
-
-    def __init__(self, pos_roots, inner, reflect):
-        self.pos_roots = pos_roots
-        self.inner = inner
-        self.all_roots = list(pos_roots) + [tuple(-c for c in v) for v in pos_roots]
-        self.index = {v: i for i, v in enumerate(self.all_roots)}
-        self.npos = len(pos_roots)
-        self.refl_perms = [
-            tuple(self.index[reflect(alpha, beta)] for beta in self.all_roots)
-            for alpha in pos_roots
-        ]
-
-    def pos_rep(self, idx: int) -> int:
-        return idx if idx < self.npos else idx - self.npos
-
-    def orthogonal_positives(self, fix_basis) -> list[int]:
-        inner = self.inner
-        return [
-            i
-            for i, alpha in enumerate(self.pos_roots)
-            if all(not inner(alpha, v) for v in fix_basis)
-        ]
-
-    def classify(self, pos_indices: list[int]) -> RootSystemType:
-        """Classify the closed subsystem with the given positive-root indices:
-        extract simples by the one-negative criterion, label the diagram by
-        exact identities in the ring, and match against the catalog."""
-        if not pos_indices:
-            return RootSystemType.empty()
-        inset = set(pos_indices)
-        simples = []
-        for i in pos_indices:
-            perm = self.refl_perms[i]
-            negatives = 0
-            for j in pos_indices:
-                img = perm[j]
-                if img in inset:
-                    continue
-                if self.pos_rep(img) in inset:
-                    negatives += 1
-                    if negatives > 1:
-                        break
-                else:
-                    raise ClassificationError("root subset is not closed")
-            if negatives == 1:
-                simples.append(i)
-        inner = self.inner
-        edges = []
-        for ii in range(len(simples)):
-            for jj in range(ii + 1, len(simples)):
-                u, v = self.pos_roots[simples[ii]], self.pos_roots[simples[jj]]
-                p = inner(u, v)
-                if p:
-                    edges.append((ii, jj, edge_label(p, inner(u, u), inner(v, v))))
-        result = _classify_diagram(len(simples), edges)
-        if positive_root_count(result) != len(pos_indices):
-            raise ClassificationError(
-                f"{result} expects {positive_root_count(result)} positive roots, got {len(pos_indices)}"
-            )
-        return result
+def _sort_key(v):
+    return tuple((c.u, c.v) if isinstance(c, GoldInt) else (c, 0) for c in v)
 
 
 def _reflection(inner):
@@ -228,10 +169,15 @@ class RootPermBackend:
     Roots live in the simple-root basis with the doubled Gram matrix read off
     the Coxeter diagram, so coordinates and inner products stay in one ring:
     integers for the crystallographic types, GoldInt elements of Z[tau] for
-    the H types.  The roots are listed in increasing coordinates, so an
-    element's byte string is its images of the roots in that order.  The
-    matrix of an element, in that basis and ring, is read off the images of
-    the simple roots when geometry is needed.
+    the H types.  Every root has one index, its place in increasing
+    coordinates, and an element's byte string is its images of the roots in
+    that order.  Negation reverses that order, so root g and root
+    nroots - 1 - g are negatives of each other; and as the coordinates of a
+    positive root (both integer parts, in Z[tau]) are all >= 0, the npos
+    negative roots come first, which __init__ checks: root npos + r is the
+    r-th positive root, the root of reflection r.  The matrix of an element,
+    in that basis and ring, is read off the images of the simple roots when
+    geometry is needed.
     """
 
     def __init__(self, irr: Irreducible):
@@ -256,6 +202,7 @@ class RootPermBackend:
                     acc = acc + a * b
             return acc
 
+        self.inner = inner
         reflect = _reflection(inner)
 
         units = [tuple(ring(int(i == j)) for j in range(n)) for i in range(n)]
@@ -272,33 +219,20 @@ class RootPermBackend:
             frontier = nxt
         for beta in list(roots):
             roots.add(tuple(-c for c in beta))
-        self.root_coords = sorted(roots, key=self._sort_key)
-        self.root_index = {v: i for i, v in enumerate(self.root_coords)}
-        self.nroots = len(self.root_coords)
-        self.pos_roots = [v for v in self.root_coords if self._is_pos(v)]
-        self.geometry = geom = RootGeometry(self.pos_roots, inner, reflect)
-        # the byte tables re-index the geometry's reflection permutations
+        self.root_coords = coords = sorted(roots, key=_sort_key)
+        self.nroots = len(coords)
+        self.npos = npos = self.nroots // 2
+        self.pos_roots = coords[npos:]
+        if not all(map(_is_pos, self.pos_roots)):
+            raise InvariantError(f"the upper half of the sorted roots of {irr} is not positive")
+        index = {v: i for i, v in enumerate(coords)}
         tail = bytes(range(self.nroots, 256))
         self.identity = bytes(range(self.nroots)) + tail
-        to_coords = [self.root_index[v] for v in geom.all_roots]
-        from_coords = [geom.index[v] for v in self.root_coords]
         self.reflections = [
-            bytes(to_coords[perm[g]] for g in from_coords) + tail for perm in geom.refl_perms
+            bytes(index[reflect(alpha, beta)] for beta in coords) + tail for alpha in self.pos_roots
         ]
-        self.simple_root_indices = [self.root_index[u] for u in units]
-        pos_index = {v: i for i, v in enumerate(self.pos_roots)}
-        self.simple_reflections = [self.reflections[pos_index[u]] for u in units]
-
-    @staticmethod
-    def _sort_key(v):
-        return tuple((c.u, c.v) if isinstance(c, GoldInt) else (c, 0) for c in v)
-
-    def _is_pos(self, v) -> bool:
-        for c in v:
-            s = _scalar_sign(c)
-            if s:
-                return s > 0
-        return False
+        self.simple_root_indices = [index[u] for u in units]
+        self.simple_reflections = [self.reflections[g - npos] for g in self.simple_root_indices]
 
     def mul(self, p, q):
         return q.translate(p)
@@ -314,6 +248,58 @@ class RootPermBackend:
 
     def fixed_space_codim(self, p) -> int:
         return self.rank - len(_fixed_space(self.matrix(p)))
+
+    def nc_step(self, p):
+        """Rank, reflections below (indices into self.reflections) and type of
+        p <= c, all from Fix(p): the rank is its codimension (Carter's lemma),
+        and the reflections below p are those whose roots are orthogonal to it
+        (Brady-Watt), the positive roots of the parabolic subsystem of p."""
+        fix = _fixed_space(self.matrix(p))
+        inner = self.inner
+        below = [r for r, alpha in enumerate(self.pos_roots) if all(not inner(alpha, v) for v in fix)]
+        return self.rank - len(fix), below, self.classify(below)
+
+    def classify(self, below: list[int]) -> RootSystemType:
+        """Classify the closed subsystem whose positive roots are those of the
+        given reflections: the simple roots are the ones whose reflection
+        sends exactly one root of the subsystem negative, read off the byte
+        tables; the diagram is labelled by exact identities in the ring and
+        matched against the catalog."""
+        if not below:
+            return RootSystemType.empty()
+        inset = set(below)
+        npos = self.npos
+        simples = []
+        for i in below:
+            perm = self.reflections[i]
+            negatives = 0
+            for j in below:
+                # the image's reflection index, complemented (~r) when negative
+                k = perm[npos + j] - npos
+                if k in inset:
+                    continue
+                if ~k in inset:
+                    negatives += 1
+                    if negatives > 1:
+                        break
+                else:
+                    raise ClassificationError("root subset is not closed")
+            if negatives == 1:
+                simples.append(self.pos_roots[i])
+        inner = self.inner
+        edges = []
+        for ii, u in enumerate(simples):
+            for jj in range(ii + 1, len(simples)):
+                v = simples[jj]
+                p = inner(u, v)
+                if p:
+                    edges.append((ii, jj, edge_label(p, inner(u, u), inner(v, v))))
+        result = _classify_diagram(len(simples), edges)
+        if positive_root_count(result) != len(below):
+            raise ClassificationError(
+                f"{result} expects {positive_root_count(result)} positive roots, got {len(below)}"
+            )
+        return result
 
 
 class DihedralBackend:
@@ -481,23 +467,10 @@ def coxeter_element(table: GroupTable):
     return table.coxeter
 
 
-def _nc_step(backend, w):
-    """Rank, reflections below (indices into backend.reflections) and type of
-    w <= c, all from Fix(w): the rank is its codimension (Carter's lemma), and
-    the reflections below w are those whose roots are orthogonal to it
-    (Brady-Watt), the positive roots of the parabolic subsystem of w."""
-    if isinstance(backend, DihedralBackend):
-        return backend.nc_step(w)
-    mat = backend.matrix(w)
-    fix = _fixed_space(mat)
-    below = backend.geometry.orthogonal_positives(fix)
-    return len(mat) - len(fix), below, backend.geometry.classify(below)
-
-
 def parabolic_type_of(table: GroupTable, w) -> RootSystemType:
     """Type of w as a parabolic Coxeter element: classify the sub-root-system
     orthogonal to the fixed space of w."""
-    return _nc_step(table.backend, w)[2]
+    return table.backend.nc_step(w)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -604,13 +577,18 @@ class Poset:
         if not self.leq(i, j):
             raise NotComparable(f"{i} is not below {j}")
         deg = self.ranks[j] - self.ranks[i]
-        values = self.zeta_values(i, j, deg)
-        coeffs = _lagrange(list(range(deg + 1)), values)
-        z_at_neg1 = _poly_eval(coeffs, Fraction(-1))
+        # Newton's forward differences: Z(z) = sum of (Delta^k Z)(0) binom(z, k)
+        diffs = self.zeta_values(i, j, deg)
+        z = MUniPoly.var()
+        poly = MUniPoly()
+        for k in range(deg + 1):
+            poly += diffs[0] * gen_binomial(z, k)
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        z_at_neg1 = poly.eval(-1)
         mu = self.mobius(i, j)
         if z_at_neg1 != mu:
             raise InvariantError(f"zeta(-1) = {z_at_neg1} but mobius = {mu}")
-        return coeffs
+        return list(poly.coeffs)
 
     def rank_counts(self) -> list[int]:
         top = max(self.ranks, default=0)
@@ -618,42 +596,6 @@ class Poset:
         for r in self.ranks:
             out[r] += 1
         return out
-
-
-def _lagrange(xs: list[int], ys: list[int]) -> list[Fraction]:
-    """Interpolating polynomial coefficients (ascending) through (xs, ys)."""
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for k in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for i in range(n):
-            if i == k:
-                continue
-            basis = _poly_mul_linear(basis, -xs[i])
-            denom *= xs[k] - xs[i]
-        scale = Fraction(ys[k]) / denom
-        for i, b in enumerate(basis):
-            coeffs[i] += scale * b
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mul_linear(coeffs: list[Fraction], const) -> list[Fraction]:
-    # multiply by (z + const)
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i] += c * const
-        out[i + 1] += c
-    return out
-
-
-def _poly_eval(coeffs, at):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * at + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +695,7 @@ def _build_nc_fresh(t: RootSystemType) -> NCCore:
     for depth in range(n + 1):
         nxt = set()
         for w in level:
-            rank, below, ptype = _nc_step(backend, w)
+            rank, below, ptype = backend.nc_step(w)
             if rank != n - depth:
                 raise InvariantError(f"{w!r} at depth {depth} below c has length {rank}")
             covers = [mul(refls[i], w) for i in below]

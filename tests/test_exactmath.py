@@ -1,5 +1,5 @@
-"""Exact arithmetic core: m-polynomials, bivariate polynomials, the quadratic
-field, generalized binomials, and the rank-n transform."""
+"""Exact arithmetic core: m-polynomials, bivariate polynomials, the ring
+Z[tau], generalized binomials, and the rank-n transform."""
 
 import copy
 import json
@@ -13,13 +13,10 @@ from hypothesis import given, strategies as st
 
 from catwb.errors import DegreeError
 from catwb.exactmath import (
-    GOLDEN,
     GoldInt,
     M,
     MPoly,
     MUniPoly,
-    QuadExt,
-    SQRT5,
     binom_int,
     gen_binomial,
     substitute_fm,
@@ -167,28 +164,6 @@ class TestIntegralRepresentation:
             assert clone(F) == F and clone(F.poly).dumps() == F.poly.dumps()
 
 
-class TestQuadExt:
-    def test_field_axioms_spot(self):
-        x = QuadExt.of(Fraction(2, 3), Fraction(-1, 2))
-        y = QuadExt.of(1, 4)
-        assert (x * y) / y == x
-        assert x + (-x) == QuadExt.of(0)
-
-    def test_golden_ratio(self):
-        assert GOLDEN * GOLDEN == GOLDEN + 1
-        assert SQRT5 * SQRT5 == QuadExt.of(5)
-
-    def test_ordering(self):
-        assert SQRT5 > 2
-        assert SQRT5 < Fraction(9, 4)
-        assert QuadExt.of(1, -1) < 0  # 1 - sqrt5 < 0
-        assert sorted([GOLDEN, QuadExt.of(1), QuadExt.of(2)])[1] == GOLDEN
-
-    def test_hash_consistency_with_rationals(self):
-        assert hash(QuadExt.of(3)) == hash(Fraction(3))
-        assert QuadExt.of(3) == 3
-
-
 class TestGoldInt:
     def test_golden_ratio(self):
         tau = GoldInt(0, 1)
@@ -205,6 +180,27 @@ class TestGoldInt:
                 assert (x * y) // y == x
         q = GoldInt(1) // GoldInt(2)
         assert q * GoldInt(2) != GoldInt(1)
+
+    def test_sign_is_the_real_sign(self):
+        # u + v tau = (a + b sqrt5)/2 with a = 2u + v, b = v; for b != 0,
+        # s = isqrt(5 b^2) has s < sqrt5 |b| < s + 1, as sqrt5 |b| is irrational
+        def sign_of(a, b):
+            if b == 0:
+                return (a > 0) - (a < 0)
+            s = math.isqrt(5 * b * b)
+            return 1 if (-a <= s if b > 0 else a >= s + 1) else -1
+
+        rng = random.Random(17)
+        grid = [(u, v) for u in range(-12, 13) for v in range(-12, 13)]
+        grid += [(rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9)) for _ in range(2000)]
+        # next to zero: F(k+1) - F(k) tau = (1 - tau)^k, F the Fibonacci numbers
+        fib = [0, 1]
+        while len(fib) < 80:
+            fib.append(fib[-1] + fib[-2])
+        grid += [(fib[k + 1] + d, -fib[k]) for k in range(78) for d in (-1, 0, 1)]
+        for u, v in grid:
+            assert GoldInt(u, v).sign() == sign_of(2 * u + v, v), (u, v)
+            assert (-GoldInt(u, v)).sign() == -GoldInt(u, v).sign()
 
 
 def ref_trim(cs):

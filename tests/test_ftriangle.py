@@ -2,6 +2,7 @@
 
 import pytest
 
+from catwb.cli import RECURRENCE_TYPES
 from catwb.exactmath import M, MPoly, MUniPoly, gen_binomial
 from catwb.ftriangle import (
     check_recurrence,
@@ -114,10 +115,25 @@ class TestRowSums:
             assert row_sum(t, k) == row_sum_closed(t, k)
 
 
+def dual_by_products(F, n):
+    """(-1)^n F(-1-x, -1-y) as a sum over the monomials of F of products of
+    MPoly powers: x^k y^l -> (-1-x)^k (-1-y)^l."""
+    x, y = MPoly.x(), MPoly.y()
+    out = MPoly.zero()
+    for (k, l), c in F.terms.items():
+        out = out + (-1 - x) ** k * (-1 - y) ** l * c
+    return -out if n % 2 else out
+
+
 class TestDual:
     def test_a1_dual_triangle(self):
         out = dual_f_triangle(ir("A1"))
         assert out == MPoly({(0, 0): M, (1, 0): M, (0, 1): MUniPoly.const(1)})
+
+    @pytest.mark.parametrize("s", RECURRENCE_TYPES)
+    def test_matches_monomial_products(self, s):
+        t = ir(s)
+        assert dual_f_triangle(t) == dual_by_products(f_closed(t).poly, t.rank)
 
     @pytest.mark.parametrize("s", ["A1", "A2", "A3", "A4", "B2", "B3", "B4"])
     def test_symbolic(self, s):

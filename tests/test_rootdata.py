@@ -1,25 +1,22 @@
 """Root-system catalog: type algebra, Gram matrices, deletions, and the
-subsystem classifier."""
+backend's sub-root-system classifier."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from catwb.errors import ClassificationError, TypeParseError
-from catwb.exactmath import GoldInt, QuadExt
+from catwb.exactmath import GoldInt
 from catwb.rootdata import (
     RootSystemType,
-    classify_subsystem,
     deletion_types,
-    dot,
     edge_label,
     fuss_catalan,
     group_order,
     ir,
     positive_root_count,
 )
-from catwb.wgroup import _backend_for
+from catwb.wgroup import RootPermBackend, _backend_for, enumerate_group
 
 
 class TestTypeAlgebra:
@@ -121,8 +118,8 @@ class TestSimpleSystems:
     @pytest.mark.parametrize("s", ["A4", "B4", "D5", "F4", "E6", "E7", "E8", "H3", "H4"])
     def test_angles_reproduce_diagram(self, s):
         # the full positive system of each backend classifies back to its type
-        geom = _backend_for(ir(s).single()).geometry
-        assert geom.classify(list(range(geom.npos))) == ir(s)
+        backend = _backend_for(ir(s).single())
+        assert backend.classify(list(range(backend.npos))) == ir(s)
 
     def test_golden_root_counts(self):
         assert _backend_for(ir("H3").single()).nroots == 30
@@ -140,61 +137,38 @@ class TestSimpleSystems:
         assert positive_root_count(ir("D4")) == 12
 
 
-def _span_roots(vectors):
-    """Closed subsystem generated inside a known root list: here input roots
-    are already full subsystems, so this is the identity."""
-    return list(vectors)
+def _reflection_indices(backend, roots):
+    """Reflection indices of the given positive roots, in simple-root coordinates."""
+    return [backend.pos_roots.index(tuple(root)) for root in roots]
 
 
 class TestClassify:
     def test_orthogonal_pair(self):
-        roots = [(1, -1, 0, 0), (0, 0, 1, -1)]
-        roots = [tuple(Fraction(c) for c in v) for v in roots]
-        assert str(classify_subsystem(roots)) == "A1xA1"
-
-    def test_full_f4(self):
-        half = Fraction(1, 2)
-        simples = [tuple(Fraction(c) for c in v) for v in ((0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1))]
-        simples.append((half, -half, -half, -half))
-        # generate all roots by reflection closure of the simple system
-        from catwb.rootdata import _reflect
-
-        roots = set(simples)
-        frontier = list(simples)
-        while frontier:
-            new = []
-            for beta in frontier:
-                for alpha in simples:
-                    img = _reflect(beta, alpha, dot)
-                    if img not in roots:
-                        roots.add(img)
-                        new.append(img)
-            frontier = new
-        assert len(roots) == 48
-        assert str(classify_subsystem(roots)) == "F4"
+        a3 = RootPermBackend(ir("A3").single())
+        below = _reflection_indices(a3, [(1, 0, 0), (0, 0, 1)])
+        assert str(a3.classify(below)) == "A1xA1"
 
     def test_a2_from_three_roots(self):
-        roots = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
-        roots = [tuple(Fraction(c) for c in v) for v in roots]
-        assert str(classify_subsystem(roots)) == "A2"
+        a3 = RootPermBackend(ir("A3").single())
+        below = _reflection_indices(a3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+        assert str(a3.classify(below)) == "A2"
 
     def test_b2_inside_b3(self):
-        roots = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0)]
-        roots = [tuple(Fraction(c) for c in v) for v in roots]
-        assert str(classify_subsystem(roots)) == "B2"
+        # the last simple root of B3 is the short one
+        b3 = RootPermBackend(ir("B3").single())
+        below = _reflection_indices(b3, [(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2)])
+        assert str(b3.classify(below)) == "B2"
 
     def test_signed_permutation_invariance(self):
+        # W(B4) is the group of signed permutations of four coordinates
+        b4 = RootPermBackend(ir("B4").single())
+        npos = b4.npos
+        base = _reflection_indices(b4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)])  # an A2
         rng = random.Random(5)
-        base = [(1, -1, 0, 0), (0, 1, -1, 0), (1, 0, -1, 0)]  # an A2 inside B4
-        base = [tuple(Fraction(c) for c in v) for v in base]
-        for _ in range(10):
-            perm = list(range(4))
-            rng.shuffle(perm)
-            signs = [rng.choice((1, -1)) for _ in range(4)]
-            moved = [
-                tuple(signs[perm[i]] * v[perm[i]] for i in range(4)) for v in base
-            ]
-            assert str(classify_subsystem(moved)) == "A2"
+        for w in rng.sample(enumerate_group(ir("B4").single()).elements, 10):
+            moved = [w[npos + r] - npos for r in base]
+            moved = [k if k >= 0 else ~k for k in moved]  # the positive root of each image
+            assert str(b4.classify(moved)) == "A2"
 
     @pytest.mark.parametrize(
         "p,nu,nv,label",
@@ -204,14 +178,13 @@ class TestClassify:
             (-1, 2, 1, 4),
             (-3, 6, 2, 6),
             (GoldInt(0, -2), GoldInt(4), GoldInt(4), 5),
-            (QuadExt.of(Fraction(-1, 4), Fraction(-1, 4)), QuadExt.of(1), QuadExt.of(1), 5),
         ],
     )
     def test_edge_label_in_each_ring(self, p, nu, nv, label):
         assert edge_label(p, nu, nv) == label
 
     def test_not_closed_raises(self):
-        roots = [(1, -1, 0), (1, 0, -1)]  # reflection closure needs (0, 1, -1)
-        roots = [tuple(Fraction(c) for c in v) for v in roots]
-        with pytest.raises(ClassificationError):
-            classify_subsystem(roots)
+        a2 = RootPermBackend(ir("A2").single())
+        below = _reflection_indices(a2, [(1, 0), (1, 1)])  # closure needs (0, 1)
+        with pytest.raises(ClassificationError, match="not closed"):
+            a2.classify(below)
