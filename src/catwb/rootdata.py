@@ -1,9 +1,9 @@
 """Catalog of finite root-system types: Coxeter data, Gram matrices read off
-the Coxeter diagrams, the Coxeter label of two roots from exact inner
-products (`edge_label`), classification of labelled Coxeter diagrams, and the
+the Coxeter diagrams, classification of labelled Coxeter diagrams, and the
 types left by deleting one node of a diagram.  Root vectors themselves live
-in the group backends of `wgroup`, which classify sub-root-systems with
-these diagram tools.
+in the group backends of `wgroup`, which label the diagram of a
+sub-root-system by the orders of products of its simple reflections and
+classify it with these diagram tools.
 
 Types are multisets of irreducible factors.  The aliases B1 = A1, D2 = A1xA1,
 D3 = A3, I2(3) = A2 and I2(4) = B2 are normalized at construction so that
@@ -266,22 +266,6 @@ def gram_matrix(f: Irreducible) -> list[list]:
         entry = {3: ring(-norms[i]), 4: ring(-2), 5: GoldInt(0, -2)}[label]
         gram[i][j] = gram[j][i] = entry
     return gram
-
-
-def edge_label(p, nu, nv) -> int:
-    """Coxeter label m of two simple roots from their inner product p and
-    squared lengths nu, nv.  With x = 4 p^2 and y = nu nv, 4 cos^2(pi/m) = x/y
-    is 1, 2 or 3 for m = 3, 4, 6 and a root of x^2 - 3xy + y^2 for m = 5;
-    each test is an exact identity in the ring of the entries."""
-    if not p:
-        return 2
-    x, y = 4 * p * p, nu * nv
-    for label, k in ((3, 1), (4, 2), (6, 3)):
-        if x == k * y:
-            return label
-    if x * x + y * y == 3 * x * y:
-        return 5
-    raise ClassificationError(f"unrecognized angle: 4<u,v>^2 = {x!r}, |u|^2 |v|^2 = {y!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ cached cores and exported posets all follow it.
 
 NC is built top down from the Coxeter element c without enumerating W: each
 backend's nc_step gives the rank of an element, the reflections below it and
-its parabolic type, for the root backend from one fraction-free (Bareiss)
-kernel computation of its fixed space and the reflection byte tables.  Only
-enumerate_group lists W; with its breadth-first absolute lengths it is the
-oracle the tests compare the NC build against.
+its parabolic type, for the root backend from the byte tables alone: the
+roots it moves are those whose cycle sums to zero, and the Coxeter labels of
+its subsystem are orders of products of two reflections.  Coordinates are
+used only to build the tables.  Only enumerate_group lists W; with its
+breadth-first absolute lengths it is the oracle the tests compare the NC
+build against.
 
 Posets are immutable once built and memoised by type alone: every public
 entry point checks the group cap from the closed-form |W| before any memo or
@@ -47,7 +49,6 @@ from .rootdata import (
     Irreducible,
     RootSystemType,
     _classify_diagram,
-    edge_label,
     gram_matrix,
     group_order_irr,
     positive_root_count,
@@ -56,60 +57,6 @@ from .rootdata import (
 
 DEFAULT_GROUP_CAP = 100_000
 DEFAULT_POSET_CAP = 2_000_000  # pairs visited by a Mobius sweep
-
-
-# ---------------------------------------------------------------------------
-# Exact linear algebra over the backend's ring (Z or Z[tau])
-# ---------------------------------------------------------------------------
-
-
-def _divexact(a, b):
-    q = a // b
-    if q * b != a:
-        raise InvariantError(f"{a!r} is not divisible by {b!r}")
-    return q
-
-
-def _fixed_space(mat):
-    """Integral basis of the fixed space of a square matrix over Z or Z[tau],
-    i.e. of the kernel of mat - 1.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968): every update
-    (p*a - f*b) / prev divides exactly by the previous pivot, and at the end
-    the matrix is d times its reduced echelon form, d the last pivot.  Each
-    free column f gives the kernel vector with d at f and minus column f of
-    the pivot rows at the pivot columns.
-    """
-    ring = type(mat[0][0])
-    one = ring(1)
-    n = len(mat)
-    rows = [[x - one if i == j else x for j, x in enumerate(row)] for i, row in enumerate(mat)]
-    prev = one
-    pivots: list[int] = []
-    for c in range(n):
-        r = len(pivots)
-        pr = next((i for i in range(r, n) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(n):
-            if i != r:
-                f = rows[i][c]
-                rows[i] = [_divexact(p * a - f * b, prev) for a, b in zip(rows[i], prow)]
-        prev = p
-        pivots.append(c)
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [ring(0)] * n
-        v[fc] = prev
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
 
 
 _NONZERO = bytes([0] + [1] * 255)
@@ -146,19 +93,11 @@ def _sort_key(v):
     return tuple((c.u, c.v) if isinstance(c, GoldInt) else (c, 0) for c in v)
 
 
-def _reflection(inner):
-    """The reflection s_alpha(beta) = beta - (2<alpha, beta>/<alpha, alpha>) alpha,
-    whose coefficient must divide exactly in the ring."""
-    norm = lru_cache(maxsize=None)(lambda alpha: inner(alpha, alpha))
-
-    def reflect(alpha, beta):
-        p = inner(alpha, beta)
-        if not p:
-            return beta
-        coef = _divexact(2 * p, norm(alpha))
-        return tuple(b - coef * a for a, b in zip(alpha, beta))
-
-    return reflect
+def _divexact(a, b):
+    q = a // b
+    if q * b != a:
+        raise InvariantError(f"{a!r} is not divisible by {b!r}")
+    return q
 
 
 class RootPermBackend:
@@ -166,18 +105,20 @@ class RootPermBackend:
     list, stored as 256-padded byte tables so composition is a single
     translate().  Types with more than 255 roots raise BudgetExceeded.
 
-    Roots live in the simple-root basis with the doubled Gram matrix read off
-    the Coxeter diagram, so coordinates and inner products stay in one ring:
-    integers for the crystallographic types, GoldInt elements of Z[tau] for
-    the H types.  Every root has one index, its place in increasing
-    coordinates, and an element's byte string is its images of the roots in
-    that order.  Negation reverses that order, so root g and root
-    nroots - 1 - g are negatives of each other; and as the coordinates of a
-    positive root (both integer parts, in Z[tau]) are all >= 0, the npos
+    Coordinates are used only here, in __init__.  Roots live in the
+    simple-root basis with the doubled Gram matrix G read off the Coxeter
+    diagram, in one ring: integers for the crystallographic types, GoldInt
+    elements of Z[tau] for the H types.  Every root has one index, its place
+    in increasing coordinates, and an element's byte string is its images of
+    the roots in that order.  Negation reverses that order, so root g and
+    root nroots - 1 - g are negatives of each other; and as the coordinates
+    of a positive root (both integer parts, in Z[tau]) are all >= 0, the npos
     negative roots come first, which __init__ checks: root npos + r is the
-    r-th positive root, the root of reflection r.  The matrix of an element,
-    in that basis and ring, is read off the images of the simple roots when
-    geometry is needed.
+    r-th positive root, the root of reflection r.  Only the n simple tables
+    are computed from coordinates; the table of every other positive root
+    beta is s_i s_gamma s_i, for the step beta = s_i(gamma) that found it
+    while closing the positive roots.  Each root is also kept as one packed
+    int, `packed`, so that nc_step sums the roots of a cycle as plain ints.
     """
 
     def __init__(self, irr: Irreducible):
@@ -186,40 +127,36 @@ class RootPermBackend:
             raise BudgetExceeded(f"{irr} has {nroots} roots; byte tables hold at most 255", nroots)
         self.type = irr
         self.rank = n = irr.rank
-        self.gram = gram = gram_matrix(irr)
+        gram = gram_matrix(irr)
         ring = type(gram[0][0])
         zero = ring(0)
 
-        @lru_cache(maxsize=None)
-        def covector(u):
-            # the first argument is always a root, so each covector is kept
-            return tuple(sum((u[i] * gram[i][j] for i in range(n) if u[i]), zero) for j in range(n))
-
-        def inner(u, v):
-            acc = zero
-            for a, b in zip(covector(u), v):
-                if a and b:
-                    acc = acc + a * b
-            return acc
-
-        self.inner = inner
-        reflect = _reflection(inner)
+        def reflect(i, beta):
+            # s_i changes coordinate i only, by 2 (G beta)_i / G_ii
+            p = sum((g * b for g, b in zip(gram[i], beta) if g and b), zero)
+            if not p:
+                return beta
+            img = list(beta)
+            img[i] -= _divexact(2 * p, gram[i][i])
+            return tuple(img)
 
         units = [tuple(ring(int(i == j)) for j in range(n)) for i in range(n)]
-        roots = set(units)
+        positives = set(units)
+        conjugates = []  # (beta, i, gamma) with beta = s_i(gamma), gamma found first
         frontier = list(units)
         while frontier:
             nxt = []
-            for beta in frontier:
+            for gamma in frontier:
                 for i in range(n):
-                    img = reflect(units[i], beta)
-                    if img not in roots:
-                        roots.add(img)
-                        nxt.append(img)
+                    if gamma == units[i]:
+                        continue
+                    beta = reflect(i, gamma)
+                    if beta not in positives:
+                        positives.add(beta)
+                        conjugates.append((beta, i, gamma))
+                        nxt.append(beta)
             frontier = nxt
-        for beta in list(roots):
-            roots.add(tuple(-c for c in beta))
-        self.root_coords = coords = sorted(roots, key=_sort_key)
+        coords = sorted(positives | {tuple(-c for c in beta) for beta in positives}, key=_sort_key)
         self.nroots = len(coords)
         self.npos = npos = self.nroots // 2
         self.pos_roots = coords[npos:]
@@ -228,11 +165,17 @@ class RootPermBackend:
         index = {v: i for i, v in enumerate(coords)}
         tail = bytes(range(self.nroots, 256))
         self.identity = bytes(range(self.nroots)) + tail
-        self.reflections = [
-            bytes(index[reflect(alpha, beta)] for beta in coords) + tail for alpha in self.pos_roots
+        self.simple_reflections = simple = [
+            bytes(index[reflect(i, beta)] for beta in coords) + tail for i in range(n)
         ]
-        self.simple_root_indices = [index[u] for u in units]
-        self.simple_reflections = [self.reflections[g - npos] for g in self.simple_root_indices]
+        table = dict(zip(units, simple))
+        for beta, i, gamma in conjugates:
+            table[beta] = simple[i].translate(table[gamma]).translate(simple[i])
+        self.reflections = [table[alpha] for alpha in self.pos_roots]
+        fields = [[x for pair in _sort_key(v) for x in pair] for v in coords]
+        width = (self.nroots * max(abs(x) for f in fields for x in f)).bit_length() + 1
+        # each field of a cycle sum is below 2**(width - 1) in size, so the sum is 0 iff every field is
+        self.packed = [sum(x << width * k for k, x in enumerate(f)) for f in fields]
 
     def mul(self, p, q):
         return q.translate(p)
@@ -241,30 +184,40 @@ class RootPermBackend:
         # the table sending p[i] to i
         return bytes.maketrans(p, self.identity)
 
-    def matrix(self, p):
-        n = self.rank
-        cols = [self.root_coords[p[idx]] for idx in self.simple_root_indices]
-        return [tuple(cols[j][i] for j in range(n)) for i in range(n)]
-
-    def fixed_space_codim(self, p) -> int:
-        return self.rank - len(_fixed_space(self.matrix(p)))
-
     def nc_step(self, p):
         """Rank, reflections below (indices into self.reflections) and type of
-        p <= c, all from Fix(p): the rank is its codimension (Carter's lemma),
-        and the reflections below p are those whose roots are orthogonal to it
-        (Brady-Watt), the positive roots of the parabolic subsystem of p."""
-        fix = _fixed_space(self.matrix(p))
-        inner = self.inner
-        below = [r for r, alpha in enumerate(self.pos_roots) if all(not inner(alpha, v) for v in fix)]
-        return self.rank - len(fix), below, self.classify(below)
+        p, read off its cycles on the roots.  A root lies in Mov(p) exactly
+        when the roots of its cycle sum to zero, that sum being the cycle
+        length times its projection onto Fix(p); the reflections below p are
+        those of the positive roots in Mov(p) (Brady-Watt), and the rank of
+        the subsystem they span is the rank of p (Carter's lemma)."""
+        packed = self.packed
+        moved = bytearray(self.nroots)
+        seen = bytearray(self.nroots)
+        for g in range(self.nroots):
+            if seen[g]:
+                continue
+            cycle = [g]
+            h = p[g]
+            while h != g:
+                cycle.append(h)
+                h = p[h]
+            in_mov = not sum(map(packed.__getitem__, cycle))
+            for h in cycle:
+                seen[h] = 1
+                moved[h] = in_mov
+        npos = self.npos
+        below = [r for r in range(npos) if moved[npos + r]]
+        ptype = self.classify(below)
+        return ptype.rank, below, ptype
 
     def classify(self, below: list[int]) -> RootSystemType:
         """Classify the closed subsystem whose positive roots are those of the
-        given reflections: the simple roots are the ones whose reflection
-        sends exactly one root of the subsystem negative, read off the byte
-        tables; the diagram is labelled by exact identities in the ring and
-        matched against the catalog."""
+        given reflections, on the byte tables alone: the simple roots are the
+        ones whose reflection sends exactly one root of the subsystem
+        negative, two simple roots are joined by the order of the product of
+        their reflections when it exceeds 2, and the diagram is matched
+        against the catalog."""
         if not below:
             return RootSystemType.empty()
         inset = set(below)
@@ -285,15 +238,16 @@ class RootPermBackend:
                 else:
                     raise ClassificationError("root subset is not closed")
             if negatives == 1:
-                simples.append(self.pos_roots[i])
-        inner = self.inner
+                simples.append(perm)
         edges = []
-        for ii, u in enumerate(simples):
-            for jj in range(ii + 1, len(simples)):
-                v = simples[jj]
-                p = inner(u, v)
-                if p:
-                    edges.append((ii, jj, edge_label(p, inner(u, u), inner(v, v))))
+        for (ii, su), (jj, sv) in itertools.combinations(enumerate(simples), 2):
+            rot = power = self.mul(su, sv)
+            label = 1
+            while power != self.identity:
+                power = self.mul(rot, power)
+                label += 1
+            if label > 2:
+                edges.append((ii, jj, label))
         result = _classify_diagram(len(simples), edges)
         if positive_root_count(result) != len(below):
             raise ClassificationError(
@@ -339,9 +293,6 @@ class DihedralBackend:
         if p[0] == "s":
             return 1, [p[1]], RootSystemType.irreducible("A", 1)
         return 2, list(range(self.a)), RootSystemType.irreducible("I", 2, self.a)
-
-    def fixed_space_codim(self, p) -> int:
-        return self.nc_step(p)[0]
 
 
 def _backend_for(irr: Irreducible):
@@ -444,13 +395,13 @@ def _enumerate_group(irr: Irreducible) -> GroupTable:
 
 
 def abs_length(table: GroupTable, w) -> int:
-    """Absolute length via the fixed-space codimension; checked to agree
-    with the breadth-first layering oracle."""
-    codim = table.backend.fixed_space_codim(w)
+    """Absolute length as the rank of nc_step, the rank of the subsystem of
+    roots w moves; checked to agree with the breadth-first layering oracle."""
+    rank = table.backend.nc_step(w)[0]
     bfs = table.abs_length_of(w)
-    if codim != bfs:
-        raise InvariantError(f"length methods disagree on {w!r}: {codim} vs {bfs}")
-    return codim
+    if rank != bfs:
+        raise InvariantError(f"length methods disagree on {w!r}: {rank} vs {bfs}")
+    return rank
 
 
 def abs_leq(table: GroupTable, u, w) -> bool:
@@ -469,7 +420,7 @@ def coxeter_element(table: GroupTable):
 
 def parabolic_type_of(table: GroupTable, w) -> RootSystemType:
     """Type of w as a parabolic Coxeter element: classify the sub-root-system
-    orthogonal to the fixed space of w."""
+    of the roots w moves."""
     return table.backend.nc_step(w)[2]
 
 

@@ -248,14 +248,14 @@ def test_criterion_12_oracle_cross_checks():
         g = enumerate_group(ir(s).single())
         assert g.order <= 2000 or s in ("F4",)
         for i, w in enumerate(g.elements):
-            if g.backend.fixed_space_codim(w) != g.abs_len[i]:
+            if g.backend.nc_step(w)[0] != g.abs_len[i]:
                 failures.append(f"{s}: length methods disagree")
                 break
     rng = random.Random(2317)
     for s in ("H4", "E6"):
         g = enumerate_group(ir(s).single())
         for w in rng.sample(g.elements, 500):
-            if g.backend.fixed_space_codim(w) != g.abs_length_of(w):
+            if g.backend.nc_step(w)[0] != g.abs_length_of(w):
                 failures.append(f"{s}: sampled length methods disagree")
                 break
     for s, m in FM_BRUTE_GRID:

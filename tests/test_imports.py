@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used there or exported."""
+"""Every name a module of the package imports is used there or exported, and
+every module-level private name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,59 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_reported():
     tree = ast.parse("from math import comb, gcd\n__all__ = ['gcd']\n")
     assert unused_imports(tree, "m") == ["m.py:1 imports comb"]
+
+
+def _private_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _is_read(tree: ast.AST, name: str, definition: ast.stmt) -> bool:
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is definition:
+            continue
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level private functions, classes and assignments (dunders
+    aside) that no module of the package reads outside their definition."""
+    return [
+        f"{module}.py:{node.lineno} defines {name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        for name in _private_names(node)
+        if not any(_is_read(other, name, node) for other in trees.values())
+    ]
+
+
+def test_no_unread_private_names():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")}
+    assert unread_private_names(trees) == []
+
+
+def test_an_unread_private_name_is_reported():
+    trees = {
+        "a": ast.parse(
+            "_LIMIT = 3\n"
+            "_dead: int = 0\n"
+            "def _rec(n):\n    return _rec(n - 1) if n else 0\n"
+            "def _used():\n    return _LIMIT\n"
+            "class _Box:\n    pass\n"
+        ),
+        "b": ast.parse("from .a import _used\nimport a\nx = _used() + a._Box\n"),
+    }
+    assert unread_private_names(trees) == ["a.py:2 defines _dead", "a.py:3 defines _rec"]

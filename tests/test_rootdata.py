@@ -6,11 +6,9 @@ import random
 import pytest
 
 from catwb.errors import ClassificationError, TypeParseError
-from catwb.exactmath import GoldInt
 from catwb.rootdata import (
     RootSystemType,
     deletion_types,
-    edge_label,
     fuss_catalan,
     group_order,
     ir,
@@ -169,19 +167,6 @@ class TestClassify:
             moved = [w[npos + r] - npos for r in base]
             moved = [k if k >= 0 else ~k for k in moved]  # the positive root of each image
             assert str(b4.classify(moved)) == "A2"
-
-    @pytest.mark.parametrize(
-        "p,nu,nv,label",
-        [
-            (0, 2, 2, 2),
-            (-1, 2, 2, 3),
-            (-1, 2, 1, 4),
-            (-3, 6, 2, 6),
-            (GoldInt(0, -2), GoldInt(4), GoldInt(4), 5),
-        ],
-    )
-    def test_edge_label_in_each_ring(self, p, nu, nv, label):
-        assert edge_label(p, nu, nv) == label
 
     def test_not_closed_raises(self):
         a2 = RootPermBackend(ir("A2").single())

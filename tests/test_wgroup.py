@@ -18,6 +18,7 @@ from catwb.ncposet import build_ncm
 from catwb.rootdata import group_order, ir
 from catwb.wgroup import (
     Poset,
+    RootPermBackend,
     _iter_bits,
     abs_length,
     abs_leq,
@@ -42,6 +43,21 @@ from golden import GOLDEN_CHAR, golden_char_i2, golden_decomp_i2, GOLDEN_DECOMP
 SMALL_GROUPS = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "D5", "H3", "F4"] + [
     f"I2({a})" for a in range(3, 11)
 ]
+
+
+# sha256 of identity + reflections + simple_reflections of RootPermBackend,
+# from the build that reflected every root from its coordinates
+TABLE_DIGESTS = {
+    "E6": "f873659e3c43e4d8826dda92aab1dbc11f37ffe5c46b1697d38bb4efce07aaad",
+    "E7": "d087c80403123c01c38f2cce2779ba2f09603d16afe0683c86255dc105877d92",
+    "E8": "4d1b56bd06c6b26f90d104f1cb315f3e26d65f750f3cd3695078d95fd6c7b68a",
+    "F4": "c709bc67b292a132e1c377432932361698aea03de8f13c56ced07a5a6c4ef159",
+    "H3": "46055fbf68eeaf8ba7805dd3dc7c455d2e88ff3f391cadaddf01d8169b2b2653",
+    "H4": "1333727a74c4d97b29bcfe49c75703a1d945d61902957cfd036408bd423bc760",
+    "A15": "f60efc49b52fe231e5d3f6ad790409a90e406da2b4f19e00345edadb60c0189a",
+    "B11": "ea14e9ab5f74a558deafbd5471c45950426841cadb3d163dca75a05cae62d614",
+    "D11": "bc961378beddad32c320a33fb2589b413d4959f80d093b3bf8525d52994c823a",
+}
 
 
 class TestEnumeration:
@@ -83,20 +99,28 @@ class TestAbsoluteOrder:
         g = enumerate_group(ir("F4").single())
         assert abs_length(g, coxeter_element(g)) == 4
 
+    @staticmethod
+    def _assert_nc_step_matches_oracle(g, w, length):
+        # rank and reflections below w from nc_step against the BFS lengths
+        rank, below, _ = g.backend.nc_step(w)
+        assert rank == length
+        mul = g.backend.mul
+        assert below == [r for r, t in enumerate(g.reflections) if g.abs_length_of(mul(t, w)) == length - 1]
+
     @pytest.mark.parametrize("s", SMALL_GROUPS)
     def test_methods_agree_full_sweep(self, s):
         g = enumerate_group(ir(s).single())
         if g.order > 2000:
             pytest.skip("covered by the sampled sweep")
         for i, w in enumerate(g.elements):
-            assert g.backend.fixed_space_codim(w) == g.abs_len[i]
+            self._assert_nc_step_matches_oracle(g, w, g.abs_len[i])
 
     @pytest.mark.parametrize("s", ["H4", "E6"])
     def test_methods_agree_sampled(self, s):
         g = enumerate_group(ir(s).single())
         rng = random.Random(17)
         for w in rng.sample(g.elements, 500):
-            assert g.backend.fixed_space_codim(w) == g.abs_length_of(w)
+            self._assert_nc_step_matches_oracle(g, w, g.abs_length_of(w))
 
     def test_length_disagreement_raises_under_python_O(self):
         # the BFS oracle is corrupted at the identity; the check must survive -O
@@ -288,6 +312,12 @@ class TestTopDownBuild:
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "7ec0a3bea9e63b1914c4592f100749e150427e506f07c1743394254b4adca26e"
         )
+
+    @pytest.mark.parametrize("s", TABLE_DIGESTS)
+    def test_reflection_tables_are_pinned(self, s):
+        b = RootPermBackend(ir(s).single())
+        blob = b"".join([b.identity, *b.reflections, *b.simple_reflections])
+        assert hashlib.sha256(blob).hexdigest() == TABLE_DIGESTS[s]
 
 
 class TestCharPoly:
