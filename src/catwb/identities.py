@@ -2,7 +2,10 @@
 the classical-family proofs: the two-parameter binomial kernel, its two
 convolution identities, and the Chu-Vandermonde helper.
 
-All values are exact rationals; m enters only as a concrete integer here.
+All arithmetic is on integers: a value is a pair (p, q), q > 0, for p/q;
+rational shifts are scaled to integer numerators over one denominator v; each
+side of an identity is summed over the lcm of its denominators, and the sides
+are compared by cross-multiplication.  m enters only as a concrete integer.
 """
 
 from __future__ import annotations
@@ -11,9 +14,41 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm
 
-from .errors import InvalidArgument, SingularPoint
-from .exactmath import gen_binomial
+from .errors import SingularPoint
+from .exactmath import binom_int
+
+_SHIFTS = ("alpha", "beta", "alpha2", "beta2")
+
+
+def _over_one_denominator(*xs) -> tuple[int, list[int]]:
+    """v > 0 and integers u_i with x_i = u_i / v; v = 1, and no Fraction is
+    built, when every x_i is an int."""
+    if all(isinstance(x, int) for x in xs):
+        return 1, list(xs)
+    fracs = [Fraction(x) for x in xs]
+    v = lcm(*(f.denominator for f in fracs))
+    return v, [f.numerator * (v // f.denominator) for f in fracs]
+
+
+def _binom(u: int, v: int, k: int) -> tuple[int, int]:
+    """binom(u/v, k) as a pair: binom_int when v = 1, otherwise
+    prod_{i<k} (u - i v) / (v^k k!)."""
+    if v == 1:
+        return binom_int(u, k), 1
+    p = 1
+    for i in range(k):
+        p *= u - i * v
+    return (p, v**k * factorial(k)) if k >= 0 else (0, 1)
+
+
+def sum_equals(terms: list[tuple[int, int]], total: tuple[int, int]) -> bool:
+    """Whether the pairs (p_i, q_i) sum to total = (p, q): the sum is taken over
+    the lcm of the q_i and compared with p/q by cross-multiplication."""
+    den = lcm(*(q for _, q in terms))
+    p, q = total
+    return sum(tp * (den // tq) for tp, tq in terms) * q == p * den
 
 
 @dataclass(frozen=True)
@@ -29,93 +64,104 @@ class CarlitzKernel:
     c: int
     d: int
 
-    def forms(self, k: int, n: int, alpha, beta) -> tuple[Fraction, Fraction]:
-        return (
-            Fraction(self.a * k + self.c * n) + alpha,
-            Fraction(self.b * k + self.d * n) + beta,
-        )
+    def pair(self, k: int, n: int, al: int, be: int, v: int = 1, extend: bool = False) -> tuple[int, int]:
+        """The kernel at alpha = al/v, beta = be/v as a pair (p, q), q > 0.
+
+        Strict: SingularPoint if a denominator form vanishes at (k, n).
+        Extended: the numerator always contains the vanishing form as a
+        factor, so it is cancelled against binom(N, K) = N binom(N-1, K-1)/K
+        and the kernel extends to a polynomial in alpha and beta."""
+        u1 = (self.a * k + self.c * n) * v + al  # v times each form
+        u2 = (self.b * k + self.d * n) * v + be
+        num = (self.b * k * al + self.c * n * be) * v + al * be  # v^2 times the numerator
+        if not extend:
+            if u1 == 0 or u2 == 0:
+                raise SingularPoint(f"denominator form vanishes at (k, n) = ({k}, {n})")
+            p1, q1 = _binom(u1, v, k)
+            p2, q2 = _binom(u2, v, n)
+            p, q = num * p1 * p2, u1 * u2 * q1 * q2
+            return (p, q) if q > 0 else (-p, -q)
+        if k == 0 and n == 0:
+            return 1, 1
+        if k == 0:  # the numerator is beta times the second form
+            p2, q2 = _binom(u2 - v, v, n - 1)
+            return be * p2, v * n * q2
+        p1, q1 = _binom(u1 - v, v, k - 1)
+        if n == 0:
+            return al * p1, v * k * q1
+        p2, q2 = _binom(u2 - v, v, n - 1)
+        return num * p1 * p2, v * v * k * n * q1 * q2
 
     def value(self, k: int, n: int, alpha, beta) -> Fraction:
         """Evaluate the kernel as defined; SingularPoint if a denominator form
         vanishes at (k, n)."""
-        alpha, beta = Fraction(alpha), Fraction(beta)
-        n1, n2 = self.forms(k, n, alpha, beta)
-        if n1 == 0 or n2 == 0:
-            raise SingularPoint(f"denominator form vanishes at (k, n) = ({k}, {n})")
-        num = self.b * k * alpha + self.c * n * beta + alpha * beta
-        return num / (n1 * n2) * gen_binomial(n1, k) * gen_binomial(n2, n)
+        v, (al, be) = _over_one_denominator(alpha, beta)
+        return Fraction(*self.pair(k, n, al, be, v))
 
     def value_extended(self, k: int, n: int, alpha, beta) -> Fraction:
-        """Evaluate with the removable singularities cancelled: the numerator
-        always contains the vanishing form as a factor, so the kernel extends
-        to a polynomial in alpha and beta at every fixed (k, n)."""
-        alpha, beta = Fraction(alpha), Fraction(beta)
-        n1, n2 = self.forms(k, n, alpha, beta)
-        if k == 0 and n == 0:
-            return Fraction(1)
-        if k == 0:
-            # numerator = beta * n1; cancel n1 and one factor of binom(n2, n)
-            return beta * _binom_over_top(n2, n)
-        if n == 0:
-            return alpha * _binom_over_top(n1, k)
-        num = self.b * k * alpha + self.c * n * beta + alpha * beta
-        return num * _binom_over_top(n1, k) * _binom_over_top(n2, n)
-
-
-def _binom_over_top(N: Fraction, K: int) -> Fraction:
-    """binom(N, K)/N for K >= 1, as the cancelled product binom(N-1, K-1)/K;
-    polynomial in N."""
-    if K < 1:
-        raise InvalidArgument(f"binom(N, K)/N needs K >= 1, got K = {K}")
-    return gen_binomial(N - 1, K - 1) / K
+        """Evaluate with the removable singularities cancelled."""
+        v, (al, be) = _over_one_denominator(alpha, beta)
+        return Fraction(*self.pair(k, n, al, be, v, extend=True))
 
 
 def kernel(k: int, n: int, alpha, beta, *, a: int, b: int, c: int, d: int) -> Fraction:
     return CarlitzKernel(a, b, c, d).value(k, n, alpha, beta)
 
 
-def check_carlitz_7(params: dict, k: int, n: int, extend: bool = False) -> bool:
-    """The kernel convolution identity: summing the product of two kernels
-    over the split of (k, n) reproduces the kernel at summed shifts."""
-    ker = CarlitzKernel(params["a"], params["b"], params["c"], params["d"])
-    al, be = Fraction(params["alpha"]), Fraction(params["beta"])
-    al2, be2 = Fraction(params["alpha2"]), Fraction(params["beta2"])
-    val = ker.value_extended if extend else ker.value
-    lhs = Fraction(0)
+def carlitz_7_sides(params: dict, k: int, n: int, extend: bool = False):
+    """The terms of the left-hand side of the kernel convolution identity and
+    its right-hand side, as pairs: summing the product of two kernels over the
+    split of (k, n) reproduces the kernel at summed shifts."""
+    ker = CarlitzKernel(*(params[key] for key in "abcd"))
+    v, (al, be, al2, be2) = _over_one_denominator(*(params[key] for key in _SHIFTS))
+    terms = []
     for k1 in range(k + 1):
         for n1 in range(n + 1):
-            lhs += val(k1, n1, al, be) * val(k - k1, n - n1, al2, be2)
-    rhs = val(k, n, al + al2, be + be2)
-    return lhs == rhs
+            p1, q1 = ker.pair(k1, n1, al, be, v, extend)
+            p2, q2 = ker.pair(k - k1, n - n1, al2, be2, v, extend)
+            terms.append((p1 * p2, q1 * q2))
+    return terms, ker.pair(k, n, al + al2, be + be2, v, extend)
+
+
+def carlitz_8_sides(params: dict, k: int, n: int, extend: bool = False):
+    """The terms and right-hand side of the mixed convolution: binomial pairs
+    against the kernel, with the corrected plus sign on the cn shift in the
+    right-hand binomials."""
+    a, b, c, d = (params[key] for key in "abcd")
+    ker = CarlitzKernel(a, b, c, d)
+    v, (al, be, al2, be2) = _over_one_denominator(*(params[key] for key in _SHIFTS))
+    terms = []
+    for k1 in range(k + 1):
+        for n1 in range(n + 1):
+            p1, q1 = _binom((a * k1 + c * n1 - 1) * v + al, v, k1)
+            p2, q2 = _binom((b * k1 + d * n1 - 1) * v + be, v, n1)
+            p3, q3 = ker.pair(k - k1, n - n1, al2, be2, v, extend)
+            terms.append((p1 * p2 * p3, q1 * q2 * q3))
+    p1, q1 = _binom((a * k + c * n - 1) * v + al + al2, v, k)
+    p2, q2 = _binom((b * k + d * n - 1) * v + be + be2, v, n)
+    return terms, (p1 * p2, q1 * q2)
+
+
+def check_carlitz_7(params: dict, k: int, n: int, extend: bool = False) -> bool:
+    """The kernel convolution identity (7) at (k, n)."""
+    return sum_equals(*carlitz_7_sides(params, k, n, extend))
 
 
 def check_carlitz_8(params: dict, k: int, n: int, extend: bool = False) -> bool:
-    """The mixed convolution: binomial pairs against the kernel, with the
-    corrected plus sign on the cn shift in the right-hand binomials."""
-    a, b, c, d = params["a"], params["b"], params["c"], params["d"]
-    ker = CarlitzKernel(a, b, c, d)
-    al, be = Fraction(params["alpha"]), Fraction(params["beta"])
-    al2, be2 = Fraction(params["alpha2"]), Fraction(params["beta2"])
-    val = ker.value_extended if extend else ker.value
-    lhs = Fraction(0)
-    for k1 in range(k + 1):
-        for n1 in range(n + 1):
-            lhs += (
-                gen_binomial(Fraction(a * k1 + c * n1) + al - 1, k1)
-                * gen_binomial(Fraction(b * k1 + d * n1) + be - 1, n1)
-                * val(k - k1, n - n1, al2, be2)
-            )
-    rhs = gen_binomial(Fraction(a * k + c * n) + al + al2 - 1, k) * gen_binomial(
-        Fraction(b * k + d * n) + be + be2 - 1, n
-    )
-    return lhs == rhs
+    """The mixed convolution identity (8) at (k, n)."""
+    return sum_equals(*carlitz_8_sides(params, k, n, extend))
 
 
 def chu_vandermonde(r, s, k: int) -> bool:
     """Vandermonde convolution under the generalized binomial convention,
     valid for negative upper arguments as a polynomial identity."""
-    lhs = sum(gen_binomial(Fraction(r), j) * gen_binomial(Fraction(s), k - j) for j in range(k + 1))
-    return lhs == gen_binomial(Fraction(r) + Fraction(s), k)
+    v, (ur, us) = _over_one_denominator(r, s)
+    terms = []
+    for j in range(k + 1):
+        p1, q1 = _binom(ur, v, j)
+        p2, q2 = _binom(us, v, k - j)
+        terms.append((p1 * p2, q1 * q2))
+    return sum_equals(terms, _binom(ur + us, v, k))
 
 
 def proof_instantiations(m_values=(1, 2, 3)) -> list[dict]:

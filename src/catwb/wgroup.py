@@ -190,11 +190,14 @@ class RootPermBackend:
         when the roots of its cycle sum to zero, that sum being the cycle
         length times its projection onto Fix(p); the reflections below p are
         those of the positive roots in Mov(p) (Brady-Watt), and the rank of
-        the subsystem they span is the rank of p (Carter's lemma)."""
+        the subsystem they span is the rank of p (Carter's lemma).  The cycle
+        of -alpha is the negation of the cycle of alpha, so cycles are walked
+        from positive roots only and each marks its negation as well."""
         packed = self.packed
-        moved = bytearray(self.nroots)
-        seen = bytearray(self.nroots)
-        for g in range(self.nroots):
+        nroots, npos = self.nroots, self.npos
+        moved = bytearray(nroots)
+        seen = bytearray(nroots)
+        for g in range(npos, nroots):
             if seen[g]:
                 continue
             cycle = [g]
@@ -204,9 +207,8 @@ class RootPermBackend:
                 h = p[h]
             in_mov = not sum(map(packed.__getitem__, cycle))
             for h in cycle:
-                seen[h] = 1
-                moved[h] = in_mov
-        npos = self.npos
+                seen[h] = seen[nroots - 1 - h] = 1
+                moved[h] = moved[nroots - 1 - h] = in_mov
         below = [r for r in range(npos) if moved[npos + r]]
         ptype = self.classify(below)
         return ptype.rank, below, ptype

@@ -267,6 +267,11 @@ class TestVerifySuites:
         jsonschema.validate(report, schema)
         assert report["ok"]
 
+    def test_carlitz_line_is_pinned(self, capsys, tmp_path):
+        rc, out = run(capsys, ["verify", "--suite", "carlitz", "--seed", "3", "--cache-dir", str(tmp_path)])
+        assert rc == 0
+        assert out.splitlines()[0] == "carlitz random: 200 passed, 0 skipped; named: 528 passed, 0 skipped"
+
     def test_chains_command(self, capsys):
         rc, out = run(capsys, ["chains", "A2", "--m", "1", "--jumps", "1,1"])
         assert rc == 0
@@ -298,14 +303,25 @@ class TestRunConfig:
         assert out.splitlines()[0] == "k,l,coeff"
 
 
-def test_subprocess_smoke():
+def run_module(*args):
+    """Run `python -m <args>` in a fresh interpreter that imports catwb from src/."""
     pythonpath = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "catwb.cli", "ftriangle", "A2"],
+    return subprocess.run(
+        [sys.executable, "-m", *args],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
+
+
+def test_subprocess_smoke():
+    proc = run_module("catwb.cli", "ftriangle", "A2")
     assert proc.returncode == 0
     assert "3 m x" in proc.stdout
+
+
+def test_python_dash_m_catwb():
+    proc = run_module("catwb", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")
