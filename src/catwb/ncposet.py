@@ -6,13 +6,21 @@ Elements are tuples (w_0; w_1, ..., w_m) of NC indices whose group product is
 the Coxeter element with additive absolute lengths; they are enumerated as
 m-multichains of NC, which bounds the work by the poset size rather than by
 |W|^(m+1).
+
+The order, B >= A iff B[i] <= A[i] in NC for i = 1..m, is built as sorted
+up-lists of element indices: the candidates above A are the product of the
+NC down-lists of its coordinates, each looked up among the elements.  The
+related pairs number Cat^(2m), far fewer than the square of Cat^(m), and the
+bit rows of the Poset are derived from the lists only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import factorial
+from operator import mul
 
 from .errors import BudgetExceeded, InvalidArgument, InvariantError
 from .exactmath import M, MPoly, gen_binomial
@@ -28,7 +36,6 @@ from .wgroup import (
     _build_nc,
     _check_group_cap,
     _check_irreducible,
-    _iter_bits,
 )
 
 
@@ -47,9 +54,12 @@ class NCmPoset:
         return self.poset.size
 
     def maximum(self) -> int:
-        """Index of the unique maximal element (c; identity, ..., identity)."""
-        target = (self.core.top,) + (0,) * self.m
-        return self.elements.index(target)
+        """Index of the unique maximal element (c; identity, ..., identity):
+        the only element with c in slot zero, so it sorts last."""
+        top = self.size - 1
+        if self.elements[top] != (self.core.top,) + (0,) * self.m:
+            raise InvariantError(f"NC^{self.m}({self.type}) does not end with (c; e, ..., e)")
+        return top
 
     def minimal_count(self) -> int:
         return sum(1 for r in self.poset.ranks if r == 0)
@@ -96,57 +106,46 @@ def _build_ncm(t: RootSystemType, m: int) -> NCmPoset:
     n_elements = fuss_catalan(t, m)
     core = _build_nc(t)
     size = core.size
-    ups_list = [sorted(_iter_bits(core.poset.up[i])) for i in range(size)]
     top = core.top
     quot = core.quot
-    elements: list[tuple[int, ...]] = []
-
-    def extend(chain: list[int]):
-        if len(chain) == m:
-            delta = [chain[0]]
-            for a, b in zip(chain, chain[1:]):
-                delta.append(quot[a][b])
-            delta.append(quot[chain[-1]][top])
-            elements.append(tuple(delta))
-            return
-        for nxt in ups_list[chain[-1]]:
-            chain.append(nxt)
-            extend(chain)
-            chain.pop()
-
-    for start in range(size):
-        extend([start])
+    # multichains e <= c_0 <= ... <= c_(m-1) <= c of NC, grown one link at a
+    # time as (delta so far, last link); quot[a] maps each b >= a to a^-1 b
+    level = [((), 0)]
+    for _ in range(m - 1):
+        level = [(delta + (q,), b) for delta, a in level for b, q in quot[a].items()]
+    elements = [delta + (q, quot[b][top]) for delta, a in level for b, q in quot[a].items()]
     if len(elements) != n_elements:
         raise InvariantError(f"NC^{m}({t}) has {len(elements)} elements, Cat^({m}) = {n_elements}")
     elements.sort()
-    N = len(elements)
     ranks = [core.poset.ranks[delta[0]] for delta in elements]
 
-    # up-mask per element: intersection over coordinates 1..m of the sets
-    # {B : B[i] <= delta[i] in NC}
-    coord_masks: list[dict[int, int]] = []
-    for i in range(1, m + 1):
-        with_coord: dict[int, int] = {}
-        for b_idx, delta in enumerate(elements):
-            with_coord[delta[i]] = with_coord.get(delta[i], 0) | (1 << b_idx)
-        le_mask: dict[int, int] = {}
-        for p in range(size):
-            acc = 0
-            for q in _iter_bits(core.poset.down[p]):
-                acc |= with_coord.get(q, 0)
-            le_mask[p] = acc
-        coord_masks.append(le_mask)
-    up = []
-    for delta in elements:
-        mask = coord_masks[0][delta[1]]
-        for i in range(2, m + 1):
-            mask &= coord_masks[i - 1][delta[i]]
-        up.append(mask)
-    poset = Poset(ranks, up)
-    ncm = NCmPoset(t, m, core, elements, poset)
-    # the unique maximum (c; identity, ..., identity)
+    # B >= A iff B[i] <= A[i] in NC for i = 1..m.  Each element is keyed by
+    # delta[1:] as a mixed-radix integer, the sum of delta[i] size^(i-1); the
+    # candidates above A are the keys in the product of the NC down-lists of
+    # its coordinates, and a candidate that is no element reads -1 and is dropped.
+    downs: list[list[int]] = [[i] for i in range(size)]
+    for i, row in enumerate(core.poset.above):
+        for j in row:
+            downs[j].append(i)
+    radix = [size**i for i in range(m)]
+    tables = [[[q * r for q in row] for row in downs] for r in radix]
+    index = {sum(map(mul, delta[1:], radix)): k for k, delta in enumerate(elements)}
+    if len(index) != len(elements):
+        raise InvariantError(f"two elements of NC^{m}({t}) share the coordinates 1..{m}")
+    above = []
+    for k, delta in enumerate(elements):
+        keys = None  # until a coordinate is not the identity: the key 0 alone
+        for scaled, d in zip(tables, delta[1:]):
+            if d:  # the identity is below itself only, and adds 0 to every key
+                keys = scaled[d] if keys is None else [a + b for b in scaled[d] for a in keys]
+        row = sorted(map(index.get, keys or [0], repeat(-1)))
+        misses = row.count(-1)
+        if row[misses] != k:  # delta[0] gains rank up the order, so k sorts first
+            raise InvariantError(f"element {k} of NC^{m}({t}) is not the least of its up-set")
+        above.append(tuple(row[misses + 1 :]))
+    ncm = NCmPoset(t, m, core, elements, Poset(ranks, above))
     top_idx = ncm.maximum()
-    if not all(up[i] >> top_idx & 1 for i in range(N)):
+    if any(not row or row[-1] != top_idx for row in above[:-1]):
         raise InvariantError(f"the maximum of NC^{m}({t}) is not above everything")
     if ranks[top_idx] != t.rank:
         raise InvariantError(f"the maximum of NC^{m}({t}) has rank {ranks[top_idx]}")
@@ -217,8 +216,8 @@ def export_poset_obj(
     edges = []
     for i in range(poset.size):
         ri = poset.ranks[i]
-        for j in _iter_bits(poset.up[i]):
-            if j != i and poset.ranks[j] == ri + 1:
+        for j in poset.above[i]:
+            if poset.ranks[j] == ri + 1:
                 edges.append([i, j])
     edges.sort()
     return {

@@ -427,21 +427,28 @@ def parabolic_type_of(table: GroupTable, w) -> RootSystemType:
 
 
 # ---------------------------------------------------------------------------
-# Generic graded posets with bitmask order relations
+# Generic graded posets: sorted up-lists, bit rows derived on demand
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class Poset:
-    """A finite graded poset: ranks plus an up-relation stored as bit rows.
-    `down`, its transpose, is computed on first use; m_triangle reads only up."""
+    """A finite graded poset: ranks plus the order as sorted strict up-lists,
+    one tuple of indices per element.  The bit rows `up` and `down` are
+    derived from the lists on first read; m_triangle and the NC^m build read
+    only the lists."""
 
     ranks: list[int]
-    up: list[int]  # up[i] has bit j set iff element i <= element j
+    above: list[tuple[int, ...]]  # above[i]: the j > i in the order, increasing
 
     def __post_init__(self):
         self.size = len(self.ranks)
         self._mobius: dict[tuple[int, int], int] = {}
+
+    @cached_property
+    def up(self) -> list[int]:
+        """up[i] has bit j set iff element i <= element j."""
+        return [sum(1 << j for j in (i, *row)) for i, row in enumerate(self.above)]
 
     @cached_property
     def down(self) -> list[int]:
@@ -491,8 +498,8 @@ class Poset:
 
     def m_triangle(self) -> MPoly:
         """Sum of mu(u, w) x^rank(u) y^rank(w) over all pairs u <= w, by the row
-        recursion over up-sets in decreasing rank: h_s(u) = sum of mu(u, w) over
-        w >= u of rank s = [rank u = s] - sum of h_s(v) over v > u."""
+        recursion over the up-lists in decreasing rank: h_s(u) = sum of mu(u, w)
+        over w >= u of rank s = [rank u = s] - sum of h_s(v) over v > u."""
         top_rank = max(self.ranks, default=0)
         h = [[0] * self.size for _ in range(top_rank + 1)]
         tri = [[0] * (top_rank + 1) for _ in range(top_rank + 1)]
@@ -500,7 +507,7 @@ class Poset:
             ru = self.ranks[u]
             h[ru][u] = 1
             tri[ru][ru] += 1
-            above = _iter_bits(self.up[u] & ~(1 << u))
+            above = self.above[u]
             for s in range(ru + 1, top_rank + 1):
                 hs = h[s]
                 hs[u] = v = -sum(map(hs.__getitem__, above))
@@ -607,8 +614,11 @@ def nc_core_to_obj(core: NCCore) -> dict:
 def nc_core_from_obj(obj: dict) -> NCCore:
     if obj.get("repr_version") != REPR_VERSION:
         raise ValueError("stale representation version")
-    poset = Poset(list(obj["ranks"]), [int(h, 16) for h in obj["up"]])
     quot = [{int(j): int(q) for j, q in pairs} for pairs in obj["quot"]]
+    if len(obj["up"]) != len(quot):
+        raise ValueError("the stored order and quotients differ in size")
+    # quot[i] is keyed by the j >= i in increasing order, as nc_core_to_obj writes it
+    poset = Poset(list(obj["ranks"]), [tuple(filter(i.__ne__, q)) for i, q in enumerate(quot)])
     partypes = [RootSystemType.parse(s) for s in obj["partypes"]]
     return NCCore(RootSystemType.parse(obj["type"]), obj["rank"], poset, quot, partypes)
 
@@ -657,17 +667,19 @@ def _build_nc_fresh(t: RootSystemType) -> NCCore:
         level = nxt
     elems = sorted(steps, key=lambda w: (steps[w][0], w))
     index = {w: i for i, w in enumerate(elems)}
-    # top down, each up-set is complete before it is pushed to the covers
-    up = [0] * len(elems)
+    # top down, each strict up-set is complete before it is pushed to the covers
+    ups: list[set[int]] = [set() for _ in elems]
     for i in reversed(range(len(elems))):
-        up[i] |= 1 << i
         for v in steps[elems[i]][1]:
-            up[index[v]] |= up[i]
+            lower = ups[index[v]]  # the up-set of a lower cover of i
+            lower |= ups[i]
+            lower.add(i)
+    above = [tuple(sorted(s)) for s in ups]
     quot = []
     for i, u in enumerate(elems):
         u_inv = inv(u)
-        quot.append({j: index[mul(u_inv, elems[j])] for j in _iter_bits(up[i])})
-    poset = Poset([steps[w][0] for w in elems], up)
+        quot.append({j: index[mul(u_inv, elems[j])] for j in (i, *above[i])})
+    poset = Poset([steps[w][0] for w in elems], above)
     partypes = [steps[w][2] for w in elems]
     if partypes[0] != RootSystemType.empty():
         raise InvariantError(f"identity classified as {partypes[0]}")
@@ -804,7 +816,7 @@ def _decomposition_numbers(t: RootSystemType, max_d: int | None) -> Decompositio
     type_ids = {T: k for k, T in enumerate(types)}
     # the type of the step u -> w is that of the element u^-1 w
     tid = [type_ids[T] for T in core.partypes]
-    up, quot = core.poset.up, core.quot
+    above, quot = core.poset.above, core.quot
     # paths[j][tau]: strict chains from the identity to j with step types tau;
     # elements are in rank order, so every chain reaches j before j is read
     paths = [Counter() for _ in range(core.size)]
@@ -813,7 +825,7 @@ def _decomposition_numbers(t: RootSystemType, max_d: int | None) -> Decompositio
     for i in range(core.size):
         row, paths[i] = paths[i], None
         buckets.update(row)
-        steps = [(paths[j], tid[quot[i][j]]) for j in _iter_bits(up[i]) if j != i]
+        steps = [(paths[j], tid[quot[i][j]]) for j in above[i]]
         for tau, cnt in row.items():
             if len(tau) < depth:
                 for target, ty in steps:
@@ -901,11 +913,8 @@ def chain_count_brute(poset: Poset, rank: int, jumps: tuple[int, ...]) -> int:
     for r in needed[1:]:
         nxt: dict[int, int] = {}
         for f in slices.get(r, []):
-            total = 0
-            mask = poset.up[f]
-            for e, cnt in current.items():
-                if mask >> e & 1:
-                    total += cnt
+            # f itself when a jump is zero, else the e above f
+            total = current.get(f, 0) + sum(current.get(e, 0) for e in poset.above[f])
             if total:
                 nxt[f] = total
         current = nxt

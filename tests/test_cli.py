@@ -16,14 +16,17 @@ from catwb.cli import main
 SCHEMA_DIR = Path(__file__).parent.parent / "src/catwb/schemas"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
-# sha256 of `catwb export-poset <type> --m 1`; pinned so a change to the root
-# tables, the NC sort order or the cores shows up as a changed digest
+# sha256 of `catwb export-poset <type> --m <m>` for "<type>" (m = 1) and
+# "<type>/<m>"; pinned so a change to the root tables, the NC sort order, the
+# cores or the NC^m order relation shows up as a changed digest
 EXPORT_POSET_SHA256 = {
     "A3": "5b6744de2fd6cb025c8d94af6498cb07af27d488560198a74f1f339b557599d2",
+    "A3/2": "6791cef4afb15715150e9682dde230b225c718a7b39bead05519cacc397b40f4",
     "B3": "f721d7e0f0696bd27c4d0344e48deb75d42e3702ff6d9833a6fe4161a14d49f7",
     "D4": "04d1c335c63d234cb8370fda984463b22d0b7153aca3bca2869f790ee9690e42",
     "F4": "eb7ca85d22250489f860c38dee09464bed4a6b87a9c4852cf189776d85399d16",
     "H3": "d8a16041874644fa23f595649133d6fc0a689387d69c4973ea81fec1116b153f",
+    "H3/2": "9aec441ce1528a6a252e4e26f8ad242edee5ab946c5e13921e1084076c9a4949",
     "H4": "5204f68d15422b2ccf56d17952d1a4bf4c4219f311a3b55bcaf1fa32842a2a24",
 }
 
@@ -227,7 +230,8 @@ class TestCache:
     @pytest.mark.parametrize("type_name", sorted(EXPORT_POSET_SHA256))
     def test_export_poset_bytes_are_pinned(self, capsys, tmp_path, type_name):
         out_file = tmp_path / "poset.json"
-        rc, _ = run(capsys, ["export-poset", type_name, "--m", "1", "--out", str(out_file)])
+        name, _, m = type_name.partition("/")
+        rc, _ = run(capsys, ["export-poset", name, "--m", m or "1", "--out", str(out_file)])
         assert rc == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == EXPORT_POSET_SHA256[type_name]
 

@@ -6,6 +6,7 @@ from catwb.errors import BudgetExceeded
 from catwb.exactmath import M, MPoly, MUniPoly
 from catwb.ftriangle import narayana_closed, row_sum
 from catwb.ncposet import (
+    NCmPoset,
     build_ncm,
     export_poset_obj,
     m_triangle_bruteforce,
@@ -13,8 +14,42 @@ from catwb.ncposet import (
     mtriangle_rhs_transform,
     rank_census,
 )
-from catwb.rootdata import ir
-from catwb.wgroup import build_nc, char_poly, decomposition_numbers
+from catwb.rootdata import fuss_catalan, ir
+from catwb.wgroup import _iter_bits, build_nc, char_poly, decomposition_numbers
+
+
+def reference_up_masks(ncm: NCmPoset) -> list[int]:
+    """The order of NC^m as bit rows, built coordinate by coordinate and
+    independently of the up-lists: up[A] is the intersection over i = 1..m
+    of the set of elements B with B[i] <= A[i] in NC."""
+    core, elements = ncm.core, ncm.elements
+    coord_masks: list[dict[int, int]] = []
+    for i in range(1, ncm.m + 1):
+        with_coord: dict[int, int] = {}
+        for b_idx, delta in enumerate(elements):
+            with_coord[delta[i]] = with_coord.get(delta[i], 0) | (1 << b_idx)
+        le_mask: dict[int, int] = {}
+        for p in range(core.size):
+            acc = 0
+            for q in _iter_bits(core.poset.down[p]):
+                acc |= with_coord.get(q, 0)
+            le_mask[p] = acc
+        coord_masks.append(le_mask)
+    up = []
+    for delta in elements:
+        mask = coord_masks[0][delta[1]]
+        for i in range(2, ncm.m + 1):
+            mask &= coord_masks[i - 1][delta[i]]
+        up.append(mask)
+    return up
+
+
+ORACLE_CASES = [
+    (s, m)
+    for s in ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "D5", "F4", "H3", "I2(5)", "I2(8)"]
+    for m in (1, 2, 3)
+    if fuss_catalan(ir(s), m) ** 2 <= 10**7
+]
 
 
 class TestBuildNcm:
@@ -42,6 +77,15 @@ class TestBuildNcm:
         assert p.size == 18
         assert p.poset.rank_counts() == [7, 10, 1]
         assert row_sum(ir("I2(5)"), 2).eval(2) == 18
+
+    @pytest.mark.parametrize("s,m", ORACLE_CASES)
+    def test_order_matches_coordinate_masks(self, s, m):
+        t = ir(s)
+        p = build_ncm(t, m, poset_cap=10**7)
+        assert p.poset.up == reference_up_masks(p)
+        # the related pairs u <= w of NC^m number Cat^(2m)
+        assert sum(len(row) + 1 for row in p.poset.above) == fuss_catalan(t, 2 * m)
+        assert all(list(row) == sorted(row) and all(j > i for j in row) for i, row in enumerate(p.poset.above))
 
     def test_unique_maximum(self):
         p = build_ncm(ir("B2"), 3)

@@ -262,9 +262,10 @@ class TestMTriangleSweep:
 
     def test_down_is_built_on_demand_as_the_transpose_of_up(self):
         built = _poset("H3/2")
-        fresh = Poset(list(built.ranks), list(built.up))
+        fresh = Poset(list(built.ranks), list(built.above))
         fresh.m_triangle()
-        assert "down" not in vars(fresh)  # the sweep reads up only
+        assert "down" not in vars(fresh)  # the sweep reads the up-lists only
+        assert "up" not in vars(fresh)
         loaded = nc_core_from_obj(nc_core_to_obj(build_nc(ir("F4")))).poset
         for poset in (fresh, loaded):
             n = poset.size
