@@ -5,20 +5,26 @@ M-triangle from decomposition numbers.
 Elements are tuples (w_0; w_1, ..., w_m) of NC indices whose group product is
 the Coxeter element with additive absolute lengths; they are enumerated as
 m-multichains of NC, which bounds the work by the poset size rather than by
-|W|^(m+1).
+|W|^(m+1).  Each is keyed by w_1..w_m as a mixed-radix integer; w_0 is
+determined by them.
 
-The order, B >= A iff B[i] <= A[i] in NC for i = 1..m, is built as sorted
-up-lists of element indices: the candidates above A are the product of the
-NC down-lists of its coordinates, each looked up among the elements.  The
-related pairs number Cat^(2m), far fewer than the square of Cat^(m), and the
-bit rows of the Poset are derived from the lists only when read.
+The order is B >= A iff B[i] <= A[i] in NC for i = 1..m, and the tuples
+(w_1, ..., w_m) of NC^m are closed downward under the componentwise NC order
+(Armstrong, Mem. AMS 2009, 3.4).  Proof: write A[i] = B R with absolute
+lengths adding; conjugating R to the front of c = A[0] ... B R ... A[m]
+changes no length, so c = R' A[0] ... B ... A[m] is again length-additive
+and (R' A[0]; A[1], ..., B, ..., A[m]) is an element.  So the strict up-set
+of A is exactly the product of the NC down-lists of A[1], ..., A[m], minus A
+itself.  The Mobius sweep reads these products as keys and never builds the
+order; the sorted up-lists of the Poset are derived from the same products
+only when read (chain counts, the Hasse export).  The related pairs number
+Cat^(2m), far fewer than the square of Cat^(m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import repeat
+from functools import cached_property, lru_cache
 from math import factorial
 from operator import mul
 
@@ -33,6 +39,7 @@ from .wgroup import (
     build_nc,  # re-exported: the benchmark tracer test patches ncposet.build_nc
     char_poly_at_neg_y,
     decomposition_numbers,
+    mobius_sweep,
     _build_nc,
     _check_group_cap,
     _check_irreducible,
@@ -41,28 +48,83 @@ from .wgroup import (
 
 @dataclass
 class NCmPoset:
-    """The m-divisible poset over one irreducible type."""
+    """The m-divisible poset over one irreducible type: its elements in
+    sorted order, which is also rank order since w_0 comes first and NC
+    indices follow rank, their ranks and their coordinate keys.  The order
+    is read off the products of NC down-lists (see the module docstring):
+    m_triangle sweeps them directly, and `poset` derives the sorted up-lists
+    from them on first read."""
 
     type: RootSystemType
     m: int
     core: NCCore
     elements: list[tuple[int, ...]]  # delta tuples of NC indices
-    poset: Poset
+    ranks: list[int]
+    keys: list[int]  # keys[k]: the sum of elements[k][i] |NC|^(i-1) over i = 1..m
 
     @property
     def size(self) -> int:
-        return self.poset.size
+        return len(self.elements)
+
+    @property
+    def name(self) -> str:
+        return f"NC^{self.m}({self.type})"
 
     def maximum(self) -> int:
         """Index of the unique maximal element (c; identity, ..., identity):
         the only element with c in slot zero, so it sorts last."""
         top = self.size - 1
         if self.elements[top] != (self.core.top,) + (0,) * self.m:
-            raise InvariantError(f"NC^{self.m}({self.type}) does not end with (c; e, ..., e)")
+            raise InvariantError(f"{self.name} does not end with (c; e, ..., e)")
         return top
 
     def minimal_count(self) -> int:
-        return sum(1 for r in self.poset.ranks if r == 0)
+        return self.ranks.count(0)
+
+    def _up_keys(self, elements):
+        """For each delta in turn, the keys of its closed up-set: the product
+        of the NC down-lists of delta[1..m], scaled by the radix.  Each
+        down-list starts with its own element, so the key of delta comes
+        first."""
+        core = self.core
+        downs: list[list[int]] = [[i] for i in range(core.size)]
+        for i, row in enumerate(core.poset.above):
+            for j in row:
+                downs[j].append(i)
+        tables = [[[q * core.size**i for q in row] for row in downs] for i in range(self.m)]
+        for delta in elements:
+            keys = None  # until a coordinate is not the identity: the key 0 alone
+            for scaled, d in zip(tables, delta[1:]):
+                if d:  # the identity is below itself only, and adds 0 to every key
+                    keys = scaled[d] if keys is None else [a + b for b in scaled[d] for a in keys]
+            yield keys or (0,)
+
+    def m_triangle(self) -> MPoly:
+        """Sum of mu(A, B) x^rank(A) y^rank(B) over all pairs A <= B: the
+        packed Mobius sweep of wgroup over the elements in reverse, each
+        reading its up-set as keys, with no up-lists built.  A key that is no
+        element raises InvariantError."""
+        upsets = zip(reversed(self.ranks), self._up_keys(reversed(self.elements)))
+        return mobius_sweep(self.type.rank, self.size, upsets, self.name)
+
+    @cached_property
+    def poset(self) -> Poset:
+        """The order as sorted strict up-lists, derived from the key products
+        on first read; the Mobius sweep does not need it."""
+        index = {key: k for k, key in enumerate(self.keys)}
+        above = []
+        try:
+            for k, keys in enumerate(self._up_keys(self.elements)):
+                row = sorted(map(index.__getitem__, keys))
+                if row[0] != k:  # delta[0] gains rank up the order, so k sorts first
+                    raise InvariantError(f"element {k} of {self.name} is not the least of its up-set")
+                above.append(tuple(row[1:]))
+        except KeyError as exc:
+            raise InvariantError(f"{self.name}: key {exc.args[0]} lies above an element but is no element") from None
+        top = self.maximum()
+        if any(not row or row[-1] != top for row in above[:-1]):
+            raise InvariantError(f"the maximum of {self.name} is not above everything")
+        return Poset(self.ranks, above)
 
 
 @dataclass(frozen=True)
@@ -105,50 +167,27 @@ def build_ncm(
 def _build_ncm(t: RootSystemType, m: int) -> NCmPoset:
     n_elements = fuss_catalan(t, m)
     core = _build_nc(t)
-    size = core.size
-    top = core.top
     quot = core.quot
     # multichains e <= c_0 <= ... <= c_(m-1) <= c of NC, grown one link at a
-    # time as (delta so far, last link); quot[a] maps each b >= a to a^-1 b
+    # time as (delta so far, last link); quot[a] lists a^-1 b for each b in
+    # closed[a] = (a, *above[a]), and ends with a^-1 c
+    closed = [(a, *row) for a, row in enumerate(core.poset.above)]
     level = [((), 0)]
     for _ in range(m - 1):
-        level = [(delta + (q,), b) for delta, a in level for b, q in quot[a].items()]
-    elements = [delta + (q, quot[b][top]) for delta, a in level for b, q in quot[a].items()]
+        level = [(delta + (q,), b) for delta, a in level for b, q in zip(closed[a], quot[a])]
+    elements = [delta + (q, quot[b][-1]) for delta, a in level for b, q in zip(closed[a], quot[a])]
     if len(elements) != n_elements:
         raise InvariantError(f"NC^{m}({t}) has {len(elements)} elements, Cat^({m}) = {n_elements}")
     elements.sort()
     ranks = [core.poset.ranks[delta[0]] for delta in elements]
-
-    # B >= A iff B[i] <= A[i] in NC for i = 1..m.  Each element is keyed by
-    # delta[1:] as a mixed-radix integer, the sum of delta[i] size^(i-1); the
-    # candidates above A are the keys in the product of the NC down-lists of
-    # its coordinates, and a candidate that is no element reads -1 and is dropped.
-    downs: list[list[int]] = [[i] for i in range(size)]
-    for i, row in enumerate(core.poset.above):
-        for j in row:
-            downs[j].append(i)
-    radix = [size**i for i in range(m)]
-    tables = [[[q * r for q in row] for row in downs] for r in radix]
-    index = {sum(map(mul, delta[1:], radix)): k for k, delta in enumerate(elements)}
-    if len(index) != len(elements):
+    radix = [core.size**i for i in range(m)]
+    keys = [sum(map(mul, delta[1:], radix)) for delta in elements]
+    if len(set(keys)) != len(keys):
         raise InvariantError(f"two elements of NC^{m}({t}) share the coordinates 1..{m}")
-    above = []
-    for k, delta in enumerate(elements):
-        keys = None  # until a coordinate is not the identity: the key 0 alone
-        for scaled, d in zip(tables, delta[1:]):
-            if d:  # the identity is below itself only, and adds 0 to every key
-                keys = scaled[d] if keys is None else [a + b for b in scaled[d] for a in keys]
-        row = sorted(map(index.get, keys or [0], repeat(-1)))
-        misses = row.count(-1)
-        if row[misses] != k:  # delta[0] gains rank up the order, so k sorts first
-            raise InvariantError(f"element {k} of NC^{m}({t}) is not the least of its up-set")
-        above.append(tuple(row[misses + 1 :]))
-    ncm = NCmPoset(t, m, core, elements, Poset(ranks, above))
-    top_idx = ncm.maximum()
-    if any(not row or row[-1] != top_idx for row in above[:-1]):
-        raise InvariantError(f"the maximum of NC^{m}({t}) is not above everything")
-    if ranks[top_idx] != t.rank:
-        raise InvariantError(f"the maximum of NC^{m}({t}) has rank {ranks[top_idx]}")
+    ncm = NCmPoset(t, m, core, elements, ranks, keys)
+    top = ncm.maximum()
+    if ranks[top] != t.rank:
+        raise InvariantError(f"the maximum of NC^{m}({t}) has rank {ranks[top]}")
     return ncm
 
 
@@ -156,17 +195,16 @@ def rank_census(
     t: RootSystemType, m: int, group_cap: int | None = None, poset_cap: int | None = None
 ) -> NarayanaVector:
     """Counts of elements by rank: the Fuss-Narayana numbers at concrete m."""
-    ncm = build_ncm(t, m, group_cap, poset_cap)
-    counts = ncm.poset.rank_counts()
-    return NarayanaVector(t, tuple(counts))
+    ranks = build_ncm(t, m, group_cap, poset_cap).ranks
+    return NarayanaVector(t, tuple(ranks.count(r) for r in range(t.rank + 1)))
 
 
 def m_triangle_bruteforce(
     t: RootSystemType, m: int, group_cap: int | None = None, poset_cap: int | None = None
 ) -> MTriangle:
-    """The M-triangle by the generic Mobius recursion over all related pairs."""
-    ncm = build_ncm(t, m, group_cap, poset_cap)
-    return MTriangle(t, m, ncm.poset.m_triangle())
+    """The M-triangle by the packed Mobius sweep over all related pairs of
+    NC^m, read as products of NC down-lists."""
+    return MTriangle(t, m, build_ncm(t, m, group_cap, poset_cap).m_triangle())
 
 
 def mtriangle_rhs_transform(mt: MPoly, n: int) -> MPoly:

@@ -339,7 +339,10 @@ def _classify_labeled_component(nodes: list[int], edges: list[tuple[int, int, in
     raise ClassificationError("diagram component matches no catalog type")
 
 
-def _classify_diagram(num: int, edges: list[tuple[int, int, int]]) -> RootSystemType:
+@lru_cache(maxsize=None)
+def _classify_diagram(num: int, edges: tuple[tuple[int, int, int], ...]) -> RootSystemType:
+    """The type of a labelled Coxeter diagram on nodes 0..num-1, memoised on
+    (num, edges): NC builds meet the same few diagrams many times."""
     parent = list(range(num))
 
     def find(v):
@@ -374,5 +377,5 @@ def deletion_types(t: RootSystemType) -> tuple[RootSystemType, ...]:
         keep = [v for v in range(n) if v != removed]
         remap = {v: i for i, v in enumerate(keep)}
         sub_edges = [(remap[i], remap[j], lab) for i, j, lab in edges if i != removed and j != removed]
-        out.append(_classify_diagram(len(keep), sub_edges))
+        out.append(_classify_diagram(len(keep), tuple(sub_edges)))
     return tuple(out)

@@ -250,7 +250,7 @@ class RootPermBackend:
                 label += 1
             if label > 2:
                 edges.append((ii, jj, label))
-        result = _classify_diagram(len(simples), edges)
+        result = _classify_diagram(len(simples), tuple(edges))
         if positive_root_count(result) != len(below):
             raise ClassificationError(
                 f"{result} expects {positive_root_count(result)} positive roots, got {len(below)}"
@@ -435,8 +435,7 @@ def parabolic_type_of(table: GroupTable, w) -> RootSystemType:
 class Poset:
     """A finite graded poset: ranks plus the order as sorted strict up-lists,
     one tuple of indices per element.  The bit rows `up` and `down` are
-    derived from the lists on first read; m_triangle and the NC^m build read
-    only the lists."""
+    derived from the lists on first read; m_triangle reads only the lists."""
 
     ranks: list[int]
     above: list[tuple[int, ...]]  # above[i]: the j > i in the order, increasing
@@ -497,22 +496,11 @@ class Poset:
         return g
 
     def m_triangle(self) -> MPoly:
-        """Sum of mu(u, w) x^rank(u) y^rank(w) over all pairs u <= w, by the row
-        recursion over the up-lists in decreasing rank: h_s(u) = sum of mu(u, w)
-        over w >= u of rank s = [rank u = s] - sum of h_s(v) over v > u."""
-        top_rank = max(self.ranks, default=0)
-        h = [[0] * self.size for _ in range(top_rank + 1)]
-        tri = [[0] * (top_rank + 1) for _ in range(top_rank + 1)]
-        for u in sorted(range(self.size), key=self.ranks.__getitem__, reverse=True):
-            ru = self.ranks[u]
-            h[ru][u] = 1
-            tri[ru][ru] += 1
-            above = self.above[u]
-            for s in range(ru + 1, top_rank + 1):
-                hs = h[s]
-                hs[u] = v = -sum(map(hs.__getitem__, above))
-                tri[ru][s] += v
-        return MPoly({(ru, s): v for ru, row in enumerate(tri) for s, v in enumerate(row) if v})
+        """Sum of mu(u, w) x^rank(u) y^rank(w) over all pairs u <= w, by the
+        packed Mobius sweep over the up-lists in decreasing rank."""
+        order = sorted(range(self.size), key=self.ranks.__getitem__, reverse=True)
+        upsets = ((self.ranks[u], (u, *self.above[u])) for u in order)
+        return mobius_sweep(max(self.ranks, default=0), self.size, upsets, "the poset")
 
     def zeta_values(self, i: int, j: int, max_z: int) -> list[int]:
         """Multichain counts from i to j with z links, for z = 0..max_z."""
@@ -558,6 +546,48 @@ class Poset:
         return out
 
 
+def mobius_sweep(n: int, size: int, upsets, name: str) -> MPoly:
+    """The M-triangle, sum of mu(u, w) x^rank(u) y^rank(w) over all pairs
+    u <= w of a poset of `size` elements and ranks 0..n, in one pass.
+
+    `upsets` yields (rank u, closed up-set of u) in non-increasing rank, each
+    up-set listing u first and then the v > u, by any hashable keys.  The
+    row h_s(u) = sum of mu(u, w) over w >= u of rank s obeys
+    h_s(u) = [rank u = s] - sum of h_s(v) over v > u, so each element gets one
+    integer h(u) = X^rank(u) - sum of h(v) over v > u, with field s of h(u),
+    in base X = 2^W, holding h_s(u), and row r of the triangle is the sum of
+    h(u) over u of rank r.  |h_s(u)| is at most the number of chains from u,
+    at most (size + 1)^n, and a row sum is below (size + 1)^(n + 1), so with
+    W = (n + 1) bitlen(size + 1) + 1 every field is below X/2 in magnitude
+    and reads back exactly as a balanced digit.  A key above an element that
+    was not swept before it raises InvariantError naming the poset.
+    """
+    width = (n + 1) * (size + 1).bit_length() + 1
+    ones = [1 << width * r for r in range(n + 1)]
+    rows = [0] * (n + 1)
+    h: dict = {}
+    get = h.__getitem__
+    try:
+        for r, up in upsets:
+            h[up[0]] = v = ones[r] - sum(map(get, itertools.islice(up, 1, None)))
+            rows[r] += v
+    except KeyError as exc:
+        raise InvariantError(
+            f"{name}: {exc.args[0]!r} lies above an element but is not an element of higher rank"
+        ) from None
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    terms = {}
+    for r, v in enumerate(rows):
+        for s in range(n + 1):
+            d = v & mask
+            if d >= half:
+                d -= mask + 1
+            if d:
+                terms[(r, s)] = d
+            v = (v - d) >> width
+    return MPoly(terms)
+
+
 # ---------------------------------------------------------------------------
 # The non-crossing partition poset NC and its quotient structure
 # ---------------------------------------------------------------------------
@@ -567,12 +597,14 @@ class Poset:
 class NCCore:
     """NC for one irreducible type: the interval below the Coxeter element,
     with the order relation, rank function, per-pair quotients u^-1 w (again
-    indices into NC), and the parabolic type of every element."""
+    indices into NC), and the parabolic type of every element.  quot[i] is
+    aligned with (i, *poset.above[i]): it lists u_i^-1 u_j for each of those
+    j, so it starts with the identity 0 and ends with u_i^-1 c."""
 
     type: RootSystemType
     rank: int
     poset: Poset
-    quot: list[dict[int, int]]
+    quot: list[tuple[int, ...]]
     partypes: list[RootSystemType]
     elements: list = field(repr=False, default=None)
 
@@ -606,7 +638,10 @@ def nc_core_to_obj(core: NCCore) -> dict:
         "rank": core.rank,
         "ranks": list(core.poset.ranks),
         "up": [format(mask, "x") for mask in core.poset.up],
-        "quot": [[[j, q[j]] for j in sorted(q)] for q in core.quot],
+        "quot": [
+            [[j, q] for j, q in zip((i, *row), qs)]
+            for i, (row, qs) in enumerate(zip(core.poset.above, core.quot))
+        ],
         "partypes": [str(t) for t in core.partypes],
     }
 
@@ -614,11 +649,17 @@ def nc_core_to_obj(core: NCCore) -> dict:
 def nc_core_from_obj(obj: dict) -> NCCore:
     if obj.get("repr_version") != REPR_VERSION:
         raise ValueError("stale representation version")
-    quot = [{int(j): int(q) for j, q in pairs} for pairs in obj["quot"]]
+    above, quot = [], []
+    # the pairs of row i are (j, u_i^-1 u_j) for j = i, then the j > i in increasing order
+    for i, pairs in enumerate(obj["quot"]):
+        js, qs = zip(*pairs)
+        if js[0] != i:
+            raise ValueError(f"stored quotient row {i} does not start at {i}")
+        above.append(tuple(map(int, js[1:])))
+        quot.append(tuple(map(int, qs)))
     if len(obj["up"]) != len(quot):
         raise ValueError("the stored order and quotients differ in size")
-    # quot[i] is keyed by the j >= i in increasing order, as nc_core_to_obj writes it
-    poset = Poset(list(obj["ranks"]), [tuple(filter(i.__ne__, q)) for i, q in enumerate(quot)])
+    poset = Poset(list(obj["ranks"]), above)
     partypes = [RootSystemType.parse(s) for s in obj["partypes"]]
     return NCCore(RootSystemType.parse(obj["type"]), obj["rank"], poset, quot, partypes)
 
@@ -678,7 +719,7 @@ def _build_nc_fresh(t: RootSystemType) -> NCCore:
     quot = []
     for i, u in enumerate(elems):
         u_inv = inv(u)
-        quot.append({j: index[mul(u_inv, elems[j])] for j in (i, *above[i])})
+        quot.append(tuple(index[mul(u_inv, elems[j])] for j in (i, *above[i])))
     poset = Poset([steps[w][0] for w in elems], above)
     partypes = [steps[w][2] for w in elems]
     if partypes[0] != RootSystemType.empty():
@@ -825,7 +866,7 @@ def _decomposition_numbers(t: RootSystemType, max_d: int | None) -> Decompositio
     for i in range(core.size):
         row, paths[i] = paths[i], None
         buckets.update(row)
-        steps = [(paths[j], tid[quot[i][j]]) for j in above[i]]
+        steps = [(paths[j], tid[q]) for j, q in zip(above[i], quot[i][1:])]
         for tau, cnt in row.items():
             if len(tau) < depth:
                 for target, ty in steps:

@@ -1,8 +1,10 @@
 """m-divisible posets: construction, censuses, M-triangles both ways."""
 
+import hashlib
+
 import pytest
 
-from catwb.errors import BudgetExceeded
+from catwb.errors import BudgetExceeded, InvariantError
 from catwb.exactmath import M, MPoly, MUniPoly
 from catwb.ftriangle import narayana_closed, row_sum
 from catwb.ncposet import (
@@ -13,9 +15,23 @@ from catwb.ncposet import (
     m_triangle_formula,
     mtriangle_rhs_transform,
     rank_census,
+    _build_ncm,
 )
 from catwb.rootdata import fuss_catalan, ir
 from catwb.wgroup import _iter_bits, build_nc, char_poly, decomposition_numbers
+
+from mobius_reference import reference_m_triangle
+
+# sha256 of MPoly.dumps() of m_triangle_bruteforce(t, m).poly, taken from the
+# sweep over sorted up-lists that preceded the coordinate sweep
+BRUTE_SHA256 = {
+    "A3/3": "af06696b9aee3789186ff510a48c2bdab90e904a6ab109dc98ca423be1b1c522",
+    "B3/2": "47da756e80697f3ddf10205988390c24205c4362501e524dca884f93bb419177",
+    "D4/2": "30dc4a25ceb9b2bd70aafd0b3b7a774561d541bf0566596e482e3db55bbf9006",
+    "F4/1": "650f24dfb7ef9df067842fa8fbe048ee61c1bca6b58096936419fc477f5da5d3",
+    "H3/3": "612f09a6628c55208b8e1c6298c99dd0f3b1c4483438662304077a0478bdd5b4",
+    "I2(7)/2": "fc862d0d10075af397c42637568253e31cdd55221179d3382fec10c97283c706",
+}
 
 
 def reference_up_masks(ncm: NCmPoset) -> list[int]:
@@ -86,6 +102,30 @@ class TestBuildNcm:
         # the related pairs u <= w of NC^m number Cat^(2m)
         assert sum(len(row) + 1 for row in p.poset.above) == fuss_catalan(t, 2 * m)
         assert all(list(row) == sorted(row) and all(j > i for j in row) for i, row in enumerate(p.poset.above))
+        # the sweep over coordinate keys against the row recursion on the derived lists
+        assert p.m_triangle() == reference_m_triangle(p.poset) == p.poset.m_triangle()
+
+    def test_sweep_and_census_derive_no_up_lists(self):
+        t = ir("B3")
+        _build_ncm.cache_clear()
+        m_triangle_bruteforce(t, 2)
+        p = build_ncm(t, 2)
+        assert "poset" not in vars(p)
+        assert rank_census(t, 2).entries == tuple(p.poset.rank_counts())
+        rank_census(t, 3)
+        assert "poset" not in vars(build_ncm(t, 3))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_a_missing_element_is_refused(self, rank):
+        # an element of positive rank lies above a minimal one, so its key is
+        # in the product of that minimal element's down-lists
+        p = build_ncm(ir("B3"), 2)
+        k = p.ranks.index(rank)
+        cut = NCmPoset(p.type, p.m, p.core, *([x for i, x in enumerate(seq) if i != k] for seq in (p.elements, p.ranks, p.keys)))
+        with pytest.raises(InvariantError, match=rf"NC\^2\(B3\): {p.keys[k]} lies above an element"):
+            cut.m_triangle()
+        with pytest.raises(InvariantError, match=rf"NC\^2\(B3\): key {p.keys[k]} lies above an element"):
+            cut.poset
 
     def test_unique_maximum(self):
         p = build_ncm(ir("B2"), 3)
@@ -178,6 +218,12 @@ class TestMTriangles:
             mt = m_triangle_bruteforce(ir(s), m).poly
             assert mt.coeff(0, 0).constant_value() == p.minimal_count()
             assert mt.coeff(ir(s).rank, ir(s).rank) == MUniPoly.const(1)
+
+    @pytest.mark.parametrize("case", BRUTE_SHA256)
+    def test_bruteforce_is_pinned(self, case):
+        name, m = case.split("/")
+        poly = m_triangle_bruteforce(ir(name), int(m)).poly
+        assert hashlib.sha256(poly.dumps().encode()).hexdigest() == BRUTE_SHA256[case]
 
     def test_formula_a1(self):
         assert m_triangle_formula(ir("A1")).poly == MPoly(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from catwb.errors import BudgetExceeded, NotComparable
+from catwb.errors import BudgetExceeded, InvariantError, NotComparable
 from catwb.exactmath import MPoly
 from catwb.ncposet import build_ncm
 from catwb.rootdata import group_order, ir
@@ -39,6 +39,7 @@ from catwb.wgroup import (
 )
 
 from golden import GOLDEN_CHAR, golden_char_i2, golden_decomp_i2, GOLDEN_DECOMP
+from mobius_reference import reference_m_triangle
 
 SMALL_GROUPS = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "D5", "H3", "F4"] + [
     f"I2({a})" for a in range(3, 11)
@@ -241,9 +242,26 @@ def _poset(case: str) -> Poset:
     return build_ncm(ir(name), int(m)).poset if m else build_nc(ir(name)).poset
 
 
+def _layered(sizes: tuple[int, ...]) -> Poset:
+    """Layers of the given sizes, each element below every element of every
+    later layer; rank = layer."""
+    ranks = [r for r, k in enumerate(sizes) for _ in range(k)]
+    return Poset(ranks, [tuple(j for j in range(len(ranks)) if ranks[j] > r) for r in ranks])
+
+
+def _boolean(n: int) -> Poset:
+    """The subsets of an n-set ordered by inclusion, listed by size."""
+    sets = sorted(range(1 << n), key=lambda a: (a.bit_count(), a))
+    return Poset(
+        [a.bit_count() for a in sets],
+        [tuple(j for j, b in enumerate(sets) if a & b == a and a != b) for a in sets],
+    )
+
+
 class TestMTriangleSweep:
-    """m_triangle sweeps up-sets once; the column recursion over down-sets and
-    the pairwise Mobius function are the references."""
+    """m_triangle sweeps up-sets once; the column recursion over down-sets,
+    the pairwise Mobius function and the row recursion with one list per
+    rank are the references."""
 
     @pytest.mark.parametrize(
         "case",
@@ -258,7 +276,38 @@ class TestMTriangleSweep:
         for u in range(poset.size):
             for w in _iter_bits(poset.up[u]):
                 pairs[poset.ranks[u], poset.ranks[w]] += poset.mobius(u, w)
-        assert poset.m_triangle() == MPoly(columns) == MPoly(pairs)
+        assert poset.m_triangle() == MPoly(columns) == MPoly(pairs) == reference_m_triangle(poset)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(1, 1, 1), (1, 2, 1), (1, 1000, 1), (1, 200, 200, 1), (1, 60, 60, 60, 1), (3, 7, 90, 2), (2, 2, 2, 2, 2, 2, 2)],
+    )
+    def test_large_mobius_values_of_both_signs(self, sizes):
+        # k atoms between two bounds give mu(0, 1) = k - 1; in general, from
+        # one bottom element u, mu(u, x) depends on the layer L of x alone:
+        # mu_0 = 1 and mu_L = -(mu_0 + sum of k_i mu_i over 0 < i < L)
+        mus = [1]
+        for L in range(1, len(sizes)):
+            mus.append(-(1 + sum(k * mu for k, mu in zip(sizes[1:L], mus[1:]))))
+        poset = _layered(sizes)
+        tri = poset.m_triangle()
+        assert tri == reference_m_triangle(poset)
+        assert [tri.coeff(0, L).constant_value() for L in range(len(sizes))] == [
+            sizes[0] * k * mu for k, mu in zip((1, *sizes[1:]), mus)
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_boolean_lattice(self, n):
+        # mu(S, T) = (-1)^|T - S|: entry (r, s) is (-1)^(s-r) C(n, r) C(n - r, s - r)
+        from math import comb
+
+        poset = _boolean(n)
+        expected = {(r, s): (-1) ** (s - r) * comb(n, r) * comb(n - r, s - r) for r in range(n + 1) for s in range(r, n + 1)}
+        assert poset.m_triangle() == MPoly(expected) == reference_m_triangle(poset)
+
+    def test_an_up_list_into_a_lower_rank_is_refused(self):
+        with pytest.raises(InvariantError, match="the poset: 0 lies above an element"):
+            Poset([0, 1], [(1,), (0,)]).m_triangle()
 
     def test_down_is_built_on_demand_as_the_transpose_of_up(self):
         built = _poset("H3/2")
@@ -297,7 +346,7 @@ class TestTopDownBuild:
         for i, u in enumerate(elems):
             above = [j for j, w in enumerate(elems) if abs_leq(g, u, w)]
             assert list(_iter_bits(core.poset.up[i])) == above
-            assert core.quot[i] == {j: index[mul(inv(u), elems[j])] for j in above}
+            assert dict(zip(above, core.quot[i], strict=True)) == {j: index[mul(inv(u), elems[j])] for j in above}
         assert core.partypes == [parabolic_type_of(g, w) for w in elems]
 
     @pytest.mark.parametrize("s,nroots", [("A16", 272), ("B12", 288), ("D12", 264)])
@@ -375,9 +424,9 @@ class TestDecomposition:
         walked = Counter()  # strict chains from the identity by ordered step types
 
         def walk(i, prefix):
-            for j in _iter_bits(core.poset.up[i]):
+            for j, q in zip(_iter_bits(core.poset.up[i]), core.quot[i], strict=True):
                 if j != i:
-                    tau = prefix + (core.partypes[core.quot[i][j]],)
+                    tau = prefix + (core.partypes[q],)
                     walked[tau] += 1
                     if len(tau) < t.rank:
                         walk(j, tau)
