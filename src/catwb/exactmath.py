@@ -2,12 +2,13 @@
 the one representation of the golden-ratio field), univariate polynomials in
 the Fuss parameter m, sparse bivariate polynomials in (x, y) whose
 coefficients are such m-polynomials, and the two polynomial transforms the
-identities need, each one integer kernel per monomial.
+identities need.
 
 Everything here is immutable and exact; no floats anywhere.  Scalars are
 ints and `fractions.Fraction`s; an m-polynomial keeps integer numerators over
-one common denominator, so its arithmetic is integer arithmetic, and its
-coefficients come back as Fractions only when read.
+one common denominator, and its coefficients come back as Fractions only when
+read.  Every bivariate product, sum, scaling and transform is one integer
+kernel: numerators over one denominator, accumulated per output monomial.
 """
 
 from __future__ import annotations
@@ -27,6 +28,19 @@ def _as_fraction(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
+
+
+def _parts(v) -> tuple[tuple[int, ...], int]:
+    """The numerators and denominator of an MUniPoly, int or Fraction, with
+    no Fraction built; anything else (bool too) is coerced first."""
+    if isinstance(v, MUniPoly):
+        return v.nums, v.den
+    if type(v) is int:
+        return (v,), 1
+    if isinstance(v, Fraction):
+        return (v.numerator,), v.denominator
+    v = MUniPoly.coerce(v)
+    return v.nums, v.den
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +188,13 @@ class MUniPoly:
     # arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        other = MUniPoly.coerce(other)
-        a, b, den = self.nums, other.nums, self.den
-        if den != other.den:
-            g = gcd(den, other.den)
-            a = [c * (other.den // g) for c in a]
+        b, bden = _parts(other)
+        a, den = self.nums, self.den
+        if den != bden:
+            g = gcd(den, bden)
+            a = [c * (bden // g) for c in a]
             b = [c * (den // g) for c in b]
-            den *= other.den // g
+            den *= bden // g
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -194,14 +208,16 @@ class MUniPoly:
         return _mup([-a for a in self.nums], self.den)
 
     def __sub__(self, other):
-        return self + (-MUniPoly.coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return MUniPoly.coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        other = MUniPoly.coerce(other)
-        a, b = self.nums, other.nums
+        b, bden = _parts(other)
+        a = self.nums
+        if len(b) == 1:  # a scalar scales the numerators
+            return _mup([c * b[0] for c in a], self.den * bden)
         if not a or not b:
             return MUniPoly()
         out = [0] * (len(a) + len(b) - 1)
@@ -209,7 +225,7 @@ class MUniPoly:
             if c:
                 for j, d in enumerate(b):
                     out[i + j] += c * d
-        return _mup(out, self.den * other.den)
+        return _mup(out, self.den * bden)
 
     __rmul__ = __mul__
 
@@ -414,17 +430,17 @@ class MPoly:
         out = dict(self.terms)
         for key, c in other.terms.items():
             s = out.get(key)
-            s = c if s is None else s + c
+            s = c if s is None else s + c  # numerators over the lcm of the denominators
             if s:
                 out[key] = s
             else:
-                out.pop(key, None)
-        return MPoly(out)
+                del out[key]
+        return _mpoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly({k: -c for k, c in self.terms.items()})
+        return _mpoly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-MPoly.coerce(other))
@@ -434,16 +450,18 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MUniPoly)):
-            c0 = MUniPoly.coerce(other)
-            return MPoly({k: c * c0 for k, c in self.terms.items()})
-        out: dict[tuple[int, int], MUniPoly] = {}
-        for (k1, l1), c1 in self.terms.items():
-            for (k2, l2), c2 in other.terms.items():
-                key = (k1 + k2, l1 + l2)
-                p = c1 * c2
-                s = out.get(key)
-                out[key] = p if s is None else s + p
-        return MPoly(out)
+            return _mpoly({k: p for k, c in self.terms.items() if (p := c * other)})
+        da, wa, rows_a = _rows(self)
+        db, wb, rows_b = _rows(other)
+        acc: dict[tuple[int, int], list[int]] = {}
+        for (k1, l1), a in rows_a:
+            for (k2, l2), b in rows_b:
+                row = acc.setdefault((k1 + k2, l1 + l2), [0] * (wa + wb - 1))
+                for i, c in enumerate(a):
+                    if c:
+                        for j, d in enumerate(b, i):
+                            row[j] += c * d
+        return _from_rows(acc, da * db)
 
     __rmul__ = __mul__
 
@@ -473,22 +491,13 @@ class MPoly:
 
     def diff_y(self) -> "MPoly":
         """Partial derivative with respect to y."""
-        out = {}
-        for (k, l), c in self.terms.items():
-            if l >= 1:
-                out[(k, l - 1)] = c * l
-        return MPoly(out)
+        return _mpoly({(k, l - 1): c * l for (k, l), c in self.terms.items() if l})
 
     def eval_m(self, m_value: int) -> "MPoly":
         """Evaluate every coefficient at a concrete m >= 0."""
         if m_value < 0:
             raise InvalidArgument("m must be non-negative")
-        out = {}
-        for key, c in self.terms.items():
-            v = c.eval(m_value)
-            if v:
-                out[key] = MUniPoly.const(v)
-        return MPoly(out)
+        return MPoly({key: MUniPoly.const(c.eval(m_value)) for key, c in self.terms.items()})
 
     def eval_xy(self, x_value, y_value):
         """Evaluate at exact numeric (x, y); coefficients must be constant."""
@@ -512,17 +521,10 @@ class MPoly:
 
     def to_json_obj(self) -> list[dict]:
         """Canonical JSON form: term list sorted by (dx, dy)."""
-        out = []
-        for (k, l) in sorted(self.terms):
-            c = self.terms[(k, l)]
-            out.append(
-                {
-                    "dx": k,
-                    "dy": l,
-                    "coeff": [f"{q.numerator}/{q.denominator}" for q in c.coeffs],
-                }
-            )
-        return out
+        return [
+            {"dx": k, "dy": l, "coeff": [f"{a // g}/{c.den // g}" for a in c.nums for g in (gcd(a, c.den),)]}
+            for (k, l), c in sorted(self.terms.items())
+        ]
 
     @staticmethod
     def from_json_obj(obj: Iterable[Mapping]) -> "MPoly":
@@ -576,6 +578,26 @@ class MPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _mpoly(terms: dict[tuple[int, int], MUniPoly]) -> MPoly:
+    """An MPoly over coefficients that are already nonzero MUniPolys."""
+    p = object.__new__(MPoly)
+    object.__setattr__(p, "terms", terms)
+    return p
+
+
+def _rows(F: MPoly) -> tuple[int, int, list[tuple[tuple[int, int], tuple[int, ...]]]]:
+    """F's coefficients as integer rows over their common denominator:
+    (denominator, longest row, [(monomial, numerators)])."""
+    den = lcm(*(c.den for c in F.terms.values()))
+    rows = [(key, tuple(a * (den // c.den) for a in c.nums)) for key, c in F.terms.items()]
+    return den, max((len(nums) for _, nums in rows), default=0), rows
+
+
+def _from_rows(acc: dict[tuple[int, int], list[int]], den: int) -> MPoly:
+    """The MPoly with numerator rows `acc` over `den`, zero rows dropped."""
+    return _mpoly({key: c for key, row in acc.items() if (c := _mup(row, den))})
+
+
 def poly_eval_m(p: MPoly, m_value: int) -> MPoly:
     """Evaluate every coefficient polynomial at a concrete m >= 0."""
     return p.eval_m(m_value)
@@ -607,16 +629,14 @@ def _apply_kernel(F: MPoly, kernel: Callable[[int, int, int], tuple], n: int) ->
     """The linear map sending each x^k y^l to kernel(n, k, l), applied to F:
     integer numerators over the common denominator of F's coefficients are
     accumulated per output monomial, and each MUniPoly is built once."""
-    den = lcm(*(c.den for c in F.terms.values()))
-    width = max((len(c.nums) for c in F.terms.values()), default=0)
+    den, width, rows = _rows(F)
     acc: dict[tuple[int, int], list[int]] = {}
-    for (k, l), c in F.terms.items():
-        nums = [a * (den // c.den) for a in c.nums]
+    for (k, l), nums in rows:
         for key, kv in kernel(n, k, l):
             row = acc.setdefault(key, [0] * width)
             for i, a in enumerate(nums):
                 row[i] += kv * a
-    return MPoly({key: _mup(row, den) for key, row in acc.items()})
+    return _from_rows(acc, den)
 
 
 def substitute_fm(F: MPoly, n: int) -> MPoly:

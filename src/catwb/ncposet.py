@@ -29,7 +29,7 @@ from math import factorial
 from operator import mul
 
 from .errors import BudgetExceeded, InvalidArgument, InvariantError
-from .exactmath import M, MPoly, gen_binomial
+from .exactmath import M, MPoly, MUniPoly, gen_binomial
 from .ftriangle import NarayanaVector
 from .rootdata import RootSystemType, fuss_catalan
 from .wgroup import (
@@ -37,7 +37,7 @@ from .wgroup import (
     NCCore,
     Poset,
     build_nc,  # re-exported: the benchmark tracer test patches ncposet.build_nc
-    char_poly_at_neg_y,
+    char_poly,
     decomposition_numbers,
     mobius_sweep,
     _build_nc,
@@ -210,11 +210,7 @@ def m_triangle_bruteforce(
 def mtriangle_rhs_transform(mt: MPoly, n: int) -> MPoly:
     """Re-index an M-triangle by the dual-poset sign conventions: each term
     c x^i y^j becomes c (-1)^(2n-i-j) x^(n-i) y^(n-j)."""
-    terms = {}
-    for (i, j), c in mt.terms.items():
-        sign = -1 if (2 * n - i - j) % 2 else 1
-        terms[(n - i, n - j)] = c * sign
-    return MPoly(terms)
+    return MPoly({(n - i, n - j): c * (-1) ** (i + j) for (i, j), c in mt.terms.items()})
 
 
 def m_triangle_formula(t: RootSystemType, group_cap: int | None = None) -> MTriangle:
@@ -222,27 +218,38 @@ def m_triangle_formula(t: RootSystemType, group_cap: int | None = None) -> MTria
     from decomposition numbers, characteristic polynomials at -y, and
     binomial weights in m.
 
-    The result carries the same sign and dual conventions as
+    Characteristic polynomials have integer coefficients free of m, so
+    sign * N * orderings * (the product of the char polys at -y) is summed as
+    integers per (rank sum, y-degree, d), then weighted by binomial(m, d)
+    once.  The result carries the same sign and dual conventions as
     mtriangle_rhs_transform of the brute-force M-triangle.
     """
     table = decomposition_numbers(t, group_cap=group_cap)
-    acc = MPoly.zero()
+    at_neg_y: dict[RootSystemType, list[int]] = {}  # y-coefficients of char(T)(-y)
+    totals: dict[tuple[int, int, int], int] = {}
     for key, n_value in table.counts.items():
         d = len(key)
         orderings = factorial(d)
-        seen: dict[RootSystemType, int] = {}
+        for T in set(key):
+            orderings //= factorial(key.count(T))
+        prod = [1]
         for T in key:
-            seen[T] = seen.get(T, 0) + 1
-        for cnt in seen.values():
-            orderings //= factorial(cnt)
-        prod = MPoly.const(1)
-        for T in key:
-            prod = prod * char_poly_at_neg_y(T, group_cap)
+            if T not in at_neg_y:  # its coefficients are sums of Mobius values
+                p = char_poly(T, group_cap)
+                at_neg_y[T] = [(-1) ** l * int(p.coeff(0, l).constant_value()) for l in range(T.rank + 1)]
+            out = [0] * (len(prod) + T.rank)
+            for i, a in enumerate(prod):
+                for j, b in enumerate(at_neg_y[T], i):
+                    out[j] += a * b
+            prod = out
         rksum = sum(T.rank for T in key)
-        weight = gen_binomial(M, d) * (n_value * orderings)
-        sign = -1 if rksum % 2 else 1
-        acc = acc + prod * MPoly.term(rksum, 0, weight * sign)
-    return MTriangle(t, None, acc)
+        scale = n_value * orderings * (-1) ** rksum
+        for l, v in enumerate(prod):
+            totals[rksum, l, d] = totals.get((rksum, l, d), 0) + scale * v
+    terms: dict[tuple[int, int], MUniPoly] = {}
+    for (rksum, l, d), v in totals.items():
+        terms[rksum, l] = terms.get((rksum, l), MUniPoly()) + gen_binomial(M, d) * v
+    return MTriangle(t, None, MPoly(terms))
 
 
 def export_poset_obj(

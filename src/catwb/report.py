@@ -50,14 +50,16 @@ class VerificationReport:
         return None if self.equal else first_diff(self.lhs, self.rhs)
 
     def to_json_obj(self) -> dict:
+        lhs_hash = _poly_hash(self.lhs)
         return {
             "check": self.name,
             "type": self.type,
             "mode": self.mode,
             "m": self.m,
             "equal": self.equal,
-            "lhs_hash": _poly_hash(self.lhs),
-            "rhs_hash": _poly_hash(self.rhs),
+            "lhs_hash": lhs_hash,
+            # equal polynomials have one canonical form, so one dump
+            "rhs_hash": lhs_hash if self.equal else _poly_hash(self.rhs),
             "first_diff": self.diff,
             "note": self.note,
         }

@@ -115,6 +115,7 @@ class RootSystemType:
         return RootSystemType(())
 
     @staticmethod
+    @lru_cache(maxsize=None)  # the type is frozen; a bad string is not cached and raises again
     def parse(s: str) -> "RootSystemType":
         s = s.strip()
         if s in ("e", ""):

@@ -761,11 +761,6 @@ def _char_poly(t: RootSystemType) -> MPoly:
     return MPoly({(0, i): v for (i, s), v in tri.terms.items() if s == core.rank})
 
 
-def char_poly_at_neg_y(t: RootSystemType, group_cap: int | None = None) -> MPoly:
-    p = char_poly(t, group_cap)
-    return MPoly({(k, l): c * ((-1) ** l) for (k, l), c in p.terms.items()})
-
-
 def interval_rank_genfun(core: NCCore, w: int) -> list[int]:
     """Rank census of the lower interval [identity, w] inside NC."""
     out = [0] * (core.poset.ranks[w] + 1)

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from catwb.errors import DegreeError
 from catwb.exactmath import (
+    ONE,
     GoldInt,
     M,
     MPoly,
@@ -23,6 +24,8 @@ from catwb.exactmath import (
 )
 from catwb.ftriangle import f_closed
 from catwb.rootdata import ir
+
+from mpoly_reference import reference_add, reference_json, reference_mul
 
 
 class TestMUniPoly:
@@ -320,6 +323,111 @@ class TestMPoly:
         )
         p = MPoly({(1, 2): M * 2 + Fraction(1, 3)})
         jsonschema.validate(p.to_json_obj(), schema)
+
+
+def canonical_problems(p: MPoly) -> list[str]:
+    """Every stored coefficient is a nonzero MUniPoly, trailing zeros trimmed,
+    over a positive denominator in lowest terms."""
+    out = []
+    for key, c in p.terms.items():
+        if not isinstance(c, MUniPoly) or not c.nums:
+            out.append(f"{key}: stored zero {c!r}")
+        elif c.nums[-1] == 0 or c.den <= 0 or math.gcd(c.den, *c.nums) != 1:
+            out.append(f"{key}: not canonical {(c.nums, c.den)}")
+    return out
+
+
+def kernel_operand(rng) -> MPoly:
+    """A random MPoly whose coefficients have mixed denominators and zero
+    inner coefficients."""
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        key = (rng.randint(0, 3), rng.randint(0, 3))
+        terms[key] = MUniPoly(
+            Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6, 9, 10))) * rng.randint(0, 1)
+            for _ in range(rng.randint(1, 4))
+        )
+    return MPoly(terms)
+
+
+class TestIntegerKernels:
+    """MPoly products, sums and scalings against the per-coefficient Fraction
+    reference of tests/mpoly_reference.py."""
+
+    SCALARS = (0, 1, -3, 12, Fraction(-7, 6), Fraction(-1, 9), Fraction(5, 4), True, False,
+               MUniPoly(), M, MUniPoly((Fraction(1, 2), 0, Fraction(-2, 3))))
+
+    @staticmethod
+    def check(got: MPoly, ref: MPoly):
+        assert got == ref
+        assert canonical_problems(got) == []
+        assert got.to_json_obj() == reference_json(ref)
+
+    def test_products_and_sums_match_the_reference(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            p, q = kernel_operand(rng), kernel_operand(rng)
+            self.check(p * q, reference_mul(p, q))
+            self.check(p + q, reference_add(p, q))
+            self.check(p - q, reference_add(p, reference_mul(q, -1)))
+            self.check(p * q - q * p, MPoly())
+            self.check(p + (-p), MPoly())
+
+    def test_terms_that_cancel_to_zero(self):
+        x, y, h = MPoly.x(), MPoly.y(), Fraction(1, 2)
+        p, q = x * h + y * M, x * h - y * M
+        self.check(p * q, reference_mul(p, q))
+        assert sorted((p * q).terms) == [(0, 2), (2, 0)]
+        r = MPoly({(1, 1): M / 3 + Fraction(1, 6), (0, 0): MUniPoly((0, 0, Fraction(-5, 4)))})
+        s = MPoly({(1, 1): -M / 3, (0, 0): MUniPoly((0, 0, Fraction(5, 4))), (2, 0): ONE})
+        self.check(r + s, MPoly({(1, 1): MUniPoly.const(Fraction(1, 6)), (2, 0): ONE}))
+        assert (r + s).terms[(1, 1)].den == 6
+
+    def test_scalars_match_the_reference(self):
+        rng = random.Random(20261020)
+        for _ in range(60):
+            p = kernel_operand(rng)
+            for v in self.SCALARS:
+                self.check(p * v, reference_mul(p, v))
+                self.check(p + v, reference_add(p, v))
+                if isinstance(v, MUniPoly):  # MUniPoly * MPoly is a TypeError
+                    continue
+                self.check(v * p, reference_mul(p, v))
+                self.check(v + p, reference_add(p, v))
+                c = MUniPoly(Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(3))
+                f = Fraction(v)
+                assert (c * v).coeffs == (v * c).coeffs == ref_trim([a * f for a in c.coeffs])
+                assert (c + v).coeffs == ref_add(list(c.coeffs), [f])
+                assert (c - v).coeffs == ref_add(list(c.coeffs), [-f])
+                assert (v - c).coeffs == ref_add([f], [-a for a in c.coeffs])
+
+    def test_bool_scalars_take_the_coercing_path(self, monkeypatch):
+        coerced = []
+        coerce = MUniPoly.coerce
+
+        def spy(v):
+            if not isinstance(v, MUniPoly):
+                coerced.append(v)
+            return coerce(v)
+
+        monkeypatch.setattr(MUniPoly, "coerce", staticmethod(spy))
+        p = MPoly({(1, 0): M / 2, (0, 2): MUniPoly.const(Fraction(-3, 4))})
+        assert p * 3 == p + p + p and M * 2 + 1 == MUniPoly((1, 2))
+        assert coerced == []
+        assert p * True == p and (p * False).terms == {} and True * p == p
+        assert M * True == M and M + True == M + 1 and not M * False
+        assert coerced and all(type(v) is bool for v in coerced)
+
+    def test_json_strings_are_the_fraction_strings(self):
+        p = MPoly({(0, 0): MUniPoly((0, 3, 0, Fraction(-4, 6))), (1, 2): MUniPoly((7, -2)),
+                   (2, 0): MUniPoly((Fraction(5, 10), 0, 0, 1)), (3, 3): M * 0 + Fraction(-8, 12)})
+        assert p.to_json_obj() == reference_json(p)
+        assert p.to_json_obj()[0]["coeff"] == ["0/1", "3/1", "0/1", "-2/3"]
+        assert p.to_json_obj()[1]["coeff"] == ["7/1", "-2/1"]
+        rng = random.Random(20261021)
+        for _ in range(100):
+            q = kernel_operand(rng) * kernel_operand(rng)
+            assert q.to_json_obj() == reference_json(q)
 
 
 class TestSubstituteFm:

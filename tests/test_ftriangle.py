@@ -1,5 +1,7 @@
 """F-triangles: closed forms, recurrence, row sums, positivity, duals."""
 
+import hashlib
+
 import pytest
 
 from catwb.cli import RECURRENCE_TYPES
@@ -157,6 +159,17 @@ class TestDual:
         # the weighted side carries the non-integral value (111/24) * 6 = 111/4
         assert diff["rhs"] == ["111/4"]
         assert diff["lhs"] == ["27"]
+
+    @pytest.mark.parametrize("s,m", [("A3", None), ("H3", 2), ("D4", 1), ("D4", 2), ("D4", 3)])
+    def test_report_hashes(self, s, m):
+        """A report hashes each side's canonical dump; an equal report dumps
+        once, and criterion 10's red cases keep two different hashes."""
+        rep = verify_dual(ir(s), m)
+        obj = rep.to_json_obj()
+        for side in ("lhs", "rhs"):
+            dump = getattr(rep, side).dumps().encode()
+            assert obj[f"{side}_hash"] == hashlib.sha256(dump).hexdigest()
+        assert (obj["lhs_hash"] == obj["rhs_hash"]) == rep.equal == (s != "D4" or m == 1)
 
     def test_narayana_positive(self):
         for s in ("A3", "B3"):

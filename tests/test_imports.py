@@ -2,6 +2,7 @@
 every module-level private name is read somewhere in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -58,29 +59,30 @@ def _private_names(node: ast.stmt) -> list[str]:
     return [name for name in names if name.startswith("_") and not name.startswith("__")]
 
 
-def _is_read(tree: ast.AST, name: str, definition: ast.stmt) -> bool:
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is definition:
-            continue
-        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
-            return True
-        if isinstance(node, ast.Attribute) and node.attr == name:
-            return True
-        stack.extend(ast.iter_child_nodes(node))
-    return False
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is read in the tree: as a loaded name, or as an
+    attribute whatever its context."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            reads[node.attr] += 1
+    return reads
 
 
 def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
     """Module-level private functions, classes and assignments (dunders
-    aside) that no module of the package reads outside their definition."""
+    aside) that no module of the package reads outside their definition.
+    Each tree is walked once for its reads; the reads inside a definition,
+    from its own subtree, are taken off."""
+    reads = sum(map(_reads, trees.values()), Counter())
     return [
         f"{module}.py:{node.lineno} defines {name}"
         for module, tree in trees.items()
         for node in tree.body
         for name in _private_names(node)
-        if not any(_is_read(other, name, node) for other in trees.values())
+        if reads[name] == _reads(node)[name]
     ]
 
 

@@ -21,6 +21,7 @@ from catwb.rootdata import fuss_catalan, ir
 from catwb.wgroup import _iter_bits, build_nc, char_poly, decomposition_numbers
 
 from mobius_reference import reference_m_triangle
+from mpoly_reference import reference_m_triangle_formula
 
 # sha256 of MPoly.dumps() of m_triangle_bruteforce(t, m).poly, taken from the
 # sweep over sorted up-lists that preceded the coordinate sweep
@@ -237,6 +238,10 @@ class TestMTriangles:
         sym = m_triangle_formula(t).poly.eval_m(m)
         brute = mtriangle_rhs_transform(m_triangle_bruteforce(t, m).poly, t.rank)
         assert sym == brute
+
+    @pytest.mark.parametrize("s", ["A1", "A4", "B3", "B4", "D4", "D5", "F4", "H3", "H4", "I2(5)", "I2(8)", "E6"])
+    def test_formula_matches_the_mpoly_sum(self, s):
+        assert m_triangle_formula(ir(s)).poly == reference_m_triangle_formula(ir(s))
 
     def test_i2_formula_expansion(self):
         # the displayed expansion for the dihedral types

@@ -49,6 +49,13 @@ class TestTypeAlgebra:
         with pytest.raises(TypeParseError):
             RootSystemType.parse(bad)
 
+    def test_parse_is_memoised_and_errors_repeat(self):
+        assert RootSystemType.parse("B3xA1") is RootSystemType.parse("B3xA1")
+        assert RootSystemType.parse(" D3 ") is RootSystemType.parse(" D3 ") == ir("A3")
+        for _ in range(2):
+            with pytest.raises(TypeParseError):
+                RootSystemType.parse("E5")
+
     def test_rank_and_product(self):
         t = ir("B3") * ir("A2")
         assert t.rank == 5
