@@ -188,6 +188,8 @@ class MUniPoly:
     # arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, MPoly):  # so that MPoly.__radd__ runs
+            return NotImplemented
         b, bden = _parts(other)
         a, den = self.nums, self.den
         if den != bden:
@@ -214,6 +216,8 @@ class MUniPoly:
         return -self + other
 
     def __mul__(self, other):
+        if isinstance(other, MPoly):  # so that MPoly.__rmul__ runs
+            return NotImplemented
         b, bden = _parts(other)
         a = self.nums
         if len(b) == 1:  # a scalar scales the numerators

@@ -37,12 +37,12 @@ from .wgroup import (
     NCCore,
     Poset,
     build_nc,  # re-exported: the benchmark tracer test patches ncposet.build_nc
-    char_poly,
     decomposition_numbers,
     mobius_sweep,
     _build_nc,
     _check_group_cap,
     _check_irreducible,
+    _type_table,
 )
 
 
@@ -218,14 +218,19 @@ def m_triangle_formula(t: RootSystemType, group_cap: int | None = None) -> MTria
     from decomposition numbers, characteristic polynomials at -y, and
     binomial weights in m.
 
-    Characteristic polynomials have integer coefficients free of m, so
-    sign * N * orderings * (the product of the char polys at -y) is summed as
-    integers per (rank sum, y-degree, d), then weighted by binomial(m, d)
-    once.  The result carries the same sign and dual conventions as
-    mtriangle_rhs_transform of the brute-force M-triangle.
+    Both come from the type table of t, which holds the characteristic
+    polynomial of every parabolic type of t, so no other core is read.  They
+    have integer coefficients free of m, so sign * N * orderings * (the
+    product of the char polys at -y) is summed as integers per (rank sum,
+    y-degree, d), then weighted by binomial(m, d) once.  The result carries
+    the same sign and dual conventions as mtriangle_rhs_transform of the
+    brute-force M-triangle.
     """
     table = decomposition_numbers(t, group_cap=group_cap)
-    at_neg_y: dict[RootSystemType, list[int]] = {}  # y-coefficients of char(T)(-y)
+    types = _type_table(t)
+    at_neg_y = {  # y-coefficients of char(T)(-y)
+        T: [(-1) ** l * v for l, v in enumerate(chi)] for T, chi in zip(types.types, types.char_polys)
+    }
     totals: dict[tuple[int, int, int], int] = {}
     for key, n_value in table.counts.items():
         d = len(key)
@@ -234,9 +239,6 @@ def m_triangle_formula(t: RootSystemType, group_cap: int | None = None) -> MTria
             orderings //= factorial(key.count(T))
         prod = [1]
         for T in key:
-            if T not in at_neg_y:  # its coefficients are sums of Mobius values
-                p = char_poly(T, group_cap)
-                at_neg_y[T] = [(-1) ** l * int(p.coeff(0, l).constant_value()) for l in range(T.rank + 1)]
             out = [0] * (len(prod) + T.rank)
             for i, a in enumerate(prod):
                 for j, b in enumerate(at_neg_y[T], i):

@@ -21,6 +21,15 @@ used only to build the tables.  Only enumerate_group lists W; with its
 breadth-first absolute lengths it is the oracle the tests compare the NC
 build against.
 
+Decomposition numbers and characteristic polynomials come from one table of
+parabolic types per core.  For w <= c the interval [e, w] is NC of the
+parabolic subgroup W_w with Coxeter element w, and its steps keep their
+types (Armstrong, Mem. AMS 2009), so what is counted below w depends on the
+type of w alone: the table keeps, per type B, its number of elements and,
+below its first element w_B, the counts P_B(A, C) of u of type A with
+u^-1 w_B of type C.  It persists beside the core (kind `nctypes`), so a
+warm formula-mode run loads no core.
+
 Posets are immutable once built and memoised by type alone: every public
 entry point checks the group cap from the closed-form |W| before any memo or
 disk read, so E7 and E8 are rejected up front under the default cap.  Broken
@@ -30,7 +39,6 @@ internal invariants raise InvariantError, also under python -O.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -49,6 +57,7 @@ from .rootdata import (
     Irreducible,
     RootSystemType,
     _classify_diagram,
+    fuss_catalan,
     gram_matrix,
     group_order_irr,
     positive_root_count,
@@ -672,19 +681,25 @@ def build_nc(t: RootSystemType, group_cap: int | None = None) -> NCCore:
     return _build_nc(t)
 
 
-@lru_cache(maxsize=None)
-def _build_nc(t: RootSystemType) -> NCCore:
+def _persisted(kind: str, t: RootSystemType, from_obj, build, to_obj):
+    """The entry of this kind for t read from the disk cache, or else built
+    and written; an entry that from_obj rejects reads as a miss."""
     if _disk_cache is not None:
-        stored = _disk_cache.get("nccore", str(t))
+        stored = _disk_cache.get(kind, str(t))
         if stored is not None:
             try:
-                return nc_core_from_obj(stored)
-            except (KeyError, TypeError, ValueError):  # stale or incomplete: a miss
+                return from_obj(stored)
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError):  # stale or incomplete
                 pass
-    core = _build_nc_fresh(t)
+    out = build(t)
     if _disk_cache is not None:
-        _disk_cache.put("nccore", str(t), nc_core_to_obj(core))
-    return core
+        _disk_cache.put(kind, str(t), to_obj(out))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _build_nc(t: RootSystemType) -> NCCore:
+    return _persisted("nccore", t, nc_core_from_obj, _build_nc_fresh, nc_core_to_obj)
 
 
 def _build_nc_fresh(t: RootSystemType) -> NCCore:
@@ -729,6 +744,81 @@ def _build_nc_fresh(t: RootSystemType) -> NCCore:
     return NCCore(t, n, poset, quot, partypes, elems)
 
 
+@dataclass
+class TypeTable:
+    """The parabolic types of NC(t) in core order, which is rank order, so
+    types[0] is the empty type and types[-1] is t; mult[b] elements have
+    type B = types[b], and pairs[b] lists (a, c, P_B(A, C)) for the u below
+    the first element w_B of type B: P_B(A, C) of them have type A with
+    u^-1 w_B of type C."""
+
+    types: tuple[RootSystemType, ...]
+    mult: tuple[int, ...]
+    pairs: tuple[tuple[tuple[int, int, int], ...], ...]
+
+    @cached_property
+    def char_polys(self) -> list[tuple[int, ...]]:
+        """chi_B(y) = sum of mu(u, w_B) y^rank(u) over u <= w_B, as integer
+        coefficients by power of y, for every B: mu(u, w_B) is mu_C, the
+        constant term of chi_C, and mu_B = -(the other coefficients), since
+        the mu(u, w_B) sum to zero."""
+        out: list[tuple[int, ...]] = []
+        for B, row in zip(self.types, self.pairs):
+            coeffs = [0] * B.rank + [1]
+            for a, c, count in row:
+                if a:
+                    coeffs[self.types[a].rank] += count * out[c][0]
+            coeffs[0] -= sum(coeffs[1:])
+            out.append(tuple(coeffs))
+        return out
+
+    def to_obj(self) -> dict:
+        return {"repr_version": REPR_VERSION, "types": [str(T) for T in self.types],
+                "mult": list(self.mult), "pairs": [[list(p) for p in row] for row in self.pairs]}
+
+    @staticmethod
+    def from_obj(obj: dict, t: RootSystemType) -> "TypeTable":
+        """Read a stored table, checked against closed forms: |NC(t)| and
+        every |NC(B)| are Catalan numbers, the types run from e to t, and
+        each count joins two earlier types whose ranks add up."""
+        if obj["repr_version"] != REPR_VERSION:
+            raise ValueError("stale representation version")
+        types = tuple(map(RootSystemType.parse, obj["types"]))
+        mult, pairs = tuple(obj["mult"]), tuple(tuple(map(tuple, row)) for row in obj["pairs"])
+        if types[0].factors or types[-1] != t or not len(types) == len(mult) == len(pairs) == len(set(types)):
+            raise ValueError("the stored types do not run from e to t")
+        if sum(mult) != fuss_catalan(t, 1):
+            raise ValueError("the stored multiplicities do not sum to Cat(W)")
+        for b, (B, row) in enumerate(zip(types, pairs)):
+            for a, c, _ in row:
+                if not (0 <= a < b and (0 <= c < b if a else c == b)) or types[a].rank + types[c].rank != B.rank:
+                    raise ValueError(f"the stored row of {B} joins types out of order")
+            if 1 + sum(count for _, _, count in row) != fuss_catalan(B, 1):
+                raise ValueError(f"the stored row of {B} does not sum to Cat({B}) - 1")
+        return TypeTable(types, mult, pairs)
+
+
+def _type_table_fresh(t: RootSystemType) -> TypeTable:
+    """Read the table off the core in one scan of the intervals."""
+    core = _build_nc(t)
+    types = tuple(dict.fromkeys(core.partypes))
+    tid = list(map({T: b for b, T in enumerate(types)}.__getitem__, core.partypes))
+    rep = {tid.index(b): b for b in range(len(types))}  # the NC index of w_B -> b
+    counts: list[dict[tuple[int, int], int]] = [{} for _ in types]
+    for u, (row, qs) in enumerate(zip(core.poset.above, core.quot)):
+        for j, q in zip(row, qs[1:]):  # q = u^-1 j
+            if j in rep:
+                key = (tid[u], tid[q])
+                counts[rep[j]][key] = counts[rep[j]].get(key, 0) + 1
+    pairs = tuple(tuple((a, c, k) for (a, c), k in sorted(row.items())) for row in counts)
+    return TypeTable(types, tuple(map(tid.count, range(len(types)))), pairs)
+
+
+@lru_cache(maxsize=None)
+def _type_table(t: RootSystemType) -> TypeTable:
+    return _persisted("nctypes", t, lambda obj: TypeTable.from_obj(obj, t), _type_table_fresh, TypeTable.to_obj)
+
+
 def mobius(core_or_poset, u: int, w: int) -> int:
     poset = core_or_poset.poset if isinstance(core_or_poset, NCCore) else core_or_poset
     return poset.mobius(u, w)
@@ -741,24 +831,19 @@ def zeta_poly(core_or_poset, u: int, w: int) -> list[Fraction]:
 
 def char_poly(t: RootSystemType, group_cap: int | None = None) -> MPoly:
     """Characteristic polynomial of NC(t) in the variable y: the rank-weighted
-    Mobius sums toward the top element.  Multiplicative over factors."""
+    Mobius sums toward the top element, read off the type table of each
+    factor.  Multiplicative over factors."""
     _check_group_cap(t, group_cap)
     return _char_poly(t)
 
 
 @lru_cache(maxsize=None)
 def _char_poly(t: RootSystemType) -> MPoly:
-    if not t.factors:
-        return MPoly.const(1)
-    if not t.is_irreducible:
-        out = MPoly.const(1)
-        for f in t.factors:
-            out = out * _char_poly(RootSystemType.make(f))
-        return out
-    core = _build_nc(t)
-    # row y^n of the M-triangle: c is the only element of rank n
-    tri = core.poset.m_triangle()
-    return MPoly({(0, i): v for (i, s), v in tri.terms.items() if s == core.rank})
+    out = MPoly.const(1)
+    for f in t.factors:
+        chi = _type_table(RootSystemType.make(f)).char_polys[-1]
+        out = out * MPoly({(0, i): v for i, v in enumerate(chi) if v})
+    return out
 
 
 def interval_rank_genfun(core: NCCore, w: int) -> list[int]:
@@ -835,9 +920,9 @@ def decomposition_numbers(
 ) -> DecompositionTable:
     """Count minimal products below the Coxeter element by parabolic type
     tuple: the decomposition numbers of Krattenthaler-Muller.  Strict chains
-    from the identity are counted per end point in one pass in rank order,
-    not walked; order symmetry of the counts is verified before collapsing
-    to sorted keys."""
+    from the identity are counted per parabolic type from the type table, not
+    walked; order symmetry of the counts is verified before collapsing to
+    sorted keys."""
     _check_irreducible(t)
     _check_group_cap(t, group_cap)
     return _decomposition_numbers(t, max_d)
@@ -845,27 +930,23 @@ def decomposition_numbers(
 
 @lru_cache(maxsize=None)
 def _decomposition_numbers(t: RootSystemType, max_d: int | None) -> DecompositionTable:
-    core = _build_nc(t)
-    n = core.rank
-    depth = n if max_d is None else min(max_d, n)
-    types = list(dict.fromkeys(core.partypes))
-    type_ids = {T: k for k, T in enumerate(types)}
-    # the type of the step u -> w is that of the element u^-1 w
-    tid = [type_ids[T] for T in core.partypes]
-    above, quot = core.poset.above, core.quot
-    # paths[j][tau]: strict chains from the identity to j with step types tau;
-    # elements are in rank order, so every chain reaches j before j is read
-    paths = [Counter() for _ in range(core.size)]
-    paths[0][()] = 1
-    buckets: Counter = Counter()
-    for i in range(core.size):
-        row, paths[i] = paths[i], None
-        buckets.update(row)
-        steps = [(paths[j], tid[q]) for j, q in zip(above[i], quot[i][1:])]
+    table = _type_table(t)
+    types = table.types
+    depth = t.rank if max_d is None else min(max_d, t.rank)
+    # paths[b][tau]: strict chains from the identity to w_B by step types tau,
+    # each a chain to some u < w_B of type A followed by the step u -> w_B
+    paths: list[dict[tuple[int, ...], int]] = []
+    buckets: dict[tuple[int, ...], int] = {}
+    for mult, pairs in zip(table.mult, table.pairs):
+        row = {} if paths else {(): 1}
+        for a, c, count in pairs:
+            for tau, cnt in paths[a].items():
+                if len(tau) < depth:
+                    tau += (c,)
+                    row[tau] = row.get(tau, 0) + count * cnt
+        paths.append(row)
         for tau, cnt in row.items():
-            if len(tau) < depth:
-                for target, ty in steps:
-                    target[tau + (ty,)] += cnt
+            buckets[tau] = buckets.get(tau, 0) + mult * cnt
     del buckets[()]
 
     by_key: dict[tuple[RootSystemType, ...], dict[tuple, int]] = {}

@@ -38,13 +38,57 @@ def run(capsys, argv):
 
 
 def clear_memos():
-    """Forget the in-process results, so that cores are read from or written
-    to the cache directory of the next command."""
+    """Forget the in-process results, so that cores and type tables are read
+    from or written to the cache directory of the next command."""
     from catwb.ncposet import _build_ncm
-    from catwb.wgroup import _build_nc, _char_poly, _decomposition_numbers
+    from catwb.wgroup import _build_nc, _char_poly, _decomposition_numbers, _type_table
 
-    for cached in (_build_nc, _build_ncm, _char_poly, _decomposition_numbers):
+    for cached in (_build_nc, _build_ncm, _char_poly, _decomposition_numbers, _type_table):
         cached.cache_clear()
+
+
+@pytest.fixture
+def fresh_memos():
+    clear_memos()
+    yield
+    clear_memos()  # a core read from disk has no group elements: leave none to later tests
+
+
+# memos whose values come from their arguments alone and never from a cache
+# directory, so that clear_memos leaves them filled
+MEMOS_OF_ARGUMENTS_ALONE = {
+    "catwb.exactmath._binom_poly",
+    "catwb.exactmath._dual_kernel",
+    "catwb.exactmath._fm_kernel",
+    "catwb.ftriangle._f_closed_irr",
+    "catwb.ftriangle.f_closed",
+    "catwb.rootdata.RootSystemType.parse",
+    "catwb.rootdata._classify_diagram",
+    "catwb.rootdata.deletion_types",
+    "catwb.wgroup._enumerate_group",
+}
+
+
+def package_memos() -> dict:
+    """Every functools.lru_cache memo of the catwb modules, at module level
+    or on a class, by qualified name."""
+    import importlib
+    import pkgutil
+
+    import catwb
+
+    memos = {}
+    for info in pkgutil.iter_modules(catwb.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"catwb.{info.name}")
+        owners = [module] + [v for v in vars(module).values() if isinstance(v, type)]
+        for owner in owners:
+            for name in list(vars(owner)):
+                value = getattr(owner, name)
+                if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                    memos[f"{value.__module__}.{value.__qualname__}"] = value
+    return memos
 
 
 class TestEmission:
@@ -187,12 +231,8 @@ class TestCache:
     )
     @pytest.mark.parametrize("corrupt", ["stale_version", "missing_key"])
     def test_unreadable_core_is_a_miss(self, capsys, tmp_path, argv, corrupt):
-        from catwb.ncposet import _build_ncm
-        from catwb.wgroup import _build_nc, _char_poly, _decomposition_numbers
-
         def run_in(cache_dir):
-            for cached in (_build_nc, _build_ncm, _char_poly, _decomposition_numbers):
-                cached.cache_clear()  # so that the core is read from the cache directory
+            clear_memos()  # so that the core is read from the cache directory
             out_file = cache_dir / "out.json"
             args = [str(out_file) if a == "OUT" else a for a in argv]
             rc, out = run(capsys, args + ["--cache-dir", str(cache_dir)])
@@ -210,6 +250,47 @@ class TestCache:
         broken.put("nccore", "A3", obj)
         assert run_in(tmp_path / "broken") == cold
         assert broken.path_for("nccore", "A3").read_bytes() == entry
+
+    @pytest.mark.parametrize("corrupt", ["stale_version", "truncated", "inconsistent"])
+    def test_unreadable_type_table_is_a_miss(self, capsys, tmp_path, corrupt, fresh_memos):
+        def run_in(cache_dir):
+            clear_memos()  # so that the table is read from the cache directory
+            rc, out = run(capsys, ["mtriangle", "D4", "--mode", "formula", "--cache-dir", str(cache_dir)])
+            assert rc == 0
+            return out
+
+        cold = run_in(tmp_path / "cold")
+        entry = ResultCache(tmp_path / "cold").path_for("nctypes", "D4").read_bytes()
+        obj = json.loads(entry)
+        broken = ResultCache(tmp_path / "broken")
+        if corrupt == "stale_version":
+            obj["repr_version"] = 0
+        elif corrupt == "inconsistent":
+            obj["mult"][1] += 1  # the multiplicities no longer sum to Cat(D4)
+        broken.put("nctypes", "D4", obj)
+        if corrupt == "truncated":
+            broken.path_for("nctypes", "D4").write_bytes(entry[: len(entry) // 2])
+        assert run_in(tmp_path / "broken") == cold
+        assert broken.path_for("nctypes", "D4").read_bytes() == entry
+
+    def test_warm_formula_mode_reads_no_core(self, capsys, tmp_path, fresh_memos):
+        cache = ResultCache(tmp_path)
+        argv = ["verify", "--suite", "fm", "--types", "E6", "--cache-dir", str(tmp_path)]
+        cold = run(capsys, argv), (tmp_path / "verify_fm.json").read_bytes()
+        assert cache.path_for("nctypes", "E6").exists()
+        cache.path_for("nccore", "E6").unlink()
+        clear_memos()
+        assert (run(capsys, argv), (tmp_path / "verify_fm.json").read_bytes()) == cold
+        assert not cache.path_for("nccore", "E6").exists()  # a rebuilt core would be written
+
+    def test_clear_memos_clears_every_memo(self, monkeypatch):
+        memos = package_memos()
+        assert MEMOS_OF_ARGUMENTS_ALONE <= set(memos)
+        cleared = []
+        for name, memo in memos.items():
+            monkeypatch.setattr(memo, "cache_clear", lambda name=name: cleared.append(name), raising=False)
+        clear_memos()
+        assert sorted(cleared) == sorted(set(memos) - MEMOS_OF_ARGUMENTS_ALONE)
 
     def test_export_poset(self, capsys, tmp_path):
         out_file = tmp_path / "poset.json"

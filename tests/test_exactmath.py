@@ -390,7 +390,7 @@ class TestIntegerKernels:
             for v in self.SCALARS:
                 self.check(p * v, reference_mul(p, v))
                 self.check(p + v, reference_add(p, v))
-                if isinstance(v, MUniPoly):  # MUniPoly * MPoly is a TypeError
+                if isinstance(v, MUniPoly):  # on the left: test_unipoly_on_the_left_defers_to_mpoly
                     continue
                 self.check(v * p, reference_mul(p, v))
                 self.check(v + p, reference_add(p, v))
@@ -400,6 +400,17 @@ class TestIntegerKernels:
                 assert (c + v).coeffs == ref_add(list(c.coeffs), [f])
                 assert (c - v).coeffs == ref_add(list(c.coeffs), [-f])
                 assert (v - c).coeffs == ref_add([f], [-a for a in c.coeffs])
+
+    def test_unipoly_on_the_left_defers_to_mpoly(self):
+        rng = random.Random(20261022)
+        for _ in range(100):
+            p = kernel_operand(rng)
+            c = MUniPoly(Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(3))
+            for v in (MUniPoly(), M, c):
+                self.check(v * p, reference_mul(p, v))
+                self.check(v + p, reference_add(p, v))
+                self.check(v - p, reference_add(reference_mul(p, -1), v))
+                assert v * p == p * v and v + p == p + v
 
     def test_bool_scalars_take_the_coercing_path(self, monkeypatch):
         coerced = []

@@ -8,17 +8,20 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from math import factorial
 from pathlib import Path
 
 import pytest
 
+from catwb import wgroup
 from catwb.errors import BudgetExceeded, InvariantError, NotComparable
 from catwb.exactmath import MPoly
 from catwb.ncposet import build_ncm
-from catwb.rootdata import group_order, ir
+from catwb.rootdata import degrees_irr, group_order, ir
 from catwb.wgroup import (
     Poset,
     RootPermBackend,
+    TypeTable,
     _iter_bits,
     abs_length,
     abs_leq,
@@ -36,15 +39,21 @@ from catwb.wgroup import (
     nc_rank_genfun,
     parabolic_type_of,
     zeta_poly,
+    _type_table,
 )
 
 from golden import GOLDEN_CHAR, golden_char_i2, golden_decomp_i2, GOLDEN_DECOMP
+from decomposition_reference import reference_decomposition_counts
 from mobius_reference import reference_m_triangle
 
 SMALL_GROUPS = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "D5", "H3", "F4"] + [
     f"I2({a})" for a in range(3, 11)
 ]
 
+# every type whose core the tests build, for the type-table checks
+TABLE_TYPES = [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 6)] + [
+    "D4", "D5", "D6", "F4", "H3", "H4", "E6", "I2(3)", "I2(5)", "I2(8)"
+]
 
 # sha256 of identity + reflections + simple_reflections of RootPermBackend,
 # from the build that reflected every root from its coordinates
@@ -382,6 +391,19 @@ class TestCharPoly:
     def test_multiplicative(self):
         assert char_poly(ir("A2xA1")) == char_poly(ir("A2")) * char_poly(ir("A1"))
 
+    @pytest.mark.parametrize("s", TABLE_TYPES)
+    def test_matches_the_m_triangle(self, s):
+        # row y^n of the M-triangle of the core: c is its only element of rank n
+        core = build_nc(ir(s))
+        tri = core.poset.m_triangle()
+        assert char_poly(ir(s)) == MPoly({(0, i): v for (i, j), v in tri.terms.items() if j == core.rank})
+
+    @pytest.mark.parametrize("s", TABLE_TYPES)
+    def test_every_row_of_the_type_table(self, s):
+        table = _type_table(ir(s))
+        for T, chi in zip(table.types, table.char_polys, strict=True):
+            assert MPoly({(0, i): v for i, v in enumerate(chi) if v}) == char_poly(T), T
+
     def test_chi_at_one_vanishes(self):
         for s in ("A4", "B3", "D4", "H3", "I2(9)"):
             chi = char_poly(ir(s))
@@ -441,8 +463,70 @@ class TestDecomposition:
                     assert expected.setdefault(key, cnt) == cnt, (tau, d)
             assert decomposition_numbers(t, max_d=d).counts == expected, d
 
+    @pytest.mark.parametrize("s", TABLE_TYPES)
+    def test_matches_the_per_element_reference(self, s):
+        t = ir(s)
+        for d in (None, 1, 2, 3):
+            assert decomposition_numbers(t, max_d=d).counts == reference_decomposition_counts(build_nc(t), d), d
+
+    @pytest.mark.parametrize("s", TABLE_TYPES)
+    def test_reduced_reflection_words(self, s):
+        # Deligne-Chapoton: c has n! h^n / |W| reduced words in the reflections
+        t = ir(s)
+        n, h = t.rank, max(degrees_irr(t.single()))
+        words = decomposition_numbers(t).n(*[ir("A1")] * n)
+        assert words * group_order(t) == factorial(n) * h**n
+        assert words == {"A6": 7**5, "E6": 41_472}.get(s, words)
+
+    def test_a_tampered_table_breaks_the_symmetry(self, monkeypatch):
+        t = ir("B3")
+        table = _type_table(t)
+        a1, b2 = table.types.index(ir("A1")), table.types.index(ir("B2"))
+        top = tuple((a, c, k + ((a, c) == (a1, b2))) for a, c, k in table.pairs[-1])
+        assert top != table.pairs[-1]
+        tampered = TypeTable(table.types, table.mult, table.pairs[:-1] + (top,))
+        monkeypatch.setattr(wgroup, "_type_table", lambda _: tampered)
+        with pytest.raises(InvariantError, match="symmetry"):
+            wgroup._decomposition_numbers.__wrapped__(t, None)
+
 
 class TestDiskCache:
+    def test_type_table_roundtrip_and_checks(self):
+        t = ir("D4")
+        table = _type_table(t)
+        obj = table.to_obj()
+        assert TypeTable.from_obj(json.loads(json.dumps(obj)), t) == table
+        last = len(table.types) - 1
+        a1a1, a2 = table.types.index(ir("A1xA1")), table.types.index(ir("A2"))
+
+        def swap_first_two_types(o):
+            # a consistent relabelling, so that the row of A1xA1 comes before that of A1
+            swap = {1: 2, 2: 1}
+            for key in ("types", "mult", "pairs"):
+                o[key][1:3] = o[key][2:0:-1]
+            o["pairs"] = [[[swap.get(a, a), swap.get(c, c), k] for a, c, k in row] for row in o["pairs"]]
+
+        edits = [
+            (lambda o: o.update(repr_version=0), "stale"),
+            (lambda o: o["types"].__setitem__(1, "Q9"), "cannot parse"),
+            (lambda o: o["types"].__setitem__(-1, "I2(8)xA2"), "from e to t"),  # rank 4, Cat 50
+            (lambda o: o["types"].__setitem__(0, "A1"), "from e to t"),
+            (lambda o: o["pairs"].pop(), "from e to t"),
+            (lambda o: o["types"].__setitem__(a2, "A1xA1"), "from e to t"),  # a type twice
+            (lambda o: o["mult"].__setitem__(1, o["mult"][1] + 1), "Cat\\(W\\)"),
+            (lambda o: o["pairs"][-1][0].__setitem__(2, o["pairs"][-1][0][2] + 1), "Cat\\(D4\\) - 1"),
+            (lambda o: o["pairs"][-1][-1].__setitem__(0, last), "out of order"),  # u of the type of c below c
+            (lambda o: o["pairs"][-1][-1].__setitem__(1, 0), "out of order"),  # ranks do not add up
+            (swap_first_two_types, "row of A1xA1 joins types out of order"),
+            # the identity below w_B with a quotient of another type of the same rank
+            (lambda o: o["pairs"][a1a1][0].__setitem__(1, a2), "row of A1xA1 joins types out of order"),
+        ]
+        for edit, message in edits:
+            bad = json.loads(json.dumps(obj))
+            edit(bad)
+            with pytest.raises(ValueError, match=message):
+                TypeTable.from_obj(bad, t)
+
     def test_core_roundtrip_bit_identical(self, tmp_path):
         from catwb.cache import ResultCache
         from catwb.wgroup import nc_core_from_obj, nc_core_to_obj
