@@ -12,23 +12,28 @@ The canonical order of NC sorts its elements by (rank, byte string), where
 the byte string lists the images of the roots in that order; NC indices,
 cached cores and exported posets all follow it.
 
-NC is built top down from the Coxeter element c without enumerating W: each
-backend's nc_step gives the rank of an element, the reflections below it and
-its parabolic type, for the root backend from the byte tables alone: the
-roots it moves are those whose cycle sums to zero, and the Coxeter labels of
-its subsystem are orders of products of two reflections.  Coordinates are
-used only to build the tables.  Only enumerate_group lists W; with its
-breadth-first absolute lengths it is the oracle the tests compare the NC
-build against.
+NC is walked top down from the Coxeter element c without enumerating W
+(walk_nc): each backend's nc_step gives the rank of an element, the
+reflections below it and its parabolic type, for the root backend from the
+byte tables alone: the roots it moves are those whose cycle sums to zero,
+and the Coxeter labels of its subsystem are orders of products of two
+reflections.  As Mov(u) lies inside Mov(w) for u <= w (Brady-Watt), each
+lower cover is stepped on the roots of the reflections below its upper cover
+only, not on all of Phi.  Coordinates are used only to build the tables.
+Only enumerate_group lists W; with its breadth-first absolute lengths it is
+the oracle the tests compare the NC walk against.
 
 Decomposition numbers and characteristic polynomials come from one table of
-parabolic types per core.  For w <= c the interval [e, w] is NC of the
+parabolic types per type.  For w <= c the interval [e, w] is NC of the
 parabolic subgroup W_w with Coxeter element w, and its steps keep their
 types (Armstrong, Mem. AMS 2009), so what is counted below w depends on the
 type of w alone: the table keeps, per type B, its number of elements and,
 below its first element w_B, the counts P_B(A, C) of u of type A with
-u^-1 w_B of type C.  It persists beside the core (kind `nctypes`), so a
-warm formula-mode run loads no core.
+u^-1 w_B of type C.  It is read off the walk alone, with no up-sets or
+quotients (Krattenthaler-Muller, Trans. AMS 2010, need only the types of u
+and of u^-1 w_B), and persists on its own (kind `nctypes`), so formula-mode
+runs build no core.  The core, with its up-sets and quotients u^-1 w, is
+built from the same walk for the brute-force NC^m, chain counts and exports.
 
 Posets are immutable once built and memoised by type alone: every public
 entry point checks the group cap from the closed-form |W| before any memo or
@@ -39,7 +44,8 @@ internal invariants raise InvariantError, also under python -O.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import factorial
@@ -49,10 +55,9 @@ from .errors import (
     ClassificationError,
     InvalidArgument,
     InvariantError,
-    NotComparable,
     UnsupportedType,
 )
-from .exactmath import GoldInt, MPoly, MUniPoly, gen_binomial
+from .exactmath import GoldInt, MPoly, gen_binomial
 from .rootdata import (
     Irreducible,
     RootSystemType,
@@ -193,7 +198,7 @@ class RootPermBackend:
         # the table sending p[i] to i
         return bytes.maketrans(p, self.identity)
 
-    def nc_step(self, p):
+    def nc_step(self, p, roots=None):
         """Rank, reflections below (indices into self.reflections) and type of
         p, read off its cycles on the roots.  A root lies in Mov(p) exactly
         when the roots of its cycle sum to zero, that sum being the cycle
@@ -201,12 +206,19 @@ class RootPermBackend:
         those of the positive roots in Mov(p) (Brady-Watt), and the rank of
         the subsystem they span is the rank of p (Carter's lemma).  The cycle
         of -alpha is the negation of the cycle of alpha, so cycles are walked
-        from positive roots only and each marks its negation as well."""
+        from positive roots only and each marks its negation as well.
+
+        `roots`, increasing reflection indices, limits the walk to their
+        positive roots; by default all are walked.  The reflections below any
+        w >= p suffice: p lies in the parabolic subgroup of w, which permutes
+        those roots, and Mov(p) is inside Mov(w)."""
         packed = self.packed
         nroots, npos = self.nroots, self.npos
+        roots = range(npos) if roots is None else roots
         moved = bytearray(nroots)
         seen = bytearray(nroots)
-        for g in range(npos, nroots):
+        for r in roots:
+            g = npos + r
             if seen[g]:
                 continue
             cycle = [g]
@@ -218,7 +230,7 @@ class RootPermBackend:
             for h in cycle:
                 seen[h] = seen[nroots - 1 - h] = 1
                 moved[h] = moved[nroots - 1 - h] = in_mov
-        below = [r for r in range(npos) if moved[npos + r]]
+        below = [r for r in roots if moved[npos + r]]
         ptype = self.classify(below)
         return ptype.rank, below, ptype
 
@@ -296,9 +308,10 @@ class DihedralBackend:
             return p
         return ("r", (-p[1]) % self.a)
 
-    def nc_step(self, p):
+    def nc_step(self, p, roots=None):
         """Rank, reflections below and parabolic type of p: nothing is below
-        the identity, s_k alone is below s_k, every reflection below a rotation."""
+        the identity, s_k alone is below s_k, every reflection below a rotation.
+        `roots` is not needed here."""
         if p == ("r", 0):
             return 0, [], RootSystemType.empty()
         if p[0] == "s":
@@ -415,20 +428,6 @@ def abs_length(table: GroupTable, w) -> int:
     return rank
 
 
-def abs_leq(table: GroupTable, u, w) -> bool:
-    """The absolute-order test: lengths add along u, u^-1 w."""
-    lu = table.abs_length_of(u)
-    lw = table.abs_length_of(w)
-    if lu > lw:
-        return False
-    q = table.backend.mul(table.backend.inv(u), w)
-    return lu + table.abs_length_of(q) == lw
-
-
-def coxeter_element(table: GroupTable):
-    return table.coxeter
-
-
 def parabolic_type_of(table: GroupTable, w) -> RootSystemType:
     """Type of w as a parabolic Coxeter element: classify the sub-root-system
     of the roots w moves."""
@@ -451,7 +450,6 @@ class Poset:
 
     def __post_init__(self):
         self.size = len(self.ranks)
-        self._mobius: dict[tuple[int, int], int] = {}
 
     @cached_property
     def up(self) -> list[int]:
@@ -470,39 +468,13 @@ class Poset:
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
 
-    def mobius(self, i: int, j: int) -> int:
-        """Mobius function of the interval [i, j]."""
-        if not self.leq(i, j):
-            raise NotComparable(f"{i} is not below {j}")
-        memo = self._mobius
-        got = memo.get((i, j))
-        if got is not None:
-            return got
-        total = 0
-        interval = self.up[i] & self.down[j]
-        for v in _iter_bits(interval & ~(1 << j)):
-            total += self.mobius(i, v)
-        out = 1 if i == j else -total
-        memo[(i, j)] = out
+    @cached_property
+    def slices(self) -> list[list[int]]:
+        """slices[r] lists the elements of rank r in increasing order."""
+        out: list[list[int]] = [[] for _ in range(max(self.ranks, default=0) + 1)]
+        for i, r in enumerate(self.ranks):
+            out[r].append(i)
         return out
-
-    def mobius_column_vectors(self) -> list[list[int]]:
-        """For each w, the x-polynomial sum of mu(u, w) x^rank(u) over u <= w,
-        as integer coefficient lists indexed by rank: the column recursion over
-        down-sets, the reference the tests compare m_triangle against."""
-        top_rank = max(self.ranks, default=0)
-        order = sorted(range(self.size), key=lambda i: self.ranks[i])
-        g: list[list[int] | None] = [None] * self.size
-        for w in order:
-            vec = [0] * (top_rank + 1)
-            vec[self.ranks[w]] = 1
-            for v in _iter_bits(self.down[w] & ~(1 << w)):
-                gv = g[v]
-                for idx in range(len(gv)):
-                    if gv[idx]:
-                        vec[idx] -= gv[idx]
-            g[w] = vec
-        return g
 
     def m_triangle(self) -> MPoly:
         """Sum of mu(u, w) x^rank(u) y^rank(w) over all pairs u <= w, by the
@@ -511,48 +483,8 @@ class Poset:
         upsets = ((self.ranks[u], (u, *self.above[u])) for u in order)
         return mobius_sweep(max(self.ranks, default=0), self.size, upsets, "the poset")
 
-    def zeta_values(self, i: int, j: int, max_z: int) -> list[int]:
-        """Multichain counts from i to j with z links, for z = 0..max_z."""
-        interval = sorted(_iter_bits(self.up[i] & self.down[j]))
-        pos = {e: k for k, e in enumerate(interval)}
-        vec = [0] * len(interval)
-        vec[pos[i]] = 1
-        out = [1 if i == j else 0]
-        for _ in range(max_z):
-            nxt = [0] * len(interval)
-            for k, e in enumerate(interval):
-                if vec[k]:
-                    for f in _iter_bits(self.up[e] & self.down[j]):
-                        nxt[pos[f]] += vec[k]
-            vec = nxt
-            out.append(vec[pos[j]])
-        return out
-
-    def zeta_poly(self, i: int, j: int) -> list[Fraction]:
-        """Exact coefficients of the zeta polynomial Z(i, j; z), interpolated
-        from multichain counts; Z(-1) is checked to equal the Mobius value."""
-        if not self.leq(i, j):
-            raise NotComparable(f"{i} is not below {j}")
-        deg = self.ranks[j] - self.ranks[i]
-        # Newton's forward differences: Z(z) = sum of (Delta^k Z)(0) binom(z, k)
-        diffs = self.zeta_values(i, j, deg)
-        z = MUniPoly.var()
-        poly = MUniPoly()
-        for k in range(deg + 1):
-            poly += diffs[0] * gen_binomial(z, k)
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        z_at_neg1 = poly.eval(-1)
-        mu = self.mobius(i, j)
-        if z_at_neg1 != mu:
-            raise InvariantError(f"zeta(-1) = {z_at_neg1} but mobius = {mu}")
-        return list(poly.coeffs)
-
     def rank_counts(self) -> list[int]:
-        top = max(self.ranks, default=0)
-        out = [0] * (top + 1)
-        for r in self.ranks:
-            out[r] += 1
-        return out
+        return list(map(len, self.slices))
 
 
 def mobius_sweep(n: int, size: int, upsets, name: str) -> MPoly:
@@ -615,7 +547,6 @@ class NCCore:
     poset: Poset
     quot: list[tuple[int, ...]]
     partypes: list[RootSystemType]
-    elements: list = field(repr=False, default=None)
 
     @property
     def size(self) -> int:
@@ -702,32 +633,46 @@ def _build_nc(t: RootSystemType) -> NCCore:
     return _persisted("nccore", t, nc_core_from_obj, _build_nc_fresh, nc_core_to_obj)
 
 
-def _build_nc_fresh(t: RootSystemType) -> NCCore:
-    """Build NC top down from c without enumerating W: the lower covers of w
-    are t w for the reflections t below w, walked level by level."""
-    irr = t.single()
-    backend = _backend_for(irr)
-    mul, inv, refls = backend.mul, backend.inv, backend.reflections
-    n = irr.rank
-    steps = {}  # w -> (rank, lower covers, parabolic type)
-    level = {reduce(mul, backend.simple_reflections)}
+def walk_nc(t: RootSystemType):
+    """Walk NC(t) top down from c without enumerating W: the lower covers of
+    w are t w for the reflections t below w, walked level by level, and each
+    lower cover is stepped on the roots of those reflections alone.  Returns
+    the backend, the elements in canonical order and a dict from each element
+    to its nc_step: rank, reflections below and parabolic type.  The lower
+    covers are not kept, as their byte tables would outweigh the rest."""
+    backend = _backend_for(t.single())
+    mul, refls = backend.mul, backend.reflections
+    n = t.rank
+    steps = {}
+    level = {reduce(mul, backend.simple_reflections): None}  # w -> the reflections below an upper cover
     for depth in range(n + 1):
-        nxt = set()
-        for w in level:
-            rank, below, ptype = backend.nc_step(w)
+        nxt: dict = {}
+        for w, roots in level.items():
+            steps[w] = rank, below, _ = backend.nc_step(w, roots)
             if rank != n - depth:
                 raise InvariantError(f"{w!r} at depth {depth} below c has length {rank}")
-            covers = [mul(refls[i], w) for i in below]
-            steps[w] = (rank, covers, ptype)
-            nxt.update(covers)
+            for i in below:
+                nxt.setdefault(mul(refls[i], w), below)
         level = nxt
     elems = sorted(steps, key=lambda w: (steps[w][0], w))
+    if steps[elems[0]][2] != RootSystemType.empty():
+        raise InvariantError(f"identity classified as {steps[elems[0]][2]}")
+    if steps[elems[-1]][2] != t:
+        raise InvariantError(f"Coxeter element classified as {steps[elems[-1]][2]}")
+    return backend, elems, steps
+
+
+def _build_nc_fresh(t: RootSystemType) -> NCCore:
+    """Add the up-sets and the quotients u^-1 w to the walk of NC."""
+    backend, elems, steps = walk_nc(t)
+    mul, inv, refls = backend.mul, backend.inv, backend.reflections
     index = {w: i for i, w in enumerate(elems)}
     # top down, each strict up-set is complete before it is pushed to the covers
     ups: list[set[int]] = [set() for _ in elems]
     for i in reversed(range(len(elems))):
-        for v in steps[elems[i]][1]:
-            lower = ups[index[v]]  # the up-set of a lower cover of i
+        w = elems[i]
+        for r in steps[w][1]:
+            lower = ups[index[mul(refls[r], w)]]  # the up-set of a lower cover of i
             lower |= ups[i]
             lower.add(i)
     above = [tuple(sorted(s)) for s in ups]
@@ -736,17 +681,12 @@ def _build_nc_fresh(t: RootSystemType) -> NCCore:
         u_inv = inv(u)
         quot.append(tuple(index[mul(u_inv, elems[j])] for j in (i, *above[i])))
     poset = Poset([steps[w][0] for w in elems], above)
-    partypes = [steps[w][2] for w in elems]
-    if partypes[0] != RootSystemType.empty():
-        raise InvariantError(f"identity classified as {partypes[0]}")
-    if partypes[-1] != t:
-        raise InvariantError(f"Coxeter element classified as {partypes[-1]}")
-    return NCCore(t, n, poset, quot, partypes, elems)
+    return NCCore(t, t.rank, poset, quot, [steps[w][2] for w in elems])
 
 
 @dataclass
 class TypeTable:
-    """The parabolic types of NC(t) in core order, which is rank order, so
+    """The parabolic types of NC(t) in canonical order, which is rank order, so
     types[0] is the empty type and types[-1] is t; mult[b] elements have
     type B = types[b], and pairs[b] lists (a, c, P_B(A, C)) for the u below
     the first element w_B of type B: P_B(A, C) of them have type A with
@@ -799,34 +739,34 @@ class TypeTable:
 
 
 def _type_table_fresh(t: RootSystemType) -> TypeTable:
-    """Read the table off the core in one scan of the intervals."""
-    core = _build_nc(t)
-    types = tuple(dict.fromkeys(core.partypes))
-    tid = list(map({T: b for b, T in enumerate(types)}.__getitem__, core.partypes))
-    rep = {tid.index(b): b for b in range(len(types))}  # the NC index of w_B -> b
-    counts: list[dict[tuple[int, int], int]] = [{} for _ in types]
-    for u, (row, qs) in enumerate(zip(core.poset.above, core.quot)):
-        for j, q in zip(row, qs[1:]):  # q = u^-1 j
-            if j in rep:
-                key = (tid[u], tid[q])
-                counts[rep[j]][key] = counts[rep[j]].get(key, 0) + 1
-    pairs = tuple(tuple((a, c, k) for (a, c), k in sorted(row.items())) for row in counts)
-    return TypeTable(types, tuple(map(tid.count, range(len(types)))), pairs)
+    """Read the table off the walk of NC, with no core: the u < w_B are
+    reached through lower covers, and the types of u and of u^-1 w_B, again
+    an element of NC, are looked up in the walk."""
+    backend, elems, steps = walk_nc(t)
+    mul, inv, refls = backend.mul, backend.inv, backend.reflections
+    reps = {}  # type -> its first element w_B
+    for w in elems:
+        reps.setdefault(steps[w][2], w)
+    tid = {T: b for b, T in enumerate(reps)}
+    mult = Counter(steps[w][2] for w in elems)
+    pairs = []
+    for w_b in reps.values():
+        below, stack = set(), [w_b]
+        while stack:
+            w = stack.pop()
+            for r in steps[w][1]:
+                v = mul(refls[r], w)
+                if v not in below:
+                    below.add(v)
+                    stack.append(v)
+        counts = Counter((tid[steps[u][2]], tid[steps[mul(inv(u), w_b)][2]]) for u in below)
+        pairs.append(tuple((a, c, k) for (a, c), k in sorted(counts.items())))
+    return TypeTable(tuple(reps), tuple(mult[T] for T in reps), tuple(pairs))
 
 
 @lru_cache(maxsize=None)
 def _type_table(t: RootSystemType) -> TypeTable:
     return _persisted("nctypes", t, lambda obj: TypeTable.from_obj(obj, t), _type_table_fresh, TypeTable.to_obj)
-
-
-def mobius(core_or_poset, u: int, w: int) -> int:
-    poset = core_or_poset.poset if isinstance(core_or_poset, NCCore) else core_or_poset
-    return poset.mobius(u, w)
-
-
-def zeta_poly(core_or_poset, u: int, w: int) -> list[Fraction]:
-    poset = core_or_poset.poset if isinstance(core_or_poset, NCCore) else core_or_poset
-    return poset.zeta_poly(u, w)
 
 
 def char_poly(t: RootSystemType, group_cap: int | None = None) -> MPoly:
@@ -844,28 +784,6 @@ def _char_poly(t: RootSystemType) -> MPoly:
         chi = _type_table(RootSystemType.make(f)).char_polys[-1]
         out = out * MPoly({(0, i): v for i, v in enumerate(chi) if v})
     return out
-
-
-def interval_rank_genfun(core: NCCore, w: int) -> list[int]:
-    """Rank census of the lower interval [identity, w] inside NC."""
-    out = [0] * (core.poset.ranks[w] + 1)
-    for v in _iter_bits(core.poset.down[w]):
-        out[core.poset.ranks[v]] += 1
-    return out
-
-
-def nc_rank_genfun(t: RootSystemType, group_cap: int | None = None) -> tuple[int, ...]:
-    """Rank census of NC(t); multiplicative (convolution) over factors."""
-    out = [1]
-    for f in t.factors:
-        core = build_nc(RootSystemType.make(f), group_cap)
-        counts = core.poset.rank_counts()
-        new = [0] * (len(out) + len(counts) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(counts):
-                new[i + j] += a * b
-        out = new
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1023,9 +941,7 @@ def chain_count_brute(poset: Poset, rank: int, jumps: tuple[int, ...]) -> int:
     needed = [rank - p for p in partial[:-1]]  # ranks in the primal order
     if not needed:
         return 1
-    slices: dict[int, list[int]] = {}
-    for i, r in enumerate(poset.ranks):
-        slices.setdefault(r, []).append(i)
+    slices = dict(enumerate(poset.slices))  # a rank outside the poset has no elements
     current = {e: 1 for e in slices.get(needed[0], [])}
     for r in needed[1:]:
         nxt: dict[int, int] = {}

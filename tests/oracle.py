@@ -1,0 +1,138 @@
+"""Reference computations the tests compare catwb against: the absolute order
+and the Coxeter element of an enumerated group, the Mobius function, zeta
+polynomials and Mobius column vectors of a poset, rank censuses of intervals
+and of NC, and the parabolic-type table read off a whole NC core."""
+
+from collections import Counter
+from fractions import Fraction
+
+from catwb.errors import InvariantError, NotComparable
+from catwb.exactmath import MUniPoly, gen_binomial
+from catwb.rootdata import RootSystemType
+from catwb.wgroup import GroupTable, NCCore, Poset, TypeTable, _iter_bits, build_nc
+
+
+def abs_leq(table: GroupTable, u, w) -> bool:
+    """The absolute-order test: lengths add along u, u^-1 w."""
+    lu = table.abs_length_of(u)
+    lw = table.abs_length_of(w)
+    if lu > lw:
+        return False
+    q = table.backend.mul(table.backend.inv(u), w)
+    return lu + table.abs_length_of(q) == lw
+
+
+def coxeter_element(table: GroupTable):
+    return table.coxeter
+
+
+def _poset(core_or_poset) -> Poset:
+    return core_or_poset.poset if isinstance(core_or_poset, NCCore) else core_or_poset
+
+
+def mobius(core_or_poset, i: int, j: int) -> int:
+    """Mobius function of the interval [i, j], memoised on the poset."""
+    poset = _poset(core_or_poset)
+    if not poset.leq(i, j):
+        raise NotComparable(f"{i} is not below {j}")
+    memo = vars(poset).setdefault("_mobius", {})
+    got = memo.get((i, j))
+    if got is not None:
+        return got
+    total = 0
+    for v in _iter_bits(poset.up[i] & poset.down[j] & ~(1 << j)):
+        total += mobius(poset, i, v)
+    memo[(i, j)] = out = 1 if i == j else -total
+    return out
+
+
+def mobius_column_vectors(poset: Poset) -> list[list[int]]:
+    """For each w, the x-polynomial sum of mu(u, w) x^rank(u) over u <= w,
+    as integer coefficient lists indexed by rank: the column recursion over
+    down-sets."""
+    top_rank = max(poset.ranks, default=0)
+    g: list[list[int] | None] = [None] * poset.size
+    for w in sorted(range(poset.size), key=poset.ranks.__getitem__):
+        vec = [0] * (top_rank + 1)
+        vec[poset.ranks[w]] = 1
+        for v in _iter_bits(poset.down[w] & ~(1 << w)):
+            for idx, c in enumerate(g[v]):
+                vec[idx] -= c
+        g[w] = vec
+    return g
+
+
+def zeta_values(poset: Poset, i: int, j: int, max_z: int) -> list[int]:
+    """Multichain counts from i to j with z links, for z = 0..max_z."""
+    interval = sorted(_iter_bits(poset.up[i] & poset.down[j]))
+    pos = {e: k for k, e in enumerate(interval)}
+    vec = [0] * len(interval)
+    vec[pos[i]] = 1
+    out = [1 if i == j else 0]
+    for _ in range(max_z):
+        nxt = [0] * len(interval)
+        for k, e in enumerate(interval):
+            if vec[k]:
+                for f in _iter_bits(poset.up[e] & poset.down[j]):
+                    nxt[pos[f]] += vec[k]
+        vec = nxt
+        out.append(vec[pos[j]])
+    return out
+
+
+def zeta_poly(core_or_poset, i: int, j: int) -> list[Fraction]:
+    """Exact coefficients of the zeta polynomial Z(i, j; z), interpolated
+    from multichain counts; Z(-1) is checked to equal the Mobius value."""
+    poset = _poset(core_or_poset)
+    if not poset.leq(i, j):
+        raise NotComparable(f"{i} is not below {j}")
+    deg = poset.ranks[j] - poset.ranks[i]
+    # Newton's forward differences: Z(z) = sum of (Delta^k Z)(0) binom(z, k)
+    diffs = zeta_values(poset, i, j, deg)
+    z = MUniPoly.var()
+    poly = MUniPoly()
+    for k in range(deg + 1):
+        poly += diffs[0] * gen_binomial(z, k)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    z_at_neg1 = poly.eval(-1)
+    mu = mobius(poset, i, j)
+    if z_at_neg1 != mu:
+        raise InvariantError(f"zeta(-1) = {z_at_neg1} but mobius = {mu}")
+    return list(poly.coeffs)
+
+
+def interval_rank_genfun(core: NCCore, w: int) -> list[int]:
+    """Rank census of the lower interval [identity, w] inside NC."""
+    out = [0] * (core.poset.ranks[w] + 1)
+    for v in _iter_bits(core.poset.down[w]):
+        out[core.poset.ranks[v]] += 1
+    return out
+
+
+def nc_rank_genfun(t: RootSystemType, group_cap: int | None = None) -> tuple[int, ...]:
+    """Rank census of NC(t); multiplicative (convolution) over factors."""
+    out = [1]
+    for f in t.factors:
+        counts = build_nc(RootSystemType.make(f), group_cap).poset.rank_counts()
+        new = [0] * (len(out) + len(counts) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(counts):
+                new[i + j] += a * b
+        out = new
+    return tuple(out)
+
+
+def type_table_from_core(core: NCCore) -> TypeTable:
+    """The parabolic-type table read off a whole core in one scan of its
+    intervals and quotients: the reference for the table that catwb reads
+    off the walk of NC without building a core."""
+    types = tuple(dict.fromkeys(core.partypes))
+    tid = list(map({T: b for b, T in enumerate(types)}.__getitem__, core.partypes))
+    rep = {tid.index(b): b for b in range(len(types))}  # the NC index of w_B -> b
+    counts = [Counter() for _ in types]
+    for u, (row, qs) in enumerate(zip(core.poset.above, core.quot)):
+        for j, q in zip(row, qs[1:]):  # q = u^-1 j
+            if j in rep:
+                counts[rep[j]][tid[u], tid[q]] += 1
+    pairs = tuple(tuple((a, c, k) for (a, c), k in sorted(row.items())) for row in counts)
+    return TypeTable(types, tuple(map(tid.count, range(len(types)))), pairs)

@@ -51,7 +51,7 @@ def clear_memos():
 def fresh_memos():
     clear_memos()
     yield
-    clear_memos()  # a core read from disk has no group elements: leave none to later tests
+    clear_memos()  # leave no core or table read from a cache directory to later tests
 
 
 # memos whose values come from their arguments alone and never from a cache
@@ -178,8 +178,10 @@ class TestCache:
             rc2, out2 = run(capsys, args)
             assert rc2 == 0
             assert out1 == out2
-        for name in ("B2", "I2(5)"):
-            assert ResultCache(tmp_path).path_for("nccore", name).exists()
+        cache = ResultCache(tmp_path)
+        assert cache.path_for("nccore", "B2").exists()
+        assert cache.path_for("nctypes", "I2(5)").exists()
+        assert not cache.path_for("nccore", "I2(5)").exists()  # a formula command builds no core
 
     @pytest.mark.parametrize(
         "argv,cap",
@@ -226,7 +228,7 @@ class TestCache:
 
     @pytest.mark.parametrize(
         "argv",
-        [["export-poset", "A3", "--m", "2", "--out", "OUT"], ["mtriangle", "A3", "--mode", "formula"]],
+        [["export-poset", "A3", "--m", "2", "--out", "OUT"], ["mtriangle", "A3", "--mode", "brute", "--m", "1"]],
         ids=["export-poset", "mtriangle"],
     )
     @pytest.mark.parametrize("corrupt", ["stale_version", "missing_key"])
@@ -278,10 +280,10 @@ class TestCache:
         argv = ["verify", "--suite", "fm", "--types", "E6", "--cache-dir", str(tmp_path)]
         cold = run(capsys, argv), (tmp_path / "verify_fm.json").read_bytes()
         assert cache.path_for("nctypes", "E6").exists()
-        cache.path_for("nccore", "E6").unlink()
+        assert not cache.path_for("nccore", "E6").exists()  # a built core would be written
         clear_memos()
         assert (run(capsys, argv), (tmp_path / "verify_fm.json").read_bytes()) == cold
-        assert not cache.path_for("nccore", "E6").exists()  # a rebuilt core would be written
+        assert not cache.path_for("nccore", "E6").exists()
 
     def test_clear_memos_clears_every_memo(self, monkeypatch):
         memos = package_memos()

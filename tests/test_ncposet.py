@@ -22,6 +22,7 @@ from catwb.wgroup import _iter_bits, build_nc, char_poly, decomposition_numbers
 
 from mobius_reference import reference_m_triangle
 from mpoly_reference import reference_m_triangle_formula
+from oracle import zeta_poly
 
 # sha256 of MPoly.dumps() of m_triangle_bruteforce(t, m).poly, taken from the
 # sweep over sorted up-lists that preceded the coordinate sweep
@@ -139,13 +140,13 @@ class TestBuildNcm:
         # additive reflection lengths, and rank is the length of slot zero
         t = ir(s)
         p = build_ncm(t, m)
-        core = p.core
-        from catwb.wgroup import enumerate_group
+        from catwb.wgroup import enumerate_group, walk_nc
 
         g = enumerate_group(t.single())
         mul = g.backend.mul
+        elements = walk_nc(t)[1]
         for idx, delta in enumerate(p.elements):
-            words = [core.elements[i] for i in delta]
+            words = [elements[i] for i in delta]
             prod = words[0]
             for w in words[1:]:
                 prod = mul(prod, w)
@@ -271,7 +272,7 @@ class TestZetaRoute:
             for w in range(p.size):
                 if not p.leq(u, w):
                     continue
-                coeffs = p.zeta_poly(u, w)
+                coeffs = zeta_poly(p, u, w)
                 mu = sum(c * (-1) ** i for i, c in enumerate(coeffs))
                 key = (p.ranks[u], p.ranks[w])
                 terms[key] = terms.get(key, 0) + mu

@@ -16,6 +16,7 @@ import pytest
 from catwb import wgroup
 from catwb.errors import BudgetExceeded, InvariantError, NotComparable
 from catwb.exactmath import MPoly
+from catwb.fmverify import verify_fm
 from catwb.ncposet import build_ncm
 from catwb.rootdata import degrees_irr, group_order, ir
 from catwb.wgroup import (
@@ -24,27 +25,32 @@ from catwb.wgroup import (
     TypeTable,
     _iter_bits,
     abs_length,
-    abs_leq,
     build_nc,
     chain_count_formula,
     chain_counts_classical,
     char_poly,
-    coxeter_element,
     decomposition_numbers,
     enumerate_group,
-    interval_rank_genfun,
-    mobius,
     nc_core_from_obj,
     nc_core_to_obj,
-    nc_rank_genfun,
     parabolic_type_of,
-    zeta_poly,
+    walk_nc,
     _type_table,
 )
 
 from golden import GOLDEN_CHAR, golden_char_i2, golden_decomp_i2, GOLDEN_DECOMP
 from decomposition_reference import reference_decomposition_counts
 from mobius_reference import reference_m_triangle
+from oracle import (
+    abs_leq,
+    coxeter_element,
+    interval_rank_genfun,
+    mobius,
+    mobius_column_vectors,
+    nc_rank_genfun,
+    type_table_from_core,
+    zeta_poly,
+)
 
 SMALL_GROUPS = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "D5", "H3", "F4"] + [
     f"I2({a})" for a in range(3, 11)
@@ -191,7 +197,7 @@ class TestNCPoset:
         # column sums of the Mobius vector vanish for rank >= 1
         for s in ("A3", "B3", "I2(7)", "H3"):
             core = build_nc(ir(s))
-            g_top = core.poset.mobius_column_vectors()[core.top]
+            g_top = mobius_column_vectors(core.poset)[core.top]
             assert sum(g_top) == 0
 
     def test_zeta_poly(self):
@@ -279,12 +285,12 @@ class TestMTriangleSweep:
     def test_matches_column_recursion_and_pairwise_mobius(self, case):
         poset = _poset(case)
         columns, pairs = Counter(), Counter()
-        for w, vec in enumerate(poset.mobius_column_vectors()):
+        for w, vec in enumerate(mobius_column_vectors(poset)):
             for ru, v in enumerate(vec):
                 columns[ru, poset.ranks[w]] += v
         for u in range(poset.size):
             for w in _iter_bits(poset.up[u]):
-                pairs[poset.ranks[u], poset.ranks[w]] += poset.mobius(u, w)
+                pairs[poset.ranks[u], poset.ranks[w]] += mobius(poset, u, w)
         assert poset.m_triangle() == MPoly(columns) == MPoly(pairs) == reference_m_triangle(poset)
 
     @pytest.mark.parametrize(
@@ -350,13 +356,20 @@ class TestTopDownBuild:
         elems = [w for _, w in members]
         index = {w: i for i, w in enumerate(elems)}
         core = build_nc(t)
-        assert core.elements == elems
+        assert walk_nc(t)[1] == elems
         assert core.poset.ranks == [r for r, _ in members]
         for i, u in enumerate(elems):
             above = [j for j, w in enumerate(elems) if abs_leq(g, u, w)]
             assert list(_iter_bits(core.poset.up[i])) == above
             assert dict(zip(above, core.quot[i], strict=True)) == {j: index[mul(inv(u), elems[j])] for j in above}
         assert core.partypes == [parabolic_type_of(g, w) for w in elems]
+
+    @pytest.mark.parametrize("s", ["A5", "B4", "D5", "E6", "F4", "H3", "H4", "I2(7)"])
+    def test_subsystem_steps_match_full_steps(self, s):
+        # each element was stepped on the roots below one upper cover only
+        backend, elems, steps = walk_nc(ir(s))
+        for w in elems:
+            assert steps[w] == backend.nc_step(w)
 
     @pytest.mark.parametrize("s,nroots", [("A16", 272), ("B12", 288), ("D12", 264)])
     def test_byte_table_bound(self, s, nroots):
@@ -397,6 +410,11 @@ class TestCharPoly:
         core = build_nc(ir(s))
         tri = core.poset.m_triangle()
         assert char_poly(ir(s)) == MPoly({(0, i): v for (i, j), v in tri.terms.items() if j == core.rank})
+
+    @pytest.mark.parametrize("s", TABLE_TYPES)
+    def test_walked_table_matches_the_core_scan(self, s):
+        walked = json.dumps(wgroup._type_table_fresh(ir(s)).to_obj())
+        assert walked == json.dumps(type_table_from_core(build_nc(ir(s))).to_obj())
 
     @pytest.mark.parametrize("s", TABLE_TYPES)
     def test_every_row_of_the_type_table(self, s):
@@ -478,6 +496,17 @@ class TestDecomposition:
         assert words * group_order(t) == factorial(n) * h**n
         assert words == {"A6": 7**5, "E6": 41_472}.get(s, words)
 
+    def test_e7_without_a_core(self):
+        # with the group cap raised, E7's type table comes from the walk of
+        # its 4,160 elements alone: no listing of W and no core
+        t, cap = ir("E7"), 10**7
+        cores = wgroup._build_nc.cache_info().currsize
+        table = decomposition_numbers(t, group_cap=cap)
+        assert table.n(*[ir("A1")] * 7) == 1_062_882 == factorial(7) * 18**7 // group_order(t)
+        assert table.closure_violations() == []
+        assert verify_fm(t, "formula", group_cap=cap).equal
+        assert wgroup._build_nc.cache_info().currsize == cores
+
     def test_a_tampered_table_breaks_the_symmetry(self, monkeypatch):
         t = ir("B3")
         table = _type_table(t)
@@ -547,7 +576,7 @@ class TestDiskCache:
         from catwb.wgroup import nc_core_from_obj, nc_core_to_obj
 
         core = nc_core_from_obj(nc_core_to_obj(build_nc(ir("H3"))))
-        g_top = core.poset.mobius_column_vectors()[core.top]
+        g_top = mobius_column_vectors(core.poset)[core.top]
         assert g_top == [-21, 35, -15, 1]
 
 
@@ -580,3 +609,9 @@ class TestChainCounts:
         padded = chain_counts_classical(ir("A2"), 2, (1, 0, 1))
         assert padded.formula == full.formula
         assert padded.brute == full.brute
+
+    def test_a_jump_past_either_end_counts_no_chain(self):
+        # a negative jump asks for a rank outside the poset
+        for jumps in ((3, -1), (-1, 3), (2, 1, -1)):
+            res = chain_counts_classical(ir("A2"), 1, jumps)
+            assert res.formula == res.brute == 0, jumps
