@@ -1,6 +1,6 @@
-"""Versioned JSON store keyed by (kind, key), holding the NC cores and the
-parabolic-type tables behind wgroup._build_nc and wgroup._type_table, which
-validate each entry they read; budgets are checked before it is consulted.
+"""Versioned JSON store keyed by (kind, key), holding the parabolic-type
+tables behind wgroup._type_table, which validates each entry it reads;
+budgets are checked before it is consulted.
 Entries are canonical JSON, written to a temporary file and renamed into
 place; an unreadable or truncated entry reads as a miss, so a crash never
 leaves an entry that is served.

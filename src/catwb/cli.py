@@ -3,7 +3,9 @@ export, chain counts, and the dual-triangle check.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error, 3 budget
 exceeded.  Flags can be defaulted through CATWB_-prefixed environment
-variables; --cache-dir persists NC cores and holds the verify report.
+variables, and every command reads flag and variable values through one
+validated RunConfig; --cache-dir persists the parabolic-type tables and holds
+the verify report.
 """
 
 from __future__ import annotations
@@ -53,14 +55,15 @@ class RunConfig:
 
     @staticmethod
     def from_args(args) -> "RunConfig":
-        poset_cap = getattr(args, "poset_cap", None)
+        """Parse the raw flag values, whose defaults are the CATWB_ variables;
+        InvalidArgument for a value that is not an integer or out of range."""
         return RunConfig(
-            group_cap=args.group_cap if args.group_cap is not None else DEFAULT_GROUP_CAP,
-            poset_cap=poset_cap if poset_cap is not None else DEFAULT_POSET_CAP,
+            group_cap=_int(args.group_cap, "--group-cap", DEFAULT_GROUP_CAP),
+            poset_cap=_int(args.poset_cap, "--poset-cap", DEFAULT_POSET_CAP),
             m_grid=_int_list(args.m_grid, "--m-grid") if getattr(args, "m_grid", None) else (1, 2, 3),
             types=tuple(getattr(args, "types", "").split(",")) if getattr(args, "types", None) else (),
             format=getattr(args, "format", None) or "latex",
-            seed=args.seed,
+            seed=_int(args.seed, "--seed", 7),
         )
 
 
@@ -69,22 +72,27 @@ def _env(name: str, default=None):
 
 
 def _add_common(p: argparse.ArgumentParser, fmt: bool = True):
-    p.add_argument("--cache-dir", default=_env("CACHE_DIR"), help="directory for the NC core cache")
-    p.add_argument("--group-cap", type=int, default=_int_env("GROUP_CAP"), help="group order cap")
-    p.add_argument("--poset-cap", type=int, default=_int_env("POSET_CAP"), help="poset pair cap")
-    p.add_argument("--seed", type=int, default=_int_env("SEED", 7), help="random seed")
+    p.add_argument("--cache-dir", default=_env("CACHE_DIR"), help="directory for the type-table cache")
+    p.add_argument("--group-cap", default=_env("GROUP_CAP"), help="group order cap")
+    p.add_argument("--poset-cap", default=_env("POSET_CAP"), help="poset pair cap")
+    p.add_argument("--seed", default=_env("SEED"), help="random seed")
     if fmt:
         p.add_argument(
             "--format",
-            choices=("json", "csv", "latex"),
+            choices=FORMATS,
             default=_env("FORMAT", "latex"),
             help="output format",
         )
 
 
-def _int_env(name: str, default=None):
-    raw = _env(name)
-    return int(raw) if raw is not None else default
+def _int(raw: str | None, flag: str, default: int) -> int:
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        var = "CATWB_" + flag[2:].upper().replace("-", "_")
+        raise InvalidArgument(f"{flag} (or {var}) expects an integer, got {raw!r}") from None
 
 
 def _int_list(raw: str, flag: str) -> tuple[int, ...]:
@@ -109,45 +117,45 @@ def _emit_poly(poly: MPoly, fmt: str) -> str:
     return poly.format(latex=True)
 
 
-def cmd_ftriangle(args) -> int:
+def cmd_ftriangle(args, cfg: RunConfig) -> int:
     poly = f_closed(_parse_type(args.type)).poly
     if args.m is not None:
         poly = poly.eval_m(args.m)
-    print(_emit_poly(poly, args.format))
+    print(_emit_poly(poly, cfg.format))
     return EXIT_OK
 
 
-def cmd_mtriangle(args) -> int:
+def cmd_mtriangle(args, cfg: RunConfig) -> int:
     t = _parse_type(args.type)
     if args.mode == "brute":
         if args.m is None:
             print("error: brute mode requires --m", file=sys.stderr)
             return EXIT_USAGE
         poly = m_triangle_bruteforce(
-            t, args.m, group_cap=args.group_cap, poset_cap=args.poset_cap
+            t, args.m, group_cap=cfg.group_cap, poset_cap=cfg.poset_cap
         ).poly
     else:
-        poly = m_triangle_formula(t, group_cap=args.group_cap).poly
+        poly = m_triangle_formula(t, group_cap=cfg.group_cap).poly
         if args.m is not None:
             poly = poly.eval_m(args.m)
-    print(_emit_poly(poly, args.format))
+    print(_emit_poly(poly, cfg.format))
     return EXIT_OK
 
 
-def cmd_export_poset(args) -> int:
+def cmd_export_poset(args, cfg: RunConfig) -> int:
     t = _parse_type(args.type)
-    obj = export_poset_obj(t, args.m, group_cap=args.group_cap, poset_cap=args.poset_cap)
+    obj = export_poset_obj(t, args.m, group_cap=cfg.group_cap, poset_cap=cfg.poset_cap)
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     Path(args.out).write_text(payload)
     print(f"wrote {obj['num_elements']} elements to {args.out}")
     return EXIT_OK
 
 
-def cmd_chains(args) -> int:
+def cmd_chains(args, cfg: RunConfig) -> int:
     t = _parse_type(args.type)
     jumps = _int_list(args.jumps, "--jumps")
     res = chain_counts_classical(
-        t, args.m, jumps, group_cap=args.group_cap, poset_cap=args.poset_cap
+        t, args.m, jumps, group_cap=cfg.group_cap, poset_cap=cfg.poset_cap
     )
     brute = "n/a (over budget)" if res.brute is None else str(res.brute)
     status = "OK" if res.equal else "MISMATCH"
@@ -155,7 +163,7 @@ def cmd_chains(args) -> int:
     return EXIT_OK if res.equal else EXIT_FAIL
 
 
-def cmd_dual(args) -> int:
+def cmd_dual(args, cfg: RunConfig) -> int:
     t = _parse_type(args.type)
     rep = verify_dual(t, args.m)
     print(rep.summary_line())
@@ -278,8 +286,7 @@ def _suite_carlitz(cfg: RunConfig, out: list[VerificationReport]):
         out.append(_fail_marker("carlitz"))
 
 
-def cmd_verify(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_verify(args, cfg: RunConfig) -> int:
     suites = {
         "recurrence": _suite_recurrence,
         "fm": _suite_fm,
@@ -369,7 +376,7 @@ def main(argv=None) -> int:
     cache_dir = getattr(args, "cache_dir", None)
     previous = set_disk_cache(ResultCache(cache_dir)) if cache_dir else None
     try:
-        return args.func(args)
+        return args.func(args, RunConfig.from_args(args))
     except (TypeParseError, UnsupportedType, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

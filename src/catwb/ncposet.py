@@ -219,7 +219,7 @@ def m_triangle_formula(t: RootSystemType, group_cap: int | None = None) -> MTria
     binomial weights in m.
 
     Both come from the type table of t, which holds the characteristic
-    polynomial of every parabolic type of t, so no other core is read.  They
+    polynomial of every parabolic type of t, so no core is built.  They
     have integer coefficients free of m, so sign * N * orderings * (the
     product of the char polys at -y) is summed as integers per (rank sum,
     y-degree, d), then weighted by binomial(m, d) once.  The result carries

@@ -10,7 +10,7 @@ parabolic-type classification, decomposition numbers and chain counts.
 Each root has one index, its place in increasing simple-root coordinates.
 The canonical order of NC sorts its elements by (rank, byte string), where
 the byte string lists the images of the roots in that order; NC indices,
-cached cores and exported posets all follow it.
+type tables and exported posets all follow it.
 
 NC is walked top down from the Coxeter element c without enumerating W
 (walk_nc): each backend's nc_step gives the rank of an element, the
@@ -31,9 +31,10 @@ type of w alone: the table keeps, per type B, its number of elements and,
 below its first element w_B, the counts P_B(A, C) of u of type A with
 u^-1 w_B of type C.  It is read off the walk alone, with no up-sets or
 quotients (Krattenthaler-Muller, Trans. AMS 2010, need only the types of u
-and of u^-1 w_B), and persists on its own (kind `nctypes`), so formula-mode
-runs build no core.  The core, with its up-sets and quotients u^-1 w, is
-built from the same walk for the brute-force NC^m, chain counts and exports.
+and of u^-1 w_B), and it is all that persists on disk (kind `nctypes`), so
+formula-mode runs build no core.  The core, with its up-sets and quotients
+u^-1 w, is built in memory from the same walk, and never stored, for the
+brute-force NC^m, chain counts and exports.
 
 Posets are immutable once built and memoised by type alone: every public
 entry point checks the group cap from the closed-form |W| before any memo or
@@ -543,7 +544,6 @@ class NCCore:
     j, so it starts with the identity 0 and ends with u_i^-1 c."""
 
     type: RootSystemType
-    rank: int
     poset: Poset
     quot: list[tuple[int, ...]]
     partypes: list[RootSystemType]
@@ -557,80 +557,12 @@ class NCCore:
         return self.size - 1
 
 
-REPR_VERSION = 1
-
-_disk_cache = None  # ResultCache set by the CLI; library default is in-memory only
-
-
-def set_disk_cache(cache):
-    """Install a ResultCache so expensive poset cores persist across runs;
-    returns the cache it replaces."""
-    global _disk_cache
-    previous, _disk_cache = _disk_cache, cache
-    return previous
-
-
-def nc_core_to_obj(core: NCCore) -> dict:
-    """Canonical JSON form of a poset core, keyed by representation version."""
-    return {
-        "repr_version": REPR_VERSION,
-        "type": str(core.type),
-        "rank": core.rank,
-        "ranks": list(core.poset.ranks),
-        "up": [format(mask, "x") for mask in core.poset.up],
-        "quot": [
-            [[j, q] for j, q in zip((i, *row), qs)]
-            for i, (row, qs) in enumerate(zip(core.poset.above, core.quot))
-        ],
-        "partypes": [str(t) for t in core.partypes],
-    }
-
-
-def nc_core_from_obj(obj: dict) -> NCCore:
-    if obj.get("repr_version") != REPR_VERSION:
-        raise ValueError("stale representation version")
-    above, quot = [], []
-    # the pairs of row i are (j, u_i^-1 u_j) for j = i, then the j > i in increasing order
-    for i, pairs in enumerate(obj["quot"]):
-        js, qs = zip(*pairs)
-        if js[0] != i:
-            raise ValueError(f"stored quotient row {i} does not start at {i}")
-        above.append(tuple(map(int, js[1:])))
-        quot.append(tuple(map(int, qs)))
-    if len(obj["up"]) != len(quot):
-        raise ValueError("the stored order and quotients differ in size")
-    poset = Poset(list(obj["ranks"]), above)
-    partypes = [RootSystemType.parse(s) for s in obj["partypes"]]
-    return NCCore(RootSystemType.parse(obj["type"]), obj["rank"], poset, quot, partypes)
-
-
 def build_nc(t: RootSystemType, group_cap: int | None = None) -> NCCore:
     """Build NC for an irreducible catalog type; BudgetExceeded above the
-    group cap, checked before the memo and the disk cache are consulted."""
+    group cap, checked before the memo is consulted."""
     _check_irreducible(t)
     _check_group_cap(t, group_cap)
     return _build_nc(t)
-
-
-def _persisted(kind: str, t: RootSystemType, from_obj, build, to_obj):
-    """The entry of this kind for t read from the disk cache, or else built
-    and written; an entry that from_obj rejects reads as a miss."""
-    if _disk_cache is not None:
-        stored = _disk_cache.get(kind, str(t))
-        if stored is not None:
-            try:
-                return from_obj(stored)
-            except (AttributeError, IndexError, KeyError, TypeError, ValueError):  # stale or incomplete
-                pass
-    out = build(t)
-    if _disk_cache is not None:
-        _disk_cache.put(kind, str(t), to_obj(out))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _build_nc(t: RootSystemType) -> NCCore:
-    return _persisted("nccore", t, nc_core_from_obj, _build_nc_fresh, nc_core_to_obj)
 
 
 def walk_nc(t: RootSystemType):
@@ -662,7 +594,8 @@ def walk_nc(t: RootSystemType):
     return backend, elems, steps
 
 
-def _build_nc_fresh(t: RootSystemType) -> NCCore:
+@lru_cache(maxsize=None)
+def _build_nc(t: RootSystemType) -> NCCore:
     """Add the up-sets and the quotients u^-1 w to the walk of NC."""
     backend, elems, steps = walk_nc(t)
     mul, inv, refls = backend.mul, backend.inv, backend.reflections
@@ -681,7 +614,20 @@ def _build_nc_fresh(t: RootSystemType) -> NCCore:
         u_inv = inv(u)
         quot.append(tuple(index[mul(u_inv, elems[j])] for j in (i, *above[i])))
     poset = Poset([steps[w][0] for w in elems], above)
-    return NCCore(t, t.rank, poset, quot, [steps[w][2] for w in elems])
+    return NCCore(t, poset, quot, [steps[w][2] for w in elems])
+
+
+REPR_VERSION = 1
+
+_disk_cache = None  # ResultCache set by the CLI; library default is in-memory only
+
+
+def set_disk_cache(cache):
+    """Install a ResultCache so that type tables persist across runs;
+    returns the cache it replaces."""
+    global _disk_cache
+    previous, _disk_cache = _disk_cache, cache
+    return previous
 
 
 @dataclass
@@ -766,7 +712,19 @@ def _type_table_fresh(t: RootSystemType) -> TypeTable:
 
 @lru_cache(maxsize=None)
 def _type_table(t: RootSystemType) -> TypeTable:
-    return _persisted("nctypes", t, lambda obj: TypeTable.from_obj(obj, t), _type_table_fresh, TypeTable.to_obj)
+    """The table of t read from the disk cache, or else built and written;
+    an entry that TypeTable.from_obj rejects reads as a miss."""
+    if _disk_cache is not None:
+        stored = _disk_cache.get("nctypes", str(t))
+        if stored is not None:
+            try:
+                return TypeTable.from_obj(stored, t)
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError):  # stale or incomplete
+                pass
+    table = _type_table_fresh(t)
+    if _disk_cache is not None:
+        _disk_cache.put("nctypes", str(t), table.to_obj())
+    return table
 
 
 def char_poly(t: RootSystemType, group_cap: int | None = None) -> MPoly:

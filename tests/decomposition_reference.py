@@ -13,7 +13,7 @@ def reference_chain_census(core: NCCore, max_d: int | None) -> Counter:
     identity's empty chain included).  The type of the step u -> w is that of
     u^-1 w; elements are in rank order, so every chain reaches j before j is
     read, and each element pushes its census to every element above it."""
-    depth = core.rank if max_d is None else min(max_d, core.rank)
+    depth = core.type.rank if max_d is None else min(max_d, core.type.rank)
     paths = [Counter() for _ in range(core.size)]
     paths[0][()] = 1
     buckets: Counter = Counter()

@@ -1,7 +1,8 @@
 """Reference computations the tests compare catwb against: the absolute order
 and the Coxeter element of an enumerated group, the Mobius function, zeta
 polynomials and Mobius column vectors of a poset, rank censuses of intervals
-and of NC, and the parabolic-type table read off a whole NC core."""
+and of NC, the parabolic-type table read off a whole NC core, and a canonical
+JSON dump of a core for pinned digests."""
 
 from collections import Counter
 from fractions import Fraction
@@ -136,3 +137,23 @@ def type_table_from_core(core: NCCore) -> TypeTable:
                 counts[rep[j]][tid[u], tid[q]] += 1
     pairs = tuple(tuple((a, c, k) for (a, c), k in sorted(row.items())) for row in counts)
     return TypeTable(types, tuple(map(tid.count, range(len(types)))), pairs)
+
+
+def core_dump(core: NCCore) -> dict:
+    """Canonical JSON form of a core: ranks, up-set bit rows in hex, each
+    quotient row as (j, u_i^-1 u_j) pairs for j = i and then the j > i, and
+    the parabolic types.  It is the layout, version field included, of the
+    core entries that earlier versions of catwb kept on disk, so that digests
+    pinned then still apply."""
+    return {
+        "repr_version": 1,
+        "type": str(core.type),
+        "rank": core.type.rank,
+        "ranks": list(core.poset.ranks),
+        "up": [format(mask, "x") for mask in core.poset.up],
+        "quot": [
+            [[j, q] for j, q in zip((i, *row), qs)]
+            for i, (row, qs) in enumerate(zip(core.poset.above, core.quot))
+        ],
+        "partypes": [str(t) for t in core.partypes],
+    }

@@ -38,12 +38,12 @@ def run(capsys, argv):
 
 
 def clear_memos():
-    """Forget the in-process results, so that cores and type tables are read
-    from or written to the cache directory of the next command."""
-    from catwb.ncposet import _build_ncm
-    from catwb.wgroup import _build_nc, _char_poly, _decomposition_numbers, _type_table
+    """Forget the in-process results that come from type tables, so that the
+    tables are read from or written to the cache directory of the next
+    command."""
+    from catwb.wgroup import _char_poly, _decomposition_numbers, _type_table
 
-    for cached in (_build_nc, _build_ncm, _char_poly, _decomposition_numbers, _type_table):
+    for cached in (_char_poly, _decomposition_numbers, _type_table):
         cached.cache_clear()
 
 
@@ -51,7 +51,7 @@ def clear_memos():
 def fresh_memos():
     clear_memos()
     yield
-    clear_memos()  # leave no core or table read from a cache directory to later tests
+    clear_memos()  # leave no table read from a cache directory to later tests
 
 
 # memos whose values come from their arguments alone and never from a cache
@@ -62,9 +62,11 @@ MEMOS_OF_ARGUMENTS_ALONE = {
     "catwb.exactmath._fm_kernel",
     "catwb.ftriangle._f_closed_irr",
     "catwb.ftriangle.f_closed",
+    "catwb.ncposet._build_ncm",
     "catwb.rootdata.RootSystemType.parse",
     "catwb.rootdata._classify_diagram",
     "catwb.rootdata.deletion_types",
+    "catwb.wgroup._build_nc",
     "catwb.wgroup._enumerate_group",
 }
 
@@ -153,6 +155,14 @@ class TestExitCodes:
             ["mtriangle", "E6xA1", "--mode", "brute", "--m", "1"],
             ["verify", "--suite", "chains", "--types", "A2", "--m-grid", "1", "--poset-cap", "0"],
             ["CATWB_POSET_CAP=0", "verify", "--suite", "chains", "--types", "A2", "--m-grid", "1"],
+            ["mtriangle", "A2", "--group-cap", "0"],
+            ["mtriangle", "A2", "--group-cap", "-5"],
+            ["chains", "A2", "--m", "1", "--jumps", "1,1", "--poset-cap", "0"],
+            ["export-poset", "A2", "--m", "1", "--out", "unused.json", "--seed", "x"],
+            ["CATWB_GROUP_CAP=abc", "mtriangle", "A2"],
+            ["CATWB_POSET_CAP=abc", "chains", "A2", "--m", "1", "--jumps", "1,1"],
+            ["CATWB_SEED=abc", "dual", "A2"],
+            ["CATWB_FORMAT=xml", "ftriangle", "A2"],
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, monkeypatch, argv):
@@ -178,10 +188,8 @@ class TestCache:
             rc2, out2 = run(capsys, args)
             assert rc2 == 0
             assert out1 == out2
-        cache = ResultCache(tmp_path)
-        assert cache.path_for("nccore", "B2").exists()
-        assert cache.path_for("nctypes", "I2(5)").exists()
-        assert not cache.path_for("nccore", "I2(5)").exists()  # a formula command builds no core
+        assert ResultCache(tmp_path).path_for("nctypes", "I2(5)").exists()
+        assert {p.parent.name for p in tmp_path.rglob("*.json")} == {"nctypes"}  # no core is stored
 
     @pytest.mark.parametrize(
         "argv,cap",
@@ -216,25 +224,35 @@ class TestCache:
             path.write_text("{}")
         assert [outcome(argv + ["--cache-dir", str(cache.dir)]) for argv in commands] == uncached
 
-    def test_cache_dir_serves_one_command_only(self, capsys, tmp_path):
+    def test_cache_dir_serves_one_command_only(self, capsys, tmp_path, fresh_memos):
         from catwb.rootdata import ir
-        from catwb.wgroup import _build_nc, build_nc
+        from catwb.wgroup import char_poly
 
-        rc, _ = run(capsys, ["ftriangle", "A1", "--cache-dir", str(tmp_path)])
+        rc, _ = run(capsys, ["mtriangle", "A1", "--cache-dir", str(tmp_path)])
         assert rc == 0
-        _build_nc.cache_clear()  # so that the core below is really built
-        build_nc(ir("A3"))
-        assert not ResultCache(tmp_path).path_for("nccore", "A3").exists()
+        assert ResultCache(tmp_path).path_for("nctypes", "A1").exists()
+        clear_memos()  # so that the table below is really built
+        char_poly(ir("A3"))
+        assert not ResultCache(tmp_path).path_for("nctypes", "A3").exists()
 
     @pytest.mark.parametrize(
         "argv",
         [["export-poset", "A3", "--m", "2", "--out", "OUT"], ["mtriangle", "A3", "--mode", "brute", "--m", "1"]],
         ids=["export-poset", "mtriangle"],
     )
-    @pytest.mark.parametrize("corrupt", ["stale_version", "missing_key"])
-    def test_unreadable_core_is_a_miss(self, capsys, tmp_path, argv, corrupt):
+    @pytest.mark.parametrize("corrupt", ["stale_version", "missing_key", "garbage", "another_type"])
+    def test_unreadable_core_is_a_miss(self, capsys, monkeypatch, tmp_path, argv, corrupt):
+        # a core entry left by an earlier version is never read or rewritten,
+        # whatever it holds: cores are only built in memory
+        from catwb.ncposet import _build_ncm
+        from catwb.rootdata import ir
+        from catwb.wgroup import _build_nc, build_nc
+        from oracle import core_dump
+
         def run_in(cache_dir):
-            clear_memos()  # so that the core is read from the cache directory
+            for cached in (_build_nc, _build_ncm):
+                cached.cache_clear()  # so that the core is really built
+            cache_dir.mkdir(exist_ok=True)
             out_file = cache_dir / "out.json"
             args = [str(out_file) if a == "OUT" else a for a in argv]
             rc, out = run(capsys, args + ["--cache-dir", str(cache_dir)])
@@ -242,16 +260,29 @@ class TestCache:
             return out.replace(str(out_file), "OUT"), out_file.read_bytes() if out_file.exists() else None
 
         cold = run_in(tmp_path / "cold")
-        entry = ResultCache(tmp_path / "cold").path_for("nccore", "A3").read_bytes()
-        obj = json.loads(entry)
+        # another_type: a well-formed entry of B3 under the key A3, which the
+        # loader of earlier versions would have served
+        obj = core_dump(build_nc(ir("B3" if corrupt == "another_type" else "A3")))
         if corrupt == "stale_version":
             obj["repr_version"] = 0
-        else:
+        elif corrupt == "missing_key":
             del obj["quot"]
-        broken = ResultCache(tmp_path / "broken")
-        broken.put("nccore", "A3", obj)
-        assert run_in(tmp_path / "broken") == cold
-        assert broken.path_for("nccore", "A3").read_bytes() == entry
+        leftover = ResultCache(tmp_path / "leftover")
+        leftover.put("nccore", "A3", obj)
+        path = leftover.path_for("nccore", "A3")
+        if corrupt == "garbage":
+            path.write_bytes(b"\x00 not json")
+        entry = path.read_bytes()
+        kinds, get = [], ResultCache.get
+
+        def recording_get(cache, kind, key):
+            kinds.append(kind)
+            return get(cache, kind, key)
+
+        monkeypatch.setattr(ResultCache, "get", recording_get)
+        assert run_in(leftover.dir) == cold
+        assert "nccore" not in kinds
+        assert path.read_bytes() == entry
 
     @pytest.mark.parametrize("corrupt", ["stale_version", "truncated", "inconsistent"])
     def test_unreadable_type_table_is_a_miss(self, capsys, tmp_path, corrupt, fresh_memos):
@@ -276,14 +307,17 @@ class TestCache:
         assert broken.path_for("nctypes", "D4").read_bytes() == entry
 
     def test_warm_formula_mode_reads_no_core(self, capsys, tmp_path, fresh_memos):
-        cache = ResultCache(tmp_path)
+        from catwb.rootdata import ir
+        from catwb.wgroup import _build_nc, build_nc
+
+        build_nc(ir("D4"))  # the suite's open D4 case is brute force
+        cores = _build_nc.cache_info().currsize
         argv = ["verify", "--suite", "fm", "--types", "E6", "--cache-dir", str(tmp_path)]
         cold = run(capsys, argv), (tmp_path / "verify_fm.json").read_bytes()
-        assert cache.path_for("nctypes", "E6").exists()
-        assert not cache.path_for("nccore", "E6").exists()  # a built core would be written
+        assert ResultCache(tmp_path).path_for("nctypes", "E6").exists()
         clear_memos()
         assert (run(capsys, argv), (tmp_path / "verify_fm.json").read_bytes()) == cold
-        assert not cache.path_for("nccore", "E6").exists()
+        assert _build_nc.cache_info().currsize == cores  # no E6 core, cold or warm
 
     def test_clear_memos_clears_every_memo(self, monkeypatch):
         memos = package_memos()
