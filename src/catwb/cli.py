@@ -52,6 +52,10 @@ class RunConfig:
             raise InvalidArgument("caps must be positive")
         if self.format not in FORMATS:
             raise InvalidArgument(f"format must be one of {FORMATS}")
+        if min(self.m_grid) < 1:
+            raise InvalidArgument("--m-grid values must be positive")
+        for s in self.types:  # TypeParseError for a filter that names no type
+            RootSystemType.parse(s)
 
     @staticmethod
     def from_args(args) -> "RunConfig":
@@ -65,6 +69,13 @@ class RunConfig:
             format=getattr(args, "format", None) or "latex",
             seed=_int(args.seed, "--seed", 7),
         )
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors reach main's handler, to be reported in one line."""
+
+    def error(self, message):
+        raise InvalidArgument(message)
 
 
 def _env(name: str, default=None):
@@ -315,7 +326,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catwb",
         description="Exact workbench for cluster-complex F-triangles and m-divisible "
         "non-crossing partition M-triangles over finite reflection groups.",
@@ -370,12 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # the --cache-dir cache serves this command only, not later library calls
-    cache_dir = getattr(args, "cache_dir", None)
-    previous = set_disk_cache(ResultCache(cache_dir)) if cache_dir else None
+    cache_dir = previous = None
     try:
+        args = build_parser().parse_args(argv)
+        # the --cache-dir cache serves this command only, not later library calls
+        cache_dir = getattr(args, "cache_dir", None)
+        previous = set_disk_cache(ResultCache(cache_dir)) if cache_dir else None
         return args.func(args, RunConfig.from_args(args))
     except (TypeParseError, UnsupportedType, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)

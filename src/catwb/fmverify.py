@@ -1,7 +1,7 @@
 """End-to-end verification of the cluster-side/partition-side identity: the
 transformed F-triangle against closed classical double sums, against the
-decomposition-number expansion, and against brute-force Mobius sweeps of the
-m-divisible posets.
+decomposition-number expansion, and against brute-force Mobius inversion on
+the m-divisible posets.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def fm_lhs_closed_classical(t: RootSystemType) -> MPoly:
 def verify_fm(t: RootSystemType, mode: str, m: int | None = None, **caps) -> VerificationReport:
     """Compare the transformed F-triangle against the chosen partition-side
     computation: 'closed' (classical double sums, symbolic), 'formula'
-    (decomposition-number expansion, symbolic), or 'brute' (Mobius sweep of
+    (decomposition-number expansion, symbolic), or 'brute' (Mobius inversion on
     the m-divisible poset at concrete m)."""
     lhs = fm_lhs(t)
     if mode == "closed":

@@ -13,12 +13,13 @@ The order is B >= A iff B[i] <= A[i] in NC for i = 1..m, and the tuples
 (Armstrong, Mem. AMS 2009, 3.4).  Proof: write A[i] = B R with absolute
 lengths adding; conjugating R to the front of c = A[0] ... B R ... A[m]
 changes no length, so c = R' A[0] ... B ... A[m] is again length-additive
-and (R' A[0]; A[1], ..., B, ..., A[m]) is an element.  So the strict up-set
-of A is exactly the product of the NC down-lists of A[1], ..., A[m], minus A
-itself.  The Mobius sweep reads these products as keys and never builds the
-order; the sorted up-lists of the Poset are derived from the same products
-only when read (chain counts, the Hasse export).  The related pairs number
-Cat^(2m), far fewer than the square of Cat^(m).
+and (R' A[0]; A[1], ..., B, ..., A[m]) is an element.  So the closed up-set
+of A is the product of the NC down-lists of A[1], ..., A[m]: the zeta
+function of NC^m is one NC zeta function per coordinate (Stanley, EC I,
+3.8), and the M-triangle inverts it one coordinate at a time, in
+m (Cat^(m+1) - Cat^(m)) reads, not the Cat^(2m) - Cat^(m) related pairs.
+The sorted up-lists are derived from the products only when read (chain
+counts, the Hasse export).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .wgroup import (
     Poset,
     build_nc,  # re-exported: the benchmark tracer test patches ncposet.build_nc
     decomposition_numbers,
-    mobius_sweep,
     _build_nc,
     _check_group_cap,
     _check_irreducible,
@@ -46,14 +46,29 @@ from .wgroup import (
 )
 
 
+def unpack_rows(rows: list[int], width: int) -> MPoly:
+    """The M-triangle whose coefficient of x^r y^s is field s of rows[r]."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    terms = {}
+    for r, v in enumerate(rows):
+        for s in range(len(rows)):
+            d = v & mask
+            if d >= half:
+                d -= mask + 1
+            if d:
+                terms[(r, s)] = d
+            v = (v - d) >> width
+    return MPoly(terms)
+
+
 @dataclass
 class NCmPoset:
     """The m-divisible poset over one irreducible type: its elements in
     sorted order, which is also rank order since w_0 comes first and NC
     indices follow rank, their ranks and their coordinate keys.  The order
-    is read off the products of NC down-lists (see the module docstring):
-    m_triangle sweeps them directly, and `poset` derives the sorted up-lists
-    from them on first read."""
+    is read off the NC down-lists of the coordinates (see the module
+    docstring); `poset` derives the sorted up-lists from their products on
+    first read."""
 
     type: RootSystemType
     m: int
@@ -81,17 +96,21 @@ class NCmPoset:
     def minimal_count(self) -> int:
         return self.ranks.count(0)
 
+    def _down_lists(self) -> list[list[int]]:
+        """For each NC index d, d and then the smaller indices below it in NC."""
+        downs: list[list[int]] = [[d] for d in range(self.core.size)]
+        for i, row in enumerate(self.core.poset.above):
+            for j in row:
+                downs[j].append(i)
+        return downs
+
     def _up_keys(self, elements):
         """For each delta in turn, the keys of its closed up-set: the product
         of the NC down-lists of delta[1..m], scaled by the radix.  Each
         down-list starts with its own element, so the key of delta comes
         first."""
-        core = self.core
-        downs: list[list[int]] = [[i] for i in range(core.size)]
-        for i, row in enumerate(core.poset.above):
-            for j in row:
-                downs[j].append(i)
-        tables = [[[q * core.size**i for q in row] for row in downs] for i in range(self.m)]
+        downs, size = self._down_lists(), self.core.size
+        tables = [[[q * size**i for q in row] for row in downs] for i in range(self.m)]
         for delta in elements:
             keys = None  # until a coordinate is not the identity: the key 0 alone
             for scaled, d in zip(tables, delta[1:]):
@@ -100,17 +119,40 @@ class NCmPoset:
             yield keys or (0,)
 
     def m_triangle(self) -> MPoly:
-        """Sum of mu(A, B) x^rank(A) y^rank(B) over all pairs A <= B: the
-        packed Mobius sweep of wgroup over the elements in reverse, each
-        reading its up-set as keys, with no up-lists built.  A key that is no
-        element raises InvariantError."""
-        upsets = zip(reversed(self.ranks), self._up_keys(reversed(self.elements)))
-        return mobius_sweep(self.type.rank, self.size, upsets, self.name)
+        """Sum of mu(A, B) x^rank(A) y^rank(B) over all pairs A <= B.
+
+        h(A) = sum of mu(A, B) X^rank(B) over B >= A solves sum of h(B) over
+        B >= A = X^rank(A); as the up-set is a product, it is solved for one
+        coordinate i at a time, each pass in ascending key order: h(A) -= the
+        h(B) of the B that lower A[i] in NC, of smaller keys and so final.
+        In base X = 2^W, field s of h(A) is at most the chains from A, below
+        (N + 1)^n for N = self.size, and a row sum is below (N + 1)^(n + 1):
+        with W as below each field reads back as a balanced digit.  A key
+        that is no element raises InvariantError."""
+        radix, n = self.core.size, self.type.rank
+        width = (n + 1) * (self.size + 1).bit_length() + 1
+        h = {key: 1 << width * r for key, r in zip(self.keys, self.ranks)}
+        get, walk, downs = h.__getitem__, sorted(h), self._down_lists()
+        try:
+            for scale in (radix**i for i in range(self.m)):
+                steps = [[(y - d) * scale for y in row[1:]] for d, row in enumerate(downs)]
+                for key in walk:
+                    step = steps[key // scale % radix]
+                    if len(step) == 1:  # an atom: one read, of the identity in its place
+                        h[key] -= h[key + step[0]]
+                    elif step:
+                        h[key] -= sum(map(get, map(key.__add__, step)))
+        except KeyError as exc:
+            raise InvariantError(f"{self.name}: {exc.args[0]} lies above an element but is no element") from None
+        rows = [0] * (n + 1)
+        for key, r in zip(self.keys, self.ranks):
+            rows[r] += h[key]
+        return unpack_rows(rows, width)
 
     @cached_property
     def poset(self) -> Poset:
         """The order as sorted strict up-lists, derived from the key products
-        on first read; the Mobius sweep does not need it."""
+        on first read; the M-triangle does not need it."""
         index = {key: k for k, key in enumerate(self.keys)}
         above = []
         try:
@@ -146,8 +188,8 @@ def build_ncm(
 
     The order relation is the component-wise reverse of the NC order on
     coordinates 1..m; coordinate 0 is unconstrained.  BudgetExceeded when the
-    Mobius pair sweep would exceed the poset cap (from Cat^(m), checked first)
-    or the group exceeds the group cap, before the memo is consulted.
+    square of Cat^(m) exceeds the poset cap (checked first) or the group
+    exceeds the group cap, before the memo is consulted.
     """
     if m < 1:
         raise InvalidArgument("m must be a positive integer")
@@ -202,8 +244,8 @@ def rank_census(
 def m_triangle_bruteforce(
     t: RootSystemType, m: int, group_cap: int | None = None, poset_cap: int | None = None
 ) -> MTriangle:
-    """The M-triangle by the packed Mobius sweep over all related pairs of
-    NC^m, read as products of NC down-lists."""
+    """The M-triangle by Mobius inversion on NC^m, one coordinate at a
+    time, from the order of NC alone."""
     return MTriangle(t, m, build_ncm(t, m, group_cap, poset_cap).m_triangle())
 
 
@@ -260,13 +302,8 @@ def export_poset_obj(
     """Hasse diagram export: ranks plus covering edges, JSON-ready."""
     ncm = build_ncm(t, m, group_cap, poset_cap)
     poset = ncm.poset
-    edges = []
-    for i in range(poset.size):
-        ri = poset.ranks[i]
-        for j in poset.above[i]:
-            if poset.ranks[j] == ri + 1:
-                edges.append([i, j])
-    edges.sort()
+    ranks = poset.ranks
+    edges = sorted([i, j] for i, row in enumerate(poset.above) for j in row if ranks[j] == ranks[i] + 1)
     return {
         "type": str(t),
         "m": m,

@@ -4,8 +4,8 @@ Two backends, each in one integral ring: every type but I2(a) acts by
 permutations of its roots, with the Gram matrix read off the Coxeter diagram
 (over Z for A, B, D, F and E, over Z[tau] for H), and the dihedral types by
 abstract rotation/reflection indices.  On top of them: the non-crossing
-partition poset NC, Mobius machinery, characteristic polynomials,
-parabolic-type classification, decomposition numbers and chain counts.
+partition poset NC, characteristic polynomials, parabolic-type
+classification, decomposition numbers and chain counts.
 
 Each root has one index, its place in increasing simple-root coordinates.
 The canonical order of NC sorts its elements by (rank, byte string), where
@@ -71,7 +71,7 @@ from .rootdata import (
 )
 
 DEFAULT_GROUP_CAP = 100_000
-DEFAULT_POSET_CAP = 2_000_000  # pairs visited by a Mobius sweep
+DEFAULT_POSET_CAP = 2_000_000  # bound on the squared size of an NC^m poset
 
 
 _NONZERO = bytes([0] + [1] * 255)
@@ -444,7 +444,7 @@ def parabolic_type_of(table: GroupTable, w) -> RootSystemType:
 class Poset:
     """A finite graded poset: ranks plus the order as sorted strict up-lists,
     one tuple of indices per element.  The bit rows `up` and `down` are
-    derived from the lists on first read; m_triangle reads only the lists."""
+    derived from the lists on first read."""
 
     ranks: list[int]
     above: list[tuple[int, ...]]  # above[i]: the j > i in the order, increasing
@@ -477,57 +477,8 @@ class Poset:
             out[r].append(i)
         return out
 
-    def m_triangle(self) -> MPoly:
-        """Sum of mu(u, w) x^rank(u) y^rank(w) over all pairs u <= w, by the
-        packed Mobius sweep over the up-lists in decreasing rank."""
-        order = sorted(range(self.size), key=self.ranks.__getitem__, reverse=True)
-        upsets = ((self.ranks[u], (u, *self.above[u])) for u in order)
-        return mobius_sweep(max(self.ranks, default=0), self.size, upsets, "the poset")
-
     def rank_counts(self) -> list[int]:
         return list(map(len, self.slices))
-
-
-def mobius_sweep(n: int, size: int, upsets, name: str) -> MPoly:
-    """The M-triangle, sum of mu(u, w) x^rank(u) y^rank(w) over all pairs
-    u <= w of a poset of `size` elements and ranks 0..n, in one pass.
-
-    `upsets` yields (rank u, closed up-set of u) in non-increasing rank, each
-    up-set listing u first and then the v > u, by any hashable keys.  The
-    row h_s(u) = sum of mu(u, w) over w >= u of rank s obeys
-    h_s(u) = [rank u = s] - sum of h_s(v) over v > u, so each element gets one
-    integer h(u) = X^rank(u) - sum of h(v) over v > u, with field s of h(u),
-    in base X = 2^W, holding h_s(u), and row r of the triangle is the sum of
-    h(u) over u of rank r.  |h_s(u)| is at most the number of chains from u,
-    at most (size + 1)^n, and a row sum is below (size + 1)^(n + 1), so with
-    W = (n + 1) bitlen(size + 1) + 1 every field is below X/2 in magnitude
-    and reads back exactly as a balanced digit.  A key above an element that
-    was not swept before it raises InvariantError naming the poset.
-    """
-    width = (n + 1) * (size + 1).bit_length() + 1
-    ones = [1 << width * r for r in range(n + 1)]
-    rows = [0] * (n + 1)
-    h: dict = {}
-    get = h.__getitem__
-    try:
-        for r, up in upsets:
-            h[up[0]] = v = ones[r] - sum(map(get, itertools.islice(up, 1, None)))
-            rows[r] += v
-    except KeyError as exc:
-        raise InvariantError(
-            f"{name}: {exc.args[0]!r} lies above an element but is not an element of higher rank"
-        ) from None
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    terms = {}
-    for r, v in enumerate(rows):
-        for s in range(n + 1):
-            d = v & mask
-            if d >= half:
-                d -= mask + 1
-            if d:
-                terms[(r, s)] = d
-            v = (v - d) >> width
-    return MPoly(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -861,11 +812,12 @@ class ChainCountResult:
 
 def chain_count_formula(t: RootSystemType, m: int, jumps: tuple[int, ...]) -> int:
     """Closed chain counts for the classical families: products of binomials
-    over the rank jumps (type D only at m = 1)."""
+    over the rank jumps, which may be zero but not negative (type D only at
+    m = 1)."""
     f = t.single()
     n = f.rank
-    if sum(jumps) != n:
-        raise InvalidArgument("jumps must sum to the rank")
+    if sum(jumps) != n or min(jumps, default=0) < 0:
+        raise InvalidArgument("jumps must be non-negative and sum to the rank")
     if f.family == "A":
         v = Fraction(1, n + 1) * gen_binomial(n + 1, jumps[-1])
         for s in jumps[:-1]:

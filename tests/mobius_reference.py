@@ -1,6 +1,7 @@
 """The M-triangle by one list of rows per rank: the reference that the packed
-Mobius sweep of `catwb.wgroup.mobius_sweep`, which holds all rows of an
-element in one integer, is compared against."""
+transforms, which hold all rows of an element in one integer, are compared
+against: `catwb.ncposet.NCmPoset.m_triangle` and the pair sweep of
+`oracle.mobius_sweep`."""
 
 from catwb.exactmath import MPoly
 from catwb.wgroup import Poset

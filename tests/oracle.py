@@ -1,14 +1,17 @@
 """Reference computations the tests compare catwb against: the absolute order
 and the Coxeter element of an enumerated group, the Mobius function, zeta
-polynomials and Mobius column vectors of a poset, rank censuses of intervals
-and of NC, the parabolic-type table read off a whole NC core, and a canonical
-JSON dump of a core for pinned digests."""
+polynomials and Mobius column vectors of a poset, the M-triangle by a sweep
+over every related pair, rank censuses of intervals and of NC, the
+parabolic-type table read off a whole NC core, and a canonical JSON dump of
+a core for pinned digests."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
 from catwb.errors import InvariantError, NotComparable
-from catwb.exactmath import MUniPoly, gen_binomial
+from catwb.exactmath import MPoly, MUniPoly, gen_binomial
+from catwb.ncposet import NCmPoset, unpack_rows
 from catwb.rootdata import RootSystemType
 from catwb.wgroup import GroupTable, NCCore, Poset, TypeTable, _iter_bits, build_nc
 
@@ -61,6 +64,48 @@ def mobius_column_vectors(poset: Poset) -> list[list[int]]:
                 vec[idx] -= c
         g[w] = vec
     return g
+
+
+def mobius_sweep(n: int, size: int, upsets, name: str) -> MPoly:
+    """The M-triangle, sum of mu(u, w) x^rank(u) y^rank(w) over all pairs
+    u <= w of a poset of `size` elements and ranks 0..n, in one pass over
+    every related pair.
+
+    `upsets` yields (rank u, closed up-set of u) in non-increasing rank, each
+    up-set listing u first and then the v > u, by any hashable keys.  Each
+    element gets one integer h(u) = X^rank(u) - sum of h(v) over v > u, whose
+    field s, in base X = 2^W with W as in NCmPoset.m_triangle, is the sum of
+    mu(u, w) over w >= u of rank s; row r of the triangle is the sum of h(u)
+    over u of rank r.  A key above an element that was not swept before it
+    raises InvariantError naming the poset."""
+    width = (n + 1) * (size + 1).bit_length() + 1
+    ones = [1 << width * r for r in range(n + 1)]
+    rows = [0] * (n + 1)
+    h: dict = {}
+    get = h.__getitem__
+    try:
+        for r, up in upsets:
+            h[up[0]] = v = ones[r] - sum(map(get, itertools.islice(up, 1, None)))
+            rows[r] += v
+    except KeyError as exc:
+        raise InvariantError(
+            f"{name}: {exc.args[0]!r} lies above an element but is not an element of higher rank"
+        ) from None
+    return unpack_rows(rows, width)
+
+
+def poset_m_triangle(poset: Poset) -> MPoly:
+    """The pair sweep over the up-lists of a poset in decreasing rank."""
+    order = sorted(range(poset.size), key=poset.ranks.__getitem__, reverse=True)
+    upsets = ((poset.ranks[u], (u, *poset.above[u])) for u in order)
+    return mobius_sweep(max(poset.ranks, default=0), poset.size, upsets, "the poset")
+
+
+def ncm_pair_sweep(ncm: NCmPoset) -> MPoly:
+    """The pair sweep over NC^m in reverse stored order, each element reading
+    its up-set as the product of the NC down-lists of its coordinates."""
+    upsets = zip(reversed(ncm.ranks), ncm._up_keys(reversed(ncm.elements)))
+    return mobius_sweep(ncm.type.rank, ncm.size, upsets, ncm.name)
 
 
 def zeta_values(poset: Poset, i: int, j: int, max_z: int) -> list[int]:

@@ -163,6 +163,16 @@ class TestExitCodes:
             ["CATWB_POSET_CAP=abc", "chains", "A2", "--m", "1", "--jumps", "1,1"],
             ["CATWB_SEED=abc", "dual", "A2"],
             ["CATWB_FORMAT=xml", "ftriangle", "A2"],
+            ["chains", "A2", "--m", "1", "--jumps", "3,-1"],
+            ["verify", "--suite", "fm", "--types", "ZZ"],
+            ["verify", "--suite", "fm", "--types", "A2,ZZ"],
+            ["verify", "--suite", "fm", "--m-grid", "0"],
+            ["verify", "--suite", "fm", "--m-grid", "-1"],
+            ["mtriangle", "A2", "--m", "abc"],
+            ["ftriangle", "A2", "--format", "xml"],
+            ["verify", "--suite", "x"],
+            ["chains", "A2", "--m", "1", "--jumps", "-1,3"],
+            ["mtriangle"],
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, monkeypatch, argv):

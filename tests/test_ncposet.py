@@ -1,11 +1,13 @@
 """m-divisible posets: construction, censuses, M-triangles both ways."""
 
 import hashlib
+import random
 
 import pytest
 
 from catwb.errors import BudgetExceeded, InvariantError
 from catwb.exactmath import M, MPoly, MUniPoly
+from catwb.fmverify import verify_fm
 from catwb.ftriangle import narayana_closed, row_sum
 from catwb.ncposet import (
     NCmPoset,
@@ -18,11 +20,19 @@ from catwb.ncposet import (
     _build_ncm,
 )
 from catwb.rootdata import fuss_catalan, ir
-from catwb.wgroup import _iter_bits, build_nc, char_poly, decomposition_numbers
+from catwb.wgroup import (
+    _char_poly,
+    _decomposition_numbers,
+    _iter_bits,
+    _type_table,
+    build_nc,
+    char_poly,
+    decomposition_numbers,
+)
 
 from mobius_reference import reference_m_triangle
 from mpoly_reference import reference_m_triangle_formula
-from oracle import zeta_poly
+from oracle import ncm_pair_sweep, poset_m_triangle, zeta_poly
 
 # sha256 of MPoly.dumps() of m_triangle_bruteforce(t, m).poly, taken from the
 # sweep over sorted up-lists that preceded the coordinate sweep
@@ -104,8 +114,47 @@ class TestBuildNcm:
         # the related pairs u <= w of NC^m number Cat^(2m)
         assert sum(len(row) + 1 for row in p.poset.above) == fuss_catalan(t, 2 * m)
         assert all(list(row) == sorted(row) and all(j > i for j in row) for i, row in enumerate(p.poset.above))
-        # the sweep over coordinate keys against the row recursion on the derived lists
-        assert p.m_triangle() == reference_m_triangle(p.poset) == p.poset.m_triangle()
+        # the coordinate transform against the row recursion and the pair sweep on the derived lists
+        assert p.m_triangle() == reference_m_triangle(p.poset) == poset_m_triangle(p.poset)
+
+    @pytest.mark.parametrize("s,m", [("D4", 6), ("A6", 2)])
+    def test_transform_matches_the_pair_sweep(self, s, m):
+        # the two largest posets of perfbench's ncm-sweep workload
+        p = build_ncm(ir(s), m, poset_cap=2 * 10**8)
+        assert p.m_triangle() == ncm_pair_sweep(p)
+
+    @pytest.mark.parametrize("s,m", [("A2", 3), ("B3", 2), ("D4", 2), ("H3", 3), ("D4", 6)])
+    def test_reads_per_coordinate_are_a_fuss_catalan_difference(self, s, m):
+        # lowering coordinate i of u to y < u[i] splits u[i] = y (y^-1 u[i]):
+        # the pairs (u, y <= u[i]) are the elements of NC^(m+1)
+        t = ir(s)
+        p = build_ncm(t, m, poset_cap=2 * 10**8)
+        downs = p._down_lists()
+        for i in range(1, m + 1):
+            assert sum(len(downs[delta[i]]) - 1 for delta in p.elements) == fuss_catalan(t, m + 1) - fuss_catalan(t, m)
+
+    @pytest.mark.parametrize("s,m", [("A3", 3), ("B3", 2), ("H3", 2), ("H3", 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_shuffled_element_list_gives_the_true_triangle_or_is_refused(self, s, m, seed):
+        # a walk in stored order would read values that are not yet final
+        p = build_ncm(ir(s), m)
+        order = list(range(p.size))
+        random.Random(seed).shuffle(order)
+        shuffled = NCmPoset(p.type, m, p.core, *([seq[k] for k in order] for seq in (p.elements, p.ranks, p.keys)))
+        try:
+            got = shuffled.m_triangle()
+        except InvariantError:
+            return
+        assert got == reference_m_triangle(p.poset)
+
+    def test_the_brute_witness_reads_no_formula_memo(self):
+        # the brute side must stay independent of the type tables behind the formula side
+        memos = (_type_table, _decomposition_numbers, _char_poly)
+        for memo in memos:
+            memo.cache_clear()
+        m_triangle_bruteforce(ir("B3"), 2)
+        assert verify_fm(ir("B3"), "brute", 2).equal
+        assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
 
     def test_sweep_and_census_derive_no_up_lists(self):
         t = ir("B3")
