@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .cache import ResultCache
@@ -36,26 +36,23 @@ EXIT_BUDGET = 3
 FORMATS = ("json", "csv", "latex")
 
 
-@dataclass
 class RunConfig:
-    """Validated run settings assembled from flags and CATWB_ env overrides."""
+    """Validated run settings assembled from flags and CATWB_ env overrides;
+    `types` holds the filter's parsed, canonical types."""
 
-    group_cap: int = DEFAULT_GROUP_CAP
-    poset_cap: int = DEFAULT_POSET_CAP
-    m_grid: tuple[int, ...] = (1, 2, 3)
-    types: tuple[str, ...] = ()
-    format: str = "latex"
-    seed: int = 7
-
-    def __post_init__(self):
-        if self.group_cap <= 0 or self.poset_cap <= 0:
+    def __init__(self, group_cap: int = DEFAULT_GROUP_CAP, poset_cap: int = DEFAULT_POSET_CAP,
+                 m_grid: tuple[int, ...] = (1, 2, 3), types: tuple[str, ...] = (), format: str = "latex",
+                 seed: int = 7):
+        if group_cap <= 0 or poset_cap <= 0:
             raise InvalidArgument("caps must be positive")
-        if self.format not in FORMATS:
+        if format not in FORMATS:
             raise InvalidArgument(f"format must be one of {FORMATS}")
-        if min(self.m_grid) < 1:
+        if min(m_grid) < 1:
             raise InvalidArgument("--m-grid values must be positive")
-        for s in self.types:  # TypeParseError for a filter that names no type
-            RootSystemType.parse(s)
+        self.group_cap, self.poset_cap, self.m_grid = group_cap, poset_cap, m_grid
+        self.format, self.seed = format, seed
+        # TypeParseError for a filter that names no type
+        self.types = frozenset(RootSystemType.parse(s) for s in types)
 
     @staticmethod
     def from_args(args) -> "RunConfig":
@@ -73,6 +70,11 @@ class RunConfig:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors reach main's handler, to be reported in one line."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a word such as "-1,3" is a value, not an unknown flag, as later argparse versions read it
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise InvalidArgument(message)
@@ -208,6 +210,20 @@ DUAL_CENSUS_GRID = [
     (s, m) for s in ("D4", "I2(3)", "I2(4)", "I2(5)", "I2(6)", "H3") for m in (1, 2, 3)
 ]
 
+CHAINS_GRID = (
+    [(f"A{n}", m) for n in range(1, 5) for m in (1, 2, 3)]
+    + [(f"B{n}", m) for n in (2, 3) for m in (1, 2, 3)]
+    + [("D4", 1), ("D5", 1)]
+)
+
+# the types and (type, m) grid of each suite's gated checks; carlitz takes no filter
+GATED_CHECKS = {
+    "recurrence": (RECURRENCE_TYPES, []),
+    "fm": (FM_CLOSED_TYPES + FM_FORMULA_TYPES, FM_BRUTE_GRID),
+    "chains": ([], CHAINS_GRID),
+    "dual": (DUAL_SYMBOLIC_TYPES, DUAL_CENSUS_GRID),
+}
+
 
 def positive_compositions(n: int):
     if n == 0:
@@ -218,12 +234,16 @@ def positive_compositions(n: int):
             yield (first,) + rest
 
 
+def _wanted(cfg: RunConfig, s: str) -> bool:
+    return not cfg.types or RootSystemType.parse(s) in cfg.types
+
+
 def _filter_types(cfg: RunConfig, types: list[str]) -> list[str]:
-    return [s for s in types if not cfg.types or s in cfg.types]
+    return [s for s in types if _wanted(cfg, s)]
 
 
 def _filter_grid(cfg: RunConfig, grid):
-    return [(s, m) for s, m in grid if (not cfg.types or s in cfg.types) and m in cfg.m_grid]
+    return [(s, m) for s, m in grid if _wanted(cfg, s) and m in cfg.m_grid]
 
 
 def _suite_recurrence(cfg: RunConfig, out: list[VerificationReport]):
@@ -247,16 +267,8 @@ def _suite_fm(cfg: RunConfig, out: list[VerificationReport]):
 
 
 def _suite_chains(cfg: RunConfig, out: list[VerificationReport]):
-    grid = []
-    for n in range(1, 5):
-        for m in (1, 2, 3):
-            grid.append((f"A{n}", m))
-    for n in (2, 3):
-        for m in (1, 2, 3):
-            grid.append((f"B{n}", m))
-    grid += [("D4", 1), ("D5", 1)]
     any_failure = False
-    for s, m in _filter_grid(cfg, grid):
+    for s, m in _filter_grid(cfg, CHAINS_GRID):
         t = RootSystemType.parse(s)
         bad = []
         for jumps in positive_compositions(t.rank):
@@ -306,6 +318,9 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         "carlitz": _suite_carlitz,
     }
     selected = list(suites) if args.suite == "all" else [args.suite]
+    gated = [GATED_CHECKS.get(name) for name in selected]
+    if not any(g is None or _filter_types(cfg, g[0]) or _filter_grid(cfg, g[1]) for g in gated):
+        raise InvalidArgument(f"--types and --m-grid leave suite {args.suite} with no gated check")
     reports: list[VerificationReport] = []
     for name in selected:
         suites[name](cfg, reports)

@@ -8,7 +8,6 @@ types multiply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,22 +17,27 @@ from .report import VerificationReport
 from .rootdata import Irreducible, RootSystemType, deletion_types
 
 
-@dataclass(frozen=True)
 class FTriangle:
     """An F-triangle: the bivariate face-count polynomial of a type, with
     coefficients polynomial in the Fuss parameter m."""
 
-    type: RootSystemType
-    poly: MPoly
+    def __init__(self, type: RootSystemType, poly: MPoly):
+        self.type = type
+        self.poly = poly
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.type == other.type and self.poly == other.poly
 
 
-@dataclass(frozen=True)
 class NarayanaVector:
     """Rank counts of the m-divisible non-crossing partition poset, index 0
     through the rank; entries are m-polynomials or concrete integers."""
 
-    type: RootSystemType
-    entries: tuple
+    def __init__(self, type: RootSystemType, entries: tuple):
+        self.type = type
+        self.entries = entries
 
 
 def face_number_a(n: int, k: int, l: int) -> MUniPoly:

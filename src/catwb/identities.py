@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -51,7 +50,6 @@ def sum_equals(terms: list[tuple[int, int]], total: tuple[int, int]) -> bool:
     return sum(tp * (den // tq) for tp, tq in terms) * q == p * den
 
 
-@dataclass(frozen=True)
 class CarlitzKernel:
     """The kernel A_{k,n}(alpha, beta) for fixed integer parameters a, b, c, d:
 
@@ -59,10 +57,8 @@ class CarlitzKernel:
             * binom(ak+cn+alpha, k) * binom(bk+dn+beta, n)
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    def __init__(self, a: int, b: int, c: int, d: int):
+        self.a, self.b, self.c, self.d = a, b, c, d
 
     def pair(self, k: int, n: int, al: int, be: int, v: int = 1, extend: bool = False) -> tuple[int, int]:
         """The kernel at alpha = al/v, beta = be/v as a pair (p, q), q > 0.
@@ -228,11 +224,11 @@ def proof_instantiations(m_values=(1, 2, 3)) -> list[dict]:
     return cases
 
 
-@dataclass
 class CarlitzSuiteResult:
-    passed: int
-    skipped: int
-    failures: list[dict]
+    def __init__(self, passed: int, skipped: int, failures: list[dict]):
+        self.passed = passed
+        self.skipped = skipped
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

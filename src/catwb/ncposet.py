@@ -24,7 +24,6 @@ counts, the Hasse export).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
 from operator import mul
@@ -61,7 +60,6 @@ def unpack_rows(rows: list[int], width: int) -> MPoly:
     return MPoly(terms)
 
 
-@dataclass
 class NCmPoset:
     """The m-divisible poset over one irreducible type: its elements in
     sorted order, which is also rank order since w_0 comes first and NC
@@ -70,12 +68,14 @@ class NCmPoset:
     docstring); `poset` derives the sorted up-lists from their products on
     first read."""
 
-    type: RootSystemType
-    m: int
-    core: NCCore
-    elements: list[tuple[int, ...]]  # delta tuples of NC indices
-    ranks: list[int]
-    keys: list[int]  # keys[k]: the sum of elements[k][i] |NC|^(i-1) over i = 1..m
+    def __init__(self, type: RootSystemType, m: int, core: NCCore, elements: list[tuple[int, ...]],
+                 ranks: list[int], keys: list[int]):
+        self.type = type
+        self.m = m
+        self.core = core
+        self.elements = elements  # delta tuples of NC indices
+        self.ranks = ranks
+        self.keys = keys  # keys[k]: the sum of elements[k][i] |NC|^(i-1) over i = 1..m
 
     @property
     def size(self) -> int:
@@ -169,13 +169,13 @@ class NCmPoset:
         return Poset(self.ranks, above)
 
 
-@dataclass(frozen=True)
 class MTriangle:
     """Rank-weighted Mobius generating polynomial of an m-divisible poset."""
 
-    type: RootSystemType
-    m: int | None
-    poly: MPoly
+    def __init__(self, type: RootSystemType, m: int | None, poly: MPoly):
+        self.type = type
+        self.m = m
+        self.poly = poly
 
 
 def build_ncm(

@@ -3,14 +3,14 @@ JSON output."""
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
 
 from .exactmath import MPoly
 
 
 def _poly_hash(p: MPoly) -> str:
+    import hashlib  # here, not at start-up: OpenSSL loads only once a report is written
+
     return hashlib.sha256(p.dumps().encode()).hexdigest()
 
 
@@ -29,21 +29,19 @@ def first_diff(lhs: MPoly, rhs: MPoly) -> dict | None:
     return None
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one exact identity check between two polynomials."""
 
-    name: str
-    type: str
-    mode: str
-    m: int | None
-    lhs: MPoly
-    rhs: MPoly
-    equal: bool = field(init=False)
-    note: str = ""
-
-    def __post_init__(self):
-        self.equal = self.lhs == self.rhs
+    def __init__(self, name: str, type: str, mode: str, m: int | None, lhs: MPoly, rhs: MPoly,
+                 note: str = ""):
+        self.name = name
+        self.type = type
+        self.mode = mode
+        self.m = m
+        self.lhs = lhs
+        self.rhs = rhs
+        self.equal = lhs == rhs
+        self.note = note
 
     @property
     def diff(self) -> dict | None:

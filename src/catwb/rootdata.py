@@ -13,7 +13,6 @@ every formula downstream is stated once per canonical label.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import Iterable
@@ -24,15 +23,27 @@ from .exactmath import GoldInt
 _FAMILIES = ("A", "B", "D", "E", "F", "H", "I")
 
 
-@dataclass(frozen=True, order=False)
 class Irreducible:
     """One irreducible factor: family letter, rank, and the dihedral label a
     for family I (None otherwise).  Instances are canonical labels only; use
-    RootSystemType.make to apply the alias rewrites."""
+    RootSystemType.make to apply the alias rewrites.  Immutable, hashable and
+    unordered, like RootSystemType: both key every memo and table."""
 
-    family: str
-    rank: int
-    param: int | None = None
+    def __init__(self, family: str, rank: int, param: int | None = None):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "param", param)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.family == other.family and self.rank == other.rank and self.param == other.param
+
+    def __hash__(self):
+        return hash((self.family, self.rank, self.param))
 
     def sort_key(self):
         return (-self.rank, _FAMILIES.index(self.family), self.param or 0)
@@ -96,11 +107,22 @@ def _canonical_factors(factors: Iterable[Irreducible]) -> tuple[Irreducible, ...
     return tuple(sorted(out, key=Irreducible.sort_key))
 
 
-@dataclass(frozen=True)
 class RootSystemType:
     """A formal, possibly reducible and possibly empty, root-system type."""
 
-    factors: tuple[Irreducible, ...]
+    def __init__(self, factors: tuple[Irreducible, ...]):
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash(self.factors)
 
     @staticmethod
     def make(*factors: Irreducible) -> "RootSystemType":

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import factorial
@@ -331,16 +330,16 @@ def _backend_for(irr: Irreducible):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GroupTable:
     """A fully enumerated reflection group with absolute lengths."""
 
-    type: Irreducible
-    backend: object
-    elements: list
-    index: dict
-    abs_len: list[int]
-    coxeter: object
+    def __init__(self, type: Irreducible, backend, elements: list, index: dict, abs_len: list[int], coxeter):
+        self.type = type
+        self.backend = backend
+        self.elements = elements
+        self.index = index
+        self.abs_len = abs_len
+        self.coxeter = coxeter
 
     @property
     def order(self) -> int:
@@ -440,17 +439,15 @@ def parabolic_type_of(table: GroupTable, w) -> RootSystemType:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Poset:
     """A finite graded poset: ranks plus the order as sorted strict up-lists,
     one tuple of indices per element.  The bit rows `up` and `down` are
     derived from the lists on first read."""
 
-    ranks: list[int]
-    above: list[tuple[int, ...]]  # above[i]: the j > i in the order, increasing
-
-    def __post_init__(self):
-        self.size = len(self.ranks)
+    def __init__(self, ranks: list[int], above: list[tuple[int, ...]]):
+        self.ranks = ranks
+        self.above = above  # above[i]: the j > i in the order, increasing
+        self.size = len(ranks)
 
     @cached_property
     def up(self) -> list[int]:
@@ -486,7 +483,6 @@ class Poset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class NCCore:
     """NC for one irreducible type: the interval below the Coxeter element,
     with the order relation, rank function, per-pair quotients u^-1 w (again
@@ -494,10 +490,12 @@ class NCCore:
     aligned with (i, *poset.above[i]): it lists u_i^-1 u_j for each of those
     j, so it starts with the identity 0 and ends with u_i^-1 c."""
 
-    type: RootSystemType
-    poset: Poset
-    quot: list[tuple[int, ...]]
-    partypes: list[RootSystemType]
+    def __init__(self, type: RootSystemType, poset: Poset, quot: list[tuple[int, ...]],
+                 partypes: list[RootSystemType]):
+        self.type = type
+        self.poset = poset
+        self.quot = quot
+        self.partypes = partypes
 
     @property
     def size(self) -> int:
@@ -581,7 +579,6 @@ def set_disk_cache(cache):
     return previous
 
 
-@dataclass
 class TypeTable:
     """The parabolic types of NC(t) in canonical order, which is rank order, so
     types[0] is the empty type and types[-1] is t; mult[b] elements have
@@ -589,9 +586,16 @@ class TypeTable:
     the first element w_B of type B: P_B(A, C) of them have type A with
     u^-1 w_B of type C."""
 
-    types: tuple[RootSystemType, ...]
-    mult: tuple[int, ...]
-    pairs: tuple[tuple[tuple[int, int, int], ...], ...]
+    def __init__(self, types: tuple[RootSystemType, ...], mult: tuple[int, ...],
+                 pairs: tuple[tuple[tuple[int, int, int], ...], ...]):
+        self.types = types
+        self.mult = mult
+        self.pairs = pairs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.types, self.mult, self.pairs) == (other.types, other.mult, other.pairs)
 
     @cached_property
     def char_polys(self) -> list[tuple[int, ...]]:
@@ -704,14 +708,14 @@ def _type_sort_key(t: RootSystemType):
     return (t.rank, str(t))
 
 
-@dataclass
 class DecompositionTable:
     """Counts of minimal length-additive factor tuples below the Coxeter
     element, bucketed by the multiset of parabolic types (keys are tuples
     sorted by rank then name; the empty tuple has count 1)."""
 
-    type: RootSystemType
-    counts: dict[tuple[RootSystemType, ...], int]
+    def __init__(self, type: RootSystemType, counts: dict[tuple[RootSystemType, ...], int]):
+        self.type = type
+        self.counts = counts
 
     def n(self, *types: RootSystemType) -> int:
         key = tuple(sorted(types, key=_type_sort_key))
@@ -797,13 +801,13 @@ def _decomposition_numbers(t: RootSystemType, max_d: int | None) -> Decompositio
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ChainCountResult:
-    type: RootSystemType
-    m: int
-    jumps: tuple[int, ...]
-    formula: int
-    brute: int | None
+    def __init__(self, type: RootSystemType, m: int, jumps: tuple[int, ...], formula: int, brute: int | None):
+        self.type = type
+        self.m = m
+        self.jumps = jumps
+        self.formula = formula
+        self.brute = brute
 
     @property
     def equal(self) -> bool:

@@ -173,9 +173,15 @@ class TestExitCodes:
             ["verify", "--suite", "x"],
             ["chains", "A2", "--m", "1", "--jumps", "-1,3"],
             ["mtriangle"],
+            # filters that leave the suite no gated check
+            ["verify", "--suite", "fm", "--types", "D2"],
+            ["verify", "--suite", "fm", "--types", "E7"],
+            ["verify", "--suite", "dual", "--types", "E7"],
+            ["verify", "--suite", "chains", "--m-grid", "4"],
         ],
     )
-    def test_bad_input_is_a_usage_error(self, capsys, monkeypatch, argv):
+    def test_bad_input_is_a_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
         # leading NAME=value words set environment variables, as in a shell
         while "=" in argv[0]:
             monkeypatch.setenv(*argv[0].split("=", 1))
@@ -183,6 +189,25 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())  # no report is written
+
+    def test_a_negative_jump_names_the_jump_in_either_spelling(self, capsys):
+        errs = []
+        for argv in (["--jumps", "-1,3"], ["--jumps=-1,3"]):
+            assert main(["chains", "A2", "--m", "1", *argv]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == "error: jumps must be non-negative and sum to the rank\n"
+
+    def test_type_filter_compares_canonical_types(self, capsys, tmp_path):
+        def checks(types):
+            argv = ["verify", "--suite", "fm", "--types", types, "--m-grid", "1", "--cache-dir", str(tmp_path)]
+            assert main(argv) == 0
+            capsys.readouterr()
+            report = json.loads((tmp_path / "verify_fm.json").read_text())
+            return [(c["type"], c["mode"], c["m"]) for c in report["checks"]]
+
+        expected = [("A2", "closed", None), ("A2", "formula", None), ("A2", "brute", 1), ("A2", "brute", 1)]
+        assert checks("A2") == checks("I2(3)") == expected
 
 
 class TestCache:

@@ -2,12 +2,20 @@
 every module-level private name is read somewhere in the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "catwb"
+
+# standard-library modules that catwb's arithmetic never uses and that cost
+# start-up time: dataclasses brings inspect (and ast, dis, tokenize) with it,
+# hashlib loads OpenSSL, which only a verify report needs
+HEAVY_AT_STARTUP = {"dataclasses", "inspect", "hashlib", "_hashlib"}
 
 # imported for other modules to read: the benchmark's tracer checks that
 # ncposet's build_nc is the one it wraps in wgroup
@@ -103,3 +111,18 @@ def test_an_unread_private_name_is_reported():
         "b": ast.parse("from .a import _used\nimport a\nx = _used() + a._Box\n"),
     }
     assert unread_private_names(trees) == ["a.py:2 defines _dead", "a.py:3 defines _rec"]
+
+
+def _modules_after(statement: str) -> set[str]:
+    code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+@pytest.mark.parametrize("module", ["catwb.cli", "catwb.fmverify"])
+def test_import_loads_no_heavy_stdlib(module):
+    # against a bare interpreter, so that whatever `site` preloads is discounted
+    added = _modules_after(f"import {module}") - _modules_after("pass")
+    assert module in added
+    assert added & HEAVY_AT_STARTUP == set()

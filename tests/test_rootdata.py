@@ -56,6 +56,32 @@ class TestTypeAlgebra:
             with pytest.raises(TypeParseError):
                 RootSystemType.parse("E5")
 
+    @pytest.mark.parametrize("alias,canon", [("D3", "A3"), ("I2(4)", "B2")])
+    def test_aliases_are_equal_keys(self, alias, canon):
+        assert ir(alias) == ir(canon) and hash(ir(alias)) == hash(ir(canon))
+        assert {ir(alias): 1}[ir(canon)] == 1
+
+    def test_types_are_immutable_unordered_and_not_tuples(self):
+        t = ir("B3xA1")
+        assert t != t.factors and t.factors != t
+        with pytest.raises(TypeError):
+            ir("A2") < ir("A3")
+        with pytest.raises(TypeError):
+            t.factors[0] < t.factors[1]
+        with pytest.raises(AttributeError):
+            t.factors = ()
+        with pytest.raises(AttributeError):
+            t.factors[0].rank = 4
+        assert str(t) == "B3xA1" and t.factors[0].rank == 3
+
+    @pytest.mark.parametrize(
+        "s,factors", [("A5", "(A5,)"), ("B3xA1", "(B3, A1)"), ("I2(7)", "(I2(7),)"), ("e", "()")]
+    )
+    def test_str_and_repr(self, s, factors):
+        t = ir(s)
+        assert str(t) == repr(t) == s
+        assert repr(t.factors) == factors
+
     def test_rank_and_product(self):
         t = ir("B3") * ir("A2")
         assert t.rank == 5
