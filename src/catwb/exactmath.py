@@ -7,8 +7,10 @@ identities need.
 Everything here is immutable and exact; no floats anywhere.  Scalars are
 ints and `fractions.Fraction`s; an m-polynomial keeps integer numerators over
 one common denominator, and its coefficients come back as Fractions only when
-read.  Every bivariate product, sum, scaling and transform is one integer
-kernel: numerators over one denominator, accumulated per output monomial.
+read.  A bivariate polynomial keeps one denominator for all its coefficients
+and integer numerator rows per monomial, so every product, sum, scaling and
+transform is integer arithmetic on rows, and an m-polynomial is built only
+when a coefficient is read.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, zip_longest
 from math import comb, factorial, gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import DegreeError, InvalidArgument
@@ -219,17 +223,7 @@ class MUniPoly:
         if isinstance(other, MPoly):  # so that MPoly.__rmul__ runs
             return NotImplemented
         b, bden = _parts(other)
-        a = self.nums
-        if len(b) == 1:  # a scalar scales the numerators
-            return _mup([c * b[0] for c in a], self.den * bden)
-        if not a or not b:
-            return MUniPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b):
-                    out[i + j] += c * d
-        return _mup(out, self.den * bden)
+        return _mup(int_poly_mul(self.nums, b), self.den * bden)
 
     __rmul__ = __mul__
 
@@ -258,11 +252,12 @@ class MUniPoly:
         return self.format()
 
     def format(self, var: str = "m", latex: bool = False) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if c == 0:
                 continue
             if i == 0:
@@ -345,47 +340,85 @@ def binom_int(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Integer polynomials in m
+# ---------------------------------------------------------------------------
+
+
+def falling(a: int, b: int, k: int) -> list[int]:
+    """(a m + b)(a m + b - 1)...(a m + b - k + 1), that is k! binom(a m + b, k),
+    as integer coefficients by ascending power of m; [] (zero) for k < 0."""
+    if k < 0:
+        return []
+    out = [1]
+    for i in range(k):
+        c = b - i
+        out = [c * out[0]] + [c * u + a * v for u, v in zip(out[1:], out)] + [a * out[-1]]
+    return out
+
+
+def int_poly_mul(p, q) -> list[int]:
+    """The product of two integer coefficient lists, by ascending power."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        if c:
+            for j, d in enumerate(q, i):
+                out[j] += c * d
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Sparse bivariate polynomials in (x, y) over Q[m]
 # ---------------------------------------------------------------------------
 
 
 class MPoly:
-    """A sparse polynomial in x and y whose coefficients are MUniPoly in m.
+    """A sparse polynomial in x and y whose coefficients are polynomials in m.
 
-    Terms are a map (deg_x, deg_y) -> MUniPoly with no stored zeros; equality
-    is structural.
+    Stored as one positive denominator `den` and integer numerator rows
+    `rows`, a map (deg_x, deg_y) -> numerators by ascending power of m, in
+    canonical form: only nonzero rows, trailing zeros trimmed, and
+    gcd(den, every numerator) == 1, the zero polynomial being ({}, 1).  So
+    equality is structural.  Every operation works on the rows and ends in
+    one gcd; a coefficient becomes an MUniPoly only when read (`coeff`,
+    `terms`, `iter_terms`, `format`, the JSON form).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("rows", "den")
 
-    def __init__(self, terms: Mapping[tuple[int, int], MUniPoly] | None = None):
-        t: dict[tuple[int, int], MUniPoly] = {}
-        if terms:
-            for key, c in terms.items():
-                c = MUniPoly.coerce(c)
-                if c:
-                    t[key] = c
-        object.__setattr__(self, "terms", t)
+    def __new__(cls, terms: Mapping[tuple[int, int], object] | None = None):
+        """From a map (deg_x, deg_y) -> int, Fraction or MUniPoly."""
+        return MPoly.from_parts({key: _parts(c) for key, c in terms.items()} if terms else {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return MPoly, (self.terms,)
+        return _mpoly, (self.rows, self.den)
 
     # construction helpers -------------------------------------------------
 
     @staticmethod
+    def from_parts(parts: Mapping[tuple[int, int], tuple[Iterable[int], int]]) -> "MPoly":
+        """The MPoly whose coefficient of x^k y^l is nums/den for each entry
+        (k, l): (nums, den) of `parts`, nums integers by ascending power of m
+        and den a nonzero int, neither reduced nor trimmed."""
+        den = lcm(*(d for _, d in parts.values()))
+        return _mpoly({key: [a * (den // d) for a in nums] for key, (nums, d) in parts.items()}, den)
+
+    @staticmethod
     def zero() -> "MPoly":
-        return MPoly()
+        return _mpoly({}, 1)
 
     @staticmethod
     def const(c) -> "MPoly":
-        return MPoly({(0, 0): MUniPoly.coerce(c)})
+        return MPoly.term(0, 0, c)
 
     @staticmethod
     def term(dx: int, dy: int, coeff=1) -> "MPoly":
-        return MPoly({(dx, dy): MUniPoly.coerce(coeff)})
+        nums, den = _parts(coeff)
+        return _mpoly({(dx, dy): nums}, den)
 
     @staticmethod
     def x() -> "MPoly":
@@ -404,68 +437,62 @@ class MPoly:
     # inspection ------------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.rows)
 
     def coeff(self, dx: int, dy: int) -> MUniPoly:
-        return self.terms.get((dx, dy), MUniPoly())
+        row = self.rows.get((dx, dy))
+        return _mup(list(row), self.den) if row else MUniPoly()
 
-    def support(self) -> list[tuple[int, int]]:
-        return sorted(self.terms)
+    @property
+    def terms(self) -> dict[tuple[int, int], MUniPoly]:
+        """The nonzero coefficients, one MUniPoly per monomial."""
+        return {key: _mup(list(row), self.den) for key, row in self.rows.items()}
 
     @property
     def total_degree(self) -> int:
         """Max of deg_x + deg_y over stored terms (-1 for the zero poly)."""
-        return max((k + l for k, l in self.terms), default=-1)
-
-    def degree_x(self) -> int:
-        return max((k for k, _ in self.terms), default=-1)
-
-    def degree_y(self) -> int:
-        return max((l for _, l in self.terms), default=-1)
+        return max((k + l for k, l in self.rows), default=-1)
 
     def iter_terms(self) -> Iterator[tuple[int, int, MUniPoly]]:
-        for (k, l) in sorted(self.terms):
-            yield k, l, self.terms[(k, l)]
+        for (k, l) in sorted(self.rows):
+            yield k, l, _mup(list(self.rows[(k, l)]), self.den)
 
     # arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        other = MPoly.coerce(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c  # numerators over the lcm of the denominators
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return _mpoly(out)
+        return _combine(self, MPoly.coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _mpoly({k: -c for k, c in self.terms.items()})
+        return _mpoly({key: [-a for a in row] for key, row in self.rows.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-MPoly.coerce(other))
+        return _combine(self, MPoly.coerce(other), -1)
 
     def __rsub__(self, other):
-        return MPoly.coerce(other) + (-self)
+        return _combine(MPoly.coerce(other), self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MUniPoly)):
-            return _mpoly({k: p for k, c in self.terms.items() if (p := c * other)})
-        da, wa, rows_a = _rows(self)
-        db, wb, rows_b = _rows(other)
+        if not isinstance(other, MPoly):  # a scalar: int, Fraction or MUniPoly
+            b, bden = _parts(other)
+            return _mpoly({key: int_poly_mul(row, b) for key, row in self.rows.items()}, self.den * bden)
+        rows_b = other.rows.items()
         acc: dict[tuple[int, int], list[int]] = {}
-        for (k1, l1), a in rows_a:
+        for (k1, l1), a in self.rows.items():
             for (k2, l2), b in rows_b:
-                row = acc.setdefault((k1 + k2, l1 + l2), [0] * (wa + wb - 1))
+                key = (k1 + k2, l1 + l2)
+                width = len(a) + len(b) - 1  # trimmed rows: the product's top term is nonzero
+                row = acc.get(key)
+                if row is None:
+                    acc[key] = row = [0] * width
+                elif len(row) < width:
+                    row.extend([0] * (width - len(row)))
                 for i, c in enumerate(a):
                     if c:
                         for j, d in enumerate(b, i):
                             row[j] += c * d
-        return _from_rows(acc, da * db)
+        return _mpoly(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -485,49 +512,58 @@ class MPoly:
         if isinstance(other, (int, Fraction, MUniPoly)):
             other = MPoly.coerce(other)
         if isinstance(other, MPoly):
-            return self.terms == other.terms
+            return self.den == other.den and self.rows == other.rows
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.rows.items())))
 
     # specializations -------------------------------------------------------
 
     def diff_y(self) -> "MPoly":
         """Partial derivative with respect to y."""
-        return _mpoly({(k, l - 1): c * l for (k, l), c in self.terms.items() if l})
+        return _mpoly({(k, l - 1): [a * l for a in row] for (k, l), row in self.rows.items() if l}, self.den)
 
-    def eval_m(self, m_value: int) -> "MPoly":
-        """Evaluate every coefficient at a concrete m >= 0."""
+    def eval_m(self, m_value) -> "MPoly":
+        """Evaluate every coefficient at a concrete m = p/q >= 0: one
+        homogeneous integer Horner per row, over den * q^(width - 1)."""
         if m_value < 0:
             raise InvalidArgument("m must be non-negative")
-        return MPoly({key: MUniPoly.const(c.eval(m_value)) for key, c in self.terms.items()})
+        if not self.rows:
+            return self
+        v = _as_fraction(m_value)
+        p, q = v.numerator, v.denominator
+        top = max(map(len, self.rows.values())) - 1
+        weights = [p**i * q ** (top - i) for i in range(top + 1)]
+        return _mpoly({key: [sum(map(mul, row, weights))] for key, row in self.rows.items()}, self.den * q**top)
 
     def eval_xy(self, x_value, y_value):
         """Evaluate at exact numeric (x, y); coefficients must be constant."""
         x_value = _as_fraction(x_value)
         y_value = _as_fraction(y_value)
         acc = Fraction(0)
-        for (k, l), c in self.terms.items():
-            acc += c.constant_value() * x_value**k * y_value**l
-        return acc
+        for (k, l), row in self.rows.items():
+            if len(row) > 1:
+                raise ValueError(f"{self.coeff(k, l)} is not constant")
+            acc += row[0] * x_value**k * y_value**l
+        return acc / self.den
 
     def set_diagonal(self) -> "MPoly":
         """The specialization y := x, collected on powers of x."""
-        out: dict[tuple[int, int], MUniPoly] = {}
-        for (k, l), c in self.terms.items():
-            key = (k + l, 0)
-            s = out.get(key)
-            out[key] = c if s is None else s + c
-        return MPoly(out)
+        out: dict[tuple[int, int], list[int]] = {}
+        for (k, l), row in self.rows.items():
+            out[k + l, 0] = [u + v for u, v in zip_longest(out.get((k + l, 0), ()), row, fillvalue=0)]
+        return _mpoly(out, self.den)
 
     # serialization ----------------------------------------------------------
 
     def to_json_obj(self) -> list[dict]:
-        """Canonical JSON form: term list sorted by (dx, dy)."""
+        """Canonical JSON form: term list sorted by (dx, dy), each coefficient
+        in lowest terms."""
+        den = self.den
         return [
-            {"dx": k, "dy": l, "coeff": [f"{a // g}/{c.den // g}" for a in c.nums for g in (gcd(a, c.den),)]}
-            for (k, l), c in sorted(self.terms.items())
+            {"dx": k, "dy": l, "coeff": [f"{a // g}/{den // g}" for a in self.rows[(k, l)] for g in (gcd(a, den),)]}
+            for (k, l) in sorted(self.rows)
         ]
 
     @staticmethod
@@ -552,12 +588,12 @@ class MPoly:
 
     def format(self, latex: bool = False) -> str:
         """Human-readable rendering, terms by total degree then lexicographic."""
-        if not self.terms:
+        if not self.rows:
             return "0"
-        keys = sorted(self.terms, key=lambda kl: (kl[0] + kl[1], kl[0], kl[1]), reverse=True)
+        keys = sorted(self.rows, key=lambda kl: (kl[0] + kl[1], kl[0], kl[1]), reverse=True)
         parts = []
         for k, l in keys:
-            c = self.terms[(k, l)]
+            row = self.rows[(k, l)]
             mono = ""
             if k:
                 mono += "x" if k == 1 else (f"x^{{{k}}}" if latex else f"x^{k}")
@@ -565,7 +601,7 @@ class MPoly:
                 mono += ("" if not mono else ("" if latex else "*")) + (
                     "y" if l == 1 else (f"y^{{{l}}}" if latex else f"y^{l}")
                 )
-            cs = c.format(latex=latex)
+            cs = _mup(list(row), self.den).format(latex=latex)
             if mono:
                 if cs == "1":
                     parts.append(mono)
@@ -573,7 +609,7 @@ class MPoly:
                 if cs == "-1":
                     parts.append("-" + mono)
                     continue
-                if len(c.nums) - c.nums.count(0) > 1:
+                if len(row) - row.count(0) > 1:
                     cs = f"\\left({cs}\\right)" if latex else f"({cs})"
                 sep = " " if latex else "*"
                 parts.append(cs + sep + mono)
@@ -582,24 +618,44 @@ class MPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _mpoly(terms: dict[tuple[int, int], MUniPoly]) -> MPoly:
-    """An MPoly over coefficients that are already nonzero MUniPolys."""
+def _mpoly(rows: Mapping[tuple[int, int], list[int] | tuple[int, ...]], den: int) -> MPoly:
+    """The MPoly of rows over den > 0, in canonical form: zero rows dropped,
+    trailing zeros trimmed, and one gcd over den and every numerator."""
+    out = {}
+    for key, row in rows.items():
+        top = len(row)
+        while top and not row[top - 1]:
+            top -= 1
+        if top:
+            out[key] = tuple(row[:top]) if top < len(row) else tuple(row)
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(out.values()))
+        if g != 1:
+            out = {key: tuple(a // g for a in row) for key, row in out.items()}
+            den //= g
     p = object.__new__(MPoly)
-    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "rows", out)
+    object.__setattr__(p, "den", den)
     return p
 
 
-def _rows(F: MPoly) -> tuple[int, int, list[tuple[tuple[int, int], tuple[int, ...]]]]:
-    """F's coefficients as integer rows over their common denominator:
-    (denominator, longest row, [(monomial, numerators)])."""
-    den = lcm(*(c.den for c in F.terms.values()))
-    rows = [(key, tuple(a * (den // c.den) for a in c.nums)) for key, c in F.terms.items()]
-    return den, max((len(nums) for _, nums in rows), default=0), rows
-
-
-def _from_rows(acc: dict[tuple[int, int], list[int]], den: int) -> MPoly:
-    """The MPoly with numerator rows `acc` over `den`, zero rows dropped."""
-    return _mpoly({key: c for key, row in acc.items() if (c := _mup(row, den))})
+def _combine(a: MPoly, b: MPoly, sign: int) -> MPoly:
+    """a + sign * b over the lcm of the two denominators."""
+    if a.den == b.den:
+        den, sa, sb = a.den, 1, sign
+    else:
+        g = gcd(a.den, b.den)
+        den, sa, sb = a.den // g * b.den, b.den // g, sign * (a.den // g)
+    out: dict[tuple[int, int], list[int] | tuple[int, ...]] = (
+        dict(a.rows) if sa == 1 else {key: [sa * c for c in row] for key, row in a.rows.items()}
+    )
+    for key, row in b.rows.items():
+        acc = out.get(key)
+        if acc is None:
+            out[key] = row if sb == 1 else [sb * c for c in row]
+        else:
+            out[key] = [u + sb * v for u, v in zip_longest(acc, row, fillvalue=0)]
+    return _mpoly(out, den)
 
 
 def poly_eval_m(p: MPoly, m_value: int) -> MPoly:
@@ -631,16 +687,18 @@ def _dual_kernel(n: int, k: int, l: int) -> tuple[tuple[tuple[int, int], int], .
 
 def _apply_kernel(F: MPoly, kernel: Callable[[int, int, int], tuple], n: int) -> MPoly:
     """The linear map sending each x^k y^l to kernel(n, k, l), applied to F:
-    integer numerators over the common denominator of F's coefficients are
-    accumulated per output monomial, and each MUniPoly is built once."""
-    den, width, rows = _rows(F)
+    F's numerator rows are accumulated per output monomial over F's
+    denominator."""
+    width = max(map(len, F.rows.values()), default=0)
     acc: dict[tuple[int, int], list[int]] = {}
-    for (k, l), nums in rows:
+    for (k, l), nums in F.rows.items():
         for key, kv in kernel(n, k, l):
-            row = acc.setdefault(key, [0] * width)
+            row = acc.get(key)
+            if row is None:
+                acc[key] = row = [0] * width
             for i, a in enumerate(nums):
                 row[i] += kv * a
-    return _from_rows(acc, den)
+    return _mpoly(acc, F.den)
 
 
 def substitute_fm(F: MPoly, n: int) -> MPoly:

@@ -6,10 +6,10 @@ the m-divisible posets.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import factorial
 
 from .errors import UnsupportedType
-from .exactmath import M, MPoly, MUniPoly, gen_binomial, substitute_fm
+from .exactmath import MPoly, binom_int, falling, int_poly_mul, substitute_fm
 from .ftriangle import f_closed
 from .ncposet import m_triangle_bruteforce, m_triangle_formula, mtriangle_rhs_transform
 from .report import VerificationReport
@@ -23,44 +23,34 @@ def fm_lhs(t: RootSystemType) -> MPoly:
 
 def fm_lhs_closed_classical(t: RootSystemType) -> MPoly:
     """Closed double sums for the transformed F-triangle in the classical
-    families, one shape per family."""
+    families, one shape per family, on integer numerators in m: the
+    coefficient of x^s y^r is binom(am, r) binom(am + s-r-1, s-r) times a
+    family factor, a = n+1, n, n-1 for A, B, D, over r! (s-r)!."""
     f = t.single()
     n = f.rank
-    terms: dict[tuple[int, int], MUniPoly] = {}
-    if f.family == "A":
-        mm = M * (n + 1)
-        for s in range(n + 1):
-            cs = Fraction(gen_binomial(n, s), s + 1)
-            for r in range(s + 1):
-                coeff = gen_binomial(mm, r) * gen_binomial(mm + (s - r - 1), s - r) * cs
-                if coeff:
-                    terms[(s, r)] = terms.get((s, r), MUniPoly()) + coeff
-    elif f.family == "B":
-        mm = M * n
-        for s in range(n + 1):
-            cs = gen_binomial(n, s)
-            for r in range(s + 1):
-                coeff = gen_binomial(mm, r) * gen_binomial(mm + (s - r - 1), s - r) * cs
-                if coeff:
-                    terms[(s, r)] = terms.get((s, r), MUniPoly()) + coeff
-    elif f.family == "D":
-        mm = M * (n - 1)
-        for s in range(n + 1):
-            for r in range(s + 1):
-                acc = gen_binomial(mm, r) * gen_binomial(mm + (s - r - 1), s - r) * (
-                    2 * gen_binomial(n - 1, s - 1) + gen_binomial(n - 2, s)
-                )
-                acc = acc + M * gen_binomial(mm - 1, r - 2) * gen_binomial(
-                    mm + (s - r - 1), s - r
-                ) * gen_binomial(n - 1, s - 1)
-                acc = acc - M * gen_binomial(mm, r) * gen_binomial(
-                    mm + (s - r - 2), s - r - 2
-                ) * gen_binomial(n - 1, s - 1)
-                if acc:
-                    terms[(s, r)] = terms.get((s, r), MUniPoly()) + acc
-    else:
+    if f.family not in ("A", "B", "D"):
         raise UnsupportedType(f"no closed classical form for {t}")
-    return MPoly(terms)
+    a = {"A": n + 1, "B": n, "D": n - 1}[f.family]
+    parts = {}
+    for s in range(n + 1):
+        for r in range(s + 1):
+            den = factorial(r) * factorial(s - r)
+            base = int_poly_mul(falling(a, 0, r), falling(a, s - r - 1, s - r))
+            if f.family != "D":  # times binom(n, s), over s + 1 in type A
+                parts[(s, r)] = [binom_int(n, s) * c for c in base], den * (s + 1 if f.family == "A" else 1)
+                continue
+            c1 = binom_int(n - 1, s - 1)
+            acc = [(2 * c1 + binom_int(n - 2, s)) * c for c in base] + [0]
+            # + m binom(am - 1, r-2) binom(am + s-r-1, s-r) c1, over (r-2)! (s-r)!
+            up = int_poly_mul(falling(a, -1, r - 2), falling(a, s - r - 1, s - r))
+            # - m binom(am, r) binom(am + s-r-2, s-r-2) c1, over r! (s-r-2)!
+            down = int_poly_mul(falling(a, 0, r), falling(a, s - r - 2, s - r - 2))
+            for i, c in enumerate(up, 1):
+                acc[i] += r * (r - 1) * c1 * c
+            for i, c in enumerate(down, 1):
+                acc[i] -= (s - r) * (s - r - 1) * c1 * c
+            parts[(s, r)] = acc, den
+    return MPoly.from_parts(parts)
 
 
 def verify_fm(t: RootSystemType, mode: str, m: int | None = None, **caps) -> VerificationReport:

@@ -10,9 +10,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .errors import UnsupportedType
-from .exactmath import M, MPoly, MUniPoly, gen_binomial, substitute_dual
+from .exactmath import (
+    M,
+    MPoly,
+    MUniPoly,
+    _mup,
+    _parts,
+    binom_int,
+    falling,
+    gen_binomial,
+    int_poly_mul,
+    substitute_dual,
+)
 from .report import VerificationReport
 from .rootdata import Irreducible, RootSystemType, deletion_types
 
@@ -40,242 +52,238 @@ class NarayanaVector:
         self.entries = entries
 
 
-def face_number_a(n: int, k: int, l: int) -> MUniPoly:
-    """Refined face numbers for the A family."""
-    c = Fraction(l + 1, k + l + 1) * gen_binomial(n, k + l)
-    return gen_binomial(M * (n + 1) + (k - 1), k) * c
+def face_number_a(n: int, k: int, l: int) -> tuple[list[int], int]:
+    """Refined face numbers for the A family, binom((n+1)m + k-1, k)
+    (l+1)/(k+l+1) binom(n, k+l), as integer numerators in m over a
+    denominator."""
+    c = (l + 1) * binom_int(n, k + l)
+    return [c * a for a in falling(n + 1, k - 1, k)], factorial(k) * (k + l + 1)
 
 
-def face_number_b(n: int, k: int, l: int) -> MUniPoly:
-    """Refined face numbers for the B family (B1 identified with A1)."""
-    return gen_binomial(M * n + (k - 1), k) * gen_binomial(n, k + l)
+def face_number_b(n: int, k: int, l: int) -> tuple[list[int], int]:
+    """Refined face numbers for the B family (B1 identified with A1),
+    binom(nm + k-1, k) binom(n, k+l), as numerators over a denominator."""
+    c = binom_int(n, k + l)
+    return [c * a for a in falling(n, k - 1, k)], factorial(k)
 
 
-def face_number_d(n: int, k: int, l: int) -> MUniPoly:
-    """Refined face numbers for the D family (D2 = A1xA1, D3 = A3); the l = 0
-    row carries an explicit correction term."""
-    mm = M * (n - 1)
-    out = gen_binomial(mm + (k - 1), k) * gen_binomial(n, k + l)
-    out = out + M * gen_binomial(mm + (k - 2), k - 1) * gen_binomial(n - 1, k + l - 1)
+def face_number_d(n: int, k: int, l: int) -> tuple[list[int], int]:
+    """Refined face numbers for the D family (D2 = A1xA1, D3 = A3), as
+    numerators over k! (n-1); the l = 0 row carries an explicit correction
+    term."""
+    head = falling(n - 1, k - 1, k)  # k! binom((n-1)m + k-1, k)
+    out = [(n - 1) * binom_int(n, k + l) * a for a in head] + [0]
+    c = (n - 1) * k * binom_int(n - 1, k + l - 1)  # m binom((n-1)m + k-2, k-1), over k!
+    for i, a in enumerate(falling(n - 1, k - 2, k - 1), 1):
+        out[i] += c * a
     if l == 0:
-        out = out - gen_binomial(mm + (k - 1), k) * Fraction(gen_binomial(n - 1, k - 1), n - 1)
-    return out
+        c = binom_int(n - 1, k - 1)
+        for i, a in enumerate(head):
+            out[i] -= c * a
+    return out, factorial(k) * (n - 1)
 
 
 def _triangle_from_rows(n: int, face) -> MPoly:
-    terms = {}
-    for k in range(n + 1):
-        for l in range(n + 1 - k):
-            c = face(k, l)
-            if c:
-                terms[(k, l)] = c
-    return MPoly(terms)
+    return MPoly.from_parts({(k, l): face(k, l) for k in range(n + 1) for l in range(n + 1 - k)})
 
 
 def f_i2(a) -> MPoly:
-    """F-triangle of a dihedral type with label a (a may be symbolic-free int
-    or a Fraction for interpolation purposes)."""
-    return MPoly(
+    """F-triangle of a dihedral type with label a (an int, or a Fraction for
+    interpolation purposes)."""
+    p, q = a.numerator, a.denominator
+    return MPoly.from_parts(
         {
-            (2, 0): M * (M * a + (a - 2)) / 2,
-            (1, 1): M * 2,
-            (1, 0): M * a,
-            (0, 2): MUniPoly.const(1),
-            (0, 1): MUniPoly.const(2),
-            (0, 0): MUniPoly.const(1),
+            (2, 0): ((0, p - 2 * q, p), 2 * q),  # m (am + a - 2) / 2
+            (1, 1): ((0, 2), 1),
+            (1, 0): ((0, p), q),
+            (0, 2): ((1,), 1),
+            (0, 1): ((2,), 1),
+            (0, 0): ((1,), 1),
         }
     )
 
 
-def _f_h3() -> MPoly:
-    return MPoly(
-        {
-            (3, 0): M * (5 * M + 2) * (5 * M + 4) / 3,
-            (2, 1): M * (5 * M + 2),
-            (2, 0): 5 * M * (5 * M + 2),
-            (1, 2): 3 * M,
-            (1, 1): 10 * M,
-            (1, 0): 15 * M,
-            (0, 3): MUniPoly.const(1),
-            (0, 2): MUniPoly.const(3),
-            (0, 1): MUniPoly.const(3),
-            (0, 0): MUniPoly.const(1),
-        }
-    )
+# The F-triangles of the exceptional types, coefficient by coefficient in
+# factored form, one line "k l: factors / denominator" per x^k y^l (no
+# denominator when it is 1).  A factor is m, an integer, or the coefficients of
+# a polynomial in m from the top power down, so 2,1 is 2m + 1.  Kept as text,
+# which compiles in a fraction of the time of the same data as tuples.
+_EXCEPTIONAL = {
+    "H3": """
+        3 0: m 5,2 5,4 / 3
+        2 1: m 5,2
+        2 0: 5 m 5,2
+        1 2: 3 m
+        1 1: 10 m
+        1 0: 15 m
+        0 3: 1
+        0 2: 3
+        0 1: 3
+        0 0: 1
+    """,
+    "H4": """
+        4 0: m 3,1 5,3 15,14 / 4
+        3 1: m 3,1 5,3
+        3 0: 15 m 3,1 5,3
+        2 2: m 17,5 / 2
+        2 1: m 45,14
+        2 0: m 465,149 / 2
+        1 3: 4 m
+        1 2: 17 m
+        1 1: 31 m
+        1 0: 60 m
+        0 4: 1
+        0 3: 4
+        0 2: 6
+        0 1: 4
+        0 0: 1
+    """,
+    "F4": """
+        4 0: m 2,1 3,1 6,5 / 2
+        3 1: 2 m 2,1 3,1
+        3 0: 12 m 2,1 3,1
+        2 2: 2 m 4,1
+        2 1: 2 m 18,5
+        2 0: m 78,23
+        1 3: 4 m
+        1 2: 16 m
+        1 1: 26 m
+        1 0: 24 m
+        0 4: 1
+        0 3: 4
+        0 2: 6
+        0 1: 4
+        0 0: 1
+    """,
+    "E6": """
+        6 0: m 2,1 3,1 4,1 6,5 12,7 / 30
+        5 1: m 2,1 3,1 4,1 12,7 / 5
+        5 0: 6 m 2,1 3,1 4,1 12,7 / 5
+        4 2: m 3,1 4,1 8,3 / 2
+        4 1: 2 m 3,1 4,1 12,5
+        4 0: 2 m 3,1 4,1 30,13
+        3 3: 5 m 4,1 5,1 / 3
+        3 2: m 4,1 48,11
+        3 1: m 4,1 120,31
+        3 0: 9 m 4,1 18,5
+        2 4: 5 m 7,1 / 2
+        2 3: 5 m 20,3
+        2 2: m 242,39
+        2 1: 3 m 108,19
+        2 0: 12 m 21,4
+        1 5: 6 m
+        1 4: 35 m
+        1 3: 85 m
+        1 2: 111 m
+        1 1: 84 m
+        1 0: 36 m
+        0 6: 1
+        0 5: 6
+        0 4: 15
+        0 3: 20
+        0 2: 15
+        0 1: 6
+        0 0: 1
+    """,
+    "E7": """
+        7 0: m 3,1 3,2 9,2 9,4 9,5 9,8 / 280
+        6 1: m 3,1 3,2 9,2 9,4 9,5 / 40
+        6 0: 9 m 3,1 3,2 9,2 9,4 9,5 / 40
+        5 2: 3 m 3,1 7,3 9,2 9,4 / 40
+        5 1: 3 m 3,1 9,2 9,4 27,13 / 20
+        5 0: 3 m 3,1 9,2 9,4 207,103 / 40
+        4 3: m 3,1 9,2 27,7 / 8
+        4 2: 3 m 3,1 9,2 63,19 / 8
+        4 1: 3 m 3,1 9,2 207,71 / 8
+        4 0: 21 m 3,1 9,2 63,23 / 8
+        3 4: m 6,1 9,2
+        3 3: 3 m 9,2 27,5 / 2
+        3 2: 3 m 9,2 81,17 / 2
+        3 1: 21 m 9,2 21,5 / 2
+        3 0: 21 m 9,2 27,7 / 2
+        2 5: 3 m 8,1
+        2 4: 3 m 54,7
+        2 3: 3 m 315,43 / 2
+        2 2: 21 m 75,11 / 2
+        2 1: 21 m 81,13 / 2
+        2 0: 21 m 63,11 / 2
+        1 6: 7 m
+        1 5: 48 m
+        1 4: 141 m
+        1 3: 231 m
+        1 2: 231 m
+        1 1: 147 m
+        1 0: 63 m
+        0 7: 1
+        0 6: 7
+        0 5: 21
+        0 4: 35
+        0 3: 35
+        0 2: 21
+        0 1: 7
+        0 0: 1
+    """,
+    "E8": """
+        8 0: m 3,1 5,1 5,2 5,3 15,8 15,11 15,14 / 1344
+        7 1: m 3,1 5,1 5,2 5,3 15,8 15,11 / 168
+        7 0: 5 m 3,1 5,1 5,2 5,3 15,8 15,11 / 56
+        6 2: m 3,1 5,1 5,2 15,7 15,8 / 48
+        6 1: 5 m 3,1 5,1 5,2 15,8 15,8 / 24
+        6 0: 5 m 3,1 5,1 5,2 15,8 195,107 / 48
+        5 3: m 3,1 5,1 5,2 10,3 / 3
+        5 2: 5 m 3,1 5,1 5,2 45,16 / 8
+        5 1: 25 m 3,1 5,1 5,2 39,16 / 8
+        5 0: 15 m 3,1 5,1 5,2 30,13
+        4 4: m 5,1 10,3 19,4 / 6
+        4 3: m 5,1 10,3 25,6
+        4 2: m 5,1 3675,2125,308 / 4
+        4 1: m 5,1 2250,1395,218
+        4 0: m 5,1 10350,6675,1084 / 2
+        3 5: 7 m 5,1 7,1 / 3
+        3 4: m 5,1 380,59 / 3
+        3 3: m 5,1 1315,226 / 3
+        3 2: m 5,1 915,178
+        3 1: m 5,1 1380,307
+        3 0: 45 m 5,1 45,11
+        2 6: 7 m 9,1 / 2
+        2 5: 7 m 35,4
+        2 4: m 1675,199 / 2
+        2 3: 4 m 415,52
+        2 2: m 4295,579 / 2
+        2 1: 75 m 27,4
+        2 0: 35 m 105,17 / 2
+        1 7: 8 m
+        1 6: 63 m
+        1 5: 217 m
+        1 4: 428 m
+        1 3: 532 m
+        1 2: 435 m
+        1 1: 245 m
+        1 0: 120 m
+        0 8: 1
+        0 7: 8
+        0 6: 28
+        0 5: 56
+        0 4: 70
+        0 3: 56
+        0 2: 28
+        0 1: 8
+        0 0: 1
+    """,
+}
 
 
-def _f_h4() -> MPoly:
-    return MPoly(
-        {
-            (4, 0): M * (3 * M + 1) * (5 * M + 3) * (15 * M + 14) / 4,
-            (3, 1): M * (3 * M + 1) * (5 * M + 3),
-            (3, 0): 15 * M * (3 * M + 1) * (5 * M + 3),
-            (2, 2): M * (17 * M + 5) / 2,
-            (2, 1): M * (45 * M + 14),
-            (2, 0): M * (465 * M + 149) / 2,
-            (1, 3): 4 * M,
-            (1, 2): 17 * M,
-            (1, 1): 31 * M,
-            (1, 0): 60 * M,
-            (0, 4): MUniPoly.const(1),
-            (0, 3): MUniPoly.const(4),
-            (0, 2): MUniPoly.const(6),
-            (0, 1): MUniPoly.const(4),
-            (0, 0): MUniPoly.const(1),
-        }
-    )
-
-
-def _f_f4() -> MPoly:
-    return MPoly(
-        {
-            (4, 0): M * (2 * M + 1) * (3 * M + 1) * (6 * M + 5) / 2,
-            (3, 1): 2 * M * (2 * M + 1) * (3 * M + 1),
-            (3, 0): 12 * M * (2 * M + 1) * (3 * M + 1),
-            (2, 2): 2 * M * (4 * M + 1),
-            (2, 1): 2 * M * (18 * M + 5),
-            (2, 0): M * (78 * M + 23),
-            (1, 3): 4 * M,
-            (1, 2): 16 * M,
-            (1, 1): 26 * M,
-            (1, 0): 24 * M,
-            (0, 4): MUniPoly.const(1),
-            (0, 3): MUniPoly.const(4),
-            (0, 2): MUniPoly.const(6),
-            (0, 1): MUniPoly.const(4),
-            (0, 0): MUniPoly.const(1),
-        }
-    )
-
-
-def _f_e6() -> MPoly:
-    return MPoly(
-        {
-            (6, 0): M * (2 * M + 1) * (3 * M + 1) * (4 * M + 1) * (6 * M + 5) * (12 * M + 7) / 30,
-            (5, 1): M * (2 * M + 1) * (3 * M + 1) * (4 * M + 1) * (12 * M + 7) / 5,
-            (5, 0): 6 * M * (2 * M + 1) * (3 * M + 1) * (4 * M + 1) * (12 * M + 7) / 5,
-            (4, 2): M * (3 * M + 1) * (4 * M + 1) * (8 * M + 3) / 2,
-            (4, 1): 2 * M * (3 * M + 1) * (4 * M + 1) * (12 * M + 5),
-            (4, 0): 2 * M * (3 * M + 1) * (4 * M + 1) * (30 * M + 13),
-            (3, 3): 5 * M * (4 * M + 1) * (5 * M + 1) / 3,
-            (3, 2): M * (4 * M + 1) * (48 * M + 11),
-            (3, 1): M * (4 * M + 1) * (120 * M + 31),
-            (3, 0): 9 * M * (4 * M + 1) * (18 * M + 5),
-            (2, 4): 5 * M * (7 * M + 1) / 2,
-            (2, 3): 5 * M * (20 * M + 3),
-            (2, 2): M * (242 * M + 39),
-            (2, 1): 3 * M * (108 * M + 19),
-            (2, 0): 12 * M * (21 * M + 4),
-            (1, 5): 6 * M,
-            (1, 4): 35 * M,
-            (1, 3): 85 * M,
-            (1, 2): 111 * M,
-            (1, 1): 84 * M,
-            (1, 0): 36 * M,
-            (0, 6): MUniPoly.const(1),
-            (0, 5): MUniPoly.const(6),
-            (0, 4): MUniPoly.const(15),
-            (0, 3): MUniPoly.const(20),
-            (0, 2): MUniPoly.const(15),
-            (0, 1): MUniPoly.const(6),
-            (0, 0): MUniPoly.const(1),
-        }
-    )
-
-
-def _f_e7() -> MPoly:
-    return MPoly(
-        {
-            (7, 0): M * (3 * M + 1) * (3 * M + 2) * (9 * M + 2) * (9 * M + 4) * (9 * M + 5) * (9 * M + 8) / 280,
-            (6, 1): M * (3 * M + 1) * (3 * M + 2) * (9 * M + 2) * (9 * M + 4) * (9 * M + 5) / 40,
-            (6, 0): 9 * M * (3 * M + 1) * (3 * M + 2) * (9 * M + 2) * (9 * M + 4) * (9 * M + 5) / 40,
-            (5, 2): 3 * M * (3 * M + 1) * (7 * M + 3) * (9 * M + 2) * (9 * M + 4) / 40,
-            (5, 1): 3 * M * (3 * M + 1) * (9 * M + 2) * (9 * M + 4) * (27 * M + 13) / 20,
-            (5, 0): 3 * M * (3 * M + 1) * (9 * M + 2) * (9 * M + 4) * (207 * M + 103) / 40,
-            (4, 3): M * (3 * M + 1) * (9 * M + 2) * (27 * M + 7) / 8,
-            (4, 2): 3 * M * (3 * M + 1) * (9 * M + 2) * (63 * M + 19) / 8,
-            (4, 1): 3 * M * (3 * M + 1) * (9 * M + 2) * (207 * M + 71) / 8,
-            (4, 0): 21 * M * (3 * M + 1) * (9 * M + 2) * (63 * M + 23) / 8,
-            (3, 4): M * (6 * M + 1) * (9 * M + 2),
-            (3, 3): 3 * M * (9 * M + 2) * (27 * M + 5) / 2,
-            (3, 2): 3 * M * (9 * M + 2) * (81 * M + 17) / 2,
-            (3, 1): 21 * M * (9 * M + 2) * (21 * M + 5) / 2,
-            (3, 0): 21 * M * (9 * M + 2) * (27 * M + 7) / 2,
-            (2, 5): 3 * M * (8 * M + 1),
-            (2, 4): 3 * M * (54 * M + 7),
-            (2, 3): 3 * M * (315 * M + 43) / 2,
-            (2, 2): 21 * M * (75 * M + 11) / 2,
-            (2, 1): 21 * M * (81 * M + 13) / 2,
-            (2, 0): 21 * M * (63 * M + 11) / 2,
-            (1, 6): 7 * M,
-            (1, 5): 48 * M,
-            (1, 4): 141 * M,
-            (1, 3): 231 * M,
-            (1, 2): 231 * M,
-            (1, 1): 147 * M,
-            (1, 0): 63 * M,
-            (0, 7): MUniPoly.const(1),
-            (0, 6): MUniPoly.const(7),
-            (0, 5): MUniPoly.const(21),
-            (0, 4): MUniPoly.const(35),
-            (0, 3): MUniPoly.const(35),
-            (0, 2): MUniPoly.const(21),
-            (0, 1): MUniPoly.const(7),
-            (0, 0): MUniPoly.const(1),
-        }
-    )
-
-
-def _f_e8() -> MPoly:
-    return MPoly(
-        {
-            (8, 0): M * (3 * M + 1) * (5 * M + 1) * (5 * M + 2) * (5 * M + 3) * (15 * M + 8) * (15 * M + 11) * (15 * M + 14) / 1344,
-            (7, 1): M * (3 * M + 1) * (5 * M + 1) * (5 * M + 2) * (5 * M + 3) * (15 * M + 8) * (15 * M + 11) / 168,
-            (7, 0): 5 * M * (3 * M + 1) * (5 * M + 1) * (5 * M + 2) * (5 * M + 3) * (15 * M + 8) * (15 * M + 11) / 56,
-            (6, 2): M * (3 * M + 1) * (5 * M + 1) * (5 * M + 2) * (15 * M + 7) * (15 * M + 8) / 48,
-            (6, 1): 5 * M * (3 * M + 1) * (5 * M + 1) * (5 * M + 2) * (15 * M + 8) * (15 * M + 8) / 24,
-            (6, 0): 5 * M * (3 * M + 1) * (5 * M + 1) * (5 * M + 2) * (15 * M + 8) * (195 * M + 107) / 48,
-            (5, 3): M * (3 * M + 1) * (5 * M + 1) * (5 * M + 2) * (10 * M + 3) / 3,
-            (5, 2): 5 * M * (3 * M + 1) * (5 * M + 1) * (5 * M + 2) * (45 * M + 16) / 8,
-            (5, 1): 25 * M * (3 * M + 1) * (5 * M + 1) * (5 * M + 2) * (39 * M + 16) / 8,
-            (5, 0): 15 * M * (3 * M + 1) * (5 * M + 1) * (5 * M + 2) * (30 * M + 13),
-            (4, 4): M * (5 * M + 1) * (10 * M + 3) * (19 * M + 4) / 6,
-            (4, 3): M * (5 * M + 1) * (10 * M + 3) * (25 * M + 6),
-            (4, 2): M * (5 * M + 1) * (3675 * M * M + 2125 * M + 308) / 4,
-            (4, 1): M * (5 * M + 1) * (2250 * M * M + 1395 * M + 218),
-            (4, 0): M * (5 * M + 1) * (10350 * M * M + 6675 * M + 1084) / 2,
-            (3, 5): 7 * M * (5 * M + 1) * (7 * M + 1) / 3,
-            (3, 4): M * (5 * M + 1) * (380 * M + 59) / 3,
-            (3, 3): M * (5 * M + 1) * (1315 * M + 226) / 3,
-            (3, 2): M * (5 * M + 1) * (915 * M + 178),
-            (3, 1): M * (5 * M + 1) * (1380 * M + 307),
-            (3, 0): 45 * M * (5 * M + 1) * (45 * M + 11),
-            (2, 6): 7 * M * (9 * M + 1) / 2,
-            (2, 5): 7 * M * (35 * M + 4),
-            (2, 4): M * (1675 * M + 199) / 2,
-            (2, 3): 4 * M * (415 * M + 52),
-            (2, 2): M * (4295 * M + 579) / 2,
-            (2, 1): 75 * M * (27 * M + 4),
-            (2, 0): 35 * M * (105 * M + 17) / 2,
-            (1, 7): 8 * M,
-            (1, 6): 63 * M,
-            (1, 5): 217 * M,
-            (1, 4): 428 * M,
-            (1, 3): 532 * M,
-            (1, 2): 435 * M,
-            (1, 1): 245 * M,
-            (1, 0): 120 * M,
-            (0, 8): MUniPoly.const(1),
-            (0, 7): MUniPoly.const(8),
-            (0, 6): MUniPoly.const(28),
-            (0, 5): MUniPoly.const(56),
-            (0, 4): MUniPoly.const(70),
-            (0, 3): MUniPoly.const(56),
-            (0, 2): MUniPoly.const(28),
-            (0, 1): MUniPoly.const(8),
-            (0, 0): MUniPoly.const(1),
-        }
-    )
+def _factored_triangle(table: str) -> MPoly:
+    parts = {}
+    for line in table.strip().splitlines():
+        key, _, rest = line.partition(":")
+        factors, _, den = rest.partition("/")
+        nums = [1]
+        for f in factors.split():
+            nums = int_poly_mul(nums, [0, 1] if f == "m" else [int(c) for c in reversed(f.split(","))])
+        k, l = map(int, key.split())
+        parts[k, l] = nums, int(den or 1)
+    return MPoly.from_parts(parts)
 
 
 @lru_cache(maxsize=None)
@@ -289,12 +297,8 @@ def _f_closed_irr(f: Irreducible) -> MPoly:
         return _triangle_from_rows(n, lambda k, l: face_number_d(n, k, l))
     if f.family == "I":
         return f_i2(f.param)
-    if f.family == "H":
-        return _f_h3() if n == 3 else _f_h4()
-    if f.family == "F":
-        return _f_f4()
-    if f.family == "E":
-        return {6: _f_e6, 7: _f_e7, 8: _f_e8}[n]()
+    if str(f) in _EXCEPTIONAL:
+        return _factored_triangle(_EXCEPTIONAL[str(f)])
     raise UnsupportedType(str(f))
 
 
@@ -357,11 +361,13 @@ def narayana_closed(t: RootSystemType) -> NarayanaVector:
     n = f.rank
     if f.family == "A":
         entries = tuple(
-            gen_binomial(M * (n + 1), n - i) * Fraction(gen_binomial(n + 1, i), n + 1)
+            _mup([binom_int(n + 1, i) * a for a in falling(n + 1, 0, n - i)], factorial(n - i) * (n + 1))
             for i in range(n + 1)
         )
     elif f.family == "B":
-        entries = tuple(gen_binomial(M * n, n - i) * gen_binomial(n, i) for i in range(n + 1))
+        entries = tuple(
+            _mup([binom_int(n, i) * a for a in falling(n, 0, n - i)], factorial(n - i)) for i in range(n + 1)
+        )
     else:
         raise UnsupportedType(f"no closed Fuss-Narayana formula for {t}")
     return NarayanaVector(t, entries)
@@ -373,14 +379,16 @@ def dual_f_triangle(t: RootSystemType) -> MPoly:
 
 
 def _narayana_weighted(t: RootSystemType, nar_m, nar_1) -> MPoly:
-    """Sum of (Nar^m(k+l)/Nar^1(k+l)) * f_{k,l} x^k y^l with given vectors."""
+    """Sum of (Nar^m(k+l)/Nar^1(k+l)) * f_{k,l} x^k y^l with given vectors,
+    their entries ints, Fractions or MUniPolys, on integer rows."""
     F = f_closed(t).poly
-    terms = {}
-    for (k, l), c in F.terms.items():
-        ratio_num = nar_m[k + l]
-        ratio_den = nar_1[k + l]
-        terms[(k, l)] = c * ratio_num / ratio_den
-    return MPoly(terms)
+    ratios = []
+    for a, b in zip(nar_m, nar_1):
+        (nums, den), ((p,), q) = _parts(a), _parts(b)
+        ratios.append(([q * c for c in nums], den * p))
+    return MPoly.from_parts(
+        {(k, l): (int_poly_mul(row, ratios[k + l][0]), F.den * ratios[k + l][1]) for (k, l), row in F.rows.items()}
+    )
 
 
 def verify_dual(t: RootSystemType, m_value: int | None = None) -> VerificationReport:

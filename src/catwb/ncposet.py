@@ -29,7 +29,7 @@ from math import factorial
 from operator import mul
 
 from .errors import BudgetExceeded, InvalidArgument, InvariantError
-from .exactmath import M, MPoly, MUniPoly, gen_binomial
+from .exactmath import MPoly, falling
 from .ftriangle import NarayanaVector
 from .rootdata import RootSystemType, fuss_catalan
 from .wgroup import (
@@ -252,7 +252,9 @@ def m_triangle_bruteforce(
 def mtriangle_rhs_transform(mt: MPoly, n: int) -> MPoly:
     """Re-index an M-triangle by the dual-poset sign conventions: each term
     c x^i y^j becomes c (-1)^(2n-i-j) x^(n-i) y^(n-j)."""
-    return MPoly({(n - i, n - j): c * (-1) ** (i + j) for (i, j), c in mt.terms.items()})
+    return MPoly.from_parts(
+        {(n - i, n - j): (row if (i + j) % 2 == 0 else [-a for a in row], mt.den) for (i, j), row in mt.rows.items()}
+    )
 
 
 def m_triangle_formula(t: RootSystemType, group_cap: int | None = None) -> MTriangle:
@@ -290,10 +292,15 @@ def m_triangle_formula(t: RootSystemType, group_cap: int | None = None) -> MTria
         scale = n_value * orderings * (-1) ** rksum
         for l, v in enumerate(prod):
             totals[rksum, l, d] = totals.get((rksum, l, d), 0) + scale * v
-    terms: dict[tuple[int, int], MUniPoly] = {}
+    # binomial(m, d) = falling(1, 0, d) / d!, over the one denominator top!
+    top = max((d for _, _, d in totals), default=0)
+    rows: dict[tuple[int, int], list[int]] = {}
     for (rksum, l, d), v in totals.items():
-        terms[rksum, l] = terms.get((rksum, l), MUniPoly()) + gen_binomial(M, d) * v
-    return MTriangle(t, None, MPoly(terms))
+        row = rows.setdefault((rksum, l), [0] * (top + 1))
+        scale = v * (factorial(top) // factorial(d))
+        for i, c in enumerate(falling(1, 0, d)):
+            row[i] += scale * c
+    return MTriangle(t, None, MPoly.from_parts({key: (row, factorial(top)) for key, row in rows.items()}))
 
 
 def export_poset_obj(

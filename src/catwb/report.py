@@ -16,7 +16,7 @@ def _poly_hash(p: MPoly) -> str:
 
 def first_diff(lhs: MPoly, rhs: MPoly) -> dict | None:
     """The smallest (dx, dy) where the two polynomials differ, or None."""
-    keys = sorted(set(lhs.terms) | set(rhs.terms))
+    keys = sorted(set(lhs.rows) | set(rhs.rows))
     for key in keys:
         a, b = lhs.coeff(*key), rhs.coeff(*key)
         if a != b:

@@ -46,9 +46,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import factorial
+from math import factorial, prod
 
 from .errors import (
     BudgetExceeded,
@@ -57,7 +56,7 @@ from .errors import (
     InvariantError,
     UnsupportedType,
 )
-from .exactmath import GoldInt, MPoly, gen_binomial
+from .exactmath import GoldInt, MPoly, binom_int
 from .rootdata import (
     Irreducible,
     RootSystemType,
@@ -823,27 +822,25 @@ def chain_count_formula(t: RootSystemType, m: int, jumps: tuple[int, ...]) -> in
     if sum(jumps) != n or min(jumps, default=0) < 0:
         raise InvalidArgument("jumps must be non-negative and sum to the rank")
     if f.family == "A":
-        v = Fraction(1, n + 1) * gen_binomial(n + 1, jumps[-1])
+        v = binom_int(n + 1, jumps[-1])
         for s in jumps[:-1]:
-            v *= gen_binomial(m * (n + 1), s)
-    elif f.family == "B":
-        v = gen_binomial(n, jumps[-1])
+            v *= binom_int(m * (n + 1), s)
+        if v % (n + 1):
+            raise InvariantError(f"chain count {v}/{n + 1} of {t} is not an integer")
+        return v // (n + 1)
+    if f.family == "B":
+        v = binom_int(n, jumps[-1])
         for s in jumps[:-1]:
-            v *= gen_binomial(m * n, s)
-    elif f.family == "D":
+            v *= binom_int(m * n, s)
+        return v
+    if f.family == "D":
         if m != 1:
             raise UnsupportedType("type D chain counts are only available at m = 1")
-        v = 2 * reduce(lambda a, s: a * gen_binomial(n - 1, s), jumps, Fraction(1))
+        v = 2 * prod(binom_int(n - 1, s) for s in jumps)
         for i in range(len(jumps)):
-            term = Fraction(1)
-            for j, s in enumerate(jumps):
-                term *= gen_binomial(n - 2, s - 2) if j == i else gen_binomial(n - 1, s)
-            v += term
-    else:
-        raise UnsupportedType(f"no closed chain count for {t}")
-    if v.denominator != 1:
-        raise InvariantError(f"chain count {v} of {t} is not an integer")
-    return v.numerator
+            v += prod(binom_int(n - 2, s - 2) if j == i else binom_int(n - 1, s) for j, s in enumerate(jumps))
+        return v
+    raise UnsupportedType(f"no closed chain count for {t}")
 
 
 def chain_count_brute(poset: Poset, rank: int, jumps: tuple[int, ...]) -> int:

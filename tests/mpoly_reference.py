@@ -1,6 +1,7 @@
 """Bivariate arithmetic one coefficient at a time, on Fraction tuples: the
-reference that the integer kernels of `catwb.exactmath.MPoly` (products,
-sums and scalings over one common denominator) and the integer sum of
+reference that the integer rows of `catwb.exactmath.MPoly` (products, sums,
+scalings, negation, d/dy, evaluation at m, the diagonal and the two
+transforms, all over one common denominator) and the integer sum of
 `catwb.ncposet.m_triangle_formula` are compared against."""
 
 from fractions import Fraction
@@ -60,6 +61,69 @@ def reference_add(p: MPoly, q) -> MPoly:
     for key, c in q.terms.items():
         out[key] = _uni_add(out.get(key, []), c.coeffs)
     return _build(out)
+
+
+def reference_neg(p: MPoly) -> MPoly:
+    return _build({key: [-a for a in c.coeffs] for key, c in p.terms.items()})
+
+
+def reference_diff_y(p: MPoly) -> MPoly:
+    return _build({(k, l - 1): [a * l for a in c.coeffs] for (k, l), c in p.terms.items() if l})
+
+
+def reference_eval_m(p: MPoly, m) -> MPoly:
+    """Every coefficient summed as a Fraction at m."""
+    return _build({key: [sum(a * Fraction(m) ** i for i, a in enumerate(c.coeffs))] for key, c in p.terms.items()})
+
+
+def reference_set_diagonal(p: MPoly) -> MPoly:
+    out: dict = {}
+    for (k, l), c in p.terms.items():
+        out[(k + l, 0)] = _uni_add(out.get((k + l, 0), []), c.coeffs)
+    return _build(out)
+
+
+def _xy_mul(p: dict, q: dict) -> dict:
+    """The product of two integer polynomials in x and y, as dicts."""
+    out: dict = {}
+    for (i1, j1), a in p.items():
+        for (i2, j2), b in q.items():
+            out[(i1 + i2, j1 + j2)] = out.get((i1 + i2, j1 + j2), 0) + a * b
+    return out
+
+
+def _xy_pow(p: dict, k: int) -> dict:
+    out = {(0, 0): 1}
+    for _ in range(k):
+        out = _xy_mul(out, p)
+    return out
+
+
+def _linear_map(p: MPoly, image) -> MPoly:
+    """The sum over the monomials x^k y^l of p of image(k, l), an integer
+    polynomial in x and y, times their coefficient."""
+    out: dict = {}
+    for (k, l), c in p.terms.items():
+        for key, v in image(k, l).items():
+            out[key] = _uni_add(out.get(key, []), [a * v for a in c.coeffs])
+    return _build(out)
+
+
+def reference_substitute_fm(p: MPoly, n: int) -> MPoly:
+    """x^k y^l -> (x(1+y))^k (xy)^l (1-xy)^(n-k-l), expanded by repeated
+    products of integer polynomials."""
+    return _linear_map(p, lambda k, l: _xy_mul(
+        _xy_mul(_xy_pow({(1, 0): 1, (1, 1): 1}, k), _xy_pow({(1, 1): 1}, l)),
+        _xy_pow({(0, 0): 1, (1, 1): -1}, n - k - l),
+    ))
+
+
+def reference_substitute_dual(p: MPoly, n: int) -> MPoly:
+    """x^k y^l -> (-1)^n (-1-x)^k (-1-y)^l, expanded the same way."""
+    return _linear_map(p, lambda k, l: _xy_mul(
+        _xy_mul(_xy_pow({(0, 0): -1, (1, 0): -1}, k), _xy_pow({(0, 0): -1, (0, 1): -1}, l)),
+        {(0, 0): (-1) ** n},
+    ))
 
 
 def reference_json(p: MPoly) -> list[dict]:

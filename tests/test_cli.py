@@ -30,6 +30,35 @@ EXPORT_POSET_SHA256 = {
     "H4": "5204f68d15422b2ccf56d17952d1a4bf4c4219f311a3b55bcaf1fa32842a2a24",
 }
 
+# sha256 of verify_all.json as `catwb verify --suite all` writes it: every
+# record's outcome and the hash of each side's polynomial
+VERIFY_ALL_SHA256 = "157c8edede55ce61a077b5c4d42951b358e40454c5ad298c94d32eb3c06170c2"
+
+# sha256, per type, of `ftriangle <type>`, `ftriangle <type> --m 2` and
+# `mtriangle <type> --mode formula` in the latex, csv and json formats, in
+# that order, followed by str() of the F-triangle and of the formula
+# M-triangle
+EMISSION_SHA256 = {
+    "A1": "d0288f51bd0d8f99bb85585d5b769e5ef4b6ee6e562f639c3083ef4107549248",
+    "A2": "dea3adf0fd61aef541c48123a1ce0a82be7232edef33b1cb9f9acbb2ef39f735",
+    "A3": "d205160d23ea611965539b6e9fdcbb9a523403786f09646c97d7f275f6fdef7e",
+    "A4": "e4b2d6ea4fc48092bee3fcf1ae9c79d59f81fac0ae3c494da8a7452d9cdd1ed7",
+    "A5": "d20eece9ba8530c3ed8cbe298aeb6d13bd4b41509b7cd98ce569ba2be88f734c",
+    "A6": "49aff8d42fc19c464181c1609dfd2a22d11ca9802390e3baec4ca65c07107229",
+    "B2": "db0d7d58308e1194a652f70b7b8c6d08dbda476e241258c083124887b8e1f3dd",
+    "B3": "3cd5c7835c03f67fdba628291c57fb7b85034674ae2cdf52ad16cb785b09487f",
+    "B4": "c65c53173baae95985144541decd64cb09aee14147f36ad5714753024ee502d6",
+    "B5": "acbdf9acfefddf302b47ff6c8157b8aff169b03a1c3c5bfb0de418f4970a0cf1",
+    "D4": "f430b2b096eb9ab1672066489770fa847ca330bf7faf93a934950b8ba0806b24",
+    "D5": "1a77542509d20573b98167c5403292f2dd880d67a00ccbe28978212a4aebf1d2",
+    "D6": "7b392395a9d656a56a61a8f7d5aef1f5ab2c133683c14d826be7873e8b46b79b",
+    "E6": "d887eb2bf9e69baabb04a1c5e775413be1570e98c5d1a60df26dbd97d79e9c10",
+    "F4": "761c4f363e1324585427f685d9e59cda50794df11feedcdbf2a55f8fa04db10b",
+    "H3": "726b90dd88d3310e0065a485ab5af70603b18ec95081a92acda9d02450096db8",
+    "H4": "8ad34e4f8a5864d8737b18617285279bcdbb4e6fa30cc2fbccd3287b953de8bd",
+    "I2(5)": "b36a88f6fc8cc828e3a0f34511305c927e84e36558edf6afc9f1168e79205346",
+}
+
 
 def run(capsys, argv):
     rc = main(argv)
@@ -125,6 +154,30 @@ class TestEmission:
 
     def test_mtriangle_brute_needs_m(self, capsys):
         assert main(["mtriangle", "A1", "--mode", "brute"]) == 2
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("s", sorted(EMISSION_SHA256))
+    def test_emission_bytes_are_pinned(self, capsys, s):
+        from catwb.ftriangle import f_closed
+        from catwb.ncposet import m_triangle_formula
+        from catwb.rootdata import ir
+
+        digest = hashlib.sha256()
+        for fmt in ("latex", "csv", "json"):
+            for argv in (["ftriangle", s], ["ftriangle", s, "--m", "2"], ["mtriangle", s, "--mode", "formula"]):
+                rc, out = run(capsys, argv + ["--format", fmt])
+                assert rc == 0
+                digest.update(out.encode())
+        digest.update(str(f_closed(ir(s)).poly).encode())
+        digest.update(str(m_triangle_formula(ir(s)).poly).encode())
+        assert digest.hexdigest() == EMISSION_SHA256[s]
+
+    def test_verify_all_report_is_pinned(self, capsys, tmp_path, fresh_memos):
+        rc, _ = run(capsys, ["verify", "--suite", "all", "--cache-dir", str(tmp_path)])
+        assert rc == 1  # criterion 10's D4 cases at m = 2, 3 stay red
+        digest = hashlib.sha256((tmp_path / "verify_all.json").read_bytes()).hexdigest()
+        assert digest == VERIFY_ALL_SHA256
 
 
 class TestExitCodes:

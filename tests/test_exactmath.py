@@ -20,12 +20,23 @@ from catwb.exactmath import (
     MUniPoly,
     binom_int,
     gen_binomial,
+    substitute_dual,
     substitute_fm,
 )
 from catwb.ftriangle import f_closed
 from catwb.rootdata import ir
 
-from mpoly_reference import reference_add, reference_json, reference_mul
+from mpoly_reference import (
+    reference_add,
+    reference_diff_y,
+    reference_eval_m,
+    reference_json,
+    reference_mul,
+    reference_neg,
+    reference_set_diagonal,
+    reference_substitute_dual,
+    reference_substitute_fm,
+)
 
 
 class TestMUniPoly:
@@ -326,14 +337,18 @@ class TestMPoly:
 
 
 def canonical_problems(p: MPoly) -> list[str]:
-    """Every stored coefficient is a nonzero MUniPoly, trailing zeros trimmed,
-    over a positive denominator in lowest terms."""
+    """Every stored row is a nonzero tuple of ints, trailing zeros trimmed,
+    over one positive denominator, and the denominator and all numerators
+    are in lowest terms."""
     out = []
-    for key, c in p.terms.items():
-        if not isinstance(c, MUniPoly) or not c.nums:
-            out.append(f"{key}: stored zero {c!r}")
-        elif c.nums[-1] == 0 or c.den <= 0 or math.gcd(c.den, *c.nums) != 1:
-            out.append(f"{key}: not canonical {(c.nums, c.den)}")
+    for key, row in p.rows.items():
+        if type(row) is not tuple or not all(type(a) is int for a in row):
+            out.append(f"{key}: not a tuple of ints {row!r}")
+        elif not row or row[-1] == 0:
+            out.append(f"{key}: zero or untrimmed row {row}")
+    nums = [a for row in p.rows.values() for a in row]
+    if type(p.den) is not int or p.den <= 0 or math.gcd(p.den, *nums) != 1:
+        out.append(f"not in lowest terms over {p.den!r}")
     return out
 
 
@@ -373,6 +388,32 @@ class TestIntegerKernels:
             self.check(p * q - q * p, MPoly())
             self.check(p + (-p), MPoly())
 
+    def test_linear_maps_match_the_reference(self):
+        rng = random.Random(20261023)
+        for _ in range(200):
+            p = kernel_operand(rng)
+            self.check(-p, reference_neg(p))
+            self.check(p.diff_y(), reference_diff_y(p))
+            self.check(p.set_diagonal(), reference_set_diagonal(p))
+            for mv in (0, 1, 2, 5, Fraction(3, 2)):
+                self.check(p.eval_m(mv), reference_eval_m(p, mv))
+            n = max(p.total_degree, 0) + rng.randint(0, 1)
+            self.check(substitute_fm(p, n), reference_substitute_fm(p, n))
+            self.check(substitute_dual(p, n), reference_substitute_dual(p, n))
+
+    def test_sums_that_cancel_are_canonical(self):
+        rng = random.Random(20261024)
+        for _ in range(200):
+            p, q = kernel_operand(rng), kernel_operand(rng)
+            # adding q and taking it away again cancels every row that q brought
+            self.check((p + q) - q, p)
+            self.check(p + (q - p), q)
+            zero = p * q - (q * p) + (p - p) * q
+            self.check(zero, MPoly())
+            assert (zero.rows, zero.den) == ({}, 1)
+            r = p + MPoly({key: -c for key, c in p.terms.items() if rng.random() < 0.5})
+            self.check(r, reference_add(p, reference_neg(p - r)))
+
     def test_terms_that_cancel_to_zero(self):
         x, y, h = MPoly.x(), MPoly.y(), Fraction(1, 2)
         p, q = x * h + y * M, x * h - y * M
@@ -382,6 +423,9 @@ class TestIntegerKernels:
         s = MPoly({(1, 1): -M / 3, (0, 0): MUniPoly((0, 0, Fraction(5, 4))), (2, 0): ONE})
         self.check(r + s, MPoly({(1, 1): MUniPoly.const(Fraction(1, 6)), (2, 0): ONE}))
         assert (r + s).terms[(1, 1)].den == 6
+        parts = {(0, 0): ((3, 0, -6), -4), (1, 2): ((0,), 5), (2, 1): ((1, 1), 6)}
+        self.check(MPoly.from_parts(parts), MPoly({(0, 0): MUniPoly((Fraction(-3, 4), 0, Fraction(3, 2))),
+                                                   (2, 1): MUniPoly((Fraction(1, 6), Fraction(1, 6)))}))
 
     def test_scalars_match_the_reference(self):
         rng = random.Random(20261020)

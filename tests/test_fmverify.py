@@ -11,6 +11,7 @@ from catwb.ftriangle import f_closed
 from catwb.ncposet import m_triangle_formula
 from catwb.rootdata import ir
 
+import closed_form_reference as ref
 from golden import GOLDEN_TRANSFORMS, golden_transform_i2
 
 # sha256 of `MPoly.dumps()` of (f_closed(t).poly, fm_lhs(t)) for every type the
@@ -77,6 +78,12 @@ class TestLhs:
             {(0, 0): MUniPoly.const(1), (1, 0): M, (1, 1): M}
         )
         assert fm_lhs_closed_classical(ir("A1")) == fm_lhs(ir("A1"))
+
+    @pytest.mark.parametrize(
+        "s", [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+    )
+    def test_closed_classical_matches_the_fraction_form(self, s):
+        assert fm_lhs_closed_classical(ir(s)).terms == ref.fm_lhs_closed_classical(ir(s)).terms
 
     def test_golden_i2(self):
         for a in range(3, 11):

@@ -1,6 +1,8 @@
 """F-triangles: closed forms, recurrence, row sums, positivity, duals."""
 
 import hashlib
+from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
@@ -10,16 +12,21 @@ from catwb.ftriangle import (
     check_recurrence,
     dual_f_triangle,
     f_closed,
+    face_number_a,
+    face_number_b,
     face_number_d,
     narayana_closed,
     refined_face_number,
     row_sum,
     row_sum_closed,
     verify_dual,
+    _narayana_weighted,
     _triangle_from_rows,
 )
-from catwb.rootdata import ir
+from catwb.ncposet import rank_census
+from catwb.rootdata import degrees_irr, fuss_catalan, ir
 
+import closed_form_reference as ref
 from golden import GOLDEN_F_EXCEPTIONAL, golden_f_i2
 
 ALL_TYPES = (
@@ -85,6 +92,85 @@ class TestClosedForms:
         F = f_closed(t).poly
         assert F.coeff(1, 0) == M * positive_root_count(t)
         assert F.coeff(0, 1) == MUniPoly.const(t.rank)
+
+
+CLASSICAL_TYPES = [s for s in ALL_TYPES if s[0] in "ABD"]
+
+
+class TestAgainstTheFractionForms:
+    """The integer numerator rows against the Fraction and m-polynomial
+    arithmetic of tests/closed_form_reference.py, coefficient by
+    coefficient."""
+
+    @pytest.mark.parametrize("s", CLASSICAL_TYPES)
+    def test_face_numbers(self, s):
+        t = ir(s)
+        f = t.single()
+        n = f.rank
+        face = {"A": face_number_a, "B": face_number_b, "D": face_number_d}[f.family]
+        for k in range(n + 1):
+            for l in range(n + 1 - k):
+                nums, den = face(n, k, l)
+                assert MUniPoly(Fraction(a, den) for a in nums) == ref.FACE_NUMBERS[f.family](n, k, l), (k, l)
+        expected = {(k, l): ref.FACE_NUMBERS[f.family](n, k, l) for k in range(n + 1) for l in range(n + 1 - k)}
+        assert f_closed(t).poly.terms == {key: c for key, c in expected.items() if c}
+
+    @pytest.mark.parametrize("s", [s for s in CLASSICAL_TYPES if s[0] != "D"])
+    def test_narayana_vectors(self, s):
+        assert narayana_closed(ir(s)).entries == ref.narayana_closed(ir(s))
+
+    @pytest.mark.parametrize("s", ["A1", "A2", "A3", "A4", "B2", "B3", "B4"])
+    def test_symbolic_narayana_weighting(self, s):
+        t = ir(s)
+        nar = ref.narayana_closed(t)
+        nar1 = tuple(e.eval(1) for e in nar)
+        assert _narayana_weighted(t, nar, nar1).terms == ref.narayana_weighted(t, nar, nar1).terms
+
+    def test_weighting_by_rational_vectors(self):
+        t = ir("B3")
+        nar_m = (M / 3 + 1, Fraction(5, 7), -2 * M * M, MUniPoly.const(Fraction(-1, 6)))
+        nar_1 = (Fraction(3, 2), Fraction(-4, 5), 7, Fraction(-9, 4))
+        assert _narayana_weighted(t, nar_m, nar_1).terms == ref.narayana_weighted(t, nar_m, nar_1).terms
+
+    @pytest.mark.parametrize("s,m", [("I2(5)", 2), ("H3", 3), ("D4", 1), ("D4", 2), ("B3", 2)])
+    def test_census_narayana_weighting(self, s, m):
+        t = ir(s)
+        nar_m, nar_1 = rank_census(t, m).entries, rank_census(t, 1).entries
+        assert _narayana_weighted(t, nar_m, nar_1).terms == ref.narayana_weighted(t, nar_m, nar_1).terms
+
+
+CLOSED_ROW_TYPES = ALL_TYPES + ["I2(3)", "I2(4)", "I2(12)", "A2xB2", "A1xH3", "D4xI2(5)"]
+
+
+class TestClosedFormRows:
+    """Rows of every F-triangle against closed forms in m, at m = 0..5."""
+
+    @pytest.mark.parametrize("s", CLOSED_ROW_TYPES)
+    def test_facets_count_the_fuss_catalan_number(self, s):
+        t = ir(s)
+        n = t.rank
+        for m in range(6):
+            F = f_closed(t).poly.eval_m(m)
+            assert sum(F.coeff(n - l, l).constant_value() for l in range(n + 1)) == fuss_catalan(t, m)
+
+    @pytest.mark.parametrize("s", CLOSED_ROW_TYPES)
+    def test_top_row_is_the_positive_fuss_catalan_number(self, s):
+        # f_{n,0}(m) = prod over the degrees d_i of each factor of (m h + d_i - 2) / d_i
+        t = ir(s)
+        for m in range(6):
+            positive = prod(
+                Fraction(m * max(degrees_irr(f)) + d - 2, d) for f in t.factors for d in degrees_irr(f)
+            )
+            assert f_closed(t).poly.eval_m(m).coeff(t.rank, 0).constant_value() == positive
+
+    @pytest.mark.parametrize("s", CLOSED_ROW_TYPES)
+    def test_no_positive_root_gives_one_plus_y_to_the_rank(self, s):
+        t = ir(s)
+        for m in range(6):
+            F = f_closed(t).poly.eval_m(m)
+            assert {l: c for (k, l), c in F.terms.items() if k == 0} == {
+                l: MUniPoly.const(comb(t.rank, l)) for l in range(t.rank + 1)
+            }
 
 
 class TestRecurrence:

@@ -30,6 +30,7 @@ from catwb.wgroup import (
     decomposition_numbers,
 )
 
+import closed_form_reference as ref
 from mobius_reference import reference_m_triangle
 from mpoly_reference import reference_m_triangle_formula
 from oracle import ncm_pair_sweep, poset_m_triangle, zeta_poly
@@ -288,6 +289,14 @@ class TestMTriangles:
         sym = m_triangle_formula(t).poly.eval_m(m)
         brute = mtriangle_rhs_transform(m_triangle_bruteforce(t, m).poly, t.rank)
         assert sym == brute
+
+    @pytest.mark.parametrize("s,m", [("A3", 2), ("B3", 1), ("D4", 2), ("H3", 2), ("I2(5)", 3)])
+    def test_rhs_transform_matches_the_reference(self, s, m):
+        t = ir(s)
+        mt = m_triangle_bruteforce(t, m).poly
+        assert mtriangle_rhs_transform(mt, t.rank).terms == ref.mtriangle_rhs_transform(mt, t.rank).terms
+        sym = m_triangle_formula(t).poly
+        assert mtriangle_rhs_transform(sym, t.rank).terms == ref.mtriangle_rhs_transform(sym, t.rank).terms
 
     @pytest.mark.parametrize("s", ["A1", "A4", "B3", "B4", "D4", "D5", "F4", "H3", "H4", "I2(5)", "I2(8)", "E6"])
     def test_formula_matches_the_mpoly_sum(self, s):

@@ -2,6 +2,7 @@
 machinery, classification, decomposition numbers, chain counts."""
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -37,6 +38,7 @@ from catwb.wgroup import (
     _type_table,
 )
 
+import closed_form_reference as ref
 from golden import GOLDEN_CHAR, golden_char_i2, golden_decomp_i2, GOLDEN_DECOMP
 from decomposition_reference import reference_decomposition_counts
 from mobius_reference import reference_m_triangle
@@ -575,6 +577,36 @@ class TestChainCounts:
     def test_formula_examples(self):
         assert chain_count_formula(ir("A2"), 1, (1, 1)) == 3
         assert chain_count_formula(ir("B2"), 2, (2,)) == 1
+
+    @pytest.mark.parametrize(
+        "s", [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 6)] + [f"D{n}" for n in range(4, 7)]
+    )
+    def test_formula_matches_the_fraction_form(self, s):
+        # every composition of the rank into at most rank + 1 non-negative
+        # jumps, at m = 1, 2, 3 (type D: m = 1)
+        t = ir(s)
+        n = t.rank
+        ms = (1,) if s[0] == "D" else (1, 2, 3)
+        jumps = [
+            tuple(b - a - 1 for a, b in zip((-1,) + cut, cut + (n + parts - 1,)))
+            for parts in range(1, n + 2)
+            for cut in itertools.combinations(range(n + parts - 1), parts - 1)
+        ]
+        assert all(sum(j) == n and min(j) >= 0 for j in jumps)
+        for m in ms:
+            for j in jumps:
+                try:
+                    expected = ref.chain_count_formula(t, m, j)
+                except InvariantError:
+                    with pytest.raises(InvariantError):
+                        chain_count_formula(t, m, j)
+                    continue
+                assert chain_count_formula(t, m, j) == expected, (m, j)
+
+    def test_a_count_that_is_not_an_integer_is_an_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(wgroup, "binom_int", lambda n, k: 1)  # 1/3 chains in A2
+        with pytest.raises(InvariantError, match="not an integer"):
+            chain_count_formula(ir("A2"), 1, (1, 1))
 
     def test_a2_brute(self):
         res = chain_counts_classical(ir("A2"), 1, (1, 1))
