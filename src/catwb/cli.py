@@ -1,11 +1,11 @@
 """Command-line surface: triangle emission, batch verification suites, poset
 export, chain counts, and the dual-triangle check.
 
-Exit codes: 0 success, 1 verification failure, 2 parse/usage error, 3 budget
-exceeded.  Flags can be defaulted through CATWB_-prefixed environment
-variables, and every command reads flag and variable values through one
-validated RunConfig; --cache-dir persists the parabolic-type tables and holds
-the verify report.
+Exit codes: 0 success, 1 verification failure, 2 parse/usage error or a path
+that cannot be read or written, 3 budget exceeded.  Flags can be defaulted
+through CATWB_-prefixed environment variables, and every command reads flag
+and variable values through one validated RunConfig; --cache-dir persists the
+parabolic-type tables and holds the verify report.
 """
 
 from __future__ import annotations
@@ -115,10 +115,6 @@ def _int_list(raw: str, flag: str) -> tuple[int, ...]:
         raise InvalidArgument(f"{flag} expects comma-separated integers, got {raw!r}") from None
 
 
-def _parse_type(s: str) -> RootSystemType:
-    return RootSystemType.parse(s)
-
-
 def _emit_poly(poly: MPoly, fmt: str) -> str:
     if fmt == "json":
         return poly.dumps()
@@ -131,7 +127,7 @@ def _emit_poly(poly: MPoly, fmt: str) -> str:
 
 
 def cmd_ftriangle(args, cfg: RunConfig) -> int:
-    poly = f_closed(_parse_type(args.type)).poly
+    poly = f_closed(RootSystemType.parse(args.type))
     if args.m is not None:
         poly = poly.eval_m(args.m)
     print(_emit_poly(poly, cfg.format))
@@ -139,16 +135,14 @@ def cmd_ftriangle(args, cfg: RunConfig) -> int:
 
 
 def cmd_mtriangle(args, cfg: RunConfig) -> int:
-    t = _parse_type(args.type)
+    t = RootSystemType.parse(args.type)
     if args.mode == "brute":
         if args.m is None:
             print("error: brute mode requires --m", file=sys.stderr)
             return EXIT_USAGE
-        poly = m_triangle_bruteforce(
-            t, args.m, group_cap=cfg.group_cap, poset_cap=cfg.poset_cap
-        ).poly
+        poly = m_triangle_bruteforce(t, args.m, group_cap=cfg.group_cap, poset_cap=cfg.poset_cap)
     else:
-        poly = m_triangle_formula(t, group_cap=cfg.group_cap).poly
+        poly = m_triangle_formula(t, group_cap=cfg.group_cap)
         if args.m is not None:
             poly = poly.eval_m(args.m)
     print(_emit_poly(poly, cfg.format))
@@ -156,7 +150,7 @@ def cmd_mtriangle(args, cfg: RunConfig) -> int:
 
 
 def cmd_export_poset(args, cfg: RunConfig) -> int:
-    t = _parse_type(args.type)
+    t = RootSystemType.parse(args.type)
     obj = export_poset_obj(t, args.m, group_cap=cfg.group_cap, poset_cap=cfg.poset_cap)
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     Path(args.out).write_text(payload)
@@ -165,7 +159,7 @@ def cmd_export_poset(args, cfg: RunConfig) -> int:
 
 
 def cmd_chains(args, cfg: RunConfig) -> int:
-    t = _parse_type(args.type)
+    t = RootSystemType.parse(args.type)
     jumps = _int_list(args.jumps, "--jumps")
     res = chain_counts_classical(
         t, args.m, jumps, group_cap=cfg.group_cap, poset_cap=cfg.poset_cap
@@ -177,7 +171,7 @@ def cmd_chains(args, cfg: RunConfig) -> int:
 
 
 def cmd_dual(args, cfg: RunConfig) -> int:
-    t = _parse_type(args.type)
+    t = RootSystemType.parse(args.type)
     rep = verify_dual(t, args.m)
     print(rep.summary_line())
     return EXIT_OK if rep.equal else EXIT_FAIL
@@ -409,6 +403,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except OSError as exc:  # an --out or --cache-dir path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     finally:
         if cache_dir:
             set_disk_cache(previous)

@@ -251,7 +251,7 @@ class MUniPoly:
     def __repr__(self):
         return self.format()
 
-    def format(self, var: str = "m", latex: bool = False) -> str:
+    def format(self, latex: bool = False) -> str:
         coeffs = self.coeffs
         if not coeffs:
             return "0"
@@ -263,9 +263,9 @@ class MUniPoly:
             if i == 0:
                 mono = ""
             elif i == 1:
-                mono = var
+                mono = "m"
             else:
-                mono = f"{var}^{{{i}}}" if latex else f"{var}^{i}"
+                mono = f"m^{{{i}}}" if latex else f"m^{i}"
             if mono and abs(c) == 1:
                 coef = "-" if c < 0 else ""
             else:
@@ -656,11 +656,6 @@ def _combine(a: MPoly, b: MPoly, sign: int) -> MPoly:
         else:
             out[key] = [u + sb * v for u, v in zip_longest(acc, row, fillvalue=0)]
     return _mpoly(out, den)
-
-
-def poly_eval_m(p: MPoly, m_value: int) -> MPoly:
-    """Evaluate every coefficient polynomial at a concrete m >= 0."""
-    return p.eval_m(m_value)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from .rootdata import RootSystemType
 
 def fm_lhs(t: RootSystemType) -> MPoly:
     """(1 - xy)^rank * F(x(1+y)/(1-xy), xy/(1-xy)), symbolic in m."""
-    return substitute_fm(f_closed(t).poly, t.rank)
+    return substitute_fm(f_closed(t), t.rank)
 
 
 def fm_lhs_closed_classical(t: RootSystemType) -> MPoly:
@@ -63,7 +63,7 @@ def verify_fm(t: RootSystemType, mode: str, m: int | None = None, **caps) -> Ver
         rhs = fm_lhs_closed_classical(t)
         return VerificationReport("fm", str(t), "closed", None, lhs, rhs)
     if mode == "formula":
-        rhs = m_triangle_formula(t, group_cap=caps.get("group_cap")).poly
+        rhs = m_triangle_formula(t, group_cap=caps.get("group_cap"))
         return VerificationReport("fm", str(t), "formula", None, lhs, rhs)
     if mode == "brute":
         if m is None:
@@ -72,8 +72,7 @@ def verify_fm(t: RootSystemType, mode: str, m: int | None = None, **caps) -> Ver
         rhs = MPoly.const(1)
         for f in t.factors:
             sub = RootSystemType.make(f)
-            mt = m_triangle_bruteforce(sub, m, **caps)
-            rhs = rhs * mtriangle_rhs_transform(mt.poly, sub.rank)
+            rhs = rhs * mtriangle_rhs_transform(m_triangle_bruteforce(sub, m, **caps), sub.rank)
         return VerificationReport("fm", str(t), "brute", m, lhs.eval_m(m), rhs)
     raise ValueError(f"unknown mode {mode!r}")
 

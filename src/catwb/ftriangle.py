@@ -1,9 +1,11 @@
 """Closed-form F-triangles for all catalog types, the derivative/deletion
 recurrence check, row sums, Fuss-Narayana data, and the dual F-triangle.
 
-The classical families carry explicit product formulas for the refined face
-numbers; the exceptional types carry fixed coefficient tables.  Reducible
-types multiply.
+An F-triangle is an MPoly in x and y whose coefficients are polynomials in
+the Fuss parameter m, and f_closed returns it as such; narayana_closed returns
+the rank counts of NC^m as a tuple.  The classical families carry explicit product
+formulas for the refined face numbers; the exceptional types carry fixed
+coefficient tables.  Reducible types multiply.
 """
 
 from __future__ import annotations
@@ -25,31 +27,9 @@ from .exactmath import (
     int_poly_mul,
     substitute_dual,
 )
+from .ncposet import rank_census
 from .report import VerificationReport
 from .rootdata import Irreducible, RootSystemType, deletion_types
-
-
-class FTriangle:
-    """An F-triangle: the bivariate face-count polynomial of a type, with
-    coefficients polynomial in the Fuss parameter m."""
-
-    def __init__(self, type: RootSystemType, poly: MPoly):
-        self.type = type
-        self.poly = poly
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.type == other.type and self.poly == other.poly
-
-
-class NarayanaVector:
-    """Rank counts of the m-divisible non-crossing partition poset, index 0
-    through the rank; entries are m-polynomials or concrete integers."""
-
-    def __init__(self, type: RootSystemType, entries: tuple):
-        self.type = type
-        self.entries = entries
 
 
 def face_number_a(n: int, k: int, l: int) -> tuple[list[int], int]:
@@ -303,34 +283,34 @@ def _f_closed_irr(f: Irreducible) -> MPoly:
 
 
 @lru_cache(maxsize=None)
-def f_closed(t: RootSystemType) -> FTriangle:
-    """The F-triangle of any catalog type, symbolic in m; multiplicative over
-    factors."""
+def f_closed(t: RootSystemType) -> MPoly:
+    """The F-triangle of any catalog type: its bivariate face-count
+    polynomial, coefficients symbolic in m; multiplicative over factors."""
     poly = MPoly.const(1)
     for f in t.factors:
         poly = poly * _f_closed_irr(f)
-    return FTriangle(t, poly)
+    return poly
 
 
 def refined_face_number(t: RootSystemType, k: int, l: int) -> MUniPoly:
     """The coefficient of x^k y^l in the F-triangle of t."""
-    return f_closed(t).poly.coeff(k, l)
+    return f_closed(t).coeff(k, l)
 
 
 def check_recurrence(t: RootSystemType) -> VerificationReport:
     """The derivative-vs-deletions identity for an irreducible type: d/dy of
     the F-triangle equals the sum of the F-triangles of all one-node diagram
     deletions."""
-    lhs = f_closed(t).poly.diff_y()
+    lhs = f_closed(t).diff_y()
     rhs = MPoly.zero()
     for sub in deletion_types(t):
-        rhs = rhs + f_closed(sub).poly
+        rhs = rhs + f_closed(sub)
     return VerificationReport("recurrence", str(t), "symbolic", None, lhs, rhs)
 
 
 def row_sum(t: RootSystemType, k: int) -> MUniPoly:
     """Total number of k-element faces: the x^k coefficient of F(x, x)."""
-    return f_closed(t).poly.set_diagonal().coeff(k, 0)
+    return f_closed(t).set_diagonal().coeff(k, 0)
 
 
 def row_sum_closed(t: RootSystemType, k: int) -> MUniPoly:
@@ -352,36 +332,35 @@ def row_sum_closed(t: RootSystemType, k: int) -> MUniPoly:
 # ---------------------------------------------------------------------------
 
 
-def narayana_closed(t: RootSystemType) -> NarayanaVector:
-    """Symbolic rank counts for the A and B families.
+def narayana_closed(t: RootSystemType) -> tuple[MUniPoly, ...]:
+    """Symbolic rank counts for the A and B families, index 0 through the
+    rank.
 
     For A_n the entry at rank i is binom(n+1, i) * binom(m(n+1), n-i)/(n+1);
     for B_n it is binom(n, i) * binom(mn, n-i), the two-jump chain count."""
     f = t.single()
     n = f.rank
     if f.family == "A":
-        entries = tuple(
+        return tuple(
             _mup([binom_int(n + 1, i) * a for a in falling(n + 1, 0, n - i)], factorial(n - i) * (n + 1))
             for i in range(n + 1)
         )
-    elif f.family == "B":
-        entries = tuple(
+    if f.family == "B":
+        return tuple(
             _mup([binom_int(n, i) * a for a in falling(n, 0, n - i)], factorial(n - i)) for i in range(n + 1)
         )
-    else:
-        raise UnsupportedType(f"no closed Fuss-Narayana formula for {t}")
-    return NarayanaVector(t, entries)
+    raise UnsupportedType(f"no closed Fuss-Narayana formula for {t}")
 
 
 def dual_f_triangle(t: RootSystemType) -> MPoly:
     """(-1)^rank * F(-1-x, -1-y), symbolic in m."""
-    return substitute_dual(f_closed(t).poly, t.rank)
+    return substitute_dual(f_closed(t), t.rank)
 
 
 def _narayana_weighted(t: RootSystemType, nar_m, nar_1) -> MPoly:
     """Sum of (Nar^m(k+l)/Nar^1(k+l)) * f_{k,l} x^k y^l with given vectors,
     their entries ints, Fractions or MUniPolys, on integer rows."""
-    F = f_closed(t).poly
+    F = f_closed(t)
     ratios = []
     for a, b in zip(nar_m, nar_1):
         (nums, den), ((p,), q) = _parts(a), _parts(b)
@@ -400,15 +379,13 @@ def verify_dual(t: RootSystemType, m_value: int | None = None) -> VerificationRe
     poset supplies the Narayana numbers at both m_value and 1.
     """
     if m_value is None:
-        nar = narayana_closed(t).entries
+        nar = narayana_closed(t)
         nar1 = tuple(p.eval(1) for p in nar)
         lhs = dual_f_triangle(t)
         rhs = _narayana_weighted(t, nar, nar1)
         return VerificationReport("dual-f", str(t), "symbolic", None, lhs, rhs)
-    from .ncposet import rank_census
-
-    nar_m = rank_census(t, m_value).entries
-    nar_1 = rank_census(t, 1).entries
+    nar_m = rank_census(t, m_value)
+    nar_1 = rank_census(t, 1)
     lhs = dual_f_triangle(t).eval_m(m_value)
     rhs = _narayana_weighted(t, nar_m, nar_1).eval_m(m_value)
     return VerificationReport("dual-f", str(t), "census", m_value, lhs, rhs)

@@ -1,6 +1,7 @@
 """The m-divisible non-crossing partition poset: construction by delta
 sequences along NC, rank census, brute-force M-triangles, and the symbolic
-M-triangle from decomposition numbers.
+M-triangle from decomposition numbers.  An M-triangle is returned as the
+MPoly it is, the rank census as a tuple of counts.
 
 Elements are tuples (w_0; w_1, ..., w_m) of NC indices whose group product is
 the Coxeter element with additive absolute lengths; they are enumerated as
@@ -30,7 +31,6 @@ from operator import mul
 
 from .errors import BudgetExceeded, InvalidArgument, InvariantError
 from .exactmath import MPoly, falling
-from .ftriangle import NarayanaVector
 from .rootdata import RootSystemType, fuss_catalan
 from .wgroup import (
     DEFAULT_POSET_CAP,
@@ -169,15 +169,6 @@ class NCmPoset:
         return Poset(self.ranks, above)
 
 
-class MTriangle:
-    """Rank-weighted Mobius generating polynomial of an m-divisible poset."""
-
-    def __init__(self, type: RootSystemType, m: int | None, poly: MPoly):
-        self.type = type
-        self.m = m
-        self.poly = poly
-
-
 def build_ncm(
     t: RootSystemType,
     m: int,
@@ -235,18 +226,19 @@ def _build_ncm(t: RootSystemType, m: int) -> NCmPoset:
 
 def rank_census(
     t: RootSystemType, m: int, group_cap: int | None = None, poset_cap: int | None = None
-) -> NarayanaVector:
-    """Counts of elements by rank: the Fuss-Narayana numbers at concrete m."""
+) -> tuple[int, ...]:
+    """Counts of elements by rank 0 through the rank of t: the Fuss-Narayana
+    numbers at concrete m."""
     ranks = build_ncm(t, m, group_cap, poset_cap).ranks
-    return NarayanaVector(t, tuple(ranks.count(r) for r in range(t.rank + 1)))
+    return tuple(ranks.count(r) for r in range(t.rank + 1))
 
 
 def m_triangle_bruteforce(
     t: RootSystemType, m: int, group_cap: int | None = None, poset_cap: int | None = None
-) -> MTriangle:
-    """The M-triangle by Mobius inversion on NC^m, one coordinate at a
-    time, from the order of NC alone."""
-    return MTriangle(t, m, build_ncm(t, m, group_cap, poset_cap).m_triangle())
+) -> MPoly:
+    """The M-triangle, the rank-weighted Mobius polynomial of NC^m, by
+    Mobius inversion one coordinate at a time, from the order of NC alone."""
+    return build_ncm(t, m, group_cap, poset_cap).m_triangle()
 
 
 def mtriangle_rhs_transform(mt: MPoly, n: int) -> MPoly:
@@ -257,7 +249,7 @@ def mtriangle_rhs_transform(mt: MPoly, n: int) -> MPoly:
     )
 
 
-def m_triangle_formula(t: RootSystemType, group_cap: int | None = None) -> MTriangle:
+def m_triangle_formula(t: RootSystemType, group_cap: int | None = None) -> MPoly:
     """The symbolic-m counterpart of the transformed M-triangle, assembled
     from decomposition numbers, characteristic polynomials at -y, and
     binomial weights in m.
@@ -300,7 +292,7 @@ def m_triangle_formula(t: RootSystemType, group_cap: int | None = None) -> MTria
         scale = v * (factorial(top) // factorial(d))
         for i, c in enumerate(falling(1, 0, d)):
             row[i] += scale * c
-    return MTriangle(t, None, MPoly.from_parts({key: (row, factorial(top)) for key, row in rows.items()}))
+    return MPoly.from_parts({key: (row, factorial(top)) for key, row in rows.items()})
 
 
 def export_poset_obj(

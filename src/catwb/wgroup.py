@@ -745,9 +745,7 @@ class DecompositionTable:
         return out
 
 
-def decomposition_numbers(
-    t: RootSystemType, max_d: int | None = None, group_cap: int | None = None
-) -> DecompositionTable:
+def decomposition_numbers(t: RootSystemType, group_cap: int | None = None) -> DecompositionTable:
     """Count minimal products below the Coxeter element by parabolic type
     tuple: the decomposition numbers of Krattenthaler-Muller.  Strict chains
     from the identity are counted per parabolic type from the type table, not
@@ -755,14 +753,13 @@ def decomposition_numbers(
     sorted keys."""
     _check_irreducible(t)
     _check_group_cap(t, group_cap)
-    return _decomposition_numbers(t, max_d)
+    return _decomposition_numbers(t)
 
 
 @lru_cache(maxsize=None)
-def _decomposition_numbers(t: RootSystemType, max_d: int | None) -> DecompositionTable:
+def _decomposition_numbers(t: RootSystemType) -> DecompositionTable:
     table = _type_table(t)
     types = table.types
-    depth = t.rank if max_d is None else min(max_d, t.rank)
     # paths[b][tau]: strict chains from the identity to w_B by step types tau,
     # each a chain to some u < w_B of type A followed by the step u -> w_B
     paths: list[dict[tuple[int, ...], int]] = []
@@ -771,9 +768,8 @@ def _decomposition_numbers(t: RootSystemType, max_d: int | None) -> Decompositio
         row = {} if paths else {(): 1}
         for a, c, count in pairs:
             for tau, cnt in paths[a].items():
-                if len(tau) < depth:
-                    tau += (c,)
-                    row[tau] = row.get(tau, 0) + count * cnt
+                tau += (c,)
+                row[tau] = row.get(tau, 0) + count * cnt
         paths.append(row)
         for tau, cnt in row.items():
             buckets[tau] = buckets.get(tau, 0) + mult * cnt
@@ -875,6 +871,8 @@ def chain_counts_classical(
     """Closed-form chain count plus, when the poset fits the budget, the
     brute-force count from the m-divisible poset; they must agree."""
     formula = chain_count_formula(t, m, jumps)
+    # the one import inside a function: ncposet imports wgroup, and this
+    # function stays here because perfbench's tracer looks it up in wgroup
     from .ncposet import build_ncm
 
     try:

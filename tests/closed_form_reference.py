@@ -89,7 +89,7 @@ def narayana_closed(t) -> tuple[MUniPoly, ...]:
 def narayana_weighted(t, nar_m, nar_1) -> MPoly:
     """Sum of (Nar^m(k+l)/Nar^1(k+l)) * f_{k,l} x^k y^l, one m-polynomial
     product per coefficient."""
-    F = f_closed(t).poly
+    F = f_closed(t)
     return MPoly({(k, l): c * nar_m[k + l] / nar_1[k + l] for (k, l), c in F.terms.items()})
 
 

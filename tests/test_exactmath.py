@@ -175,7 +175,7 @@ class TestIntegralRepresentation:
         F = f_closed(ir("B3"))
         for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
             assert clone(M / 3 - 1) == M / 3 - 1
-            assert clone(F) == F and clone(F.poly).dumps() == F.poly.dumps()
+            assert clone(F) == F and clone(F).dumps() == F.dumps()
 
 
 class TestGoldInt:
@@ -305,11 +305,10 @@ class TestMPoly:
         assert p.set_diagonal() == 3 * MPoly.term(2, 0)
 
     def test_poly_eval_m_on_dihedral_display(self):
-        from catwb.exactmath import poly_eval_m
         from catwb.ftriangle import f_i2
 
         x, y = MPoly.x(), MPoly.y()
-        out = poly_eval_m(f_i2(3), 1)
+        out = f_i2(3).eval_m(1)
         assert out == 2 * x**2 + 2 * x * y + 3 * x + y**2 + 2 * y + 1
 
     def test_latex_format(self):
@@ -499,7 +498,7 @@ class TestSubstituteFm:
         with pytest.raises(DegreeError):
             substitute_fm(MPoly.term(2, 1), 2)
         with pytest.raises(DegreeError):
-            substitute_fm(f_closed(ir("B3")).poly, 2)
+            substitute_fm(f_closed(ir("B3")), 2)
 
     @pytest.mark.parametrize(
         "s",
@@ -511,7 +510,7 @@ class TestSubstituteFm:
     )
     def test_matches_monomial_products_on_the_catalog(self, s):
         t = ir(s)
-        F = f_closed(t).poly
+        F = f_closed(t)
         for n in (t.rank, t.rank + 1):
             assert substitute_fm(F, n) == substitute_fm_by_products(F, n)
 

@@ -40,19 +40,19 @@ ALL_TYPES = (
 
 class TestClosedForms:
     def test_a1(self):
-        assert f_closed(ir("A1")).poly == MPoly({(1, 0): M, (0, 1): MUniPoly.const(1), (0, 0): MUniPoly.const(1)})
+        assert f_closed(ir("A1")) == MPoly({(1, 0): M, (0, 1): MUniPoly.const(1), (0, 0): MUniPoly.const(1)})
 
     def test_i2_matches_display(self):
         for a in range(5, 11):
-            assert f_closed(ir(f"I2({a})")).poly == golden_f_i2(a)
+            assert f_closed(ir(f"I2({a})")) == golden_f_i2(a)
 
     def test_i2_aliases_collapse(self):
-        assert golden_f_i2(3) == f_closed(ir("A2")).poly
-        assert golden_f_i2(4) == f_closed(ir("B2")).poly
+        assert golden_f_i2(3) == f_closed(ir("A2"))
+        assert golden_f_i2(4) == f_closed(ir("B2"))
 
     def test_exceptional_match_display(self):
         for name, expected in GOLDEN_F_EXCEPTIONAL.items():
-            assert f_closed(ir(name)).poly == expected, name
+            assert f_closed(ir(name)) == expected, name
 
     def test_refined_face_numbers(self):
         assert refined_face_number(ir("A1"), 0, 0) == MUniPoly.const(1)
@@ -64,19 +64,19 @@ class TestClosedForms:
         assert refined_face_number(ir("H3"), 1, 0) == 15 * M
 
     def test_multiplicativity(self):
-        lhs = f_closed(ir("B3") * ir("A2")).poly
-        assert lhs == f_closed(ir("B3")).poly * f_closed(ir("A2")).poly
+        lhs = f_closed(ir("B3") * ir("A2"))
+        assert lhs == f_closed(ir("B3")) * f_closed(ir("A2"))
 
     def test_d_family_aliases(self):
         raw_d2 = _triangle_from_rows(2, lambda k, l: face_number_d(2, k, l))
         raw_d3 = _triangle_from_rows(3, lambda k, l: face_number_d(3, k, l))
-        assert raw_d2 == f_closed(ir("A1xA1")).poly
-        assert raw_d3 == f_closed(ir("A3")).poly
+        assert raw_d2 == f_closed(ir("A1xA1"))
+        assert raw_d3 == f_closed(ir("A3"))
 
     @pytest.mark.parametrize("s", ALL_TYPES)
     def test_positivity_and_shape(self, s):
         t = ir(s)
-        F = f_closed(t).poly
+        F = f_closed(t)
         assert F.total_degree <= t.rank
         assert F.coeff(0, 0) == MUniPoly.const(1)
         for _, _, c in F.iter_terms():
@@ -89,7 +89,7 @@ class TestClosedForms:
         from catwb.rootdata import positive_root_count
 
         t = ir(s)
-        F = f_closed(t).poly
+        F = f_closed(t)
         assert F.coeff(1, 0) == M * positive_root_count(t)
         assert F.coeff(0, 1) == MUniPoly.const(t.rank)
 
@@ -113,11 +113,11 @@ class TestAgainstTheFractionForms:
                 nums, den = face(n, k, l)
                 assert MUniPoly(Fraction(a, den) for a in nums) == ref.FACE_NUMBERS[f.family](n, k, l), (k, l)
         expected = {(k, l): ref.FACE_NUMBERS[f.family](n, k, l) for k in range(n + 1) for l in range(n + 1 - k)}
-        assert f_closed(t).poly.terms == {key: c for key, c in expected.items() if c}
+        assert f_closed(t).terms == {key: c for key, c in expected.items() if c}
 
     @pytest.mark.parametrize("s", [s for s in CLASSICAL_TYPES if s[0] != "D"])
     def test_narayana_vectors(self, s):
-        assert narayana_closed(ir(s)).entries == ref.narayana_closed(ir(s))
+        assert narayana_closed(ir(s)) == ref.narayana_closed(ir(s))
 
     @pytest.mark.parametrize("s", ["A1", "A2", "A3", "A4", "B2", "B3", "B4"])
     def test_symbolic_narayana_weighting(self, s):
@@ -135,7 +135,7 @@ class TestAgainstTheFractionForms:
     @pytest.mark.parametrize("s,m", [("I2(5)", 2), ("H3", 3), ("D4", 1), ("D4", 2), ("B3", 2)])
     def test_census_narayana_weighting(self, s, m):
         t = ir(s)
-        nar_m, nar_1 = rank_census(t, m).entries, rank_census(t, 1).entries
+        nar_m, nar_1 = rank_census(t, m), rank_census(t, 1)
         assert _narayana_weighted(t, nar_m, nar_1).terms == ref.narayana_weighted(t, nar_m, nar_1).terms
 
 
@@ -150,7 +150,7 @@ class TestClosedFormRows:
         t = ir(s)
         n = t.rank
         for m in range(6):
-            F = f_closed(t).poly.eval_m(m)
+            F = f_closed(t).eval_m(m)
             assert sum(F.coeff(n - l, l).constant_value() for l in range(n + 1)) == fuss_catalan(t, m)
 
     @pytest.mark.parametrize("s", CLOSED_ROW_TYPES)
@@ -161,13 +161,13 @@ class TestClosedFormRows:
             positive = prod(
                 Fraction(m * max(degrees_irr(f)) + d - 2, d) for f in t.factors for d in degrees_irr(f)
             )
-            assert f_closed(t).poly.eval_m(m).coeff(t.rank, 0).constant_value() == positive
+            assert f_closed(t).eval_m(m).coeff(t.rank, 0).constant_value() == positive
 
     @pytest.mark.parametrize("s", CLOSED_ROW_TYPES)
     def test_no_positive_root_gives_one_plus_y_to_the_rank(self, s):
         t = ir(s)
         for m in range(6):
-            F = f_closed(t).poly.eval_m(m)
+            F = f_closed(t).eval_m(m)
             assert {l: c for (k, l), c in F.terms.items() if k == 0} == {
                 l: MUniPoly.const(comb(t.rank, l)) for l in range(t.rank + 1)
             }
@@ -180,8 +180,8 @@ class TestRecurrence:
 
     def test_a3_explicit(self):
         # derivative equals twice the rank-2 triangle plus the split product
-        lhs = f_closed(ir("A3")).poly.diff_y()
-        rhs = 2 * f_closed(ir("A2")).poly + f_closed(ir("A1xA1")).poly
+        lhs = f_closed(ir("A3")).diff_y()
+        rhs = 2 * f_closed(ir("A2")) + f_closed(ir("A1xA1"))
         assert lhs == rhs
 
 
@@ -221,7 +221,7 @@ class TestDual:
     @pytest.mark.parametrize("s", RECURRENCE_TYPES)
     def test_matches_monomial_products(self, s):
         t = ir(s)
-        assert dual_f_triangle(t) == dual_by_products(f_closed(t).poly, t.rank)
+        assert dual_f_triangle(t) == dual_by_products(f_closed(t), t.rank)
 
     @pytest.mark.parametrize("s", ["A1", "A2", "A3", "A4", "B2", "B3", "B4"])
     def test_symbolic(self, s):
@@ -261,12 +261,12 @@ class TestDual:
         for s in ("A3", "B3"):
             vec = narayana_closed(ir(s))
             for mv in (1, 2, 3):
-                values = [e.eval(mv) for e in vec.entries]
+                values = [e.eval(mv) for e in vec]
                 assert all(v > 0 for v in values)
             # the top entry counts the unique maximal element
-            assert vec.entries[-1] == MUniPoly.const(1)
+            assert vec[-1] == MUniPoly.const(1)
 
     def test_narayana_minimal_count(self):
         # rank-0 entry counts minimal elements: the Fuss-Catalan numerator form
         vec = narayana_closed(ir("A2"))
-        assert vec.entries[1].eval(2) == 6  # rank-1 count at m = 2
+        assert vec[1].eval(2) == 6  # rank-1 count at m = 2

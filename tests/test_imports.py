@@ -1,7 +1,9 @@
-"""Every name a module of the package imports is used there or exported, and
-every module-level private name is read somewhere in the package."""
+"""Every name a module of the package imports is used there or exported,
+every module-level private name is read somewhere in the package, and the
+package's modules import one another without a cycle."""
 
 import ast
+import graphlib
 import os
 import subprocess
 import sys
@@ -126,3 +128,30 @@ def test_import_loads_no_heavy_stdlib(module):
     added = _modules_after(f"import {module}") - _modules_after("pass")
     assert module in added
     assert added & HEAVY_AT_STARTUP == set()
+
+
+def package_imports(tree: ast.Module) -> tuple[set[str], list[tuple[str, str, tuple[str, ...]]]]:
+    """The sibling modules a module imports at module level (`from .x import`),
+    and its package imports inside functions as (function, module, names)."""
+    top = {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1}
+    inner = [
+        (func.name, node.module, tuple(alias.name for alias in node.names))
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    ]
+    return top, inner
+
+
+def test_package_imports_form_no_cycle():
+    graph = {path.stem: package_imports(ast.parse(path.read_text()))[0] for path in SRC.glob("*.py")}
+    graphlib.TopologicalSorter(graph).prepare()  # CycleError names the modules of a cycle
+
+
+def test_one_package_import_inside_a_function():
+    inner = {
+        (path.stem, *imp) for path in SRC.glob("*.py") for imp in package_imports(ast.parse(path.read_text()))[1]
+    }
+    # ncposet imports wgroup, and perfbench's tracer looks chain_counts_classical up in wgroup
+    assert inner == {("wgroup", "chain_counts_classical", "ncposet", ("build_ncm",))}

@@ -35,7 +35,7 @@ from mobius_reference import reference_m_triangle
 from mpoly_reference import reference_m_triangle_formula
 from oracle import ncm_pair_sweep, poset_m_triangle, zeta_poly
 
-# sha256 of MPoly.dumps() of m_triangle_bruteforce(t, m).poly, taken from the
+# sha256 of MPoly.dumps() of m_triangle_bruteforce(t, m), taken from the
 # sweep over sorted up-lists that preceded the coordinate sweep
 BRUTE_SHA256 = {
     "A3/3": "af06696b9aee3789186ff510a48c2bdab90e904a6ab109dc98ca423be1b1c522",
@@ -163,7 +163,7 @@ class TestBuildNcm:
         m_triangle_bruteforce(t, 2)
         p = build_ncm(t, 2)
         assert "poset" not in vars(p)
-        assert rank_census(t, 2).entries == tuple(p.poset.rank_counts())
+        assert rank_census(t, 2) == tuple(p.poset.rank_counts())
         rank_census(t, 3)
         assert "poset" not in vars(build_ncm(t, 3))
 
@@ -236,16 +236,16 @@ class TestRankCensus:
     def test_matches_closed_formula(self, s, m):
         t = ir(s)
         vec = rank_census(t, m)
-        closed = [e.eval(m) for e in narayana_closed(t).entries]
-        assert list(vec.entries) == closed
+        closed = [e.eval(m) for e in narayana_closed(t)]
+        assert list(vec) == closed
 
     def test_a2_m2_rank1(self):
-        assert rank_census(ir("A2"), 2).entries[1] == 6
+        assert rank_census(ir("A2"), 2)[1] == 6
 
     def test_census_total_equals_top_row_sum(self):
         for s, m in [("A2", 3), ("B2", 2), ("D4", 2), ("H3", 2), ("I2(6)", 3)]:
             t = ir(s)
-            total = sum(rank_census(t, m).entries)
+            total = sum(rank_census(t, m))
             assert total == row_sum(t, t.rank).eval(m)
 
 
@@ -256,10 +256,10 @@ class TestMTriangles:
             expected = MPoly(
                 {(0, 0): MUniPoly.const(m), (1, 1): MUniPoly.const(1), (0, 1): MUniPoly.const(-m)}
             )
-            assert mt.poly == expected
+            assert mt == expected
 
     def test_a2_m1(self):
-        mt = m_triangle_bruteforce(ir("A2"), 1).poly
+        mt = m_triangle_bruteforce(ir("A2"), 1)
         x, y = MPoly.x(), MPoly.y()
         expected = 1 - 3 * y + 2 * y**2 + 3 * x * y - 3 * x * y**2 + x**2 * y**2
         assert mt == expected
@@ -267,18 +267,18 @@ class TestMTriangles:
     def test_const_term_counts_minimals(self):
         for s, m in [("A2", 2), ("B2", 3), ("I2(7)", 2)]:
             p = build_ncm(ir(s), m)
-            mt = m_triangle_bruteforce(ir(s), m).poly
+            mt = m_triangle_bruteforce(ir(s), m)
             assert mt.coeff(0, 0).constant_value() == p.minimal_count()
             assert mt.coeff(ir(s).rank, ir(s).rank) == MUniPoly.const(1)
 
     @pytest.mark.parametrize("case", BRUTE_SHA256)
     def test_bruteforce_is_pinned(self, case):
         name, m = case.split("/")
-        poly = m_triangle_bruteforce(ir(name), int(m)).poly
+        poly = m_triangle_bruteforce(ir(name), int(m))
         assert hashlib.sha256(poly.dumps().encode()).hexdigest() == BRUTE_SHA256[case]
 
     def test_formula_a1(self):
-        assert m_triangle_formula(ir("A1")).poly == MPoly(
+        assert m_triangle_formula(ir("A1")) == MPoly(
             {(0, 0): MUniPoly.const(1), (1, 0): M, (1, 1): M}
         )
 
@@ -286,21 +286,21 @@ class TestMTriangles:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_formula_matches_bruteforce(self, s, m):
         t = ir(s)
-        sym = m_triangle_formula(t).poly.eval_m(m)
-        brute = mtriangle_rhs_transform(m_triangle_bruteforce(t, m).poly, t.rank)
+        sym = m_triangle_formula(t).eval_m(m)
+        brute = mtriangle_rhs_transform(m_triangle_bruteforce(t, m), t.rank)
         assert sym == brute
 
     @pytest.mark.parametrize("s,m", [("A3", 2), ("B3", 1), ("D4", 2), ("H3", 2), ("I2(5)", 3)])
     def test_rhs_transform_matches_the_reference(self, s, m):
         t = ir(s)
-        mt = m_triangle_bruteforce(t, m).poly
+        mt = m_triangle_bruteforce(t, m)
         assert mtriangle_rhs_transform(mt, t.rank).terms == ref.mtriangle_rhs_transform(mt, t.rank).terms
-        sym = m_triangle_formula(t).poly
+        sym = m_triangle_formula(t)
         assert mtriangle_rhs_transform(sym, t.rank).terms == ref.mtriangle_rhs_transform(sym, t.rank).terms
 
     @pytest.mark.parametrize("s", ["A1", "A4", "B3", "B4", "D4", "D5", "F4", "H3", "H4", "I2(5)", "I2(8)", "E6"])
     def test_formula_matches_the_mpoly_sum(self, s):
-        assert m_triangle_formula(ir(s)).poly == reference_m_triangle_formula(ir(s))
+        assert m_triangle_formula(ir(s)) == reference_m_triangle_formula(ir(s))
 
     def test_i2_formula_expansion(self):
         # the displayed expansion for the dihedral types
@@ -315,7 +315,7 @@ class TestMTriangles:
                 + MPoly.term(1, 0, a) * (-y - 1) * (-1) * M
                 + 1
             )
-            assert m_triangle_formula(t).poly == expected
+            assert m_triangle_formula(t) == expected
 
 
 class TestZetaRoute:
@@ -335,7 +335,7 @@ class TestZetaRoute:
                 key = (p.ranks[u], p.ranks[w])
                 terms[key] = terms.get(key, 0) + mu
         rebuilt = MPoly({k: MUniPoly.const(v) for k, v in terms.items() if v})
-        assert rebuilt == m_triangle_bruteforce(t, m).poly
+        assert rebuilt == m_triangle_bruteforce(t, m)
 
 
 class TestExport:

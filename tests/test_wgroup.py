@@ -435,6 +435,11 @@ class TestCharPoly:
             assert total == 0
 
 
+def truncated(counts: dict, d: int | None) -> dict:
+    """The decomposition numbers of at most d factors (all when d is None)."""
+    return {key: v for key, v in counts.items() if d is None or len(key) <= d}
+
+
 class TestDecomposition:
     def test_i2(self):
         for a in (3, 4, 5, 6, 9):
@@ -485,13 +490,13 @@ class TestDecomposition:
                     key = tuple(sorted(tau, key=lambda T: (T.rank, str(T))))
                     # every ordering of the same types has the same count
                     assert expected.setdefault(key, cnt) == cnt, (tau, d)
-            assert decomposition_numbers(t, max_d=d).counts == expected, d
+            assert truncated(decomposition_numbers(t).counts, d) == expected, d
 
     @pytest.mark.parametrize("s", TABLE_TYPES)
     def test_matches_the_per_element_reference(self, s):
         t = ir(s)
         for d in (None, 1, 2, 3):
-            assert decomposition_numbers(t, max_d=d).counts == reference_decomposition_counts(build_nc(t), d), d
+            assert truncated(decomposition_numbers(t).counts, d) == reference_decomposition_counts(build_nc(t), d), d
 
     @pytest.mark.parametrize("s", TABLE_TYPES)
     def test_reduced_reflection_words(self, s):
@@ -522,7 +527,7 @@ class TestDecomposition:
         tampered = TypeTable(table.types, table.mult, table.pairs[:-1] + (top,))
         monkeypatch.setattr(wgroup, "_type_table", lambda _: tampered)
         with pytest.raises(InvariantError, match="symmetry"):
-            wgroup._decomposition_numbers.__wrapped__(t, None)
+            wgroup._decomposition_numbers.__wrapped__(t)
 
 
 class TestDiskCache:
