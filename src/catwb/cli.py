@@ -172,7 +172,7 @@ def cmd_chains(args, cfg: RunConfig) -> int:
 
 def cmd_dual(args, cfg: RunConfig) -> int:
     t = RootSystemType.parse(args.type)
-    rep = verify_dual(t, args.m)
+    rep = verify_dual(t, args.m, group_cap=cfg.group_cap, poset_cap=cfg.poset_cap)
     print(rep.summary_line())
     return EXIT_OK if rep.equal else EXIT_FAIL
 
@@ -288,7 +288,7 @@ def _suite_dual(cfg: RunConfig, out: list[VerificationReport]):
     for s in _filter_types(cfg, DUAL_SYMBOLIC_TYPES):
         out.append(verify_dual(RootSystemType.parse(s)))
     for s, m in _filter_grid(cfg, DUAL_CENSUS_GRID):
-        out.append(verify_dual(RootSystemType.parse(s), m))
+        out.append(verify_dual(RootSystemType.parse(s), m, group_cap=cfg.group_cap, poset_cap=cfg.poset_cap))
 
 
 def _suite_carlitz(cfg: RunConfig, out: list[VerificationReport]):

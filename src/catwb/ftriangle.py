@@ -370,13 +370,16 @@ def _narayana_weighted(t: RootSystemType, nar_m, nar_1) -> MPoly:
     )
 
 
-def verify_dual(t: RootSystemType, m_value: int | None = None) -> VerificationReport:
+def verify_dual(
+    t: RootSystemType, m_value: int | None = None, group_cap: int | None = None, poset_cap: int | None = None
+) -> VerificationReport:
     """The dual-F identity: the sign-reflected triangle equals the Narayana
     ratio weighting of the face numbers.
 
     With m_value None the check is symbolic and requires a closed Narayana
     formula (A or B family); otherwise the rank census of the brute-force
-    poset supplies the Narayana numbers at both m_value and 1.
+    poset supplies the Narayana numbers at both m_value and 1, under the
+    group and poset caps.
     """
     if m_value is None:
         nar = narayana_closed(t)
@@ -384,8 +387,8 @@ def verify_dual(t: RootSystemType, m_value: int | None = None) -> VerificationRe
         lhs = dual_f_triangle(t)
         rhs = _narayana_weighted(t, nar, nar1)
         return VerificationReport("dual-f", str(t), "symbolic", None, lhs, rhs)
-    nar_m = rank_census(t, m_value)
-    nar_1 = rank_census(t, 1)
+    nar_m = rank_census(t, m_value, group_cap, poset_cap)
+    nar_1 = rank_census(t, 1, group_cap, poset_cap)
     lhs = dual_f_triangle(t).eval_m(m_value)
     rhs = _narayana_weighted(t, nar_m, nar_1).eval_m(m_value)
     return VerificationReport("dual-f", str(t), "census", m_value, lhs, rhs)

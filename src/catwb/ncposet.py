@@ -40,7 +40,6 @@ from .wgroup import (
     decomposition_numbers,
     _build_nc,
     _check_group_cap,
-    _check_irreducible,
     _type_table,
 )
 
@@ -184,7 +183,7 @@ def build_ncm(
     """
     if m < 1:
         raise InvalidArgument("m must be a positive integer")
-    _check_irreducible(t)
+    t.single()  # UnsupportedType for a reducible or empty type
     cap = DEFAULT_POSET_CAP if poset_cap is None else poset_cap
     n_elements = fuss_catalan(t, m)
     if n_elements * n_elements > cap:

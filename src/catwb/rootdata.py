@@ -5,9 +5,17 @@ in the group backends of `wgroup`, which label the diagram of a
 sub-root-system by the orders of products of its simple reflections and
 classify it with these diagram tools.
 
+The catalog is stated once: diagram_edges draws each canonical label's
+diagram, _ADMITTED gives the ranks each family admits (for I, the labels a)
+and _ALIASES the labels that name other types.  Gram matrices and deletions
+are read off the diagrams, and a diagram is classified by isomorphism with
+them (Humphreys, Reflection Groups and Coxeter Groups, 2.4-2.7), through one
+labelled-tree code (Aho-Hopcroft-Ullman) and no per-family shape rule.
+
 Types are multisets of irreducible factors.  The aliases B1 = A1, D2 = A1xA1,
 D3 = A3, I2(3) = A2 and I2(4) = B2 are normalized at construction so that
-every formula downstream is stated once per canonical label.
+every formula downstream is stated once per canonical label; any other label
+outside the catalog raises UnsupportedType.
 """
 
 from __future__ import annotations
@@ -20,7 +28,10 @@ from typing import Iterable
 from .errors import ClassificationError, TypeParseError, UnsupportedType
 from .exactmath import GoldInt
 
-_FAMILIES = ("A", "B", "D", "E", "F", "H", "I")
+# The ranks each family admits as a canonical label (for I, the labels a),
+# an inclusive range with None for no upper end, in the order factors sort.
+_ADMITTED = {"A": (1, None), "B": (2, None), "D": (4, None), "E": (6, 8), "F": (4, 4), "H": (3, 4), "I": (5, None)}
+_FAMILIES = tuple(_ADMITTED)
 
 
 class Irreducible:
@@ -57,53 +68,41 @@ class Irreducible:
         return str(self)
 
 
+# The labels that name another type; with _ADMITTED and diagram_edges, the
+# one statement of the catalog.
+_ALIASES = {
+    Irreducible("B", 1): (Irreducible("A", 1),),
+    Irreducible("D", 2): (Irreducible("A", 1),) * 2,
+    Irreducible("D", 3): (Irreducible("A", 3),),
+    Irreducible("I", 2, 3): (Irreducible("A", 2),),
+    Irreducible("I", 2, 4): (Irreducible("B", 2),),
+}
+
+
+def _admitted(f: Irreducible) -> bool:
+    """Whether f is a canonical catalog label."""
+    if f.family == "I":
+        if f.rank != 2 or f.param is None:
+            return False
+        n = f.param
+    elif f.family in _ADMITTED and f.param is None:
+        n = f.rank
+    else:
+        return False
+    lo, hi = _ADMITTED[f.family]
+    return lo <= n and (hi is None or n <= hi)
+
+
 def _canonical_factors(factors: Iterable[Irreducible]) -> tuple[Irreducible, ...]:
     out: list[Irreducible] = []
     for f in factors:
-        fam, n, a = f.family, f.rank, f.param
-        if fam == "A":
-            if n < 1:
-                raise UnsupportedType(f"A{n} is not a valid type")
-            out.append(f)
-        elif fam == "B":
-            if n == 1:
-                out.append(Irreducible("A", 1))
-            elif n >= 2:
-                out.append(f)
-            else:
-                raise UnsupportedType(f"B{n} is not a valid type")
-        elif fam == "D":
-            if n == 2:
-                out.extend([Irreducible("A", 1), Irreducible("A", 1)])
-            elif n == 3:
-                out.append(Irreducible("A", 3))
-            elif n >= 4:
-                out.append(f)
-            else:
-                raise UnsupportedType(f"D{n} is not a valid type")
-        elif fam == "I":
-            if a is None or a < 3:
-                raise UnsupportedType(f"I2({a}) requires a >= 3")
-            if a == 3:
-                out.append(Irreducible("A", 2))
-            elif a == 4:
-                out.append(Irreducible("B", 2))
-            else:
-                out.append(f)
-        elif fam == "E":
-            if n not in (6, 7, 8):
-                raise UnsupportedType(f"E{n} is not a valid type")
-            out.append(f)
-        elif fam == "F":
-            if n != 4:
-                raise UnsupportedType(f"F{n} is not a valid type")
-            out.append(f)
-        elif fam == "H":
-            if n not in (3, 4):
-                raise UnsupportedType(f"H{n} is not a valid type")
+        if f in _ALIASES:
+            out.extend(_ALIASES[f])
+        elif _admitted(f):
             out.append(f)
         else:
-            raise UnsupportedType(f"unknown family {fam!r}")
+            label = f"{f.family}{f.rank}" + ("" if f.param is None else f"({f.param})")
+            raise UnsupportedType(f"{label} is not a valid type")
     return tuple(sorted(out, key=Irreducible.sort_key))
 
 
@@ -162,13 +161,10 @@ class RootSystemType:
     def rank(self) -> int:
         return sum(f.rank for f in self.factors)
 
-    @property
-    def is_irreducible(self) -> bool:
-        return len(self.factors) == 1
-
     def single(self) -> Irreducible:
-        if not self.is_irreducible:
-            raise ValueError(f"{self} is not irreducible")
+        """The one factor of an irreducible type; UnsupportedType otherwise."""
+        if len(self.factors) != 1:
+            raise UnsupportedType(f"an irreducible type is required, got {self}")
         return self.factors[0]
 
     def __str__(self):
@@ -296,70 +292,51 @@ def gram_matrix(f: Irreducible) -> list[list]:
 # ---------------------------------------------------------------------------
 
 
-def _classify_labeled_component(nodes: list[int], edges: list[tuple[int, int, int]]) -> Irreducible:
-    """Match one connected labeled tree against the catalog diagrams."""
-    n = len(nodes)
-    if n == 1:
-        return Irreducible("A", 1)
-    if len(edges) != n - 1:
-        raise ClassificationError("diagram component is not a tree")
-    if n == 2:
-        a = edges[0][2]
-        if a == 3:
-            return Irreducible("A", 2)
-        if a == 4:
-            return Irreducible("B", 2)
-        return Irreducible("I", 2, a)
+def _tree_code(nodes, edges: list[tuple[int, int, int]]) -> tuple:
+    """An isomorphism code of a labelled tree (Aho-Hopcroft-Ullman): the tree
+    hung from its centre, each node's subtrees sorted behind their edge
+    labels; with two centres, the smaller of the two codes."""
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in nodes}
     for i, j, lab in edges:
         adj[i].append((j, lab))
         adj[j].append((i, lab))
-    degs = {v: len(adj[v]) for v in nodes}
-    max_deg = max(degs.values())
-    if max_deg == 2:
-        start = min(v for v in nodes if degs[v] == 1)
-        seq = []
-        prev, cur = None, start
-        while True:
-            nxt = [(w, lab) for w, lab in adj[cur] if w != prev]
-            if not nxt:
-                break
-            w, lab = nxt[0]
-            seq.append(lab)
-            prev, cur = cur, w
-        labels = sorted(set(seq))
-        if labels == [3]:
-            return Irreducible("A", n)
-        if seq.count(4) == 1 and all(l in (3, 4) for l in seq):
-            idx = seq.index(4)
-            if idx in (0, n - 2):
-                return Irreducible("B", n)
-            if n == 4 and idx == 1:
-                return Irreducible("F", 4)
-        if seq.count(5) == 1 and all(l in (3, 5) for l in seq):
-            idx = seq.index(5)
-            if idx in (0, n - 2) and n in (3, 4):
-                return Irreducible("H", n)
-        raise ClassificationError(f"path with labels {seq} matches no catalog type")
-    if max_deg == 3 and all(lab == 3 for _, _, lab in edges):
-        branch = [v for v in nodes if degs[v] == 3]
-        if len(branch) == 1:
-            arms = []
-            for w, _ in adj[branch[0]]:
-                length, prev, cur = 1, branch[0], w
-                while True:
-                    nxt = [x for x, _ in adj[cur] if x != prev]
-                    if not nxt:
-                        break
-                    prev, cur = cur, nxt[0]
-                    length += 1
-                arms.append(length)
-            arms.sort()
-            if arms[:2] == [1, 1]:
-                return Irreducible("D", arms[2] + 3)
-            if arms[0] == 1 and arms[1] == 2 and arms[2] in (2, 3, 4):
-                return Irreducible("E", arms[2] + 4)
-    raise ClassificationError("diagram component matches no catalog type")
+    degree = {v: len(ws) for v, ws in adj.items()}
+    layer, left = [v for v, d in degree.items() if d <= 1], len(adj)
+    while left > 2:  # peel the leaves until the centre or centres are left
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for w, _ in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+
+    def hang(v, parent):
+        return tuple(sorted((lab, hang(w, v)) for w, lab in adj[v] if w != parent))
+
+    return min(hang(c, None) for c in layer)
+
+
+@lru_cache(maxsize=None)
+def _catalog_codes(rank: int) -> dict[tuple, Irreducible]:
+    """The catalog labels of a rank, by the code of their diagram."""
+    labels = (Irreducible(fam, rank) for fam in _ADMITTED if fam != "I")
+    return {_tree_code(range(rank), diagram_edges(f)): f for f in labels if _admitted(f)}
+
+
+def _classify_labeled_component(nodes: list[int], edges: list[tuple[int, int, int]]) -> Irreducible:
+    """Match one connected labelled diagram against the catalog diagrams by
+    isomorphism; a single edge of label a is I2(a), which make rewrites."""
+    n = len(nodes)
+    if len(edges) != n - 1:  # first: _tree_code would peel a cycle forever
+        raise ClassificationError("diagram component is not a tree")
+    if n == 2:
+        return Irreducible("I", 2, edges[0][2])
+    found = _catalog_codes(n).get(_tree_code(nodes, edges))
+    if found is None:
+        raise ClassificationError("diagram component matches no catalog type")
+    return found
 
 
 @lru_cache(maxsize=None)
@@ -390,8 +367,6 @@ def _classify_diagram(num: int, edges: tuple[tuple[int, int, int], ...]) -> Root
 def deletion_types(t: RootSystemType) -> tuple[RootSystemType, ...]:
     """For each simple root of an irreducible type, the type generated by the
     remaining simple roots; entries follow catalog node order."""
-    if not t.is_irreducible:
-        raise UnsupportedType(f"deletion_types requires an irreducible type, got {t}")
     f = t.single()
     n = f.rank
     edges = diagram_edges(f)

@@ -38,8 +38,10 @@ brute-force NC^m, chain counts and exports.
 
 Posets are immutable once built and memoised by type alone: every public
 entry point checks the group cap from the closed-form |W| before any memo or
-disk read, so E7 and E8 are rejected up front under the default cap.  Broken
-internal invariants raise InvariantError, also under python -O.
+disk read, so E7 and E8 are rejected up front under the default cap.  Those
+that need an irreducible type call RootSystemType.single, the one
+irreducibility check, which raises UnsupportedType for a reducible or empty
+type.  Broken internal invariants raise InvariantError, also under python -O.
 """
 
 from __future__ import annotations
@@ -369,11 +371,6 @@ def _check_group_cap(t: RootSystemType, group_cap: int | None) -> None:
             raise BudgetExceeded(f"|W({irr})| = {order} exceeds group cap {cap}", order)
 
 
-def _check_irreducible(t: RootSystemType) -> None:
-    if not t.is_irreducible:
-        raise UnsupportedType(f"build_nc requires an irreducible type, got {t}")
-
-
 @lru_cache(maxsize=None)
 def _enumerate_group(irr: Irreducible) -> GroupTable:
     order = group_order_irr(irr)
@@ -508,7 +505,7 @@ class NCCore:
 def build_nc(t: RootSystemType, group_cap: int | None = None) -> NCCore:
     """Build NC for an irreducible catalog type; BudgetExceeded above the
     group cap, checked before the memo is consulted."""
-    _check_irreducible(t)
+    t.single()  # UnsupportedType for a reducible or empty type
     _check_group_cap(t, group_cap)
     return _build_nc(t)
 
@@ -751,7 +748,7 @@ def decomposition_numbers(t: RootSystemType, group_cap: int | None = None) -> De
     from the identity are counted per parabolic type from the type table, not
     walked; order symmetry of the counts is verified before collapsing to
     sorted keys."""
-    _check_irreducible(t)
+    t.single()  # UnsupportedType for a reducible or empty type
     _check_group_cap(t, group_cap)
     return _decomposition_numbers(t)
 

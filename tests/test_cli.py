@@ -93,6 +93,7 @@ MEMOS_OF_ARGUMENTS_ALONE = {
     "catwb.ftriangle.f_closed",
     "catwb.ncposet._build_ncm",
     "catwb.rootdata.RootSystemType.parse",
+    "catwb.rootdata._catalog_codes",
     "catwb.rootdata._classify_diagram",
     "catwb.rootdata.deletion_types",
     "catwb.wgroup._build_nc",
@@ -231,6 +232,11 @@ class TestExitCodes:
             ["verify", "--suite", "fm", "--types", "E7"],
             ["verify", "--suite", "dual", "--types", "E7"],
             ["verify", "--suite", "chains", "--m-grid", "4"],
+            # a reducible or empty type where an irreducible one is needed
+            ["chains", "A1xA1", "--m", "1", "--jumps", "1,1"],
+            ["dual", "A1xA2"],
+            ["dual", "e"],
+            ["chains", "e", "--m", "1", "--jumps", "0"],
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, monkeypatch, tmp_path, argv):
@@ -243,6 +249,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())  # no report is written
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dual", "D4", "--m", "2", "--poset-cap", "10"],
+            ["dual", "B3", "--m", "1", "--group-cap", "10"],
+            ["verify", "--suite", "dual", "--types", "D4", "--m-grid", "2", "--poset-cap", "10"],
+        ],
+    )
+    def test_dual_honours_the_caps(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("budget exceeded: ")
 
     def test_a_negative_jump_names_the_jump_in_either_spelling(self, capsys):
         errs = []

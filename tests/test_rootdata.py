@@ -5,10 +5,13 @@ import random
 
 import pytest
 
-from catwb.errors import ClassificationError, TypeParseError
+from catwb.errors import ClassificationError, TypeParseError, UnsupportedType
 from catwb.rootdata import (
+    Irreducible,
     RootSystemType,
+    _classify_diagram,
     deletion_types,
+    diagram_edges,
     fuss_catalan,
     group_order,
     ir,
@@ -44,10 +47,28 @@ class TestTypeAlgebra:
             t = RootSystemType.parse(s)
             assert RootSystemType.parse(str(t)) == t
 
-    @pytest.mark.parametrize("bad", ["Q3", "A", "I2()", "A0", "D1", "F5", "E5", "H5", "I2(2)"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["Q3", "A", "I2()", "A0", "D1", "F5", "E5", "H5", "I2(2)",
+         "E9", "E4", "H2", "F3", "B0", "D0", "I2(0)", "I2(1)"],
+    )
     def test_parse_errors(self, bad):
         with pytest.raises(TypeParseError):
             RootSystemType.parse(bad)
+
+    @pytest.mark.parametrize(
+        "family,rank,param", [("I", 5, 7), ("I", 1, 7), ("I", 2, None), ("A", 3, 7), ("E", 6, 6), ("Q", 3, None)]
+    )
+    def test_labels_outside_the_catalog_are_rejected(self, family, rank, param):
+        # I5(7) would print as I2(7) and A3(7) as A3, yet differ from them
+        with pytest.raises(UnsupportedType, match="is not a valid type"):
+            RootSystemType.irreducible(family, rank, param)
+
+    def test_single_requires_an_irreducible_type(self):
+        assert ir("B3").single() == Irreducible("B", 3)
+        for s in ("A1xA1", "e"):
+            with pytest.raises(UnsupportedType, match=f"an irreducible type is required, got {s}"):
+                ir(s).single()
 
     def test_parse_is_memoised_and_errors_repeat(self):
         assert RootSystemType.parse("B3xA1") is RootSystemType.parse("B3xA1")
@@ -206,3 +227,58 @@ class TestClassify:
         below = _reflection_indices(a2, [(1, 0), (1, 1)])  # closure needs (0, 1)
         with pytest.raises(ClassificationError, match="not closed"):
             a2.classify(below)
+
+
+CATALOG_UP_TO_RANK_8 = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "H3", "H4"]
+    + [f"I2({a})" for a in range(5, 13)]
+)
+
+
+def _relabelled(num, edges, rng):
+    """The diagram on nodes 0..num-1 under a random relabelling of its nodes,
+    in a random edge order and orientation."""
+    perm = list(range(num))
+    rng.shuffle(perm)
+    out = [(perm[i], perm[j], lab) if rng.random() < 0.5 else (perm[j], perm[i], lab) for i, j, lab in edges]
+    rng.shuffle(out)
+    return tuple(out)
+
+
+class TestDiagramClassifier:
+    @pytest.mark.parametrize("s", CATALOG_UP_TO_RANK_8)
+    def test_every_catalog_diagram_classifies_back(self, s):
+        f = ir(s).single()
+        rng = random.Random(s)
+        for _ in range(6):
+            assert _classify_diagram(f.rank, _relabelled(f.rank, diagram_edges(f), rng)) == ir(s)
+
+    @pytest.mark.parametrize("s1,s2", [("E6", "H3"), ("D5", "B5"), ("F4", "I2(7)"), ("A1", "A1"), ("E8", "A2")])
+    def test_a_disjoint_union_classifies_to_the_product(self, s1, s2):
+        f1, f2 = ir(s1).single(), ir(s2).single()
+        n1 = f1.rank
+        edges = diagram_edges(f1) + [(i + n1, j + n1, lab) for i, j, lab in diagram_edges(f2)]
+        rng = random.Random(s1 + s2)
+        for _ in range(4):
+            assert _classify_diagram(n1 + f2.rank, _relabelled(n1 + f2.rank, edges, rng)) == ir(s1) * ir(s2)
+
+    @pytest.mark.parametrize(
+        "num,edges",
+        [
+            (3, [(0, 1, 4), (1, 2, 4)]),  # two 4-edges on a path
+            (5, [(0, 1, 3), (0, 2, 3), (0, 3, 3), (0, 4, 3)]),  # the star K_1,4
+            (7, [(0, 1, 3), (1, 2, 3), (0, 3, 3), (3, 4, 3), (0, 5, 3), (5, 6, 3)]),  # arms (2, 2, 2)
+            (9, [(0, 1, 3), (0, 2, 3), (2, 3, 3), (0, 4, 3)] + [(i, i + 1, 3) for i in range(4, 8)]),  # arms (1, 2, 5)
+            (5, [(0, 1, 5), (1, 2, 3), (2, 3, 3), (3, 4, 3)]),  # a 5-edge on a 5-node path
+            (5, [(0, 1, 3), (1, 2, 4), (2, 3, 3), (3, 4, 3)]),  # a 4-edge in the middle of a 5-path
+            (3, [(0, 1, 3), (1, 2, 3), (0, 2, 3)]),  # a 3-cycle
+        ],
+        ids=["two-4-edges", "star-K14", "arms-2-2-2", "arms-1-2-5", "5-edge-path-5", "4-edge-mid-path-5", "3-cycle"],
+    )
+    def test_diagrams_outside_the_catalog_raise(self, num, edges):
+        reason = "not a tree" if len(edges) >= num else "matches no catalog type"
+        with pytest.raises(ClassificationError, match=reason):
+            _classify_diagram(num, tuple(edges))
