@@ -7,7 +7,10 @@ Elements are tuples (w_0; w_1, ..., w_m) of NC indices whose group product is
 the Coxeter element with additive absolute lengths; they are enumerated as
 m-multichains of NC, which bounds the work by the poset size rather than by
 |W|^(m+1).  Each is keyed by w_1..w_m as a mixed-radix integer; w_0 is
-determined by them.
+determined by them.  The walk takes the links from each NC element in
+increasing quotient order, so it lists NC^m in canonical order, sorted by
+delta tuple, with no sort; the poset holds only the keys and first links
+w_0, and the tuples are decoded only for the Hasse export and the up-lists.
 
 The order is B >= A iff B[i] <= A[i] in NC for i = 1..m, and the tuples
 (w_1, ..., w_m) of NC^m are closed downward under the componentwise NC order
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import factorial
-from operator import mul
 
 from .errors import BudgetExceeded, InvalidArgument, InvariantError
 from .exactmath import MPoly, falling
@@ -60,35 +62,53 @@ def unpack_rows(rows: list[int], width: int) -> MPoly:
 
 
 class NCmPoset:
-    """The m-divisible poset over one irreducible type: its elements in
-    sorted order, which is also rank order since w_0 comes first and NC
-    indices follow rank, their ranks and their coordinate keys.  The order
-    is read off the NC down-lists of the coordinates (see the module
-    docstring); `poset` derives the sorted up-lists from their products on
-    first read."""
+    """The m-divisible poset over one irreducible type, in the sorted order of
+    its delta tuples, which is also rank order since w_0 comes first and NC
+    indices follow rank: for each element its first link w_0 and its
+    coordinate key.  The tuples are decoded only when read (the Hasse export
+    and the up-lists).  The order is read off the NC down-lists of the
+    coordinates (see the module docstring); `poset` derives the sorted
+    up-lists from their products on first read."""
 
-    def __init__(self, type: RootSystemType, m: int, core: NCCore, elements: list[tuple[int, ...]],
-                 ranks: list[int], keys: list[int]):
+    def __init__(self, type: RootSystemType, m: int, core: NCCore, firsts: list[int], keys: list[int]):
         self.type = type
         self.m = m
         self.core = core
-        self.elements = elements  # delta tuples of NC indices
-        self.ranks = ranks
-        self.keys = keys  # keys[k]: the sum of elements[k][i] |NC|^(i-1) over i = 1..m
+        self.firsts = firsts  # firsts[k]: w_0 of element k, an NC index
+        self.keys = keys  # keys[k]: the sum of w_i |NC|^(i-1) over i = 1..m
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
 
     @property
     def name(self) -> str:
         return f"NC^{self.m}({self.type})"
 
+    @property
+    def ranks(self) -> list[int]:
+        """The rank of each element: the NC rank of its first link."""
+        return list(map(self.core.poset.ranks.__getitem__, self.firsts))
+
+    @cached_property
+    def elements(self) -> list[tuple[int, ...]]:
+        """The delta tuples (w_0; w_1, ..., w_m): each first link followed by
+        the base-|NC| digits of its key."""
+        radix, m = self.core.size, self.m
+        out = []
+        for first, key in zip(self.firsts, self.keys):
+            delta = [first]
+            for _ in range(m):
+                key, d = divmod(key, radix)
+                delta.append(d)
+            out.append(tuple(delta))
+        return out
+
     def maximum(self) -> int:
         """Index of the unique maximal element (c; identity, ..., identity):
         the only element with c in slot zero, so it sorts last."""
         top = self.size - 1
-        if self.elements[top] != (self.core.top,) + (0,) * self.m:
+        if self.firsts[top] != self.core.top or self.keys[top] != 0:
             raise InvariantError(f"{self.name} does not end with (c; e, ..., e)")
         return top
 
@@ -130,7 +150,8 @@ class NCmPoset:
         that is no element raises InvariantError."""
         radix, n = self.core.size, self.type.rank
         width = (n + 1) * (self.size + 1).bit_length() + 1
-        h = {key: 1 << width * r for key, r in zip(self.keys, self.ranks)}
+        ranks = self.ranks
+        h = {key: 1 << width * r for key, r in zip(self.keys, ranks)}
         get, walk, downs = h.__getitem__, sorted(h), self._down_lists()
         try:
             for scale in (radix**i for i in range(self.m)):
@@ -144,7 +165,7 @@ class NCmPoset:
         except KeyError as exc:
             raise InvariantError(f"{self.name}: {exc.args[0]} lies above an element but is no element") from None
         rows = [0] * (n + 1)
-        for key, r in zip(self.keys, self.ranks):
+        for key, r in zip(self.keys, ranks):
             rows[r] += h[key]
         return unpack_rows(rows, width)
 
@@ -199,27 +220,29 @@ def build_ncm(
 def _build_ncm(t: RootSystemType, m: int) -> NCmPoset:
     n_elements = fuss_catalan(t, m)
     core = _build_nc(t)
-    quot = core.quot
+    quot, size = core.quot, core.size
     # multichains e <= c_0 <= ... <= c_(m-1) <= c of NC, grown one link at a
-    # time as (delta so far, last link); quot[a] lists a^-1 b for each b in
-    # closed[a] = (a, *above[a]), and ends with a^-1 c
-    closed = [(a, *row) for a, row in enumerate(core.poset.above)]
-    level = [((), 0)]
-    for _ in range(m - 1):
-        level = [(delta + (q,), b) for delta, a in level for b, q in zip(closed[a], quot[a])]
-    elements = [delta + (q, quot[b][-1]) for delta, a in level for b, q in zip(closed[a], quot[a])]
-    if len(elements) != n_elements:
-        raise InvariantError(f"NC^{m}({t}) has {len(elements)} elements, Cat^({m}) = {n_elements}")
-    elements.sort()
-    ranks = [core.poset.ranks[delta[0]] for delta in elements]
-    radix = [core.size**i for i in range(m)]
-    keys = [sum(map(mul, delta[1:], radix)) for delta in elements]
+    # time as (first link, key so far, last link a) over the links (q, b) from
+    # a sorted by q = a^-1 b; quot[a] lists a^-1 b for each b in (a, *above[a])
+    # and ends with a^-1 c.  The first link from e is sorted by b, since q = b
+    # there.  Within each level the links come in increasing q, and a prefix
+    # (w_0, ..., w_(m-1)) fixes the whole tuple, so the walk lists NC^m in
+    # sorted order.
+    links = [sorted(zip(q, (a, *row))) for a, (q, row) in enumerate(zip(quot, core.poset.above))]
+    level = [(b, 0, b) for _, b in links[0]]
+    for scale in (size**i for i in range(m - 1)):
+        level = [(first, key + q * scale, b) for first, key, a in level for q, b in links[a]]
+    if len(level) != n_elements:
+        raise InvariantError(f"NC^{m}({t}) has {len(level)} elements, Cat^({m}) = {n_elements}")
+    top = size ** (m - 1)
+    firsts = [first for first, _, _ in level]
+    keys = [key + quot[a][-1] * top for _, key, a in level]
     if len(set(keys)) != len(keys):
         raise InvariantError(f"two elements of NC^{m}({t}) share the coordinates 1..{m}")
-    ncm = NCmPoset(t, m, core, elements, ranks, keys)
-    top = ncm.maximum()
-    if ranks[top] != t.rank:
-        raise InvariantError(f"the maximum of NC^{m}({t}) has rank {ranks[top]}")
+    ncm = NCmPoset(t, m, core, firsts, keys)
+    rank = core.poset.ranks[firsts[ncm.maximum()]]
+    if rank != t.rank:
+        raise InvariantError(f"the maximum of NC^{m}({t}) has rank {rank}")
     return ncm
 
 

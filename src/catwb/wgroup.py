@@ -794,7 +794,7 @@ def _decomposition_numbers(t: RootSystemType) -> DecompositionTable:
 
 
 class ChainCountResult:
-    def __init__(self, type: RootSystemType, m: int, jumps: tuple[int, ...], formula: int, brute: int | None):
+    def __init__(self, type: RootSystemType, m: int, jumps: tuple[int, ...], formula: int, brute: int):
         self.type = type
         self.m = m
         self.jumps = jumps
@@ -803,7 +803,7 @@ class ChainCountResult:
 
     @property
     def equal(self) -> bool:
-        return self.brute is None or self.formula == self.brute
+        return self.formula == self.brute
 
 
 def chain_count_formula(t: RootSystemType, m: int, jumps: tuple[int, ...]) -> int:
@@ -865,16 +865,14 @@ def chain_counts_classical(
     group_cap: int | None = None,
     poset_cap: int | None = None,
 ) -> ChainCountResult:
-    """Closed-form chain count plus, when the poset fits the budget, the
-    brute-force count from the m-divisible poset; they must agree."""
+    """Closed-form chain count plus the brute-force count from the
+    m-divisible poset; they must agree.  BudgetExceeded when the poset or
+    the group exceeds its cap."""
     formula = chain_count_formula(t, m, jumps)
     # the one import inside a function: ncposet imports wgroup, and this
     # function stays here because perfbench's tracer looks it up in wgroup
     from .ncposet import build_ncm
 
-    try:
-        poset = build_ncm(t, m, group_cap=group_cap, poset_cap=poset_cap).poset
-        brute = chain_count_brute(poset, t.rank, tuple(jumps))
-    except BudgetExceeded:
-        brute = None
+    poset = build_ncm(t, m, group_cap=group_cap, poset_cap=poset_cap).poset
+    brute = chain_count_brute(poset, t.rank, tuple(jumps))
     return ChainCountResult(t, m, tuple(jumps), formula, brute)

@@ -1,11 +1,13 @@
 """Reference computations the tests compare catwb against: the absolute order
-and the Coxeter element of an enumerated group, the Mobius function, zeta
+and the Coxeter element of an enumerated group, NC^m as sorted delta tuples
+with their ranks and keys, the Mobius function, zeta
 polynomials and Mobius column vectors of a poset, the M-triangle by a sweep
 over every related pair, rank censuses of intervals and of NC, the
 parabolic-type table read off a whole NC core, and a canonical JSON dump of
 a core for pinned digests."""
 
 import itertools
+from operator import mul
 from collections import Counter
 from fractions import Fraction
 
@@ -32,6 +34,23 @@ def coxeter_element(table: GroupTable):
 
 def _poset(core_or_poset) -> Poset:
     return core_or_poset.poset if isinstance(core_or_poset, NCCore) else core_or_poset
+
+
+def ncm_tuples(core: NCCore, m: int) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """NC^m as its sorted delta tuples (w_0; w_1, ..., w_m), their ranks and
+    their keys, the sum of w_i |NC|^(i-1) over i = 1..m: the m-multichains
+    e <= c_0 <= ... <= c_(m-1) <= c of NC grown one link at a time as
+    (delta so far, last link), then sorted and keyed in separate passes."""
+    quot = core.quot
+    closed = [(a, *row) for a, row in enumerate(core.poset.above)]
+    level = [((), 0)]
+    for _ in range(m - 1):
+        level = [(delta + (q,), b) for delta, a in level for b, q in zip(closed[a], quot[a])]
+    elements = sorted(delta + (q, quot[b][-1]) for delta, a in level for b, q in zip(closed[a], quot[a]))
+    ranks = [core.poset.ranks[delta[0]] for delta in elements]
+    radix = [core.size**i for i in range(m)]
+    keys = [sum(map(mul, delta[1:], radix)) for delta in elements]
+    return elements, ranks, keys
 
 
 def mobius(core_or_poset, i: int, j: int) -> int:

@@ -263,6 +263,20 @@ class TestExitCodes:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("budget exceeded: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chains", "D4", "--m", "1", "--jumps", "2,2", "--poset-cap", "10"],
+            ["chains", "D4", "--m", "1", "--jumps", "2,2", "--group-cap", "10"],
+            ["verify", "--suite", "chains", "--types", "D4", "--m-grid", "1", "--poset-cap", "10"],
+        ],
+    )
+    def test_chains_honours_the_caps(self, capsys, monkeypatch, tmp_path, argv):
+        # a brute count over budget is no agreement with the formula
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("budget exceeded: ")
+
     def test_a_negative_jump_names_the_jump_in_either_spelling(self, capsys):
         errs = []
         for argv in (["--jumps", "-1,3"], ["--jumps=-1,3"]):

@@ -33,7 +33,7 @@ from catwb.wgroup import (
 import closed_form_reference as ref
 from mobius_reference import reference_m_triangle
 from mpoly_reference import reference_m_triangle_formula
-from oracle import ncm_pair_sweep, poset_m_triangle, zeta_poly
+from oracle import ncm_pair_sweep, ncm_tuples, poset_m_triangle, zeta_poly
 
 # sha256 of MPoly.dumps() of m_triangle_bruteforce(t, m), taken from the
 # sweep over sorted up-lists that preceded the coordinate sweep
@@ -80,6 +80,9 @@ ORACLE_CASES = [
     if fuss_catalan(ir(s), m) ** 2 <= 10**7
 ]
 
+# the nine posets of perfbench's ncm-sweep workload
+SWEEP_CASES = [("A6", 2), ("A5", 3), ("D4", 6), ("B4", 4), ("A4", 5), ("F4", 3), ("H3", 6), ("D5", 2), ("B5", 2)]
+
 
 class TestBuildNcm:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -106,6 +109,16 @@ class TestBuildNcm:
         assert p.size == 18
         assert p.poset.rank_counts() == [7, 10, 1]
         assert row_sum(ir("I2(5)"), 2).eval(2) == 18
+
+    @pytest.mark.parametrize(
+        "s,m",
+        [(s, m) for s in ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "D5", "F4", "H3", "I2(5)") for m in (1, 2, 3)]
+        + SWEEP_CASES,
+    )
+    def test_the_walk_lists_the_sorted_tuples(self, s, m):
+        # the quotient-sorted walk against the tuples built, sorted and keyed in separate passes
+        p = build_ncm(ir(s), m, poset_cap=2 * 10**8)
+        assert (p.elements, p.ranks, p.keys) == ncm_tuples(p.core, m)
 
     @pytest.mark.parametrize("s,m", ORACLE_CASES)
     def test_order_matches_coordinate_masks(self, s, m):
@@ -141,7 +154,7 @@ class TestBuildNcm:
         p = build_ncm(ir(s), m)
         order = list(range(p.size))
         random.Random(seed).shuffle(order)
-        shuffled = NCmPoset(p.type, m, p.core, *([seq[k] for k in order] for seq in (p.elements, p.ranks, p.keys)))
+        shuffled = NCmPoset(p.type, m, p.core, *([seq[k] for k in order] for seq in (p.firsts, p.keys)))
         try:
             got = shuffled.m_triangle()
         except InvariantError:
@@ -167,13 +180,20 @@ class TestBuildNcm:
         rank_census(t, 3)
         assert "poset" not in vars(build_ncm(t, 3))
 
+    def test_sweep_and_census_decode_no_tuples(self):
+        t = ir("B3")
+        _build_ncm.cache_clear()
+        m_triangle_bruteforce(t, 2)
+        rank_census(t, 2)
+        assert "elements" not in vars(build_ncm(t, 2))
+
     @pytest.mark.parametrize("rank", [1, 2])
     def test_a_missing_element_is_refused(self, rank):
         # an element of positive rank lies above a minimal one, so its key is
         # in the product of that minimal element's down-lists
         p = build_ncm(ir("B3"), 2)
         k = p.ranks.index(rank)
-        cut = NCmPoset(p.type, p.m, p.core, *([x for i, x in enumerate(seq) if i != k] for seq in (p.elements, p.ranks, p.keys)))
+        cut = NCmPoset(p.type, p.m, p.core, *([x for i, x in enumerate(seq) if i != k] for seq in (p.firsts, p.keys)))
         with pytest.raises(InvariantError, match=rf"NC\^2\(B3\): {p.keys[k]} lies above an element"):
             cut.m_triangle()
         with pytest.raises(InvariantError, match=rf"NC\^2\(B3\): key {p.keys[k]} lies above an element"):
