@@ -1,6 +1,12 @@
 """Command-line surface: triangle emission, batch verification suites, poset
 export, chain counts, and the dual-triangle check.
 
+`verify` runs what SUITES states: each suite in run order, with its rows and
+its runner.  A row is (mode, type, m), as in the record its check writes (for
+chains, one grid point); --types and --m-grid keep the rows, and the fm
+suite's open D4 report, whose type and m they name; carlitz has no rows and
+takes no filter.  --suite takes its choices from the table.
+
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error or a path
 that cannot be read or written, 3 budget exceeded.  Flags can be defaulted
 through CATWB_-prefixed environment variables, and every command reads flag
@@ -138,8 +144,7 @@ def cmd_mtriangle(args, cfg: RunConfig) -> int:
     t = RootSystemType.parse(args.type)
     if args.mode == "brute":
         if args.m is None:
-            print("error: brute mode requires --m", file=sys.stderr)
-            return EXIT_USAGE
+            raise InvalidArgument("brute mode requires --m")
         poly = m_triangle_bruteforce(t, args.m, group_cap=cfg.group_cap, poset_cap=cfg.poset_cap)
     else:
         poly = m_triangle_formula(t, group_cap=cfg.group_cap)
@@ -176,7 +181,7 @@ def cmd_dual(args, cfg: RunConfig) -> int:
     return EXIT_OK if rep.equal else EXIT_FAIL
 
 
-# --- verification suites ----------------------------------------------------
+# --- verification suites: the rows of SUITES --------------------------------
 
 RECURRENCE_TYPES = (
     [f"A{n}" for n in range(1, 9)]
@@ -192,30 +197,17 @@ FM_CLOSED_TYPES = (
 
 FM_FORMULA_TYPES = [f"I2({a})" for a in range(3, 9)] + ["H3", "H4", "F4", "E6"]
 
-FM_BRUTE_GRID = [
-    (s, m)
-    for s in ("A2", "A3", "A4", "B2", "B3", "D4", "I2(3)", "I2(4)", "I2(5)", "I2(6)", "H3")
-    for m in (1, 2, 3)
-]
+FM_BRUTE_TYPES = ("A2", "A3", "A4", "B2", "B3", "D4", "I2(3)", "I2(4)", "I2(5)", "I2(6)", "H3")
 
 DUAL_SYMBOLIC_TYPES = [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 6)]
-DUAL_CENSUS_GRID = [
-    (s, m) for s in ("D4", "I2(3)", "I2(4)", "I2(5)", "I2(6)", "H3") for m in (1, 2, 3)
-]
+
+DUAL_CENSUS_TYPES = ("D4", "I2(3)", "I2(4)", "I2(5)", "I2(6)", "H3")
 
 CHAINS_GRID = (
     [(f"A{n}", m) for n in range(1, 5) for m in (1, 2, 3)]
     + [(f"B{n}", m) for n in (2, 3) for m in (1, 2, 3)]
     + [("D4", 1), ("D5", 1)]
 )
-
-# the types and (type, m) grid of each suite's gated checks; carlitz takes no filter
-GATED_CHECKS = {
-    "recurrence": (RECURRENCE_TYPES, []),
-    "fm": (FM_CLOSED_TYPES + FM_FORMULA_TYPES, FM_BRUTE_GRID),
-    "chains": ([], CHAINS_GRID),
-    "dual": (DUAL_SYMBOLIC_TYPES, DUAL_CENSUS_GRID),
-}
 
 
 def positive_compositions(n: int):
@@ -227,70 +219,46 @@ def positive_compositions(n: int):
             yield (first,) + rest
 
 
-def _wanted(cfg: RunConfig, s: str) -> bool:
-    return not cfg.types or RootSystemType.parse(s) in cfg.types
+def _wanted(cfg: RunConfig, s: str, m: int | None) -> bool:
+    """Whether the filters keep type s at m; an m of None passes every grid."""
+    return (not cfg.types or RootSystemType.parse(s) in cfg.types) and (m is None or m in cfg.m_grid)
 
 
-def _filter_types(cfg: RunConfig, types: list[str]) -> list[str]:
-    return [s for s in types if _wanted(cfg, s)]
+def _run_recurrence(cfg: RunConfig, plan, out: list[VerificationReport]):
+    out.extend(check_recurrence(RootSystemType.parse(s)) for _, s, _ in plan)
 
 
-def _filter_grid(cfg: RunConfig, grid):
-    return [(s, m) for s, m in grid if _wanted(cfg, s) and m in cfg.m_grid]
-
-
-def _suite_recurrence(cfg: RunConfig, out: list[VerificationReport]):
-    for s in _filter_types(cfg, RECURRENCE_TYPES):
-        out.append(check_recurrence(RootSystemType.parse(s)))
-
-
-def _suite_fm(cfg: RunConfig, out: list[VerificationReport]):
-    for s in _filter_types(cfg, FM_CLOSED_TYPES):
-        out.append(verify_fm(RootSystemType.parse(s), "closed"))
-    for s in _filter_types(cfg, FM_FORMULA_TYPES):
-        out.append(verify_fm(RootSystemType.parse(s), "formula", group_cap=cfg.group_cap))
-    for s, m in _filter_grid(cfg, FM_BRUTE_GRID):
-        out.append(
-            verify_fm(RootSystemType.parse(s), "brute", m, group_cap=cfg.group_cap, poset_cap=cfg.poset_cap)
-        )
+def _run_fm(cfg: RunConfig, plan, out: list[VerificationReport]):
+    caps = {"group_cap": cfg.group_cap, "poset_cap": cfg.poset_cap}
+    out.extend(verify_fm(RootSystemType.parse(s), mode, m, **caps) for mode, s, m in plan)
     # open case in family D: reported, never gated on
     for m in (2, 3):
-        rep = verify_fm_dn_general(4, m, group_cap=cfg.group_cap, poset_cap=cfg.poset_cap)
-        print(rep.summary_line() + f"  ({rep.note})")
+        if _wanted(cfg, "D4", m):
+            rep = verify_fm_dn_general(4, m, **caps)
+            print(rep.summary_line() + f"  ({rep.note})")
 
 
-def _suite_chains(cfg: RunConfig, out: list[VerificationReport]):
+def _run_chains(cfg: RunConfig, plan, out: list[VerificationReport]):
+    caps = {"group_cap": cfg.group_cap, "poset_cap": cfg.poset_cap}
     any_failure = False
-    for s, m in _filter_grid(cfg, CHAINS_GRID):
+    for _, s, m in plan:
         t = RootSystemType.parse(s)
-        bad = []
-        for jumps in positive_compositions(t.rank):
-            res = chain_counts_classical(
-                t, m, jumps, group_cap=cfg.group_cap, poset_cap=cfg.poset_cap
-            )
-            if not res.equal:
-                bad.append(res)
-        status = "FAIL" if bad else "PASS"
-        print(f"[{status}] chains {s} m={m} (all jump vectors)")
+        bad = [j for j in positive_compositions(t.rank) if not chain_counts_classical(t, m, j, **caps).equal]
+        print(f"[{'FAIL' if bad else 'PASS'}] chains {s} m={m} (all jump vectors)")
         any_failure = any_failure or bool(bad)
     if any_failure:
         out.append(_fail_marker("chains"))
 
 
 def _fail_marker(name: str) -> VerificationReport:
-    one = MPoly.const(1)
-    rep = VerificationReport(name, "-", "brute", None, one, MPoly.zero())
-    return rep
+    return VerificationReport(name, "-", "brute", None, MPoly.const(1), MPoly.zero())
 
 
-def _suite_dual(cfg: RunConfig, out: list[VerificationReport]):
-    for s in _filter_types(cfg, DUAL_SYMBOLIC_TYPES):
-        out.append(verify_dual(RootSystemType.parse(s)))
-    for s, m in _filter_grid(cfg, DUAL_CENSUS_GRID):
-        out.append(verify_dual(RootSystemType.parse(s), m, group_cap=cfg.group_cap, poset_cap=cfg.poset_cap))
+def _run_dual(cfg: RunConfig, plan, out: list[VerificationReport]):
+    out.extend(verify_dual(RootSystemType.parse(s), m, cfg.group_cap, cfg.poset_cap) for _, s, m in plan)
 
 
-def _suite_carlitz(cfg: RunConfig, out: list[VerificationReport]):
+def _run_carlitz(cfg: RunConfig, plan, out: list[VerificationReport]):
     res = run_random_suite(seed=cfg.seed, draws=200)
     named = run_named_cases()
     print(
@@ -302,29 +270,37 @@ def _suite_carlitz(cfg: RunConfig, out: list[VerificationReport]):
         out.append(_fail_marker("carlitz"))
 
 
+SUITES = {
+    "recurrence": ([("symbolic", s, None) for s in RECURRENCE_TYPES], _run_recurrence),
+    "fm": (
+        [("closed", s, None) for s in FM_CLOSED_TYPES]
+        + [("formula", s, None) for s in FM_FORMULA_TYPES]
+        + [("brute", s, m) for s in FM_BRUTE_TYPES for m in (1, 2, 3)],
+        _run_fm,
+    ),
+    "chains": ([("brute", s, m) for s, m in CHAINS_GRID], _run_chains),
+    "dual": (
+        [("symbolic", s, None) for s in DUAL_SYMBOLIC_TYPES]
+        + [("census", s, m) for s in DUAL_CENSUS_TYPES for m in (1, 2, 3)],
+        _run_dual,
+    ),
+    "carlitz": ((), _run_carlitz),
+}
+
+
 def cmd_verify(args, cfg: RunConfig) -> int:
-    suites = {
-        "recurrence": _suite_recurrence,
-        "fm": _suite_fm,
-        "chains": _suite_chains,
-        "dual": _suite_dual,
-        "carlitz": _suite_carlitz,
-    }
-    selected = list(suites) if args.suite == "all" else [args.suite]
-    gated = [GATED_CHECKS.get(name) for name in selected]
-    if not any(g is None or _filter_types(cfg, g[0]) or _filter_grid(cfg, g[1]) for g in gated):
+    selected = list(SUITES) if args.suite == "all" else [args.suite]
+    plans = {name: [row for row in SUITES[name][0] if _wanted(cfg, *row[1:])] for name in selected}
+    # a suite with no rows, such as carlitz, takes no filter
+    if not any(plans[name] or not SUITES[name][0] for name in selected):
         raise InvalidArgument(f"--types and --m-grid leave suite {args.suite} with no gated check")
     reports: list[VerificationReport] = []
     for name in selected:
-        suites[name](cfg, reports)
+        SUITES[name][1](cfg, plans[name], reports)
     for rep in reports:
         print(rep.summary_line())
     ok = all(r.equal for r in reports)
-    payload = {
-        "suite": args.suite,
-        "ok": ok,
-        "checks": [r.to_json_obj() for r in reports],
-    }
+    payload = {"suite": args.suite, "ok": ok, "checks": [r.to_json_obj() for r in reports]}
     report_dir = Path(args.cache_dir) if args.cache_dir else Path.cwd()
     report_dir.mkdir(parents=True, exist_ok=True)
     report_path = report_dir / f"verify_{args.suite}.json"
@@ -357,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument(
         "--suite",
-        choices=("fm", "recurrence", "chains", "dual", "carlitz", "all"),
+        choices=(*SUITES, "all"),
         required=True,
     )
     p.add_argument("--types", default=None, help="comma-separated type filter, e.g. A2,B3")

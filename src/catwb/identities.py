@@ -165,55 +165,30 @@ def proof_instantiations(m_values=(1, 2, 3)) -> list[dict]:
     concrete m: named regression cases for the convolution identities."""
     cases = []
     for m in m_values:
+        base = {"a": m + 1, "b": 1, "c": m, "d": 1}
         for l in (1, 2):
             for l1 in range(l):
-                base = {"a": m + 1, "b": 1, "c": m, "d": 1}
-                cases.append(
-                    {
-                        "name": f"family-A m={m} l={l} l1={l1}",
-                        "identity": 7,
-                        **base,
-                        "alpha": m * (l1 + 1),
-                        "beta": l1 + 1,
-                        "alpha2": m * (l - l1),
-                        "beta2": l - l1,
-                        "extend": False,
-                    }
-                )
-                cases.append(
-                    {
-                        "name": f"family-B m={m} l={l} l1={l1}",
-                        "identity": 8,
-                        **base,
-                        "alpha": m * l1,
-                        "beta": l1 + 1,
-                        "alpha2": m * (l - l1),
-                        "beta2": l - l1,
-                        "extend": False,
-                    }
-                )
-                cases.append(
-                    {
-                        "name": f"family-D-negshift m={m} l={l} l1={l1}",
-                        "identity": 8,
-                        **base,
-                        "alpha": m * (l1 - 1),
-                        "beta": l1 + 1,
-                        "alpha2": m * (l - l1),
-                        "beta2": l - l1,
-                        "extend": False,
-                    }
-                )
+                # the three families differ only in the identity and in alpha = m (l1 + shift)
+                for family, identity, shift in (("A", 7, 1), ("B", 8, 0), ("D-negshift", 8, -1)):
+                    cases.append(
+                        {
+                            "name": f"family-{family} m={m} l={l} l1={l1}",
+                            "identity": identity,
+                            **base,
+                            "alpha": m * (l1 + shift),
+                            "beta": l1 + 1,
+                            "alpha2": m * (l - l1),
+                            "beta2": l - l1,
+                            "extend": False,
+                        }
+                    )
         for l in (1, 2):
             # the correction-term sum needs the extended kernel: its beta = -1
             cases.append(
                 {
                     "name": f"family-D-correction m={m} l={l}",
                     "identity": 7,
-                    "a": m + 1,
-                    "b": 1,
-                    "c": m,
-                    "d": 1,
+                    **base,
                     "alpha": -m,
                     "beta": -1,
                     "alpha2": m * l,

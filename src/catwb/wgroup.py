@@ -683,11 +683,6 @@ def char_poly(t: RootSystemType, group_cap: int | None = None) -> MPoly:
     Mobius sums toward the top element, read off the type table of each
     factor.  Multiplicative over factors."""
     _check_group_cap(t, group_cap)
-    return _char_poly(t)
-
-
-@lru_cache(maxsize=None)
-def _char_poly(t: RootSystemType) -> MPoly:
     out = MPoly.const(1)
     for f in t.factors:
         chi = _type_table(RootSystemType.make(f)).char_polys[-1]
@@ -750,11 +745,6 @@ def decomposition_numbers(t: RootSystemType, group_cap: int | None = None) -> De
     sorted keys."""
     t.single()  # UnsupportedType for a reducible or empty type
     _check_group_cap(t, group_cap)
-    return _decomposition_numbers(t)
-
-
-@lru_cache(maxsize=None)
-def _decomposition_numbers(t: RootSystemType) -> DecompositionTable:
     table = _type_table(t)
     types = table.types
     # paths[b][tau]: strict chains from the identity to w_B by step types tau,

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 from catwb.cache import ResultCache
-from catwb.cli import main
+from catwb.cli import SUITES, build_parser, main
 
 SCHEMA_DIR = Path(__file__).parent.parent / "src/catwb/schemas"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -70,10 +70,9 @@ def clear_memos():
     """Forget the in-process results that come from type tables, so that the
     tables are read from or written to the cache directory of the next
     command."""
-    from catwb.wgroup import _char_poly, _decomposition_numbers, _type_table
+    from catwb.wgroup import _type_table
 
-    for cached in (_char_poly, _decomposition_numbers, _type_table):
-        cached.cache_clear()
+    _type_table.cache_clear()
 
 
 @pytest.fixture
@@ -237,6 +236,7 @@ class TestExitCodes:
             ["dual", "A1xA2"],
             ["dual", "e"],
             ["chains", "e", "--m", "1", "--jumps", "0"],
+            ["mtriangle", "A1", "--mode", "brute"],
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, monkeypatch, tmp_path, argv):
@@ -444,10 +444,8 @@ class TestCache:
         assert broken.path_for("nctypes", "D4").read_bytes() == entry
 
     def test_warm_formula_mode_reads_no_core(self, capsys, tmp_path, fresh_memos):
-        from catwb.rootdata import ir
-        from catwb.wgroup import _build_nc, build_nc
+        from catwb.wgroup import _build_nc
 
-        build_nc(ir("D4"))  # the suite's open D4 case is brute force
         cores = _build_nc.cache_info().currsize
         argv = ["verify", "--suite", "fm", "--types", "E6", "--cache-dir", str(tmp_path)]
         cold = run(capsys, argv), (tmp_path / "verify_fm.json").read_bytes()
@@ -529,6 +527,33 @@ class TestVerifySuites:
         rc, out = run(capsys, ["verify", "--suite", "carlitz", "--seed", "3", "--cache-dir", str(tmp_path)])
         assert rc == 0
         assert out.splitlines()[0] == "carlitz random: 200 passed, 0 skipped; named: 528 passed, 0 skipped"
+
+    @pytest.mark.parametrize("types", [None, "A2"])
+    @pytest.mark.parametrize("suite", ["recurrence", "fm", "dual"])
+    def test_the_records_are_the_rows(self, capsys, tmp_path, suite, types):
+        from catwb.rootdata import ir
+
+        rows = [(mode, str(ir(s)), m) for mode, s, m in SUITES[suite][0]]
+        if types:  # the canonical filter keeps the I2(3) rows, which read as A2
+            assert any(s == "I2(3)" for _, s, _ in SUITES[suite][0])
+            rows = [row for row in rows if row[1] == types]
+        argv = ["verify", "--suite", suite, "--cache-dir", str(tmp_path)] + (["--types", types] if types else [])
+        assert main(argv) in (0, 1)
+        capsys.readouterr()
+        report = json.loads((tmp_path / f"verify_{suite}.json").read_text())
+        assert [(c["mode"], c["type"], c["m"]) for c in report["checks"]] == rows
+
+    def test_every_suite_is_a_choice(self):
+        for name in SUITES:
+            assert build_parser().parse_args(["verify", "--suite", name]).suite == name
+
+    def test_the_open_d4_report_honours_the_filters(self, capsys, monkeypatch, tmp_path):
+        # D4 at m = 2 is over this poset cap, so a D4 case the filters drop must not run
+        monkeypatch.chdir(tmp_path)
+        rc, out = run(capsys, ["verify", "--suite", "fm", "--types", "A2", "--m-grid", "1", "--poset-cap", "1000"])
+        assert rc == 0
+        assert (tmp_path / "verify_fm.json").exists()
+        assert "fm-dn-general" not in out
 
     def test_chains_command(self, capsys):
         rc, out = run(capsys, ["chains", "A2", "--m", "1", "--jumps", "1,1"])

@@ -527,7 +527,7 @@ class TestDecomposition:
         tampered = TypeTable(table.types, table.mult, table.pairs[:-1] + (top,))
         monkeypatch.setattr(wgroup, "_type_table", lambda _: tampered)
         with pytest.raises(InvariantError, match="symmetry"):
-            wgroup._decomposition_numbers.__wrapped__(t)
+            wgroup.decomposition_numbers(t)
 
 
 class TestDiskCache:
