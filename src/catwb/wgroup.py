@@ -19,7 +19,9 @@ byte tables alone: the roots it moves are those whose cycle sums to zero,
 and the Coxeter labels of its subsystem are orders of products of two
 reflections.  As Mov(u) lies inside Mov(w) for u <= w (Brady-Watt), each
 lower cover is stepped on the roots of the reflections below its upper cover
-only, not on all of Phi.  Coordinates are used only to build the tables.
+only, not on all of Phi; and as conjugation by c permutes NC, only one
+element per c-conjugation orbit is stepped.  Coordinates are used only to
+build the tables.
 Only enumerate_group lists W; with its breadth-first absolute lengths it is
 the oracle the tests compare the NC walk against.
 
@@ -63,6 +65,7 @@ from .rootdata import (
     Irreducible,
     RootSystemType,
     _classify_diagram,
+    degrees_irr,
     fuss_catalan,
     gram_matrix,
     group_order_irr,
@@ -510,27 +513,62 @@ def build_nc(t: RootSystemType, group_cap: int | None = None) -> NCCore:
     return _build_nc(t)
 
 
+def _conjugation(backend, g):
+    """The map w -> g w g^-1 and the permutation of reflection indices it
+    induces: r -> the index of g t_r g^-1."""
+    mul, g_inv = backend.mul, backend.inv(g)
+    index = {t: r for r, t in enumerate(backend.reflections)}
+
+    def conj(w):
+        return mul(mul(g, w), g_inv)
+
+    return conj, [index[conj(t)] for t in backend.reflections]
+
+
 def walk_nc(t: RootSystemType):
     """Walk NC(t) top down from c without enumerating W: the lower covers of
-    w are t w for the reflections t below w, walked level by level, and each
-    lower cover is stepped on the roots of those reflections alone.  Returns
+    w are t w for the reflections t below w, walked level by level.  Returns
     the backend, the elements in canonical order and a dict from each element
     to its nc_step: rank, reflections below and parabolic type.  The lower
-    covers are not kept, as their byte tables would outweigh the rest."""
-    backend = _backend_for(t.single())
+    covers are not kept, as their byte tables would outweigh the rest.
+
+    Conjugation by c permutes NC(c) (it is the square of the Kreweras
+    complement; Armstrong, Mem. AMS 2009), keeps rank and parabolic type, and
+    carries the reflections below w to those below c w c^-1.  So only the
+    first element the walk meets in each orbit is stepped, on the roots of
+    the reflections below one of its upper covers; the rest of its orbit, at
+    most h elements, is filled in from it.  The walk checks that every orbit
+    closes within h conjugations and that it finds Cat(W) elements."""
+    f = t.single()
+    backend = _backend_for(f)
     mul, refls = backend.mul, backend.reflections
-    n = t.rank
+    n, h = t.rank, max(degrees_irr(f))
+    c = reduce(mul, backend.simple_reflections)
+    conj, perm = _conjugation(backend, c)
     steps = {}
-    level = {reduce(mul, backend.simple_reflections): None}  # w -> the reflections below an upper cover
+    level = {c: None}  # w -> the reflections below an upper cover
     for depth in range(n + 1):
         nxt: dict = {}
         for w, roots in level.items():
-            steps[w] = rank, below, _ = backend.nc_step(w, roots)
+            if w not in steps:
+                steps[w] = rank, below, ptype = backend.nc_step(w, roots)
+                u = conj(w)
+                for _ in range(h):
+                    if u == w:
+                        break
+                    below = sorted(map(perm.__getitem__, below))
+                    steps[u] = rank, below, ptype
+                    u = conj(u)
+                else:
+                    raise InvariantError(f"the c-conjugation orbit of {w!r} has not closed after h = {h} steps")
+            rank, below, _ = steps[w]
             if rank != n - depth:
                 raise InvariantError(f"{w!r} at depth {depth} below c has length {rank}")
             for i in below:
                 nxt.setdefault(mul(refls[i], w), below)
         level = nxt
+    if len(steps) != fuss_catalan(t, 1):
+        raise InvariantError(f"the walk of NC({t}) found {len(steps)} elements, not Cat(W) = {fuss_catalan(t, 1)}")
     elems = sorted(steps, key=lambda w: (steps[w][0], w))
     if steps[elems[0]][2] != RootSystemType.empty():
         raise InvariantError(f"identity classified as {steps[elems[0]][2]}")
@@ -638,25 +676,30 @@ class TypeTable:
 def _type_table_fresh(t: RootSystemType) -> TypeTable:
     """Read the table off the walk of NC, with no core: the u < w_B are
     reached through lower covers, and the types of u and of u^-1 w_B, again
-    an element of NC, are looked up in the walk."""
+    an element of NC, are looked up in the walk.  The last row, that of c,
+    needs no walk: every other element lies below c."""
     backend, elems, steps = walk_nc(t)
     mul, inv, refls = backend.mul, backend.inv, backend.reflections
     reps = {}  # type -> its first element w_B
     for w in elems:
         reps.setdefault(steps[w][2], w)
     tid = {T: b for b, T in enumerate(reps)}
+    tid_of = {w: tid[steps[w][2]] for w in elems}
     mult = Counter(steps[w][2] for w in elems)
     pairs = []
     for w_b in reps.values():
-        below, stack = set(), [w_b]
-        while stack:
-            w = stack.pop()
-            for r in steps[w][1]:
-                v = mul(refls[r], w)
-                if v not in below:
-                    below.add(v)
-                    stack.append(v)
-        counts = Counter((tid[steps[u][2]], tid[steps[mul(inv(u), w_b)][2]]) for u in below)
+        if w_b == elems[-1]:
+            below = elems[:-1]
+        else:
+            below, stack = set(), [w_b]
+            while stack:
+                w = stack.pop()
+                for r in steps[w][1]:
+                    v = mul(refls[r], w)
+                    if v not in below:
+                        below.add(v)
+                        stack.append(v)
+        counts = Counter((tid_of[u], tid_of[mul(inv(u), w_b)]) for u in below)
         pairs.append(tuple((a, c, k) for (a, c), k in sorted(counts.items())))
     return TypeTable(tuple(reps), tuple(mult[T] for T in reps), tuple(pairs))
 

@@ -370,12 +370,56 @@ class TestTopDownBuild:
             assert dict(zip(above, core.quot[i], strict=True)) == {j: index[mul(inv(u), elems[j])] for j in above}
         assert core.partypes == [parabolic_type_of(g, w) for w in elems]
 
-    @pytest.mark.parametrize("s", ["A5", "B4", "D5", "E6", "F4", "H3", "H4", "I2(7)"])
+    STEP_TYPES = ["A5", "B4", "D5", "E6", "E7", "F4", "H3", "H4", "I2(7)"]
+
+    @pytest.mark.parametrize("s", STEP_TYPES)
     def test_subsystem_steps_match_full_steps(self, s):
-        # each element was stepped on the roots below one upper cover only
+        # each orbit was stepped on the roots below one upper cover only, and
+        # the rest of it filled in by conjugation
         backend, elems, steps = walk_nc(ir(s))
         for w in elems:
             assert steps[w] == backend.nc_step(w)
+
+    @pytest.mark.parametrize("s", STEP_TYPES)
+    def test_one_step_per_orbit(self, s, monkeypatch):
+        backend, elems, _ = walk_nc(ir(s))
+        mul, c = backend.mul, elems[-1]
+        c_inv = backend.inv(c)
+        orbit_of = {}
+        for w in elems:
+            u = w
+            while u not in orbit_of:
+                orbit_of[u] = w
+                u = mul(mul(c, u), c_inv)
+        stepped = []
+        nc_step = type(backend).nc_step
+
+        def counted(self, p, roots=None):
+            stepped.append(p)
+            return nc_step(self, p, roots)
+
+        monkeypatch.setattr(type(backend), "nc_step", counted)
+        walk_nc(ir(s))
+        assert sorted(orbit_of[w] for w in stepped) == sorted(set(orbit_of.values()))
+
+    def test_an_orbit_that_does_not_close_is_refused(self, monkeypatch):
+        # conjugation by s1 s3 s4, of order 6 in A4, has orbits longer than h = 5
+        conjugation = wgroup._conjugation
+
+        def by_order_six(backend, c):
+            s = backend.simple_reflections
+            return conjugation(backend, backend.mul(s[0], backend.mul(s[2], s[3])))
+
+        monkeypatch.setattr(wgroup, "_conjugation", by_order_six)
+        with pytest.raises(InvariantError, match="has not closed after h = 5 steps"):
+            walk_nc(ir("A4"))
+
+    def test_conjugates_outside_nc_are_counted(self, monkeypatch):
+        # conjugation by s1 closes its orbits, but carries c out of NC(c)
+        conjugation = wgroup._conjugation
+        monkeypatch.setattr(wgroup, "_conjugation", lambda b, c: conjugation(b, b.simple_reflections[0]))
+        with pytest.raises(InvariantError, match=r"found \d+ elements, not Cat\(W\) = 42"):
+            walk_nc(ir("A4"))
 
     @pytest.mark.parametrize("s,nroots", [("A16", 272), ("B12", 288), ("D12", 264)])
     def test_byte_table_bound(self, s, nroots):
