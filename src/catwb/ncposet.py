@@ -10,7 +10,8 @@ m-multichains of NC, which bounds the work by the poset size rather than by
 determined by them.  The walk takes the links from each NC element in
 increasing quotient order, so it lists NC^m in canonical order, sorted by
 delta tuple, with no sort; the poset holds only the keys and first links
-w_0, and the tuples are decoded only for the Hasse export and the up-lists.
+w_0, as two index arrays, and the tuples are decoded only for the Hasse
+export and the up-lists.
 
 The order is B >= A iff B[i] <= A[i] in NC for i = 1..m, and the tuples
 (w_1, ..., w_m) of NC^m are closed downward under the componentwise NC order
@@ -28,8 +29,11 @@ counts, the Hasse export).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
+from itertools import chain, repeat
 from math import factorial
+from operator import add
 
 from .errors import BudgetExceeded, InvalidArgument, InvariantError
 from .exactmath import MPoly, falling
@@ -42,6 +46,7 @@ from .wgroup import (
     decomposition_numbers,
     _build_nc,
     _check_group_cap,
+    _index_array,
     _type_table,
 )
 
@@ -65,12 +70,13 @@ class NCmPoset:
     """The m-divisible poset over one irreducible type, in the sorted order of
     its delta tuples, which is also rank order since w_0 comes first and NC
     indices follow rank: for each element its first link w_0 and its
-    coordinate key.  The tuples are decoded only when read (the Hasse export
-    and the up-lists).  The order is read off the NC down-lists of the
+    coordinate key, each column an index array (a list where |NC|^m passes
+    2^64).  The tuples are decoded only when read (the Hasse export and the
+    up-lists).  The order is read off the NC down-lists of the
     coordinates (see the module docstring); `poset` derives the sorted
     up-lists from their products on first read."""
 
-    def __init__(self, type: RootSystemType, m: int, core: NCCore, firsts: list[int], keys: list[int]):
+    def __init__(self, type: RootSystemType, m: int, core: NCCore, firsts: Sequence[int], keys: Sequence[int]):
         self.type = type
         self.m = m
         self.core = core
@@ -115,13 +121,20 @@ class NCmPoset:
     def minimal_count(self) -> int:
         return self.ranks.count(0)
 
+    def _lower(self) -> list[list[int]]:
+        """For each NC index d, y - d for the y < d below d in NC, y
+        increasing.  The values are read from one table, by index y - d from
+        its end, so the rows share their ints."""
+        table = list(range(-self.core.size, 0))
+        lower: list[list[int]] = [[] for _ in table]
+        for y, row in enumerate(self.core.poset.above):
+            for d in row:
+                lower[d].append(table[y - d])
+        return lower
+
     def _down_lists(self) -> list[list[int]]:
         """For each NC index d, d and then the smaller indices below it in NC."""
-        downs: list[list[int]] = [[d] for d in range(self.core.size)]
-        for i, row in enumerate(self.core.poset.above):
-            for j in row:
-                downs[j].append(i)
-        return downs
+        return [[d, *(d + x for x in row)] for d, row in enumerate(self._lower())]
 
     def _up_keys(self, elements):
         """For each delta in turn, the keys of its closed up-set: the product
@@ -150,12 +163,15 @@ class NCmPoset:
         that is no element raises InvariantError."""
         radix, n = self.core.size, self.type.rank
         width = (n + 1) * (self.size + 1).bit_length() + 1
-        ranks = self.ranks
-        h = {key: 1 << width * r for key, r in zip(self.keys, ranks)}
-        get, walk, downs = h.__getitem__, sorted(h), self._down_lists()
+        ranks = self.core.poset.ranks  # an element's rank is that of its first link
+        h = {key: 1 << width * ranks[w0] for key, w0 in zip(self.keys, self.firsts)}
+        get, walk = h.__getitem__, sorted(h)
+        steps = lower = self._lower()
         try:
             for scale in (radix**i for i in range(self.m)):
-                steps = [[(y - d) * scale for y in row[1:]] for d, row in enumerate(downs)]
+                if scale > 1:  # scaled[x] = x * scale, read from the end like lower's table
+                    scaled = [x * scale for x in range(-radix, 0)]
+                    steps = [[scaled[x] for x in row] for row in lower]
                 for key in walk:
                     step = steps[key // scale % radix]
                     if len(step) == 1:  # an atom: one read, of the identity in its place
@@ -165,8 +181,8 @@ class NCmPoset:
         except KeyError as exc:
             raise InvariantError(f"{self.name}: {exc.args[0]} lies above an element but is no element") from None
         rows = [0] * (n + 1)
-        for key, r in zip(self.keys, ranks):
-            rows[r] += h[key]
+        for key, w0 in zip(self.keys, self.firsts):
+            rows[ranks[w0]] += h[key]
         return unpack_rows(rows, width)
 
     @cached_property
@@ -222,25 +238,31 @@ def _build_ncm(t: RootSystemType, m: int) -> NCmPoset:
     core = _build_nc(t)
     quot, size = core.quot, core.size
     # multichains e <= c_0 <= ... <= c_(m-1) <= c of NC, grown one link at a
-    # time as (first link, key so far, last link a) over the links (q, b) from
-    # a sorted by q = a^-1 b; quot[a] lists a^-1 b for each b in (a, *above[a])
-    # and ends with a^-1 c.  The first link from e is sorted by b, since q = b
-    # there.  Within each level the links come in increasing q, and a prefix
-    # (w_0, ..., w_(m-1)) fixes the whole tuple, so the walk lists NC^m in
-    # sorted order.
-    links = [sorted(zip(q, (a, *row))) for a, (q, row) in enumerate(zip(quot, core.poset.above))]
-    level = [(b, 0, b) for _, b in links[0]]
+    # time as three columns (first links, keys so far, last links a) over the
+    # links (q, b) from a sorted by q = a^-1 b; quot[a] lists a^-1 b for each
+    # b in (a, *above[a]) and ends with a^-1 c.  The first links, from e, are
+    # all of NC in order, since q = b there; so links are formed only from
+    # m = 2 on, and then for every a.  Within each level the links come in
+    # increasing q, and a prefix (w_0, ..., w_(m-1)) fixes the whole tuple, so
+    # the walk lists NC^m in sorted order.
+    firsts = lasts = range(size)
+    keys = [0] * size
+    if m > 1:
+        # for each a, its links as two columns: the q sorted, and their b
+        rows = enumerate(zip(quot, core.poset.above))
+        link_qs, link_bs = zip(*(zip(*sorted(zip(q, (a, *row)))) for a, (q, row) in rows))
     for scale in (size**i for i in range(m - 1)):
-        level = [(first, key + q * scale, b) for first, key, a in level for q, b in links[a]]
-    if len(level) != n_elements:
-        raise InvariantError(f"NC^{m}({t}) has {len(level)} elements, Cat^({m}) = {n_elements}")
-    top = size ** (m - 1)
-    firsts = [first for first, _, _ in level]
-    keys = [key + quot[a][-1] * top for _, key, a in level]
+        firsts = list(chain.from_iterable(map(repeat, firsts, map(len, map(link_bs.__getitem__, lasts)))))
+        keys = [key + q * scale for key, a in zip(keys, lasts) for q in link_qs[a]]
+        lasts = list(chain.from_iterable(map(link_bs.__getitem__, lasts)))
+    if len(firsts) != n_elements:
+        raise InvariantError(f"NC^{m}({t}) has {len(firsts)} elements, Cat^({m}) = {n_elements}")
+    last_links = [q[-1] * size ** (m - 1) for q in quot]
+    keys = list(map(add, keys, map(last_links.__getitem__, lasts)))
     if len(set(keys)) != len(keys):
         raise InvariantError(f"two elements of NC^{m}({t}) share the coordinates 1..{m}")
-    ncm = NCmPoset(t, m, core, firsts, keys)
-    rank = core.poset.ranks[firsts[ncm.maximum()]]
+    ncm = NCmPoset(t, m, core, _index_array(size, firsts), _index_array(size**m, keys))
+    rank = core.poset.ranks[ncm.firsts[ncm.maximum()]]
     if rank != t.rank:
         raise InvariantError(f"the maximum of NC^{m}({t}) has rank {rank}")
     return ncm

@@ -36,7 +36,9 @@ quotients (Krattenthaler-Muller, Trans. AMS 2010, need only the types of u
 and of u^-1 w_B), and it is all that persists on disk (kind `nctypes`), so
 formula-mode runs build no core.  The core, with its up-sets and quotients
 u^-1 w, is built in memory from the same walk, and never stored, for the
-brute-force NC^m, chain counts and exports.
+brute-force NC^m, chain counts and exports.  It too is formed for one
+element per orbit, the rows of the others mapped through the index
+permutation that conjugation by c induces, and each row is an index array.
 
 Posets are immutable once built and memoised by type alone: every public
 entry point checks the group cap from the closed-form |W| before any memo or
@@ -49,9 +51,12 @@ type.  Broken internal invariants raise InvariantError, also under python -O.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from collections import Counter
 from functools import cached_property, lru_cache, reduce
 from math import factorial, prod
+from operator import add
 
 from .errors import (
     BudgetExceeded,
@@ -440,10 +445,10 @@ def parabolic_type_of(table: GroupTable, w) -> RootSystemType:
 
 class Poset:
     """A finite graded poset: ranks plus the order as sorted strict up-lists,
-    one tuple of indices per element.  The bit rows `up` and `down` are
-    derived from the lists on first read."""
+    one sequence of indices per element (an index array in an NC core).  The
+    bit rows `up` and `down` are derived from the lists on first read."""
 
-    def __init__(self, ranks: list[int], above: list[tuple[int, ...]]):
+    def __init__(self, ranks: list[int], above: list):
         self.ranks = ranks
         self.above = above  # above[i]: the j > i in the order, increasing
         self.size = len(ranks)
@@ -486,11 +491,10 @@ class NCCore:
     """NC for one irreducible type: the interval below the Coxeter element,
     with the order relation, rank function, per-pair quotients u^-1 w (again
     indices into NC), and the parabolic type of every element.  quot[i] is
-    aligned with (i, *poset.above[i]): it lists u_i^-1 u_j for each of those
-    j, so it starts with the identity 0 and ends with u_i^-1 c."""
+    an index array aligned with (i, *poset.above[i]): it lists u_i^-1 u_j for
+    each of those j, so it starts with the identity 0 and ends with u_i^-1 c."""
 
-    def __init__(self, type: RootSystemType, poset: Poset, quot: list[tuple[int, ...]],
-                 partypes: list[RootSystemType]):
+    def __init__(self, type: RootSystemType, poset: Poset, quot: list, partypes: list[RootSystemType]):
         self.type = type
         self.poset = poset
         self.quot = quot
@@ -537,8 +541,11 @@ def walk_nc(t: RootSystemType):
     carries the reflections below w to those below c w c^-1.  So only the
     first element the walk meets in each orbit is stepped, on the roots of
     the reflections below one of its upper covers; the rest of its orbit, at
-    most h elements, is filled in from it.  The walk checks that every orbit
-    closes within h conjugations and that it finds Cat(W) elements."""
+    most h elements, is filled in from it.  Only that first element's lower
+    covers are formed: each orbit one level down holds a conjugate of a lower
+    cover of it, so the next level still meets every orbit.  The walk checks
+    that every orbit closes within h conjugations and that it finds Cat(W)
+    elements."""
     f = t.single()
     backend = _backend_for(f)
     mul, refls = backend.mul, backend.reflections
@@ -550,8 +557,12 @@ def walk_nc(t: RootSystemType):
     for depth in range(n + 1):
         nxt: dict = {}
         for w, roots in level.items():
-            if w not in steps:
+            if w in steps:  # a conjugate of an element met earlier, whose lower covers stand for its own
+                rank = steps[w][0]
+            else:
                 steps[w] = rank, below, ptype = backend.nc_step(w, roots)
+                for i in below:
+                    nxt.setdefault(mul(refls[i], w), below)
                 u = conj(w)
                 for _ in range(h):
                     if u == w:
@@ -561,11 +572,8 @@ def walk_nc(t: RootSystemType):
                     u = conj(u)
                 else:
                     raise InvariantError(f"the c-conjugation orbit of {w!r} has not closed after h = {h} steps")
-            rank, below, _ = steps[w]
             if rank != n - depth:
                 raise InvariantError(f"{w!r} at depth {depth} below c has length {rank}")
-            for i in below:
-                nxt.setdefault(mul(refls[i], w), below)
         level = nxt
     if len(steps) != fuss_catalan(t, 1):
         raise InvariantError(f"the walk of NC({t}) found {len(steps)} elements, not Cat(W) = {fuss_catalan(t, 1)}")
@@ -577,25 +585,62 @@ def walk_nc(t: RootSystemType):
     return backend, elems, steps
 
 
+def _index_array(bound: int, values=()):
+    """values, all below bound, in the narrowest of the array typecodes 'H',
+    'I' and 'Q' that holds them, or in a list where none does."""
+    for code in "HIQ":
+        if bound <= 1 << 8 * array(code).itemsize:
+            return array(code, values)
+    return list(values)
+
+
 @lru_cache(maxsize=None)
 def _build_nc(t: RootSystemType) -> NCCore:
-    """Add the up-sets and the quotients u^-1 w to the walk of NC."""
+    """Add the up-sets and the quotients u^-1 w to the walk of NC, formed for
+    one element u per c-conjugation orbit.  As conjugation by c is a poset
+    automorphism of NC and (c u c^-1)^-1 (c w c^-1) = c (u^-1 w) c^-1, the
+    rows of c u c^-1 are those of u mapped through the index permutation
+    sigma, re-sorted by up-set and the quotients carried along.  The rows are
+    index arrays (see _index_array): 'H' up to 65,536 elements."""
     backend, elems, steps = walk_nc(t)
     mul, inv, refls = backend.mul, backend.inv, backend.reflections
+    size, c = len(elems), elems[-1]
     index = {w: i for i, w in enumerate(elems)}
-    # top down, each strict up-set is complete before it is pushed to the covers
-    ups: list[set[int]] = [set() for _ in elems]
-    for i in reversed(range(len(elems))):
+    conj, _ = _conjugation(backend, c)
+    sigma = [index[conj(w)] for w in elems]
+    code = _index_array(size).typecode
+    wide = {"H": "I", "I": "Q"}[code]  # a (high, low) pair of indices in one int
+    width = 8 * array(code).itemsize
+    high = [s << width for s in sigma]
+    lo = 0 if sys.byteorder == "little" else 1  # where the low half of a wide int lies in memory
+    above: list = [None] * size
+    quot: list = [None] * size
+    # top down, so the up-sets of the upper covers are complete; the element
+    # of each orbit met first is formed, and the rest conjugated from it
+    for i in reversed(range(size)):
+        if above[i] is not None:
+            continue
         w = elems[i]
-        for r in steps[w][1]:
-            lower = ups[index[mul(refls[r], w)]]  # the up-set of a lower cover of i
-            lower |= ups[i]
-            lower.add(i)
-    above = [tuple(sorted(s)) for s in ups]
-    quot = []
-    for i, u in enumerate(elems):
-        u_inv = inv(u)
-        quot.append(tuple(index[mul(u_inv, elems[j])] for j in (i, *above[i])))
+        w_inv = inv(w)
+        # v -> w^-1 v maps [w, c] onto [e, w^-1 c], so the upper covers of w
+        # are w t for the reflections t below w^-1 c
+        up = set()
+        for r in steps[mul(w_inv, c)][1]:
+            j = index[mul(w, refls[r])]
+            up.add(j)
+            up.update(above[j])
+        above[i] = array(code, sorted(up))
+        quot[i] = array(code, [index[mul(w_inv, elems[j])] for j in (i, *above[i])])
+        j = i
+        while sigma[j] != i:
+            # (sigma of up-set index, sigma of quotient) in one wide int each,
+            # sorted by the first; sigma keeps ranks, so sigma(j) stays first
+            pairs = sorted(map(add, map(high.__getitem__, itertools.chain((j,), above[j])),
+                               map(sigma.__getitem__, quot[j])))
+            halves = array(code, array(wide, pairs).tobytes())
+            j = sigma[j]
+            quot[j] = halves[lo::2]
+            above[j] = halves[3 - lo::2]  # the high halves after sigma(j)
     poset = Poset([steps[w][0] for w in elems], above)
     return NCCore(t, poset, quot, [steps[w][2] for w in elems])
 

@@ -2,9 +2,9 @@
 and the Coxeter element of an enumerated group, NC^m as sorted delta tuples
 with their ranks and keys, the Mobius function, zeta
 polynomials and Mobius column vectors of a poset, the M-triangle by a sweep
-over every related pair, rank censuses of intervals and of NC, the
-parabolic-type table read off a whole NC core, and a canonical JSON dump of
-a core for pinned digests."""
+over every related pair, rank censuses of intervals and of NC, the rows of an
+NC core formed element by element, the parabolic-type table read off a whole
+NC core, and a canonical JSON dump of a core for pinned digests."""
 
 import itertools
 from operator import mul
@@ -15,7 +15,7 @@ from catwb.errors import InvariantError, NotComparable
 from catwb.exactmath import MPoly, MUniPoly, gen_binomial
 from catwb.ncposet import NCmPoset, unpack_rows
 from catwb.rootdata import RootSystemType
-from catwb.wgroup import GroupTable, NCCore, Poset, TypeTable, _iter_bits, build_nc
+from catwb.wgroup import GroupTable, NCCore, Poset, TypeTable, _iter_bits, build_nc, walk_nc
 
 
 def abs_leq(table: GroupTable, u, w) -> bool:
@@ -185,6 +185,26 @@ def nc_rank_genfun(t: RootSystemType, group_cap: int | None = None) -> tuple[int
                 new[i + j] += a * b
         out = new
     return tuple(out)
+
+
+def per_element_rows(t: RootSystemType) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The up-lists and quotient rows of NC(t) formed element by element from
+    the walk: each strict up-set pushed top down to the lower covers t w, and
+    one product u^-1 w per pair; the reference for the core that catwb forms
+    one c-conjugation orbit at a time."""
+    backend, elems, steps = walk_nc(t)
+    mul, inv, refls = backend.mul, backend.inv, backend.reflections
+    index = {w: i for i, w in enumerate(elems)}
+    ups: list[set[int]] = [set() for _ in elems]
+    for i in reversed(range(len(elems))):
+        w = elems[i]
+        for r in steps[w][1]:
+            lower = ups[index[mul(refls[r], w)]]
+            lower |= ups[i]
+            lower.add(i)
+    above = [tuple(sorted(s)) for s in ups]
+    quot = [tuple(index[mul(inv(u), elems[j])] for j in (i, *above[i])) for i, u in enumerate(elems)]
+    return above, quot
 
 
 def type_table_from_core(core: NCCore) -> TypeTable:

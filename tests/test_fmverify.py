@@ -109,6 +109,11 @@ class TestModes:
     def test_brute(self, s, m):
         assert verify_fm(ir(s), "brute", m).equal
 
+    def test_brute_e7_with_the_caps_raised(self):
+        # E7's brute-force witness: NC(E7) has 4,160 elements, past the default
+        # group cap (|W| = 2,903,040) and poset cap (4,160^2 pairs)
+        assert verify_fm(ir("E7"), "brute", 1, group_cap=10**7, poset_cap=10**8).equal
+
     def test_brute_requires_m(self):
         with pytest.raises(ValueError):
             verify_fm(ir("A2"), "brute")

@@ -114,7 +114,7 @@ class TestBuildNcm:
     def test_the_walk_lists_the_sorted_tuples(self, s, m):
         # the quotient-sorted walk against the tuples built, sorted and keyed in separate passes
         p = build_ncm(ir(s), m, poset_cap=2 * 10**8)
-        assert (p.elements, p.ranks, p.keys) == ncm_tuples(p.core, m)
+        assert (p.elements, p.ranks, list(p.keys)) == ncm_tuples(p.core, m)
 
     @pytest.mark.parametrize("s,m", ORACLE_CASES)
     def test_order_matches_coordinate_masks(self, s, m):
@@ -192,6 +192,17 @@ class TestBuildNcm:
             cut.m_triangle()
         with pytest.raises(InvariantError, match=rf"NC\^2\(B3\): key {p.keys[k]} lies above an element"):
             cut.poset
+
+    @pytest.mark.parametrize("s,m", [("I2(10)", 18), ("I2(8)", 22)])
+    def test_keys_past_64_bits(self, s, m):
+        # |NC|^m passes 2^64, so the keys are kept in a list, not in a 'Q' array
+        p = build_ncm(ir(s), m, poset_cap=10**9)
+        assert max(p.keys) >= 2**64 and isinstance(p.keys, list) and p.firsts.typecode == "H"
+        assert verify_fm(ir(s), "brute", m, poset_cap=10**9).equal
+
+    def test_columns_are_index_arrays(self):
+        p = build_ncm(ir("D4"), 6, poset_cap=2 * 10**8)  # keys below 50^6 < 2^64
+        assert (p.firsts.typecode, p.keys.typecode) == ("H", "Q")
 
     def test_unique_maximum(self):
         p = build_ncm(ir("B2"), 3)

@@ -50,6 +50,7 @@ from oracle import (
     mobius,
     mobius_column_vectors,
     nc_rank_genfun,
+    per_element_rows,
     poset_m_triangle,
     type_table_from_core,
     zeta_poly,
@@ -401,6 +402,54 @@ class TestTopDownBuild:
         monkeypatch.setattr(type(backend), "nc_step", counted)
         walk_nc(ir(s))
         assert sorted(orbit_of[w] for w in stepped) == sorted(set(orbit_of.values()))
+
+    @pytest.mark.parametrize("s", STEP_TYPES)
+    def test_lower_covers_per_orbit(self, s, monkeypatch):
+        # the walk forms the products t w, its lower covers, for the stepped
+        # element w of each orbit only, once per reflection t below w; the
+        # products before the first step (c itself, and the permutation of
+        # reflections) and inside nc_step are not lower covers
+        backend, elems, steps = walk_nc(ir(s))
+        refls, members = set(backend.reflections), set(elems)
+        stepped, covered, stepping = [], Counter(), []
+        nc_step, mul = type(backend).nc_step, type(backend).mul
+
+        def counted_step(self, p, roots=None):
+            stepped.append(p)
+            stepping.append(p)
+            try:
+                return nc_step(self, p, roots)
+            finally:
+                stepping.pop()
+
+        def counted_mul(self, p, q):
+            if stepped and not stepping and p in refls and q in members:
+                covered[q] += 1
+            return mul(self, p, q)
+
+        monkeypatch.setattr(type(backend), "nc_step", counted_step)
+        monkeypatch.setattr(type(backend), "mul", counted_mul)
+        walk_nc(ir(s))
+        assert covered == {w: len(steps[w][1]) for w in stepped if w != elems[0]}
+
+    @pytest.mark.parametrize("s", STEP_TYPES)
+    def test_core_matches_the_per_element_build(self, s):
+        core = build_nc(ir(s), group_cap=10**7)
+        assert (list(map(tuple, core.poset.above)), list(map(tuple, core.quot))) == per_element_rows(ir(s))
+        assert {row.typecode for row in (*core.poset.above, *core.quot)} == {"H"}
+
+    def test_wide_rows_match_the_per_element_build(self, monkeypatch):
+        # from 65,536 elements on, rows are 'I' arrays, conjugated as pairs
+        # packed in 'Q' ints; forced here on E6
+        narrowest = wgroup._index_array
+        monkeypatch.setattr(wgroup, "_index_array", lambda bound, values=(): narrowest(max(bound, 1 << 17), values))
+        core = wgroup._build_nc.__wrapped__(ir("E6"))
+        assert (list(map(tuple, core.poset.above)), list(map(tuple, core.quot))) == per_element_rows(ir("E6"))
+        assert {row.typecode for row in (*core.poset.above, *core.quot)} == {"I"}
+
+    def test_index_arrays_are_the_narrowest_that_hold_the_bound(self):
+        bounds = (2**16, 2**16 + 1, 2**32 + 1, 2**64, 2**64 + 1)
+        assert [getattr(wgroup._index_array(b), "typecode", None) for b in bounds] == ["H", "I", "Q", "Q", None]
 
     def test_an_orbit_that_does_not_close_is_refused(self, monkeypatch):
         # conjugation by s1 s3 s4, of order 6 in A4, has orbits longer than h = 5
