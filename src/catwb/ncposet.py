@@ -121,20 +121,9 @@ class NCmPoset:
     def minimal_count(self) -> int:
         return self.ranks.count(0)
 
-    def _lower(self) -> list[list[int]]:
-        """For each NC index d, y - d for the y < d below d in NC, y
-        increasing.  The values are read from one table, by index y - d from
-        its end, so the rows share their ints."""
-        table = list(range(-self.core.size, 0))
-        lower: list[list[int]] = [[] for _ in table]
-        for y, row in enumerate(self.core.poset.above):
-            for d in row:
-                lower[d].append(table[y - d])
-        return lower
-
     def _down_lists(self) -> list[list[int]]:
         """For each NC index d, d and then the smaller indices below it in NC."""
-        return [[d, *(d + x for x in row)] for d, row in enumerate(self._lower())]
+        return [[d, *(d + x for x in row)] for d, row in enumerate(self.core.lower)]
 
     def _up_keys(self, elements):
         """For each delta in turn, the keys of its closed up-set: the product
@@ -166,7 +155,7 @@ class NCmPoset:
         ranks = self.core.poset.ranks  # an element's rank is that of its first link
         h = {key: 1 << width * ranks[w0] for key, w0 in zip(self.keys, self.firsts)}
         get, walk = h.__getitem__, sorted(h)
-        steps = lower = self._lower()
+        steps = lower = self.core.lower
         try:
             for scale in (radix**i for i in range(self.m)):
                 if scale > 1:  # scaled[x] = x * scale, read from the end like lower's table

@@ -4,14 +4,29 @@ JSON output."""
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .exactmath import MPoly
 
 
-def _poly_hash(p: MPoly) -> str:
-    import hashlib  # here, not at start-up: OpenSSL loads only once a report is written
+@lru_cache(maxsize=None)
+def _sha256():
+    """The SHA-256 constructor, picked on first use: the interpreter's own
+    (`_sha2` from Python 3.12, `_sha256` before), which loads no OpenSSL;
+    hashlib's only where neither is built in."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return __import__(name).sha256
+        except ImportError:
+            continue
+    import hashlib
 
-    return hashlib.sha256(p.dumps().encode()).hexdigest()
+    return hashlib.sha256
+
+
+def _poly_hash(p: MPoly) -> str:
+    """SHA-256 of the polynomial's canonical dump, as hex."""
+    return _sha256()(p.dumps().encode()).hexdigest()
 
 
 def first_diff(lhs: MPoly, rhs: MPoly) -> dict | None:

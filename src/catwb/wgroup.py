@@ -508,6 +508,19 @@ class NCCore:
     def top(self) -> int:
         return self.size - 1
 
+    @cached_property
+    def lower(self) -> list[list[int]]:
+        """For each index d, y - d for the y < d below d, y increasing: the
+        down-sets as index differences, transposed from the up-sets once
+        per core.  The values are read from one table, by index y - d from
+        its end, so the rows share their ints."""
+        table = list(range(-self.size, 0))
+        lower: list[list[int]] = [[] for _ in table]
+        for y, row in enumerate(self.poset.above):
+            for d in row:
+                lower[d].append(table[y - d])
+        return lower
+
 
 def build_nc(t: RootSystemType, group_cap: int | None = None) -> NCCore:
     """Build NC for an irreducible catalog type; BudgetExceeded above the

@@ -95,6 +95,7 @@ MEMOS_OF_ARGUMENTS_ALONE = {
     "catwb.rootdata._catalog_codes",
     "catwb.rootdata._classify_diagram",
     "catwb.rootdata.deletion_types",
+    "catwb.report._sha256",
     "catwb.wgroup._build_nc",
     "catwb.wgroup._enumerate_group",
 }

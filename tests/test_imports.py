@@ -16,8 +16,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "catwb"
 
 # standard-library modules that catwb's arithmetic never uses and that cost
 # start-up time: dataclasses brings inspect (and ast, dis, tokenize) with it,
-# hashlib loads OpenSSL, which only a verify report needs
+# hashlib loads OpenSSL, which nothing in catwb needs: reports hash their
+# polynomials with the interpreter's own SHA-256
 HEAVY_AT_STARTUP = {"dataclasses", "inspect", "hashlib", "_hashlib"}
+OPENSSL = {"hashlib", "_hashlib", "ssl"}
 
 # imported for other modules to read: the benchmark's tracer checks that
 # ncposet's build_nc is the one it wraps in wgroup
@@ -116,10 +118,12 @@ def test_an_unread_private_name_is_reported():
 
 
 def _modules_after(statement: str) -> set[str]:
-    code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+    """The modules loaded in a fresh interpreter once the statement has run,
+    printed on the last line of its output."""
+    code = f"import sys\n{statement}\nprint()\nprint(' '.join(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return set(out.stdout.split())
+    return set(out.stdout.splitlines()[-1].split())
 
 
 @pytest.mark.parametrize("module", ["catwb.cli", "catwb.fmverify"])
@@ -128,6 +132,16 @@ def test_import_loads_no_heavy_stdlib(module):
     added = _modules_after(f"import {module}") - _modules_after("pass")
     assert module in added
     assert added & HEAVY_AT_STARTUP == set()
+
+
+def test_verify_loads_no_openssl(tmp_path):
+    # the pass writes a report, with a SHA-256 of each side's polynomial
+    loaded = _modules_after(
+        "from catwb.cli import main\n"
+        f"assert main(['verify', '--suite', 'recurrence', '--cache-dir', {str(tmp_path)!r}]) == 0"
+    )
+    assert '"lhs_hash":' in (tmp_path / "verify_recurrence.json").read_text()
+    assert loaded & OPENSSL == set()
 
 
 def package_imports(tree: ast.Module) -> tuple[set[str], list[tuple[str, str, tuple[str, ...]]]]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from functools import cached_property
 
 import pytest
 
@@ -21,6 +22,8 @@ from catwb.ncposet import (
 )
 from catwb.rootdata import fuss_catalan, ir
 from catwb.wgroup import (
+    NCCore,
+    _build_nc,
     _iter_bits,
     _type_table,
     build_nc,
@@ -173,6 +176,27 @@ class TestBuildNcm:
         assert rank_census(t, 2) == tuple(p.poset.rank_counts())
         rank_census(t, 3)
         assert "poset" not in vars(build_ncm(t, 3))
+
+    def test_the_down_sets_are_transposed_once_per_core(self, monkeypatch):
+        # every m_triangle and every derived up-list of a type reads one table of its core
+        built = []
+        transpose = NCCore.lower.func
+
+        def counted(core):
+            built.append(core.type)
+            return transpose(core)
+
+        lower = cached_property(counted)
+        lower.__set_name__(NCCore, "lower")
+        monkeypatch.setattr(NCCore, "lower", lower)
+        _build_nc.cache_clear()
+        _build_ncm.cache_clear()
+        t = ir("B3")
+        for m in (1, 2, 3):
+            m_triangle_bruteforce(t, m)
+        build_ncm(t, 2).poset
+        assert built == [t]
+        assert all(build_ncm(t, m).core is build_nc(t) for m in (1, 2, 3))
 
     def test_sweep_and_census_decode_no_tuples(self):
         t = ir("B3")
