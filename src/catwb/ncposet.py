@@ -9,9 +9,9 @@ m-multichains of NC, which bounds the work by the poset size rather than by
 |W|^(m+1).  Each is keyed by w_1..w_m as a mixed-radix integer; w_0 is
 determined by them.  The walk takes the links from each NC element in
 increasing quotient order, so it lists NC^m in canonical order, sorted by
-delta tuple, with no sort; the poset holds only the keys and first links
-w_0, as two index arrays, and the tuples are decoded only for the Hasse
-export and the up-lists.
+delta tuple, with no sort; the poset holds only the keys, the first links
+w_0 and the keys of the conjugates, as three index arrays, and the tuples
+are decoded only for the Hasse export and the up-lists.
 
 The order is B >= A iff B[i] <= A[i] in NC for i = 1..m, and the tuples
 (w_1, ..., w_m) of NC^m are closed downward under the componentwise NC order
@@ -21,10 +21,16 @@ changes no length, so c = R' A[0] ... B ... A[m] is again length-additive
 and (R' A[0]; A[1], ..., B, ..., A[m]) is an element.  So the closed up-set
 of A is the product of the NC down-lists of A[1], ..., A[m]: the zeta
 function of NC^m is one NC zeta function per coordinate (Stanley, EC I,
-3.8), and the M-triangle inverts it one coordinate at a time, in
-m (Cat^(m+1) - Cat^(m)) reads, not the Cat^(2m) - Cat^(m) related pairs.
-The sorted up-lists are derived from the products only when read (chain
-counts, the Hasse export).
+3.8), and the M-triangle inverts it one coordinate at a time.  Conjugation
+by c is an automorphism of NC(c), the square of the Kreweras complement
+(Armstrong, Mem. AMS 2009); applied to every coordinate it is a
+rank-preserving automorphism of NC^m, whose orbits have at most h elements
+(Bessis-Reiner, Ann. Comb. 2011, for their sizes).  The Mobius values are
+constant on its orbits, so each coordinate pass solves one element per
+orbit, and the reads, m (Cat^(m+1) - Cat^(m)) over all elements, fall by
+about the mean orbit size; the Cat^(2m) - Cat^(m) related pairs are never
+read.  The sorted up-lists are derived from the products only when read
+(chain counts, the Hasse export).
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from operator import add
 
 from .errors import BudgetExceeded, InvalidArgument, InvariantError
 from .exactmath import MPoly, falling
-from .rootdata import RootSystemType, fuss_catalan
+from .rootdata import RootSystemType, degrees_irr, fuss_catalan
 from .wgroup import (
     DEFAULT_POSET_CAP,
     NCCore,
@@ -69,19 +75,24 @@ def unpack_rows(rows: list[int], width: int) -> MPoly:
 class NCmPoset:
     """The m-divisible poset over one irreducible type, in the sorted order of
     its delta tuples, which is also rank order since w_0 comes first and NC
-    indices follow rank: for each element its first link w_0 and its
-    coordinate key, each column an index array (a list where |NC|^m passes
-    2^64).  The tuples are decoded only when read (the Hasse export and the
-    up-lists).  The order is read off the NC down-lists of the
-    coordinates (see the module docstring); `poset` derives the sorted
-    up-lists from their products on first read."""
+    indices follow rank: for each element its first link w_0, its
+    coordinate key and the key of its conjugate by c, each column an index
+    array (a list where |NC|^m passes 2^64).  The tuples are decoded only
+    when read (the Hasse export and the up-lists).  The order is read off
+    the NC down-lists of the coordinates (see the module docstring); `poset`
+    derives the sorted up-lists from their products on first read."""
 
-    def __init__(self, type: RootSystemType, m: int, core: NCCore, firsts: Sequence[int], keys: Sequence[int]):
+    def __init__(self, type: RootSystemType, m: int, core: NCCore, firsts: Sequence[int], keys: Sequence[int],
+                 conjugates: Sequence[int] | None = None):
         self.type = type
         self.m = m
         self.core = core
         self.firsts = firsts  # firsts[k]: w_0 of element k, an NC index
         self.keys = keys  # keys[k]: the sum of w_i |NC|^(i-1) over i = 1..m
+        # conjugates[k]: the key of element k conjugated by c in every
+        # coordinate; left out, each element is its own conjugate, and each
+        # orbit of m_triangle is one element
+        self.conjugates = keys if conjugates is None else conjugates
 
     @property
     def size(self) -> int:
@@ -139,39 +150,90 @@ class NCmPoset:
                     keys = scaled[d] if keys is None else [a + b for b in scaled[d] for a in keys]
             yield keys or (0,)
 
+    def orbits(self) -> tuple[dict, list[int], list[int]]:
+        """The orbits of conjugation by c in every coordinate, found by
+        following the conjugates, each represented by its element stored
+        first.  Returns a dict from each key to the index of its orbit, and
+        for each orbit in turn the position of its representative and its
+        size.  A conjugate that is no element raises KeyError; an orbit that
+        has not closed after h conjugations, h the Coxeter number (c^h = e),
+        raises InvariantError."""
+        keys, n_elements = self.keys, self.size
+        h = max(degrees_irr(self.type.single()))
+        at = dict(zip(keys, range(n_elements)))  # key -> position, then -> its orbit's index
+        after = list(map(at.__getitem__, self.conjugates))  # the position of each conjugate
+        orbit = [-1] * n_elements
+        reps, sizes = [], []
+        for k in range(n_elements):
+            if orbit[k] >= 0:
+                continue  # met in the orbit of an earlier representative
+            orbit[k] = index = len(reps)
+            j, size = after[k], 1
+            while j > k and size < h:  # j <= k: back at k, or in an orbit closed before, which never leads back
+                orbit[j] = index
+                j, size = after[j], size + 1
+            if j != k:
+                raise InvariantError(
+                    f"{self.name}: the orbit of {keys[k]} under conjugation by c has not closed after h = {h} steps"
+                )
+            reps.append(k)
+            sizes.append(size)
+        at.update(zip(keys, orbit))
+        return at, reps, sizes
+
     def m_triangle(self) -> MPoly:
         """Sum of mu(A, B) x^rank(A) y^rank(B) over all pairs A <= B.
 
         h(A) = sum of mu(A, B) X^rank(B) over B >= A solves sum of h(B) over
         B >= A = X^rank(A); as the up-set is a product, it is solved for one
-        coordinate i at a time, each pass in ascending key order: h(A) -= the
-        h(B) of the B that lower A[i] in NC, of smaller keys and so final.
+        coordinate i at a time: h(A) -= the h(B) of the B that lower A[i] in
+        NC.  Conjugation by c in every coordinate keeps rank and order, so h
+        is constant on its orbits (see `orbits`): each pass solves one
+        representative per orbit, and every value is read through the map
+        from key to orbit.  The representatives go in decreasing rank, so a
+        lowered neighbour, which lies above, has its value final: its
+        representative has its rank.  Row r of the triangle sums h over the
+        representatives of rank r, each weighted by its orbit size.
         In base X = 2^W, field s of h(A) is at most the chains from A, below
         (N + 1)^n for N = self.size, and a row sum is below (N + 1)^(n + 1):
-        with W as below each field reads back as a balanced digit.  A key
-        that is no element raises InvariantError."""
+        with W as below each field reads back as a balanced digit.  A lowered
+        key or a conjugate that is no element raises InvariantError naming
+        it, and a list of other than Cat^(m) elements is refused.
+        Down-closure is so checked at the representatives only; with closure
+        under conjugation it holds everywhere."""
         radix, n = self.core.size, self.type.rank
         width = (n + 1) * (self.size + 1).bit_length() + 1
         ranks = self.core.poset.ranks  # an element's rank is that of its first link
-        h = {key: 1 << width * ranks[w0] for key, w0 in zip(self.keys, self.firsts)}
-        get, walk = h.__getitem__, sorted(h)
-        steps = lower = self.core.lower
         try:
+            at, reps, sizes = self.orbits()
+            get = at.__getitem__
+            repkeys = list(map(self.keys.__getitem__, reps))
+            rep_ranks = [ranks[self.firsts[k]] for k in reps]
+            h = [1 << width * r for r in rep_ranks]  # h[o]: the value on orbit o
+            value = h.__getitem__
+            order = sorted(range(len(reps)), key=rep_ranks.__getitem__, reverse=True)
+            steps = lower = self.core.lower
             for scale in (radix**i for i in range(self.m)):
                 if scale > 1:  # scaled[x] = x * scale, read from the end like lower's table
                     scaled = [x * scale for x in range(-radix, 0)]
                     steps = [[scaled[x] for x in row] for row in lower]
-                for key in walk:
+                for o in order:
+                    key = repkeys[o]
                     step = steps[key // scale % radix]
                     if len(step) == 1:  # an atom: one read, of the identity in its place
-                        h[key] -= h[key + step[0]]
+                        h[o] -= h[get(key + step[0])]
                     elif step:
-                        h[key] -= sum(map(get, map(key.__add__, step)))
+                        h[o] -= sum(map(value, map(get, map(key.__add__, step))))
         except KeyError as exc:
-            raise InvariantError(f"{self.name}: {exc.args[0]} lies above an element but is no element") from None
+            raise InvariantError(
+                f"{self.name}: {exc.args[0]} lies above an element or is the conjugate of one, but is no element"
+            ) from None
+        n_elements = fuss_catalan(self.type, self.m)
+        if self.size != n_elements:  # e.g. a minimal element fixed by conjugation, which nothing reaches
+            raise InvariantError(f"{self.name} has {self.size} elements, Cat^({self.m}) = {n_elements}")
         rows = [0] * (n + 1)
-        for key, w0 in zip(self.keys, self.firsts):
-            rows[ranks[w0]] += h[key]
+        for r, size, v in zip(rep_ranks, sizes, h):
+            rows[r] += v * size
         return unpack_rows(rows, width)
 
     @cached_property
@@ -225,7 +287,7 @@ def build_ncm(
 def _build_ncm(t: RootSystemType, m: int) -> NCmPoset:
     n_elements = fuss_catalan(t, m)
     core = _build_nc(t)
-    quot, size = core.quot, core.size
+    quot, size, sigma = core.quot, core.size, core.sigma
     # multichains e <= c_0 <= ... <= c_(m-1) <= c of NC, grown one link at a
     # time as three columns (first links, keys so far, last links a) over the
     # links (q, b) from a sorted by q = a^-1 b; quot[a] lists a^-1 b for each
@@ -234,23 +296,36 @@ def _build_ncm(t: RootSystemType, m: int) -> NCmPoset:
     # m = 2 on, and then for every a.  Within each level the links come in
     # increasing q, and a prefix (w_0, ..., w_(m-1)) fixes the whole tuple, so
     # the walk lists NC^m in sorted order.
+    # A fourth column carries the keys of the conjugates c w_i c^-1, each
+    # link q read through sigma.  At the first level every a is a last link
+    # and every key is 0, so the columns are the link rows end to end.
     firsts = lasts = range(size)
-    keys = [0] * size
+    keys = conjugates = [0] * size
     if m > 1:
         # for each a, its links as two columns: the q sorted, and their b
         rows = enumerate(zip(quot, core.poset.above))
         link_qs, link_bs = zip(*(zip(*sorted(zip(q, (a, *row)))) for a, (q, row) in rows))
-    for scale in (size**i for i in range(m - 1)):
+        firsts = list(chain.from_iterable(map(repeat, firsts, map(len, link_bs))))
+        keys, lasts = (list(chain.from_iterable(links)) for links in (link_qs, link_bs))
+        conjugates = list(map(sigma.__getitem__, keys))
+    for scale in (size**i for i in range(1, m - 1)):
+        qs = [[q * scale for q in row] for row in link_qs]
+        cs = [[sigma[q] * scale for q in row] for row in link_qs]
         firsts = list(chain.from_iterable(map(repeat, firsts, map(len, map(link_bs.__getitem__, lasts)))))
-        keys = [key + q * scale for key, a in zip(keys, lasts) for q in link_qs[a]]
+        keys = [key + q for key, a in zip(keys, lasts) for q in qs[a]]
+        conjugates = [key + q for key, a in zip(conjugates, lasts) for q in cs[a]]
         lasts = list(chain.from_iterable(map(link_bs.__getitem__, lasts)))
     if len(firsts) != n_elements:
         raise InvariantError(f"NC^{m}({t}) has {len(firsts)} elements, Cat^({m}) = {n_elements}")
-    last_links = [q[-1] * size ** (m - 1) for q in quot]
-    keys = list(map(add, keys, map(last_links.__getitem__, lasts)))
+    scale = size ** (m - 1)
+    last_qs = [q[-1] * scale for q in quot]
+    last_cs = [sigma[q[-1]] * scale for q in quot]
+    keys = list(map(add, keys, map(last_qs.__getitem__, lasts)))
+    conjugates = list(map(add, conjugates, map(last_cs.__getitem__, lasts)))
     if len(set(keys)) != len(keys):
         raise InvariantError(f"two elements of NC^{m}({t}) share the coordinates 1..{m}")
-    ncm = NCmPoset(t, m, core, _index_array(size, firsts), _index_array(size**m, keys))
+    ncm = NCmPoset(t, m, core, _index_array(size, firsts), _index_array(size**m, keys),
+                   _index_array(size**m, conjugates))
     rank = core.poset.ranks[ncm.firsts[ncm.maximum()]]
     if rank != t.rank:
         raise InvariantError(f"the maximum of NC^{m}({t}) has rank {rank}")

@@ -490,15 +490,18 @@ class Poset:
 class NCCore:
     """NC for one irreducible type: the interval below the Coxeter element,
     with the order relation, rank function, per-pair quotients u^-1 w (again
-    indices into NC), and the parabolic type of every element.  quot[i] is
-    an index array aligned with (i, *poset.above[i]): it lists u_i^-1 u_j for
-    each of those j, so it starts with the identity 0 and ends with u_i^-1 c."""
+    indices into NC), the parabolic type of every element, and conjugation
+    by c as an index array: sigma[i] is the index of c u_i c^-1, a
+    rank-preserving automorphism of the order.  quot[i] is an index array
+    aligned with (i, *poset.above[i]): it lists u_i^-1 u_j for each of those
+    j, so it starts with the identity 0 and ends with u_i^-1 c."""
 
-    def __init__(self, type: RootSystemType, poset: Poset, quot: list, partypes: list[RootSystemType]):
+    def __init__(self, type: RootSystemType, poset: Poset, quot: list, partypes: list[RootSystemType], sigma):
         self.type = type
         self.poset = poset
         self.quot = quot
         self.partypes = partypes
+        self.sigma = sigma
 
     @property
     def size(self) -> int:
@@ -655,7 +658,7 @@ def _build_nc(t: RootSystemType) -> NCCore:
             quot[j] = halves[lo::2]
             above[j] = halves[3 - lo::2]  # the high halves after sigma(j)
     poset = Poset([steps[w][0] for w in elems], above)
-    return NCCore(t, poset, quot, [steps[w][2] for w in elems])
+    return NCCore(t, poset, quot, [steps[w][2] for w in elems], array(code, sigma))
 
 
 REPR_VERSION = 1

@@ -1,10 +1,12 @@
 """Reference computations the tests compare catwb against: the absolute order
 and the Coxeter element of an enumerated group, NC^m as sorted delta tuples
-with their ranks and keys, the Mobius function, zeta
-polynomials and Mobius column vectors of a poset, the M-triangle by a sweep
-over every related pair, rank censuses of intervals and of NC, the rows of an
-NC core formed element by element, the parabolic-type table read off a whole
-NC core, and a canonical JSON dump of a core for pinned digests."""
+with their ranks and keys, the Mobius function, zeta polynomials and Mobius
+column vectors of a poset, the M-triangle by a sweep over every related pair
+and by a coordinate sweep over every element of NC^m, the conjugates of the
+elements of NC^m by c read off their keys, rank censuses of
+intervals and of NC, the rows of an NC core formed element by element, the
+parabolic-type table read off a whole NC core, and a canonical JSON dump of a
+core for pinned digests."""
 
 import itertools
 from operator import mul
@@ -125,6 +127,43 @@ def ncm_pair_sweep(ncm: NCmPoset) -> MPoly:
     its up-set as the product of the NC down-lists of its coordinates."""
     upsets = zip(reversed(ncm.ranks), ncm._up_keys(reversed(ncm.elements)))
     return mobius_sweep(ncm.type.rank, ncm.size, upsets, ncm.name)
+
+
+def per_element_m_triangle(ncm: NCmPoset) -> MPoly:
+    """The coordinate sweep solving every element of NC^m in each pass, in
+    ascending key order: h(A) -= the h(B) of the B that lower A[i] in NC,
+    of smaller keys and so final; the reference for the sweep that catwb
+    solves one c-conjugation orbit at a time.  Values are read by key with
+    W as in NCmPoset.m_triangle; a key that is no element raises
+    InvariantError."""
+    radix, n = ncm.core.size, ncm.type.rank
+    width = (n + 1) * (ncm.size + 1).bit_length() + 1
+    ranks = ncm.core.poset.ranks
+    h = {key: 1 << width * ranks[w0] for key, w0 in zip(ncm.keys, ncm.firsts)}
+    get = h.__getitem__
+    try:
+        for scale in (radix**i for i in range(ncm.m)):
+            steps = [[x * scale for x in row] for row in ncm.core.lower]
+            for key in sorted(h):
+                h[key] -= sum(map(get, map(key.__add__, steps[key // scale % radix])))
+    except KeyError as exc:
+        raise InvariantError(f"{ncm.name}: {exc.args[0]} lies above an element but is no element") from None
+    rows = [0] * (n + 1)
+    for key, w0 in zip(ncm.keys, ncm.firsts):
+        rows[ranks[w0]] += h[key]
+    return unpack_rows(rows, width)
+
+
+def digit_conjugates(ncm: NCmPoset) -> list[int]:
+    """For each element of NC^m, the key of its conjugate by c in every
+    coordinate, NCCore.sigma applied to each base-|NC| digit of its key: the
+    reference for the column that the multichain walk carries."""
+    radix, sigma = ncm.core.size, ncm.core.sigma
+    out = [0] * ncm.size
+    for scale in (radix**i for i in range(ncm.m)):
+        scaled = [s * scale for s in sigma]
+        out = [c + scaled[key // scale % radix] for c, key in zip(out, ncm.keys)]
+    return out
 
 
 def zeta_values(poset: Poset, i: int, j: int, max_z: int) -> list[int]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from functools import cached_property
 
 import pytest
@@ -20,7 +21,7 @@ from catwb.ncposet import (
     rank_census,
     _build_ncm,
 )
-from catwb.rootdata import fuss_catalan, ir
+from catwb.rootdata import degrees_irr, fuss_catalan, ir
 from catwb.wgroup import (
     NCCore,
     _build_nc,
@@ -32,7 +33,7 @@ from catwb.wgroup import (
 import closed_form_reference as ref
 from mobius_reference import reference_m_triangle
 from mpoly_reference import reference_m_triangle_formula
-from oracle import ncm_pair_sweep, ncm_tuples, poset_m_triangle, zeta_poly
+from oracle import digit_conjugates, ncm_pair_sweep, ncm_tuples, per_element_m_triangle, poset_m_triangle, zeta_poly
 
 # sha256 of MPoly.dumps() of m_triangle_bruteforce(t, m), taken from the
 # sweep over sorted up-lists that preceded the coordinate sweep
@@ -81,6 +82,26 @@ ORACLE_CASES = [
 
 # the nine posets of perfbench's ncm-sweep workload
 SWEEP_CASES = [("A6", 2), ("A5", 3), ("D4", 6), ("B4", 4), ("A4", 5), ("F4", 3), ("H3", 6), ("D5", 2), ("B5", 2)]
+
+# the orbit sweep against the per-element sweep: the oracle cases, types
+# where w_0 = -1 (so c^(h/2) is central and orbits have at most h/2
+# elements) at m >= 2, and an even dihedral type; the two largest benchmark
+# posets are in test_transform_matches_the_pair_sweep
+ORBIT_CASES = ORACLE_CASES + [("B4", 4), ("F4", 2), ("F4", 3), ("I2(10)", 4)]
+
+
+def without(ncm: NCmPoset, k: int) -> NCmPoset:
+    """NC^m with element k cut from each of its three columns."""
+    columns = (ncm.firsts, ncm.keys, ncm.conjugates)
+    return NCmPoset(ncm.type, ncm.m, ncm.core, *([x for i, x in enumerate(seq) if i != k] for seq in columns))
+
+
+def conjugate_positions(ncm: NCmPoset) -> list[int]:
+    """For each element, the position of (c w_0 c^-1; c w_1 c^-1, ...),
+    conjugated digit by digit on the decoded tuples, w_0 included."""
+    sigma = ncm.core.sigma
+    index = {delta: k for k, delta in enumerate(ncm.elements)}
+    return [index[tuple(sigma[d] for d in delta)] for delta in ncm.elements]
 
 
 class TestBuildNcm:
@@ -134,7 +155,60 @@ class TestBuildNcm:
     def test_transform_matches_the_pair_sweep(self, s, m):
         # the two largest posets of perfbench's ncm-sweep workload
         p = build_ncm(ir(s), m, poset_cap=2 * 10**8)
-        assert p.m_triangle() == ncm_pair_sweep(p)
+        assert p.m_triangle() == ncm_pair_sweep(p) == per_element_m_triangle(p)
+
+    @pytest.mark.parametrize("s,m", ORBIT_CASES)
+    def test_the_orbit_sweep_matches_the_per_element_sweep(self, s, m):
+        p = build_ncm(ir(s), m, poset_cap=2 * 10**8)
+        assert p.m_triangle() == per_element_m_triangle(p) == ncm_pair_sweep(p)
+
+    def test_the_orbit_sweep_on_e7_with_the_caps_raised(self):
+        p = build_ncm(ir("E7"), 1, group_cap=10**7, poset_cap=10**8)
+        assert p.m_triangle() == per_element_m_triangle(p) == ncm_pair_sweep(p)
+
+    @pytest.mark.parametrize(
+        "s,m", [("A3", 2), ("B3", 3), ("D4", 6), ("F4", 2), ("H3", 3), ("I2(8)", 3), ("A6", 2)]
+    )
+    def test_the_walk_carries_the_conjugates(self, s, m):
+        # the walk's column, the derivation from the keys, and the decoded tuples agree
+        p = build_ncm(ir(s), m, poset_cap=2 * 10**8)
+        assert list(p.conjugates) == digit_conjugates(p) == [p.keys[j] for j in conjugate_positions(p)]
+        assert p.conjugates.typecode == p.keys.typecode
+
+    @pytest.mark.parametrize("s,m", [("A3", 2), ("B3", 2), ("D4", 3), ("F4", 2), ("H3", 3), ("I2(8)", 3), ("I2(7)", 2)])
+    def test_each_pass_solves_one_element_per_orbit(self, s, m):
+        # a solve reads coordinate i of its key once; keys that count those
+        # reads show that each pass solves the representatives alone
+        t = ir(s)
+        p = build_ncm(t, m)
+        solves = Counter()
+
+        class Key(int):
+            def __floordiv__(self, scale):
+                solves[int(self)] += 1
+                return int(self) // scale
+
+        counted = NCmPoset(t, m, p.core, p.firsts, [Key(key) for key in p.keys], p.conjugates)
+        assert counted.m_triangle() == p.m_triangle()
+        at, reps, sizes = p.orbits()
+        assert solves == {p.keys[k]: m for k in reps}
+        assert sum(sizes) == fuss_catalan(t, m)
+        # the orbits against the conjugates of the decoded tuples
+        after = conjugate_positions(p)
+        for o, (k, size) in enumerate(zip(reps, sizes)):
+            orbit = [k]
+            while after[orbit[-1]] != k:
+                orbit.append(after[orbit[-1]])
+            assert len(orbit) == size and min(orbit) == k
+            assert {at[p.keys[j]] for j in orbit} == {o}
+        assert max(sizes) <= max(degrees_irr(t.single()))
+
+    def test_without_conjugates_every_element_is_its_own_orbit(self):
+        p = build_ncm(ir("B3"), 2)
+        alone = NCmPoset(p.type, p.m, p.core, p.firsts, p.keys)
+        at, reps, sizes = alone.orbits()
+        assert reps == list(range(p.size)) and set(sizes) == {1}
+        assert alone.m_triangle() == p.m_triangle()
 
     @pytest.mark.parametrize("s,m", [("A2", 3), ("B3", 2), ("D4", 2), ("H3", 3), ("D4", 6)])
     def test_reads_per_coordinate_are_a_fuss_catalan_difference(self, s, m):
@@ -149,16 +223,15 @@ class TestBuildNcm:
     @pytest.mark.parametrize("s,m", [("A3", 3), ("B3", 2), ("H3", 2), ("H3", 3)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_a_shuffled_element_list_gives_the_true_triangle_or_is_refused(self, s, m, seed):
-        # a walk in stored order would read values that are not yet final
+        # the sweep goes by orbit and by rank, not by stored order, so a
+        # shuffled list is never refused; the conjugates are the walk's, or
+        # derived from the keys
         p = build_ncm(ir(s), m)
         order = list(range(p.size))
         random.Random(seed).shuffle(order)
-        shuffled = NCmPoset(p.type, m, p.core, *([seq[k] for k in order] for seq in (p.firsts, p.keys)))
-        try:
-            got = shuffled.m_triangle()
-        except InvariantError:
-            return
-        assert got == reference_m_triangle(p.poset)
+        columns = (p.firsts, p.keys, p.conjugates if seed % 2 else digit_conjugates(p))
+        shuffled = NCmPoset(p.type, m, p.core, *([seq[k] for k in order] for seq in columns))
+        assert shuffled.m_triangle() == reference_m_triangle(p.poset)
 
     def test_the_brute_witness_reads_no_formula_memo(self):
         # the brute side must stay independent of the type tables, which every formula path reads
@@ -216,6 +289,49 @@ class TestBuildNcm:
             cut.m_triangle()
         with pytest.raises(InvariantError, match=rf"NC\^2\(B3\): key {p.keys[k]} lies above an element"):
             cut.poset
+
+    def test_a_missing_element_reached_only_by_conjugation_is_refused(self):
+        # a minimal element lies above no element, so no lowered key reaches
+        # it; one stored after its orbit's representative is reached only as
+        # the conjugate of another element of its orbit
+        p = build_ncm(ir("B3"), 2)
+        at, reps, _ = p.orbits()
+        k = next(k for k, key in enumerate(p.keys) if p.ranks[k] == 0 and reps[at[key]] != k)
+        message = rf"NC\^2\(B3\): {p.keys[k]} lies above an element or is the conjugate of one, but is no element"
+        with pytest.raises(InvariantError, match=message):
+            without(p, k).m_triangle()
+
+    def test_a_missing_fixed_point_is_refused_by_the_element_count(self):
+        # (e; e, c) is minimal and fixed by conjugation: neither a lowered key
+        # nor a conjugate reaches it, and only the count of the elements does
+        p = build_ncm(ir("B3"), 2)
+        k = list(p.keys).index(p.core.top * p.core.size)
+        assert p.ranks[k] == 0 and p.conjugates[k] == p.keys[k]
+        with pytest.raises(InvariantError, match=r"NC\^2\(B3\) has 83 elements, Cat\^\(2\) = 84"):
+            without(p, k).m_triangle()
+
+    def test_an_orbit_that_does_not_close_within_h_is_refused(self):
+        # two orbits of h = 4 elements, joined into one cycle of 8 by
+        # exchanging the conjugates of their representatives
+        p = build_ncm(ir("A3"), 2)
+        at, reps, sizes = p.orbits()
+        a, b = [k for k, size in zip(reps, sizes) if size == 4][:2]
+        conjugates = list(p.conjugates)
+        conjugates[a], conjugates[b] = conjugates[b], conjugates[a]
+        joined = NCmPoset(p.type, p.m, p.core, p.firsts, p.keys, conjugates)
+        message = rf"NC\^2\(A3\): the orbit of {p.keys[a]} under conjugation by c has not closed after h = 4 steps"
+        with pytest.raises(InvariantError, match=message):
+            joined.m_triangle()
+
+    def test_a_conjugation_into_another_orbit_is_refused(self):
+        # an element whose conjugate lies in an orbit closed before never leads back
+        p = build_ncm(ir("A3"), 2)
+        at, reps, sizes = p.orbits()
+        a, b = [k for k, size in zip(reps, sizes) if size > 1][:2]
+        conjugates = list(p.conjugates)
+        conjugates[b] = conjugates[a]
+        with pytest.raises(InvariantError, match=rf"the orbit of {p.keys[b]} under conjugation by c has not closed"):
+            NCmPoset(p.type, p.m, p.core, p.firsts, p.keys, conjugates).m_triangle()
 
     @pytest.mark.parametrize("s,m", [("I2(10)", 18), ("I2(8)", 22)])
     def test_keys_past_64_bits(self, s, m):

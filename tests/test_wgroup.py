@@ -447,6 +447,28 @@ class TestTopDownBuild:
         assert (list(map(tuple, core.poset.above)), list(map(tuple, core.quot))) == per_element_rows(ir("E6"))
         assert {row.typecode for row in (*core.poset.above, *core.quot)} == {"I"}
 
+    @pytest.mark.parametrize("s", ["A3", "B4", "D4", "D5", "E6", "F4", "H3", "I2(5)", "I2(8)"])
+    def test_sigma_is_conjugation_by_c_and_an_automorphism(self, s):
+        core = build_nc(ir(s))
+        backend, elems, _ = walk_nc(ir(s))
+        mul, c = backend.mul, elems[-1]
+        c_inv = backend.inv(c)
+        index = {w: i for i, w in enumerate(elems)}
+        sigma = core.sigma
+        assert list(sigma) == [index[mul(mul(c, w), c_inv)] for w in elems]
+        assert sorted(sigma) == list(range(core.size))
+        assert [core.poset.ranks[j] for j in sigma] == core.poset.ranks
+        # sigma carries the up-set of each element onto the up-set of its image
+        assert all(
+            sorted(map(sigma.__getitem__, row)) == list(core.poset.above[sigma[i]])
+            for i, row in enumerate(core.poset.above)
+        )
+        h = max(degrees_irr(ir(s).single()))
+        power = list(range(core.size))
+        for _ in range(h):
+            power = [sigma[i] for i in power]
+        assert power == list(range(core.size))  # c^h = e
+
     def test_index_arrays_are_the_narrowest_that_hold_the_bound(self):
         bounds = (2**16, 2**16 + 1, 2**32 + 1, 2**64, 2**64 + 1)
         assert [getattr(wgroup._index_array(b), "typecode", None) for b in bounds] == ["H", "I", "Q", "Q", None]
