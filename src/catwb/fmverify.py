@@ -82,10 +82,11 @@ def verify_fm_dn_general(n: int, m: int, **caps) -> VerificationReport:
 
     For m = 1 this is a proven case; for m >= 2 no chain-enumeration theorem
     is available, so the outcome is reported as evidence, never asserted."""
-    t = RootSystemType.irreducible("D", n)
-    report = verify_fm(t, "brute", m, **caps)
-    report.name = "fm-dn-general"
-    report.note = (
-        "proven case (m = 1)" if m == 1 else "empirical: open case, outcome reported not asserted"
-    )
-    return report
+    return dn_general_report(verify_fm(RootSystemType.irreducible("D", n), "brute", m, **caps))
+
+
+def dn_general_report(report: VerificationReport) -> VerificationReport:
+    """The D-family record of a brute-force F = M comparison already made,
+    with the note that says whether its m is a proven case."""
+    note = "proven case (m = 1)" if report.m == 1 else "empirical: open case, outcome reported not asserted"
+    return VerificationReport("fm-dn-general", report.type, report.mode, report.m, report.lhs, report.rhs, note)

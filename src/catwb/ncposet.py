@@ -8,10 +8,11 @@ the Coxeter element with additive absolute lengths; they are enumerated as
 m-multichains of NC, which bounds the work by the poset size rather than by
 |W|^(m+1).  Each is keyed by w_1..w_m as a mixed-radix integer; w_0 is
 determined by them.  The walk takes the links from each NC element in
-increasing quotient order, so it lists NC^m in canonical order, sorted by
-delta tuple, with no sort; the poset holds only the keys, the first links
-w_0 and the keys of the conjugates, as three index arrays, and the tuples
-are decoded only for the Hasse export and the up-lists.
+increasing quotient order, the order in which the core stores them, so it
+lists NC^m in canonical order, sorted by delta tuple, and sorts nothing;
+the poset holds only the keys, the first links w_0 and the keys of the
+conjugates, as three index arrays, and the tuples are decoded only for the
+Hasse export and the up-lists.
 
 The order is B >= A iff B[i] <= A[i] in NC for i = 1..m, and the tuples
 (w_1, ..., w_m) of NC^m are closed downward under the componentwise NC order
@@ -39,7 +40,6 @@ from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from math import factorial
-from operator import add
 
 from .errors import BudgetExceeded, InvalidArgument, InvariantError
 from .exactmath import MPoly, falling
@@ -289,39 +289,43 @@ def _build_ncm(t: RootSystemType, m: int) -> NCmPoset:
     core = _build_nc(t)
     quot, size, sigma = core.quot, core.size, core.sigma
     # multichains e <= c_0 <= ... <= c_(m-1) <= c of NC, grown one link at a
-    # time as three columns (first links, keys so far, last links a) over the
-    # links (q, b) from a sorted by q = a^-1 b; quot[a] lists a^-1 b for each
-    # b in (a, *above[a]) and ends with a^-1 c.  The first links, from e, are
-    # all of NC in order, since q = b there; so links are formed only from
-    # m = 2 on, and then for every a.  Within each level the links come in
-    # increasing q, and a prefix (w_0, ..., w_(m-1)) fixes the whole tuple, so
-    # the walk lists NC^m in sorted order.
-    # A fourth column carries the keys of the conjugates c w_i c^-1, each
-    # link q read through sigma.  At the first level every a is a last link
-    # and every key is 0, so the columns are the link rows end to end.
-    firsts = lasts = range(size)
-    keys = conjugates = [0] * size
-    if m > 1:
-        # for each a, its links as two columns: the q sorted, and their b
-        rows = enumerate(zip(quot, core.poset.above))
-        link_qs, link_bs = zip(*(zip(*sorted(zip(q, (a, *row)))) for a, (q, row) in rows))
-        firsts = list(chain.from_iterable(map(repeat, firsts, map(len, link_bs))))
-        keys, lasts = (list(chain.from_iterable(links)) for links in (link_qs, link_bs))
-        conjugates = list(map(sigma.__getitem__, keys))
-    for scale in (size**i for i in range(1, m - 1)):
-        qs = [[q * scale for q in row] for row in link_qs]
-        cs = [[sigma[q] * scale for q in row] for row in link_qs]
-        firsts = list(chain.from_iterable(map(repeat, firsts, map(len, map(link_bs.__getitem__, lasts)))))
-        keys = [key + q for key, a in zip(keys, lasts) for q in qs[a]]
-        conjugates = [key + q for key, a in zip(conjugates, lasts) for q in cs[a]]
-        lasts = list(chain.from_iterable(map(link_bs.__getitem__, lasts)))
+    # time as columns of first links, keys so far and last links a, over the
+    # links (q, b) from a: quot[a] lists q = a^-1 b for b in (a, *above[a])
+    # in increasing q, as the core stores them, and ends with a^-1 c.  The
+    # first links, from e, are all of NC in order, since q = b there.
+    # Within each level the links come in increasing q, and a prefix
+    # (w_0, ..., w_(m-1)) fixes the whole tuple, so the walk lists NC^m in
+    # sorted order with no sort.  The rows of the last link also add b^-1 c
+    # in the next digit, so no column of last links follows them.  A further
+    # column carries the keys of the conjugates c w_i c^-1, each q read
+    # through sigma.
+    ends = [row[-1] for row in quot]  # a^-1 c
+    if m == 1:
+        firsts, keys, conjugates = range(size), ends, list(map(sigma.__getitem__, ends))
+    else:
+        counts = list(map(len, quot))
+        closed = [(a, *row) for a, row in enumerate(core.poset.above)]
+        firsts = lasts = range(size)
+    for level in range(1, m):  # the link c_(level-1) <= c_level, digit level - 1 of the key
+        scale = size ** (level - 1)
+        if level < m - 1:
+            qs = [[q * scale for q in row] for row in quot]
+            cs = [[sigma[q] * scale for q in row] for row in quot]
+        else:  # the last link: each q with b^-1 c in the next digit
+            rows = list(zip(quot, closed))
+            qs = [[(q + size * ends[b]) * scale for q, b in zip(*row)] for row in rows]
+            cs = [[(sigma[q] + size * sigma[ends[b]]) * scale for q, b in zip(*row)] for row in rows]
+        if level == 1:  # every key so far is 0
+            firsts = list(chain.from_iterable(map(repeat, firsts, counts)))
+            keys, conjugates = list(chain.from_iterable(qs)), list(chain.from_iterable(cs))
+        else:
+            firsts = list(chain.from_iterable(map(repeat, firsts, map(counts.__getitem__, lasts))))
+            keys = [key + q for key, a in zip(keys, lasts) for q in qs[a]]
+            conjugates = [key + q for key, a in zip(conjugates, lasts) for q in cs[a]]
+        if level < m - 1:
+            lasts = list(chain.from_iterable(map(closed.__getitem__, lasts)))
     if len(firsts) != n_elements:
         raise InvariantError(f"NC^{m}({t}) has {len(firsts)} elements, Cat^({m}) = {n_elements}")
-    scale = size ** (m - 1)
-    last_qs = [q[-1] * scale for q in quot]
-    last_cs = [sigma[q[-1]] * scale for q in quot]
-    keys = list(map(add, keys, map(last_qs.__getitem__, lasts)))
-    conjugates = list(map(add, conjugates, map(last_cs.__getitem__, lasts)))
     if len(set(keys)) != len(keys):
         raise InvariantError(f"two elements of NC^{m}({t}) share the coordinates 1..{m}")
     ncm = NCmPoset(t, m, core, _index_array(size, firsts), _index_array(size**m, keys),

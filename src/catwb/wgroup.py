@@ -38,7 +38,8 @@ formula-mode runs build no core.  The core, with its up-sets and quotients
 u^-1 w, is built in memory from the same walk, and never stored, for the
 brute-force NC^m, chain counts and exports.  It too is formed for one
 element per orbit, the rows of the others mapped through the index
-permutation that conjugation by c induces, and each row is an index array.
+permutation that conjugation by c induces, and each row is an index array
+in increasing quotient.
 
 Posets are immutable once built and memoised by type alone: every public
 entry point checks the group cap from the closed-form |W| before any memo or
@@ -188,9 +189,14 @@ class RootPermBackend:
         index = {v: i for i, v in enumerate(coords)}
         tail = bytes(range(self.nroots, 256))
         self.identity = bytes(range(self.nroots)) + tail
-        self.simple_reflections = simple = [
-            bytes(index[reflect(i, beta)] for beta in coords) + tail for i in range(n)
-        ]
+        # s_i on the positive roots; as s_i(-beta) = -s_i(beta) and root g is
+        # the negative of root nroots - 1 - g, the negative half is the
+        # positive half reversed and complemented
+        last = self.nroots - 1
+        self.simple_reflections = simple = []
+        for i in range(n):
+            images = [index[reflect(i, beta)] for beta in self.pos_roots]
+            simple.append(bytes(last - g for g in reversed(images)) + bytes(images) + tail)
         table = dict(zip(units, simple))
         for beta, i, gamma in conjugates:
             table[beta] = simple[i].translate(table[gamma]).translate(simple[i])
@@ -328,7 +334,10 @@ class DihedralBackend:
         return 2, list(range(self.a)), RootSystemType.irreducible("I", 2, self.a)
 
 
+@lru_cache(maxsize=None)
 def _backend_for(irr: Irreducible):
+    """The backend of one irreducible type, built once: the walk of NC and
+    the enumeration of W share it."""
     if irr.family == "I":
         return DihedralBackend(irr.param)
     return RootPermBackend(irr)
@@ -444,13 +453,14 @@ def parabolic_type_of(table: GroupTable, w) -> RootSystemType:
 
 
 class Poset:
-    """A finite graded poset: ranks plus the order as sorted strict up-lists,
-    one sequence of indices per element (an index array in an NC core).  The
+    """A finite graded poset: ranks plus the order as strict up-lists, one
+    sequence of indices per element: increasing in an NC^m poset, and in an
+    NC core an index array in the order of its quotients (see NCCore).  The
     bit rows `up` and `down` are derived from the lists on first read."""
 
     def __init__(self, ranks: list[int], above: list):
         self.ranks = ranks
-        self.above = above  # above[i]: the j > i in the order, increasing
+        self.above = above  # above[i]: the j > i in the order
         self.size = len(ranks)
 
     @cached_property
@@ -494,7 +504,9 @@ class NCCore:
     by c as an index array: sigma[i] is the index of c u_i c^-1, a
     rank-preserving automorphism of the order.  quot[i] is an index array
     aligned with (i, *poset.above[i]): it lists u_i^-1 u_j for each of those
-    j, so it starts with the identity 0 and ends with u_i^-1 c."""
+    j, and both are kept in increasing quotient, the order in which the NC^m
+    walk reads them, so they start with (i, the identity 0) and end with
+    (c, u_i^-1 c)."""
 
     def __init__(self, type: RootSystemType, poset: Poset, quot: list, partypes: list[RootSystemType], sigma):
         self.type = type
@@ -613,11 +625,14 @@ def _index_array(bound: int, values=()):
 @lru_cache(maxsize=None)
 def _build_nc(t: RootSystemType) -> NCCore:
     """Add the up-sets and the quotients u^-1 w to the walk of NC, formed for
-    one element u per c-conjugation orbit.  As conjugation by c is a poset
-    automorphism of NC and (c u c^-1)^-1 (c w c^-1) = c (u^-1 w) c^-1, the
-    rows of c u c^-1 are those of u mapped through the index permutation
-    sigma, re-sorted by up-set and the quotients carried along.  The rows are
-    index arrays (see _index_array): 'H' up to 65,536 elements."""
+    one element u per c-conjugation orbit.  Each row is in increasing
+    quotient, the order in which the NC^m walk reads its links: the pairs
+    (u^-1 w, w) are packed in one int each, quotient high, and sorted once.
+    As conjugation by c is a poset automorphism of NC and
+    (c u c^-1)^-1 (c w c^-1) = c (u^-1 w) c^-1, the rows of c u c^-1 are
+    those of u with both halves mapped through the index permutation sigma,
+    and re-sorted.  The rows are index arrays (see _index_array): 'H' up to
+    65,536 elements."""
     backend, elems, steps = walk_nc(t)
     mul, inv, refls = backend.mul, backend.inv, backend.reflections
     size, c = len(elems), elems[-1]
@@ -640,23 +655,25 @@ def _build_nc(t: RootSystemType) -> NCCore:
         w_inv = inv(w)
         # v -> w^-1 v maps [w, c] onto [e, w^-1 c], so the upper covers of w
         # are w t for the reflections t below w^-1 c
-        up = set()
+        up = {i}
         for r in steps[mul(w_inv, c)][1]:
             j = index[mul(w, refls[r])]
             up.add(j)
             up.update(above[j])
-        above[i] = array(code, sorted(up))
-        quot[i] = array(code, [index[mul(w_inv, elems[j])] for j in (i, *above[i])])
+        # (quotient, up-set index) in one wide int each, sorted by the
+        # quotient; i comes first, as its quotient, the identity, is 0
+        pairs = sorted([index[mul(w_inv, elems[j])] << width | j for j in up])
         j = i
-        while sigma[j] != i:
-            # (sigma of up-set index, sigma of quotient) in one wide int each,
-            # sorted by the first; sigma keeps ranks, so sigma(j) stays first
-            pairs = sorted(map(add, map(high.__getitem__, itertools.chain((j,), above[j])),
-                               map(sigma.__getitem__, quot[j])))
+        while True:
             halves = array(code, array(wide, pairs).tobytes())
+            quot[j] = halves[1 - lo::2]
+            above[j] = halves[2 + lo::2]  # the low halves after j itself
+            if sigma[j] == i:
+                break
+            # the same pairs for sigma(j): sigma keeps the identity, so sigma(j) stays first
+            pairs = sorted(map(add, map(high.__getitem__, quot[j]),
+                               map(sigma.__getitem__, itertools.chain((j,), above[j]))))
             j = sigma[j]
-            quot[j] = halves[lo::2]
-            above[j] = halves[3 - lo::2]  # the high halves after sigma(j)
     poset = Poset([steps[w][0] for w in elems], above)
     return NCCore(t, poset, quot, [steps[w][2] for w in elems], array(code, sigma))
 

@@ -229,8 +229,9 @@ def nc_rank_genfun(t: RootSystemType, group_cap: int | None = None) -> tuple[int
 def per_element_rows(t: RootSystemType) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The up-lists and quotient rows of NC(t) formed element by element from
     the walk: each strict up-set pushed top down to the lower covers t w, and
-    one product u^-1 w per pair; the reference for the core that catwb forms
-    one c-conjugation orbit at a time."""
+    one product u^-1 w per pair, each row then sorted by quotient; the
+    reference for the core that catwb forms one c-conjugation orbit at a
+    time."""
     backend, elems, steps = walk_nc(t)
     mul, inv, refls = backend.mul, backend.inv, backend.reflections
     index = {w: i for i, w in enumerate(elems)}
@@ -241,9 +242,8 @@ def per_element_rows(t: RootSystemType) -> tuple[list[tuple[int, ...]], list[tup
             lower = ups[index[mul(refls[r], w)]]
             lower |= ups[i]
             lower.add(i)
-    above = [tuple(sorted(s)) for s in ups]
-    quot = [tuple(index[mul(inv(u), elems[j])] for j in (i, *above[i])) for i, u in enumerate(elems)]
-    return above, quot
+    rows = [sorted((index[mul(inv(u), elems[j])], j) for j in (i, *ups[i])) for i, u in enumerate(elems)]
+    return [tuple(j for _, j in row[1:]) for row in rows], [tuple(q for q, _ in row) for row in rows]
 
 
 def type_table_from_core(core: NCCore) -> TypeTable:
@@ -264,8 +264,9 @@ def type_table_from_core(core: NCCore) -> TypeTable:
 
 def core_dump(core: NCCore) -> dict:
     """Canonical JSON form of a core: ranks, up-set bit rows in hex, each
-    quotient row as (j, u_i^-1 u_j) pairs for j = i and then the j > i, and
-    the parabolic types.  It is the layout, version field included, of the
+    quotient row as (j, u_i^-1 u_j) pairs for j = i and then the j > i in
+    increasing order (whatever order the core keeps them in), and the
+    parabolic types.  It is the layout, version field included, of the
     core entries that earlier versions of catwb kept on disk, so that digests
     pinned then still apply."""
     return {
@@ -275,7 +276,7 @@ def core_dump(core: NCCore) -> dict:
         "ranks": list(core.poset.ranks),
         "up": [format(mask, "x") for mask in core.poset.up],
         "quot": [
-            [[j, q] for j, q in zip((i, *row), qs)]
+            sorted([j, q] for j, q in zip((i, *row), qs, strict=True))
             for i, (row, qs) in enumerate(zip(core.poset.above, core.quot))
         ],
         "partypes": [str(t) for t in core.partypes],

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -96,6 +97,7 @@ MEMOS_OF_ARGUMENTS_ALONE = {
     "catwb.rootdata._classify_diagram",
     "catwb.rootdata.deletion_types",
     "catwb.report._sha256",
+    "catwb.wgroup._backend_for",
     "catwb.wgroup._build_nc",
     "catwb.wgroup._enumerate_group",
 }
@@ -555,6 +557,28 @@ class TestVerifySuites:
         assert rc == 0
         assert (tmp_path / "verify_fm.json").exists()
         assert "fm-dn-general" not in out
+
+    def test_the_open_d4_report_reuses_the_gated_rows(self, capsys, monkeypatch, tmp_path):
+        # fm-dn-general D4 at m = 2, 3 is the comparison of the gated rows
+        # fm D4 brute m=2 and m=3, so each M-triangle is swept once
+        from catwb.ncposet import NCmPoset
+
+        swept = Counter()
+        m_triangle = NCmPoset.m_triangle
+
+        def counted(self):
+            swept[str(self.type), self.m] += 1
+            return m_triangle(self)
+
+        monkeypatch.setattr(NCmPoset, "m_triangle", counted)
+        rc, out = run(capsys, ["verify", "--suite", "fm", "--types", "D4", "--cache-dir", str(tmp_path)])
+        assert rc == 0
+        assert swept == {("D4", 1): 1, ("D4", 2): 1, ("D4", 3): 1}
+        lines = out.splitlines()
+        for m in (2, 3):
+            note = "(empirical: open case, outcome reported not asserted)"
+            assert f"[PASS] fm-dn-general D4 brute m={m}  {note}" in lines
+            assert f"[PASS] fm D4 brute m={m}" in lines
 
     def test_chains_command(self, capsys):
         rc, out = run(capsys, ["chains", "A2", "--m", "1", "--jumps", "1,1"])

@@ -1,6 +1,7 @@
 """m-divisible posets: construction, censuses, M-triangles both ways."""
 
 import hashlib
+import json
 import random
 from collections import Counter
 from functools import cached_property
@@ -11,6 +12,7 @@ from catwb.errors import BudgetExceeded, InvariantError
 from catwb.exactmath import M, MPoly, MUniPoly
 from catwb.fmverify import verify_fm
 from catwb.ftriangle import narayana_closed, row_sum
+from catwb import ncposet
 from catwb.ncposet import (
     NCmPoset,
     build_ncm,
@@ -83,6 +85,20 @@ ORACLE_CASES = [
 # the nine posets of perfbench's ncm-sweep workload
 SWEEP_CASES = [("A6", 2), ("A5", 3), ("D4", 6), ("B4", 4), ("A4", 5), ("F4", 3), ("H3", 6), ("D5", 2), ("B5", 2)]
 
+# sha256 of the JSON list [firsts, keys, conjugates] of build_ncm(t, m), taken
+# from the build that sorted every element's links by quotient on each build
+NCM_COLUMNS_SHA256 = {
+    "A6/2": "f6cb84c8e3c826a1897f1d4ce36c3a61555d239e2887f79a9f0e3435572fa425",
+    "A5/3": "8bf24f895eb7ffd5eac426942f849240dde1709c7816864010aaf34109daac0d",
+    "D4/6": "87a888fdf3a6d98b0a1a63dd3df08092f3d9a7159dcdb8b0d2f7f6b10b6d365a",
+    "B4/4": "33684b013b5bccd52359729cba808e316bef4bdd2b9adf28a77a6fea0185c0f1",
+    "A4/5": "efda3532951fd38e92d35e0af2d0619dda8f5591195c33dca0edbc286159a51d",
+    "F4/3": "d3bcacf0a2272380df8b7ffd554b668c23f341ec3337f6976232174ab193cf69",
+    "H3/6": "c95d836f1ed00376e673d10aa7998bbcdbeca05869bd3741d927173dd7b2fff1",
+    "D5/2": "65db32822b9fddcbef648b0856361c082e1ea4a6e7904d1b6dbf52977503779c",
+    "B5/2": "e7e9f803fc55204d1c77dd66dd4c75e68b0fd10f11d9e095dc4811117b4f83df",
+}
+
 # the orbit sweep against the per-element sweep: the oracle cases, types
 # where w_0 = -1 (so c^(h/2) is central and orbits have at most h/2
 # elements) at m >= 2, and an even dihedral type; the two largest benchmark
@@ -139,6 +155,28 @@ class TestBuildNcm:
         # the quotient-sorted walk against the tuples built, sorted and keyed in separate passes
         p = build_ncm(ir(s), m, poset_cap=2 * 10**8)
         assert (p.elements, p.ranks, list(p.keys)) == ncm_tuples(p.core, m)
+
+    @pytest.mark.parametrize("s,m", SWEEP_CASES)
+    def test_the_columns_are_pinned(self, s, m):
+        p = build_ncm(ir(s), m, poset_cap=2 * 10**8)
+        blob = json.dumps([list(p.firsts), list(p.keys), list(p.conjugates)])
+        assert hashlib.sha256(blob.encode()).hexdigest() == NCM_COLUMNS_SHA256[f"{s}/{m}"]
+
+    def test_the_walk_sorts_nothing(self, monkeypatch):
+        # the core keeps its rows in the quotient order the walk reads
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sorted(*args, **kwargs)
+
+        for s, m in SWEEP_CASES:
+            build_nc(ir(s))
+        _build_ncm.cache_clear()
+        monkeypatch.setitem(vars(ncposet), "sorted", counted)
+        for s, m in SWEEP_CASES:
+            build_ncm(ir(s), m, poset_cap=2 * 10**8)
+        assert calls == []
 
     @pytest.mark.parametrize("s,m", ORACLE_CASES)
     def test_order_matches_coordinate_masks(self, s, m):

@@ -368,7 +368,8 @@ class TestTopDownBuild:
         for i, u in enumerate(elems):
             above = [j for j, w in enumerate(elems) if abs_leq(g, u, w)]
             assert list(_iter_bits(core.poset.up[i])) == above
-            assert dict(zip(above, core.quot[i], strict=True)) == {j: index[mul(inv(u), elems[j])] for j in above}
+            pairs = dict(zip((i, *core.poset.above[i]), core.quot[i], strict=True))
+            assert pairs == {j: index[mul(inv(u), elems[j])] for j in above}
         assert core.partypes == [parabolic_type_of(g, w) for w in elems]
 
     STEP_TYPES = ["A5", "B4", "D5", "E6", "E7", "F4", "H3", "H4", "I2(7)"]
@@ -447,6 +448,26 @@ class TestTopDownBuild:
         assert (list(map(tuple, core.poset.above)), list(map(tuple, core.quot))) == per_element_rows(ir("E6"))
         assert {row.typecode for row in (*core.poset.above, *core.quot)} == {"I"}
 
+    @pytest.mark.parametrize("s", STEP_TYPES)
+    def test_core_rows_are_in_quotient_order(self, s, monkeypatch):
+        # each row starts with (i, e) and ends with (c, u_i^-1 c), quotients
+        # increasing, as the NC^m walk reads them; the same holds for 'I' rows,
+        # forced here, which hold the same values
+        core = build_nc(ir(s), group_cap=10**7)
+        narrowest = wgroup._index_array
+        monkeypatch.setattr(wgroup, "_index_array", lambda bound, values=(): narrowest(max(bound, 1 << 17), values))
+        wide = wgroup._build_nc.__wrapped__(ir(s))
+        assert {row.typecode for row in (*wide.poset.above, *wide.quot)} == {"I"}
+        for built in (core, wide):
+            for i, (row, qs) in enumerate(zip(built.poset.above, built.quot)):
+                assert len(qs) == len(row) + 1 and qs[0] == 0
+                assert all(a < b for a, b in zip(qs, qs[1:]))
+                # u_i^-1 c, the quotient of the top, has the complementary rank
+                assert i == core.top or row[-1] == core.top
+                assert core.poset.ranks[qs[-1]] == core.type.rank - core.poset.ranks[i]
+        assert list(map(list, wide.poset.above)) == list(map(list, core.poset.above))
+        assert list(map(list, wide.quot)) == list(map(list, core.quot))
+
     @pytest.mark.parametrize("s", ["A3", "B4", "D4", "D5", "E6", "F4", "H3", "I2(5)", "I2(8)"])
     def test_sigma_is_conjugation_by_c_and_an_automorphism(self, s):
         core = build_nc(ir(s))
@@ -458,10 +479,10 @@ class TestTopDownBuild:
         assert list(sigma) == [index[mul(mul(c, w), c_inv)] for w in elems]
         assert sorted(sigma) == list(range(core.size))
         assert [core.poset.ranks[j] for j in sigma] == core.poset.ranks
-        # sigma carries the up-set of each element onto the up-set of its image
+        # sigma carries the (j, u_i^-1 u_j) pairs of each element onto those of its image
+        rows = [dict(zip((i, *row), qs, strict=True)) for i, (row, qs) in enumerate(zip(core.poset.above, core.quot))]
         assert all(
-            sorted(map(sigma.__getitem__, row)) == list(core.poset.above[sigma[i]])
-            for i, row in enumerate(core.poset.above)
+            {sigma[j]: sigma[q] for j, q in row.items()} == rows[sigma[i]] for i, row in enumerate(rows)
         )
         h = max(degrees_irr(ir(s).single()))
         power = list(range(core.size))
@@ -590,7 +611,7 @@ class TestDecomposition:
         walked = Counter()  # strict chains from the identity by ordered step types
 
         def walk(i, prefix):
-            for j, q in zip(_iter_bits(core.poset.up[i]), core.quot[i], strict=True):
+            for j, q in zip((i, *core.poset.above[i]), core.quot[i], strict=True):
                 if j != i:
                     tau = prefix + (core.partypes[q],)
                     walked[tau] += 1
