@@ -8,13 +8,12 @@ relating the two, all in exact arithmetic.
 
 __version__ = "0.1.0"
 
-from .exactmath import MPoly, MUniPoly, gen_binomial, substitute_fm
+from .exactmath import MPoly, MUniPoly, substitute_fm
 from .rootdata import Irreducible, RootSystemType, ir
 
 __all__ = [
     "MPoly",
     "MUniPoly",
-    "gen_binomial",
     "substitute_fm",
     "Irreducible",
     "RootSystemType",

@@ -33,10 +33,6 @@ class BudgetExceeded(CatwbError, RuntimeError):
         self.estimate = estimate
 
 
-class NotComparable(CatwbError, ValueError):
-    """Two poset elements are not related in the partial order."""
-
-
 class SingularPoint(CatwbError, ZeroDivisionError):
     """A kernel denominator form vanished at an evaluation point."""
 

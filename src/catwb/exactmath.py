@@ -1,16 +1,18 @@
 """Exact arithmetic core: the ring Z[tau] of integers of Q(sqrt 5) (`GoldInt`,
-the one representation of the golden-ratio field), univariate polynomials in
-the Fuss parameter m, sparse bivariate polynomials in (x, y) whose
-coefficients are such m-polynomials, and the two polynomial transforms the
-identities need.
+the one representation of the golden-ratio field), sparse bivariate
+polynomials in (x, y) whose coefficients are polynomials in the Fuss
+parameter m (`MPoly`, the one exact polynomial ring), the read-only view of
+one such coefficient (`MUniPoly`), integer polynomials in m, and the two
+polynomial transforms the identities need.
 
 Everything here is immutable and exact; no floats anywhere.  Scalars are
-ints and `fractions.Fraction`s; an m-polynomial keeps integer numerators over
-one common denominator, and its coefficients come back as Fractions only when
-read.  A bivariate polynomial keeps one denominator for all its coefficients
-and integer numerator rows per monomial, so every product, sum, scaling and
-transform is integer arithmetic on rows, and an m-polynomial is built only
-when a coefficient is read.
+ints and `fractions.Fraction`s.  A bivariate polynomial keeps one denominator
+for all its coefficients and integer numerator rows per monomial, so every
+product, sum, scaling and transform is integer arithmetic on rows.  An
+m-polynomial is built only when a coefficient is read, as integer numerators
+over one denominator that come back as Fractions; it has no arithmetic of its
+own.  Closed forms in m are integer rows: `falling` and `binom_int`, over a
+factorial.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, zip_longest
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -35,16 +37,15 @@ def _as_fraction(v) -> Fraction:
 
 
 def _parts(v) -> tuple[tuple[int, ...], int]:
-    """The numerators and denominator of an MUniPoly, int or Fraction, with
-    no Fraction built; anything else (bool too) is coerced first."""
+    """The numerators and denominator of an int (bool too), Fraction or
+    MUniPoly, with no Fraction built."""
     if isinstance(v, MUniPoly):
         return v.nums, v.den
-    if type(v) is int:
-        return (v,), 1
+    if isinstance(v, int):
+        return (int(v),), 1
     if isinstance(v, Fraction):
         return (v.numerator,), v.denominator
-    v = MUniPoly.coerce(v)
-    return v.nums, v.den
+    raise TypeError(f"expected int, Fraction or MUniPoly, got {type(v).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +116,9 @@ class GoldInt:
 
 
 class MUniPoly:
-    """A polynomial in the Fuss parameter m with rational coefficients.
+    """A polynomial in the Fuss parameter m with rational coefficients: the
+    read-only view of one coefficient of an MPoly (`coeff`, `terms`,
+    `iter_terms`).  The arithmetic is MPoly's.
 
     Stored as integer numerators `nums` by ascending power, trailing zeros
     trimmed, over one positive common denominator `den`, in lowest terms:
@@ -125,36 +128,14 @@ class MUniPoly:
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        _normalise(self, [c.numerator * (den // c.denominator) for c in cs], den)
+    def __init__(self):
+        raise TypeError("MUniPoly is a read-only view of an MPoly coefficient; build polynomials as MPoly")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):  # copy and pickle without __setattr__
-        return _mup, (list(self.nums), self.den)
-
-    # construction helpers -------------------------------------------------
-
-    @staticmethod
-    def const(c) -> "MUniPoly":
-        c = _as_fraction(c)
-        return _mup([c.numerator], c.denominator)
-
-    @staticmethod
-    def var() -> "MUniPoly":
-        """The polynomial m itself."""
-        return _mup([0, 1], 1)
-
-    @staticmethod
-    def coerce(v) -> "MUniPoly":
-        if isinstance(v, MUniPoly):
-            return v
-        return MUniPoly.const(v)
-
-    # inspection ------------------------------------------------------------
+        return _mup, (self.nums, self.den)
 
     def __bool__(self):
         return bool(self.nums)
@@ -185,62 +166,9 @@ class MUniPoly:
             qk *= q
         return Fraction(acc * q, self.den * qk)
 
-    def is_nonneg(self) -> bool:
-        """Whether every stored coefficient is >= 0."""
-        return all(a >= 0 for a in self.nums)
-
-    # arithmetic ------------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, MPoly):  # so that MPoly.__radd__ runs
-            return NotImplemented
-        b, bden = _parts(other)
-        a, den = self.nums, self.den
-        if den != bden:
-            g = gcd(den, bden)
-            a = [c * (bden // g) for c in a]
-            b = [c * (den // g) for c in b]
-            den *= bden // g
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _mup(out, den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _mup([-a for a in self.nums], self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, MPoly):  # so that MPoly.__rmul__ runs
-            return NotImplemented
-        b, bden = _parts(other)
-        return _mup(int_poly_mul(self.nums, b), self.den * bden)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return self * (1 / _as_fraction(scalar))
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = MUniPoly.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MUniPoly.const(other)
+            other = _mup(*_parts(other))
         if isinstance(other, MUniPoly):
             return self.nums == other.nums and self.den == other.den
         return NotImplemented
@@ -281,54 +209,16 @@ class MUniPoly:
         return out.replace("+ -", "- ")
 
 
-def _normalise(p: MUniPoly, nums: list[int], den: int) -> None:
-    """Store nums/den (den > 0) in p: trailing zeros trimmed, lowest terms."""
-    while nums and not nums[-1]:
-        nums.pop()
-    g = gcd(den, *nums)
-    if g != 1:
-        nums = [a // g for a in nums]
-        den //= g
-    object.__setattr__(p, "nums", tuple(nums))
-    object.__setattr__(p, "den", den)
-
-
-def _mup(nums: list[int], den: int) -> MUniPoly:
+def _mup(nums, den: int) -> MUniPoly:
+    """The MUniPoly nums/den (den > 0): trailing zeros trimmed, in lowest terms."""
+    top = len(nums)
+    while top and not nums[top - 1]:
+        top -= 1
+    g = gcd(den, *nums[:top])
     p = object.__new__(MUniPoly)
-    _normalise(p, nums, den)
+    object.__setattr__(p, "nums", tuple(a // g for a in nums[:top]))
+    object.__setattr__(p, "den", den // g)
     return p
-
-
-M = MUniPoly.var()
-ONE = MUniPoly.const(1)
-
-
-def gen_binomial(N, K: int):
-    """Generalized binomial coefficient N(N-1)...(N-K+1)/K!, zero for K < 0.
-
-    N may be an integer, a Fraction, or an MUniPoly in m; the result has the
-    matching kind (Fraction for numeric N, MUniPoly otherwise).  Polynomial
-    results are memoised; integral N goes through `binom_int`.
-    """
-    if isinstance(N, MUniPoly):
-        return _binom_poly(N, K) if K >= 0 else MUniPoly()
-    N = _as_fraction(N)
-    if N.denominator == 1:
-        return Fraction(binom_int(N.numerator, K))
-    if K < 0:
-        return Fraction(0)
-    num = Fraction(1)
-    for i in range(K):
-        num *= N - i
-    return num / factorial(K)
-
-
-@lru_cache(maxsize=None)
-def _binom_poly(N: MUniPoly, K: int) -> MUniPoly:
-    out = ONE
-    for i in range(K):
-        out = out * (N - i)
-    return out / factorial(K)
 
 
 def binom_int(n: int, k: int) -> int:
@@ -441,12 +331,12 @@ class MPoly:
 
     def coeff(self, dx: int, dy: int) -> MUniPoly:
         row = self.rows.get((dx, dy))
-        return _mup(list(row), self.den) if row else MUniPoly()
+        return _mup(row or (), self.den)
 
     @property
     def terms(self) -> dict[tuple[int, int], MUniPoly]:
         """The nonzero coefficients, one MUniPoly per monomial."""
-        return {key: _mup(list(row), self.den) for key, row in self.rows.items()}
+        return {key: _mup(row, self.den) for key, row in self.rows.items()}
 
     @property
     def total_degree(self) -> int:
@@ -455,7 +345,7 @@ class MPoly:
 
     def iter_terms(self) -> Iterator[tuple[int, int, MUniPoly]]:
         for (k, l) in sorted(self.rows):
-            yield k, l, _mup(list(self.rows[(k, l)]), self.den)
+            yield k, l, _mup(self.rows[(k, l)], self.den)
 
     # arithmetic ------------------------------------------------------------
 
@@ -568,11 +458,12 @@ class MPoly:
 
     @staticmethod
     def from_json_obj(obj: Iterable[Mapping]) -> "MPoly":
-        terms = {}
+        parts = {}
         for entry in obj:
-            coeff = MUniPoly(Fraction(s) for s in entry["coeff"])
-            terms[(int(entry["dx"]), int(entry["dy"]))] = coeff
-        return MPoly(terms)
+            cs = [Fraction(c) for c in entry["coeff"]]
+            den = lcm(*(c.denominator for c in cs))
+            parts[int(entry["dx"]), int(entry["dy"])] = [c.numerator * (den // c.denominator) for c in cs], den
+        return MPoly.from_parts(parts)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
@@ -601,7 +492,7 @@ class MPoly:
                 mono += ("" if not mono else ("" if latex else "*")) + (
                     "y" if l == 1 else (f"y^{{{l}}}" if latex else f"y^{l}")
                 )
-            cs = _mup(list(row), self.den).format(latex=latex)
+            cs = _mup(row, self.den).format(latex=latex)
             if mono:
                 if cs == "1":
                     parts.append(mono)

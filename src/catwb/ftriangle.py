@@ -10,23 +10,11 @@ coefficient tables.  Reducible types multiply.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .errors import UnsupportedType
-from .exactmath import (
-    M,
-    MPoly,
-    MUniPoly,
-    _mup,
-    _parts,
-    binom_int,
-    falling,
-    gen_binomial,
-    int_poly_mul,
-    substitute_dual,
-)
+from .exactmath import MPoly, MUniPoly, _mup, _parts, binom_int, falling, int_poly_mul, substitute_dual
 from .ncposet import rank_census
 from .report import VerificationReport
 from .rootdata import Irreducible, RootSystemType, deletion_types
@@ -314,16 +302,19 @@ def row_sum(t: RootSystemType, k: int) -> MUniPoly:
 
 
 def row_sum_closed(t: RootSystemType, k: int) -> MUniPoly:
-    """Closed product forms for the classical-family row sums."""
+    """Closed product forms for the classical-family row sums, as integer
+    numerators in m over k! (times k + 1 in type A)."""
     f = t.single()
     n = f.rank
-    if f.family == "A":
-        return gen_binomial(M * (n + 1) + (k + 1), k) * Fraction(gen_binomial(n, k), k + 1)
-    if f.family == "B":
-        return gen_binomial(M * n + k, k) * gen_binomial(n, k)
-    if f.family == "D":
-        mm = M * (n - 1)
-        return gen_binomial(mm + k, k) * gen_binomial(n, k) + gen_binomial(mm + (k - 1), k) * gen_binomial(n - 2, k - 2)
+    if f.family == "A":  # binom((n+1)m + k+1, k) binom(n, k)/(k+1)
+        c = binom_int(n, k)
+        return _mup([c * a for a in falling(n + 1, k + 1, k)], factorial(k) * (k + 1))
+    if f.family == "B":  # binom(nm + k, k) binom(n, k)
+        c = binom_int(n, k)
+        return _mup([c * a for a in falling(n, k, k)], factorial(k))
+    if f.family == "D":  # binom((n-1)m + k, k) binom(n, k) + binom((n-1)m + k-1, k) binom(n-2, k-2)
+        c, d = binom_int(n, k), binom_int(n - 2, k - 2)
+        return _mup([c * a + d * b for a, b in zip(falling(n - 1, k, k), falling(n - 1, k - 1, k))], factorial(k))
     raise UnsupportedType(f"no closed row sum for {t}")
 
 

@@ -83,16 +83,14 @@ class NCmPoset:
     derives the sorted up-lists from their products on first read."""
 
     def __init__(self, type: RootSystemType, m: int, core: NCCore, firsts: Sequence[int], keys: Sequence[int],
-                 conjugates: Sequence[int] | None = None):
+                 conjugates: Sequence[int]):
         self.type = type
         self.m = m
         self.core = core
         self.firsts = firsts  # firsts[k]: w_0 of element k, an NC index
         self.keys = keys  # keys[k]: the sum of w_i |NC|^(i-1) over i = 1..m
-        # conjugates[k]: the key of element k conjugated by c in every
-        # coordinate; left out, each element is its own conjugate, and each
-        # orbit of m_triangle is one element
-        self.conjugates = keys if conjugates is None else conjugates
+        # conjugates[k]: the key of element k conjugated by c in every coordinate
+        self.conjugates = conjugates
 
     @property
     def size(self) -> int:

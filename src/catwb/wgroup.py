@@ -83,23 +83,6 @@ DEFAULT_GROUP_CAP = 100_000
 DEFAULT_POSET_CAP = 2_000_000  # bound on the squared size of an NC^m poset
 
 
-_NONZERO = bytes([0] + [1] * 255)
-_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
-
-
-def _iter_bits(mask: int) -> list[int]:
-    """Set bits of mask in increasing order, by a C-level scan of its bytes."""
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    flags = data.translate(_NONZERO)
-    out = []
-    k = flags.find(1)
-    while k >= 0:
-        for i in _BYTE_BITS[data[k]]:
-            out.append(8 * k + i)
-        k = flags.find(1, k + 1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Group backends
 # ---------------------------------------------------------------------------
@@ -139,10 +122,11 @@ class RootPermBackend:
     of a positive root (both integer parts, in Z[tau]) are all >= 0, the npos
     negative roots come first, which __init__ checks: root npos + r is the
     r-th positive root, the root of reflection r.  Only the n simple tables
-    are computed from coordinates; the table of every other positive root
-    beta is s_i s_gamma s_i, for the step beta = s_i(gamma) that found it
-    while closing the positive roots.  Each root is also kept as one packed
-    int, `packed`, so that nc_step sums the roots of a cycle as plain ints.
+    come from coordinates, read off the images s_i(gamma) formed while
+    closing the positive roots; the table of every other positive root beta
+    is s_i s_gamma s_i, for the step beta = s_i(gamma) that found it.  Each
+    root is also kept as one packed int, `packed`, so that nc_step sums the
+    roots of a cycle as plain ints.
     """
 
     def __init__(self, irr: Irreducible):
@@ -166,6 +150,9 @@ class RootPermBackend:
 
         units = [tuple(ring(int(i == j)) for j in range(n)) for i in range(n)]
         positives = set(units)
+        # images[i][gamma] = s_i(gamma) for every positive gamma: -alpha_i for
+        # gamma = alpha_i, and the rest formed while closing the positive roots
+        images = [{alpha: tuple(-c for c in alpha)} for alpha in units]
         conjugates = []  # (beta, i, gamma) with beta = s_i(gamma), gamma found first
         frontier = list(units)
         while frontier:
@@ -174,7 +161,7 @@ class RootPermBackend:
                 for i in range(n):
                     if gamma == units[i]:
                         continue
-                    beta = reflect(i, gamma)
+                    beta = images[i][gamma] = reflect(i, gamma)
                     if beta not in positives:
                         positives.add(beta)
                         conjugates.append((beta, i, gamma))
@@ -194,9 +181,9 @@ class RootPermBackend:
         # positive half reversed and complemented
         last = self.nroots - 1
         self.simple_reflections = simple = []
-        for i in range(n):
-            images = [index[reflect(i, beta)] for beta in self.pos_roots]
-            simple.append(bytes(last - g for g in reversed(images)) + bytes(images) + tail)
+        for image in images:
+            row = [index[image[beta]] for beta in self.pos_roots]
+            simple.append(bytes(last - g for g in reversed(row)) + bytes(row) + tail)
         table = dict(zip(units, simple))
         for beta, i, gamma in conjugates:
             table[beta] = simple[i].translate(table[gamma]).translate(simple[i])
@@ -431,16 +418,6 @@ def _enumerate_group(irr: Irreducible) -> GroupTable:
     return table
 
 
-def abs_length(table: GroupTable, w) -> int:
-    """Absolute length as the rank of nc_step, the rank of the subsystem of
-    roots w moves; checked to agree with the breadth-first layering oracle."""
-    rank = table.backend.nc_step(w)[0]
-    bfs = table.abs_length_of(w)
-    if rank != bfs:
-        raise InvariantError(f"length methods disagree on {w!r}: {rank} vs {bfs}")
-    return rank
-
-
 def parabolic_type_of(table: GroupTable, w) -> RootSystemType:
     """Type of w as a parabolic Coxeter element: classify the sub-root-system
     of the roots w moves."""
@@ -456,7 +433,7 @@ class Poset:
     """A finite graded poset: ranks plus the order as strict up-lists, one
     sequence of indices per element: increasing in an NC^m poset, and in an
     NC core an index array in the order of its quotients (see NCCore).  The
-    bit rows `up` and `down` are derived from the lists on first read."""
+    bit rows `up` are derived from the lists on first read."""
 
     def __init__(self, ranks: list[int], above: list):
         self.ranks = ranks
@@ -467,18 +444,6 @@ class Poset:
     def up(self) -> list[int]:
         """up[i] has bit j set iff element i <= element j."""
         return [sum(1 << j for j in (i, *row)) for i, row in enumerate(self.above)]
-
-    @cached_property
-    def down(self) -> list[int]:
-        """down[j] has bit i set iff element i <= element j."""
-        down = [0] * self.size
-        for i, mask in enumerate(self.up):
-            for j in _iter_bits(mask):
-                down[j] |= 1 << i
-        return down
-
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self.up[i] >> j & 1)
 
     @cached_property
     def slices(self) -> list[list[int]]:

@@ -7,7 +7,8 @@ from fractions import Fraction
 from functools import cache
 
 from catwb.errors import SingularPoint
-from catwb.exactmath import gen_binomial
+
+from mpoly_reference import gen_binomial
 
 # every function here is pure; the memos keep the seed sweeps short
 binom = cache(gen_binomial)

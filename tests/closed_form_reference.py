@@ -1,27 +1,30 @@
-"""The closed forms of catwb evaluated in `Fraction` and m-polynomial
-arithmetic, one coefficient at a time: the reference that the integer
-numerator rows of `catwb.ftriangle` (the classical face numbers and the
-Fuss-Narayana vectors), `catwb.fmverify.fm_lhs_closed_classical` and
-`catwb.wgroup.chain_count_formula` are compared against."""
+"""The closed forms of catwb evaluated in `Fraction` arithmetic and in the
+ring MPoly, one generalized binomial at a time: the reference that the
+integer numerator rows of `catwb.ftriangle` (the classical face numbers, the
+row sums and the Fuss-Narayana vectors), `catwb.fmverify.fm_lhs_closed_classical`
+and `catwb.wgroup.chain_count_formula` are compared against.  Every
+m-polynomial here is an MPoly constant."""
 
 from fractions import Fraction
 from functools import reduce
 
 from catwb.errors import InvariantError, UnsupportedType
-from catwb.exactmath import M, MPoly, MUniPoly, gen_binomial
+from catwb.exactmath import MPoly
 from catwb.ftriangle import f_closed
 
+from mpoly_reference import M, gen_binomial
 
-def face_number_a(n: int, k: int, l: int) -> MUniPoly:
+
+def face_number_a(n: int, k: int, l: int) -> MPoly:
     c = Fraction(l + 1, k + l + 1) * gen_binomial(n, k + l)
     return gen_binomial(M * (n + 1) + (k - 1), k) * c
 
 
-def face_number_b(n: int, k: int, l: int) -> MUniPoly:
+def face_number_b(n: int, k: int, l: int) -> MPoly:
     return gen_binomial(M * n + (k - 1), k) * gen_binomial(n, k + l)
 
 
-def face_number_d(n: int, k: int, l: int) -> MUniPoly:
+def face_number_d(n: int, k: int, l: int) -> MPoly:
     mm = M * (n - 1)
     out = gen_binomial(mm + (k - 1), k) * gen_binomial(n, k + l)
     out = out + M * gen_binomial(mm + (k - 2), k - 1) * gen_binomial(n - 1, k + l - 1)
@@ -33,10 +36,24 @@ def face_number_d(n: int, k: int, l: int) -> MUniPoly:
 FACE_NUMBERS = {"A": face_number_a, "B": face_number_b, "D": face_number_d}
 
 
+def row_sum_closed(t, k: int) -> MPoly:
+    """The closed product forms of the classical row sums."""
+    f = t.single()
+    n = f.rank
+    if f.family == "A":
+        return gen_binomial(M * (n + 1) + (k + 1), k) * Fraction(gen_binomial(n, k), k + 1)
+    if f.family == "B":
+        return gen_binomial(M * n + k, k) * gen_binomial(n, k)
+    if f.family == "D":
+        mm = M * (n - 1)
+        return gen_binomial(mm + k, k) * gen_binomial(n, k) + gen_binomial(mm + (k - 1), k) * gen_binomial(n - 2, k - 2)
+    raise UnsupportedType(f"no closed row sum for {t}")
+
+
 def fm_lhs_closed_classical(t) -> MPoly:
     f = t.single()
     n = f.rank
-    terms: dict[tuple[int, int], MUniPoly] = {}
+    out = MPoly.zero()
     if f.family == "A":
         mm = M * (n + 1)
         for s in range(n + 1):
@@ -44,7 +61,7 @@ def fm_lhs_closed_classical(t) -> MPoly:
             for r in range(s + 1):
                 coeff = gen_binomial(mm, r) * gen_binomial(mm + (s - r - 1), s - r) * cs
                 if coeff:
-                    terms[(s, r)] = terms.get((s, r), MUniPoly()) + coeff
+                    out = out + coeff * MPoly.term(s, r)
     elif f.family == "B":
         mm = M * n
         for s in range(n + 1):
@@ -52,7 +69,7 @@ def fm_lhs_closed_classical(t) -> MPoly:
             for r in range(s + 1):
                 coeff = gen_binomial(mm, r) * gen_binomial(mm + (s - r - 1), s - r) * cs
                 if coeff:
-                    terms[(s, r)] = terms.get((s, r), MUniPoly()) + coeff
+                    out = out + coeff * MPoly.term(s, r)
     elif f.family == "D":
         mm = M * (n - 1)
         for s in range(n + 1):
@@ -67,13 +84,13 @@ def fm_lhs_closed_classical(t) -> MPoly:
                     mm + (s - r - 2), s - r - 2
                 ) * gen_binomial(n - 1, s - 1)
                 if acc:
-                    terms[(s, r)] = terms.get((s, r), MUniPoly()) + acc
+                    out = out + acc * MPoly.term(s, r)
     else:
         raise UnsupportedType(f"no closed classical form for {t}")
-    return MPoly(terms)
+    return out
 
 
-def narayana_closed(t) -> tuple[MUniPoly, ...]:
+def narayana_closed(t) -> tuple[MPoly, ...]:
     f = t.single()
     n = f.rank
     if f.family == "A":
@@ -90,11 +107,14 @@ def narayana_weighted(t, nar_m, nar_1) -> MPoly:
     """Sum of (Nar^m(k+l)/Nar^1(k+l)) * f_{k,l} x^k y^l, one m-polynomial
     product per coefficient."""
     F = f_closed(t)
-    return MPoly({(k, l): c * nar_m[k + l] / nar_1[k + l] for (k, l), c in F.terms.items()})
+    return sum(
+        (MPoly.term(k, l, c) * nar_m[k + l] * Fraction(1, nar_1[k + l]) for (k, l), c in F.terms.items()),
+        MPoly.zero(),
+    )
 
 
 def mtriangle_rhs_transform(mt: MPoly, n: int) -> MPoly:
-    return MPoly({(n - i, n - j): c * (-1) ** (i + j) for (i, j), c in mt.terms.items()})
+    return sum((MPoly.term(n - i, n - j, c) * (-1) ** (i + j) for (i, j), c in mt.terms.items()), MPoly.zero())
 
 
 def chain_count_formula(t, m: int, jumps: tuple[int, ...]) -> int:

@@ -2,13 +2,28 @@
 reference that the integer rows of `catwb.exactmath.MPoly` (products, sums,
 scalings, negation, d/dy, evaluation at m, the diagonal and the two
 transforms, all over one common denominator) and the integer sum of
-`catwb.ncposet.m_triangle_formula` are compared against."""
+`catwb.ncposet.m_triangle_formula` are compared against; and the polynomial
+m and the generalized binomial, which the other references build their
+m-polynomials from in the ring MPoly."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
-from catwb.exactmath import M, MPoly, MUniPoly, gen_binomial
+from catwb.exactmath import MPoly, MUniPoly
 from catwb.wgroup import char_poly, decomposition_numbers
+
+# the polynomial m, a constant of the ring MPoly
+M = MPoly.from_parts({(0, 0): ([0, 1], 1)})
+
+
+def gen_binomial(N, K: int):
+    """The generalized binomial N(N-1)...(N-K+1)/K!, zero for K < 0, one
+    factor at a time: a Fraction for an int or Fraction N, an MPoly for an
+    MPoly N."""
+    out = N**0
+    for i in range(K):
+        out = out * (N - i)
+    return out * Fraction(int(K >= 0), factorial(max(K, 0)))
 
 
 def _fractions(c) -> tuple[Fraction, ...]:
@@ -35,7 +50,13 @@ def _uni_add(a, b) -> list[Fraction]:
 
 
 def _build(terms: dict) -> MPoly:
-    return MPoly({key: MUniPoly(cs) for key, cs in terms.items() if any(cs)})
+    """The MPoly whose coefficient of x^k y^l is the Fraction list
+    terms[(k, l)], by ascending power of m, each list over its lcm."""
+    parts = {}
+    for key, cs in terms.items():
+        den = lcm(*(Fraction(c).denominator for c in cs))
+        parts[key] = [int(c * den) for c in cs], den
+    return MPoly.from_parts(parts)
 
 
 def reference_mul(p: MPoly, q) -> MPoly:
@@ -56,7 +77,7 @@ def reference_mul(p: MPoly, q) -> MPoly:
 def reference_add(p: MPoly, q) -> MPoly:
     """p + q, q an MPoly or a scalar, coefficient by coefficient."""
     if not isinstance(q, MPoly):
-        q = MPoly({(0, 0): MUniPoly(_fractions(q))})
+        q = _build({(0, 0): _fractions(q)})
     out = {key: list(c.coeffs) for key, c in p.terms.items()}
     for key, c in q.terms.items():
         out[key] = _uni_add(out.get(key, []), c.coeffs)
@@ -146,9 +167,9 @@ def reference_m_triangle_formula(t) -> MPoly:
             orderings //= factorial(key.count(T))
         prod = MPoly.const(1)
         for T in key:
-            at_neg_y = MPoly({(k, l): c * (-1) ** l for (k, l), c in char_poly(T).terms.items()})
+            at_neg_y = _build({(k, l): [a * (-1) ** l for a in c.coeffs] for (k, l), c in char_poly(T).terms.items()})
             prod = reference_mul(prod, at_neg_y)
         rksum = sum(T.rank for T in key)
         weight = gen_binomial(M, d) * (n_value * orderings * (-1) ** rksum)
-        acc = reference_add(acc, reference_mul(prod, MPoly.term(rksum, 0, weight)))
+        acc = reference_add(acc, reference_mul(prod, weight * MPoly.term(rksum, 0)))
     return acc

@@ -1,23 +1,63 @@
-"""Reference computations the tests compare catwb against: the absolute order
-and the Coxeter element of an enumerated group, NC^m as sorted delta tuples
-with their ranks and keys, the Mobius function, zeta polynomials and Mobius
-column vectors of a poset, the M-triangle by a sweep over every related pair
-and by a coordinate sweep over every element of NC^m, the conjugates of the
-elements of NC^m by c read off their keys, rank censuses of
-intervals and of NC, the rows of an NC core formed element by element, the
-parabolic-type table read off a whole NC core, and a canonical JSON dump of a
-core for pinned digests."""
+"""Reference computations the tests compare catwb against: the absolute order,
+the absolute length checked two ways, and the Coxeter element of an
+enumerated group, the set bits of a mask, the down-set rows and the order
+test of a poset, NC^m as sorted delta tuples with their ranks and keys, the
+Mobius function, zeta polynomials and Mobius column vectors of a poset, the
+M-triangle by a sweep over every related pair and by a coordinate sweep over
+every element of NC^m, the conjugates of the elements of NC^m by c read off
+their keys, rank censuses of intervals and of NC, the rows of an NC core
+formed element by element, the parabolic-type table read off a whole NC
+core, and a canonical JSON dump of a core for pinned digests."""
 
 import itertools
 from operator import mul
 from collections import Counter
 from fractions import Fraction
 
-from catwb.errors import InvariantError, NotComparable
-from catwb.exactmath import MPoly, MUniPoly, gen_binomial
+from catwb.errors import CatwbError, InvariantError
+from catwb.exactmath import MPoly
 from catwb.ncposet import NCmPoset, unpack_rows
 from catwb.rootdata import RootSystemType
-from catwb.wgroup import GroupTable, NCCore, Poset, TypeTable, _iter_bits, build_nc, walk_nc
+from catwb.wgroup import GroupTable, NCCore, Poset, TypeTable, build_nc, walk_nc
+
+from mpoly_reference import M, gen_binomial
+
+
+class NotComparable(CatwbError, ValueError):
+    """Two poset elements are not related in the partial order."""
+
+
+_NONZERO = bytes([0] + [1] * 255)
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+
+
+def _iter_bits(mask: int) -> list[int]:
+    """Set bits of mask in increasing order, by a C-level scan of its bytes."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    flags = data.translate(_NONZERO)
+    out = []
+    k = flags.find(1)
+    while k >= 0:
+        for i in _BYTE_BITS[data[k]]:
+            out.append(8 * k + i)
+        k = flags.find(1, k + 1)
+    return out
+
+
+def down(poset: Poset) -> list[int]:
+    """down[j] has bit i set iff element i <= element j: the transpose of
+    the up-set rows, memoised on the poset."""
+    rows = vars(poset).get("down")
+    if rows is None:
+        rows = vars(poset)["down"] = [0] * poset.size
+        for i, mask in enumerate(poset.up):
+            for j in _iter_bits(mask):
+                rows[j] |= 1 << i
+    return rows
+
+
+def leq(poset: Poset, i: int, j: int) -> bool:
+    return bool(poset.up[i] >> j & 1)
 
 
 def abs_leq(table: GroupTable, u, w) -> bool:
@@ -28,6 +68,16 @@ def abs_leq(table: GroupTable, u, w) -> bool:
         return False
     q = table.backend.mul(table.backend.inv(u), w)
     return lu + table.abs_length_of(q) == lw
+
+
+def abs_length(table: GroupTable, w) -> int:
+    """Absolute length as the rank of nc_step, the rank of the subsystem of
+    roots w moves; checked to agree with the breadth-first layering oracle."""
+    rank = table.backend.nc_step(w)[0]
+    bfs = table.abs_length_of(w)
+    if rank != bfs:
+        raise InvariantError(f"length methods disagree on {w!r}: {rank} vs {bfs}")
+    return rank
 
 
 def coxeter_element(table: GroupTable):
@@ -58,14 +108,14 @@ def ncm_tuples(core: NCCore, m: int) -> tuple[list[tuple[int, ...]], list[int], 
 def mobius(core_or_poset, i: int, j: int) -> int:
     """Mobius function of the interval [i, j], memoised on the poset."""
     poset = _poset(core_or_poset)
-    if not poset.leq(i, j):
+    if not leq(poset, i, j):
         raise NotComparable(f"{i} is not below {j}")
     memo = vars(poset).setdefault("_mobius", {})
     got = memo.get((i, j))
     if got is not None:
         return got
     total = 0
-    for v in _iter_bits(poset.up[i] & poset.down[j] & ~(1 << j)):
+    for v in _iter_bits(poset.up[i] & down(poset)[j] & ~(1 << j)):
         total += mobius(poset, i, v)
     memo[(i, j)] = out = 1 if i == j else -total
     return out
@@ -80,7 +130,7 @@ def mobius_column_vectors(poset: Poset) -> list[list[int]]:
     for w in sorted(range(poset.size), key=poset.ranks.__getitem__):
         vec = [0] * (top_rank + 1)
         vec[poset.ranks[w]] = 1
-        for v in _iter_bits(poset.down[w] & ~(1 << w)):
+        for v in _iter_bits(down(poset)[w] & ~(1 << w)):
             for idx, c in enumerate(g[v]):
                 vec[idx] -= c
         g[w] = vec
@@ -168,7 +218,7 @@ def digit_conjugates(ncm: NCmPoset) -> list[int]:
 
 def zeta_values(poset: Poset, i: int, j: int, max_z: int) -> list[int]:
     """Multichain counts from i to j with z links, for z = 0..max_z."""
-    interval = sorted(_iter_bits(poset.up[i] & poset.down[j]))
+    interval = sorted(_iter_bits(poset.up[i] & down(poset)[j]))
     pos = {e: k for k, e in enumerate(interval)}
     vec = [0] * len(interval)
     vec[pos[i]] = 1
@@ -177,7 +227,7 @@ def zeta_values(poset: Poset, i: int, j: int, max_z: int) -> list[int]:
         nxt = [0] * len(interval)
         for k, e in enumerate(interval):
             if vec[k]:
-                for f in _iter_bits(poset.up[e] & poset.down[j]):
+                for f in _iter_bits(poset.up[e] & down(poset)[j]):
                     nxt[pos[f]] += vec[k]
         vec = nxt
         out.append(vec[pos[j]])
@@ -188,16 +238,16 @@ def zeta_poly(core_or_poset, i: int, j: int) -> list[Fraction]:
     """Exact coefficients of the zeta polynomial Z(i, j; z), interpolated
     from multichain counts; Z(-1) is checked to equal the Mobius value."""
     poset = _poset(core_or_poset)
-    if not poset.leq(i, j):
+    if not leq(poset, i, j):
         raise NotComparable(f"{i} is not below {j}")
     deg = poset.ranks[j] - poset.ranks[i]
     # Newton's forward differences: Z(z) = sum of (Delta^k Z)(0) binom(z, k)
     diffs = zeta_values(poset, i, j, deg)
-    z = MUniPoly.var()
-    poly = MUniPoly()
+    poly = MPoly.zero()  # Z(z) as a constant of MPoly, z written as m
     for k in range(deg + 1):
-        poly += diffs[0] * gen_binomial(z, k)
+        poly += diffs[0] * gen_binomial(M, k)
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    poly = poly.coeff(0, 0)
     z_at_neg1 = poly.eval(-1)
     mu = mobius(poset, i, j)
     if z_at_neg1 != mu:
@@ -208,7 +258,7 @@ def zeta_poly(core_or_poset, i: int, j: int) -> list[Fraction]:
 def interval_rank_genfun(core: NCCore, w: int) -> list[int]:
     """Rank census of the lower interval [identity, w] inside NC."""
     out = [0] * (core.poset.ranks[w] + 1)
-    for v in _iter_bits(core.poset.down[w]):
+    for v in _iter_bits(down(core.poset)[w]):
         out[core.poset.ranks[v]] += 1
     return out
 

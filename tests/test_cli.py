@@ -86,7 +86,6 @@ def fresh_memos():
 # memos whose values come from their arguments alone and never from a cache
 # directory, so that clear_memos leaves them filled
 MEMOS_OF_ARGUMENTS_ALONE = {
-    "catwb.exactmath._binom_poly",
     "catwb.exactmath._dual_kernel",
     "catwb.exactmath._fm_kernel",
     "catwb.ftriangle._f_closed_irr",

@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used there or exported,
-every module-level private name is read somewhere in the package, and the
-package's modules import one another without a cycle."""
+every module-level private name is read somewhere in the package, every
+module-level public name too unless it is listed as kept for readers
+outside the package, and the package's modules import one another without
+a cycle."""
 
 import ast
 import graphlib
@@ -24,6 +26,22 @@ OPENSSL = {"hashlib", "_hashlib", "ssl"}
 # imported for other modules to read: the benchmark's tracer checks that
 # ncposet's build_nc is the one it wraps in wgroup
 REEXPORTED = {("ncposet", "build_nc")}
+
+# module-level public names that no module of the package reads, each with
+# the reader outside the package it is kept for
+UNREAD_PUBLIC = {
+    ("fmverify", "verify_fm_dn_general"): "library API named in the README (the open D-family case)",
+    ("ftriangle", "refined_face_number"): "library API named in the README",
+    ("ftriangle", "row_sum"): "library API named in the README",
+    ("ftriangle", "row_sum_closed"): "library API named in the README",
+    ("identities", "chu_vandermonde"): "library API named in the README",
+    ("rootdata", "group_order"): "library API named in the README",
+    ("rootdata", "ir"): "library API named in the README, and read by perfbench/job.py",
+    ("wgroup", "build_nc"): "library API named in the README, and read by perfbench/spans.py",
+    ("wgroup", "char_poly"): "read by perfbench/spans.py",
+    ("wgroup", "enumerate_group"): "library API named in the README, and read by perfbench/spans.py",
+    ("wgroup", "parabolic_type_of"): "read by perfbench/spans.py",
+}
 
 
 def unused_imports(tree: ast.Module, module: str) -> list[str]:
@@ -60,7 +78,8 @@ def test_an_unused_import_is_reported():
     assert unused_imports(tree, "m") == ["m.py:1 imports comb"]
 
 
-def _private_names(node: ast.stmt) -> list[str]:
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines, dunders aside."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         names = [node.name]
     elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -68,7 +87,7 @@ def _private_names(node: ast.stmt) -> list[str]:
         names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     else:
         names = []
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return [name for name in names if not name.startswith("__")]
 
 
 def _reads(tree: ast.AST) -> Counter:
@@ -83,18 +102,33 @@ def _reads(tree: ast.AST) -> Counter:
     return reads
 
 
-def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
-    """Module-level private functions, classes and assignments (dunders
-    aside) that no module of the package reads outside their definition.
-    Each tree is walked once for its reads; the reads inside a definition,
-    from its own subtree, are taken off."""
+def _unread_names(trees: dict[str, ast.Module], private: bool) -> list[tuple[str, int, str]]:
+    """(module, line, name) for the module-level private (or public)
+    functions, classes and assignments, dunders aside, that no module of the
+    package reads outside their definition.  Each tree is walked once for
+    its reads; the reads inside a definition, from its own subtree, are
+    taken off."""
     reads = sum(map(_reads, trees.values()), Counter())
     return [
-        f"{module}.py:{node.lineno} defines {name}"
+        (module, node.lineno, name)
         for module, tree in trees.items()
         for node in tree.body
-        for name in _private_names(node)
-        if reads[name] == _reads(node)[name]
+        for name in _defined_names(node)
+        if name.startswith("_") == private and reads[name] == _reads(node)[name]
+    ]
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    return [f"{module}.py:{line} defines {name}" for module, line, name in _unread_names(trees, private=True)]
+
+
+def unread_public_names(trees: dict[str, ast.Module], listed) -> list[str]:
+    """The unread public names that `listed`, a collection of (module, name),
+    does not hold."""
+    return [
+        f"{module}.py:{line} defines {name}"
+        for module, line, name in _unread_names(trees, private=False)
+        if (module, name) not in listed
     ]
 
 
@@ -115,6 +149,27 @@ def test_an_unread_private_name_is_reported():
         "b": ast.parse("from .a import _used\nimport a\nx = _used() + a._Box\n"),
     }
     assert unread_private_names(trees) == ["a.py:2 defines _dead", "a.py:3 defines _rec"]
+
+
+def test_every_unread_public_name_is_listed():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")}
+    assert unread_public_names(trees, UNREAD_PUBLIC) == []
+    # and the list holds no name that the package reads or no longer defines
+    assert set(UNREAD_PUBLIC) <= {(module, name) for module, _, name in _unread_names(trees, private=False)}
+
+
+def test_an_unlisted_unread_public_name_is_reported():
+    trees = {
+        "a": ast.parse(
+            "LIMIT = 3\n"
+            "def helper():\n    return LIMIT\n"
+            "def api():\n    return helper()\n"
+            "def only_for_tests():\n    return 0\n"
+        ),
+        "b": ast.parse("from .a import only_for_tests\n"),
+    }
+    assert unread_public_names(trees, {("a", "api")}) == ["a.py:6 defines only_for_tests"]
+    assert unread_public_names(trees, {}) == ["a.py:4 defines api", "a.py:6 defines only_for_tests"]
 
 
 def _modules_after(statement: str) -> set[str]:

@@ -3,11 +3,10 @@ interpreter's own SHA-256 or, where that is not built in, hashlib's."""
 
 import hashlib
 import sys
-from fractions import Fraction
 
 import pytest
 
-from catwb.exactmath import MPoly, MUniPoly
+from catwb.exactmath import MPoly
 from catwb.fmverify import fm_lhs
 from catwb.ftriangle import f_closed
 from catwb.ncposet import m_triangle_bruteforce, m_triangle_formula
@@ -19,7 +18,7 @@ from test_ncposet import BRUTE_SHA256
 
 
 # a polynomial whose canonical dump carries a denominator other than 1
-SIXTHS = MPoly({(0, 1): MUniPoly([Fraction(1, 2), Fraction(-1, 3)]), (2, 0): MUniPoly.const(Fraction(5, 6))})
+SIXTHS = MPoly.from_parts({(0, 1): ([3, -2], 6), (2, 0): ([5], 6)})
 
 
 def pinned_polys():

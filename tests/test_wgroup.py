@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from catwb import wgroup
-from catwb.errors import BudgetExceeded, InvalidArgument, InvariantError, NotComparable
+from catwb.errors import BudgetExceeded, InvalidArgument, InvariantError
 from catwb.exactmath import MPoly
 from catwb.fmverify import verify_fm
 from catwb.ncposet import build_ncm
@@ -24,8 +24,6 @@ from catwb.wgroup import (
     Poset,
     RootPermBackend,
     TypeTable,
-    _iter_bits,
-    abs_length,
     build_nc,
     chain_count_brute,
     chain_count_formula,
@@ -43,10 +41,15 @@ from golden import GOLDEN_CHAR, golden_char_i2, golden_decomp_i2, GOLDEN_DECOMP
 from decomposition_reference import reference_decomposition_counts
 from mobius_reference import reference_m_triangle
 from oracle import (
+    NotComparable,
+    _iter_bits,
     abs_leq,
+    abs_length,
     core_dump,
     coxeter_element,
+    down,
     interval_rank_genfun,
+    leq,
     mobius,
     mobius_column_vectors,
     nc_rank_genfun,
@@ -147,7 +150,8 @@ class TestAbsoluteOrder:
         code = (
             "from catwb.errors import InvariantError\n"
             "from catwb.rootdata import ir\n"
-            "from catwb.wgroup import abs_length, enumerate_group\n"
+            "from catwb.wgroup import enumerate_group\n"
+            "from oracle import abs_length\n"
             "g = enumerate_group(ir('A2').single())\n"
             "g.abs_len[g.index[g.backend.identity]] = 1\n"
             "try:\n"
@@ -155,8 +159,8 @@ class TestAbsoluteOrder:
             "except InvariantError as exc:\n"
             "    print('InvariantError:', exc)\n"
         )
-        src = Path(__file__).resolve().parent.parent / "src"
-        pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        here = Path(__file__).resolve().parent
+        pythonpath = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-O", "-c", code],
             capture_output=True,
@@ -240,7 +244,7 @@ class TestNCPoset:
     def test_order_relation_is_a_partial_order(self, s):
         poset = build_nc(ir(s)).poset
         for i in range(poset.size):
-            assert poset.leq(i, i)
+            assert leq(poset, i, i)
             for j in _iter_bits(poset.up[i]):
                 # transitivity: everything above j sits above i
                 assert poset.up[j] & ~poset.up[i] == 0
@@ -341,7 +345,7 @@ class TestMTriangleSweep:
         for poset in (fresh, build_nc(ir("F4")).poset):
             n = poset.size
             naive = [sum(1 << i for i in range(n) if poset.up[i] >> j & 1) for j in range(n)]
-            assert poset.down == naive
+            assert down(poset) == naive
 
 
 class TestTopDownBuild:
