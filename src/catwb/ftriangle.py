@@ -306,16 +306,19 @@ def row_sum_closed(t: RootSystemType, k: int) -> MUniPoly:
     numerators in m over k! (times k + 1 in type A)."""
     f = t.single()
     n = f.rank
+    if f.family not in ("A", "B", "D"):
+        raise UnsupportedType(f"no closed row sum for {t}")
+    if k < 0:  # no faces, as in row_sum
+        return _mup((), 1)
     if f.family == "A":  # binom((n+1)m + k+1, k) binom(n, k)/(k+1)
         c = binom_int(n, k)
         return _mup([c * a for a in falling(n + 1, k + 1, k)], factorial(k) * (k + 1))
     if f.family == "B":  # binom(nm + k, k) binom(n, k)
         c = binom_int(n, k)
         return _mup([c * a for a in falling(n, k, k)], factorial(k))
-    if f.family == "D":  # binom((n-1)m + k, k) binom(n, k) + binom((n-1)m + k-1, k) binom(n-2, k-2)
-        c, d = binom_int(n, k), binom_int(n - 2, k - 2)
-        return _mup([c * a + d * b for a, b in zip(falling(n - 1, k, k), falling(n - 1, k - 1, k))], factorial(k))
-    raise UnsupportedType(f"no closed row sum for {t}")
+    # D: binom((n-1)m + k, k) binom(n, k) + binom((n-1)m + k-1, k) binom(n-2, k-2)
+    c, d = binom_int(n, k), binom_int(n - 2, k - 2)
+    return _mup([c * a + d * b for a, b in zip(falling(n - 1, k, k), falling(n - 1, k - 1, k))], factorial(k))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ a cycle."""
 import ast
 import graphlib
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "catwb"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "catwb"
 
 # standard-library modules that catwb's arithmetic never uses and that cost
 # start-up time: dataclasses brings inspect (and ast, dis, tokenize) with it,
@@ -28,7 +30,8 @@ OPENSSL = {"hashlib", "_hashlib", "ssl"}
 REEXPORTED = {("ncposet", "build_nc")}
 
 # module-level public names that no module of the package reads, each with
-# the reader outside the package it is kept for
+# the readers outside the package it is kept for: the README, which names it
+# in code, and the files under perfbench/ that read it
 UNREAD_PUBLIC = {
     ("fmverify", "verify_fm_dn_general"): "library API named in the README (the open D-family case)",
     ("ftriangle", "refined_face_number"): "library API named in the README",
@@ -37,7 +40,7 @@ UNREAD_PUBLIC = {
     ("identities", "chu_vandermonde"): "library API named in the README",
     ("rootdata", "group_order"): "library API named in the README",
     ("rootdata", "ir"): "library API named in the README, and read by perfbench/job.py",
-    ("wgroup", "build_nc"): "library API named in the README, and read by perfbench/spans.py",
+    ("wgroup", "build_nc"): "read by perfbench/spans.py",
     ("wgroup", "char_poly"): "read by perfbench/spans.py",
     ("wgroup", "enumerate_group"): "library API named in the README, and read by perfbench/spans.py",
     ("wgroup", "parabolic_type_of"): "read by perfbench/spans.py",
@@ -156,6 +159,43 @@ def test_every_unread_public_name_is_listed():
     assert unread_public_names(trees, UNREAD_PUBLIC) == []
     # and the list holds no name that the package reads or no longer defines
     assert set(UNREAD_PUBLIC) <= {(module, name) for module, _, name in _unread_names(trees, private=False)}
+
+
+def unfounded_reasons(listed: dict, readme: str, read) -> list[str]:
+    """The entries of `listed`, (module, name) -> reason, whose reason names
+    no reader, or a reader that does not name the name: the README in a code
+    span or block, or a perfbench/ file, whose text `read` returns."""
+    code = set(re.findall(r"\w+", " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))))
+    out = []
+    for (module, name), reason in listed.items():
+        files = re.findall(r"perfbench/\w+\.py", reason)
+        in_readme = "README" in reason
+        if not (files or in_readme) or (in_readme and name not in code):
+            out.append(f"{module}.{name}: {reason}")
+        out += [f"{module}.{name}: {f} does not read it" for f in files if not re.search(rf"\b{name}\b", read(f))]
+    return out
+
+
+def test_each_listed_reason_holds():
+    readme = (ROOT / "README.md").read_text()
+    assert unfounded_reasons(UNREAD_PUBLIC, readme, lambda f: (ROOT / f).read_text()) == []
+
+
+def test_an_unfounded_reason_is_reported():
+    readme = "Call `api(t)`:\n```python\nfrom a import ir\n```\nand helper here.\n"
+    files = {"perfbench/job.py": "from a import ir, api\n"}
+    listed = {
+        ("a", "api"): "named in the README, and read by perfbench/job.py",
+        ("a", "ir"): "named in the README",
+        ("a", "helper"): "named in the README",
+        ("a", "tool"): "read by perfbench/job.py",
+        ("a", "extra"): "kept for later",
+    }
+    assert unfounded_reasons(listed, readme, files.__getitem__) == [
+        "a.helper: named in the README",
+        "a.tool: perfbench/job.py does not read it",
+        "a.extra: kept for later",
+    ]
 
 
 def test_an_unlisted_unread_public_name_is_reported():

@@ -316,10 +316,14 @@ class TestBuildNcm:
     @pytest.mark.parametrize("rank", [1, 2])
     def test_a_missing_element_is_refused(self, rank):
         # an element of positive rank lies above a minimal one, so its key is
-        # in the product of that minimal element's down-lists
+        # in the product of that minimal element's down-lists; each element is
+        # its own conjugate here, so each is its own orbit and the refusal
+        # comes from the lowering step, not from a conjugate
         p = build_ncm(ir("B3"), 2)
         k = p.ranks.index(rank)
-        cut = without(p, k)
+        firsts, keys = ([x for i, x in enumerate(seq) if i != k] for seq in (p.firsts, p.keys))
+        cut = NCmPoset(p.type, p.m, p.core, firsts, keys, keys)
+        assert set(cut.orbits()[2]) == {1}
         with pytest.raises(InvariantError, match=rf"NC\^2\(B3\): {p.keys[k]} lies above an element"):
             cut.m_triangle()
         with pytest.raises(InvariantError, match=rf"NC\^2\(B3\): key {p.keys[k]} lies above an element"):
