@@ -174,7 +174,7 @@ class MUniPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nums, self.den))
+        return hash(self.constant_value()) if len(self.nums) < 2 else hash((self.nums, self.den))
 
     def __repr__(self):
         return self.format()
@@ -350,7 +350,7 @@ class MPoly:
     # arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        return _combine(self, MPoly.coerce(other), 1)
+        return mpoly_sum((self, MPoly.coerce(other)))
 
     __radd__ = __add__
 
@@ -358,10 +358,10 @@ class MPoly:
         return _mpoly({key: [-a for a in row] for key, row in self.rows.items()}, self.den)
 
     def __sub__(self, other):
-        return _combine(self, MPoly.coerce(other), -1)
+        return mpoly_sum((self, -MPoly.coerce(other)))
 
     def __rsub__(self, other):
-        return _combine(MPoly.coerce(other), self, -1)
+        return mpoly_sum((MPoly.coerce(other), -self))
 
     def __mul__(self, other):
         if not isinstance(other, MPoly):  # a scalar: int, Fraction or MUniPoly
@@ -406,6 +406,8 @@ class MPoly:
         return NotImplemented
 
     def __hash__(self):
+        if not self.rows.keys() - {(0, 0)}:  # free of x and y: hash as its view, a number as the number
+            return hash(self.coeff(0, 0))
         return hash((self.den, frozenset(self.rows.items())))
 
     # specializations -------------------------------------------------------
@@ -530,23 +532,22 @@ def _mpoly(rows: Mapping[tuple[int, int], list[int] | tuple[int, ...]], den: int
     return p
 
 
-def _combine(a: MPoly, b: MPoly, sign: int) -> MPoly:
-    """a + sign * b over the lcm of the two denominators."""
-    if a.den == b.den:
-        den, sa, sb = a.den, 1, sign
-    else:
-        g = gcd(a.den, b.den)
-        den, sa, sb = a.den // g * b.den, b.den // g, sign * (a.den // g)
-    out: dict[tuple[int, int], list[int] | tuple[int, ...]] = (
-        dict(a.rows) if sa == 1 else {key: [sa * c for c in row] for key, row in a.rows.items()}
-    )
-    for key, row in b.rows.items():
-        acc = out.get(key)
-        if acc is None:
-            out[key] = row if sb == 1 else [sb * c for c in row]
-        else:
-            out[key] = [u + sb * v for u, v in zip_longest(acc, row, fillvalue=0)]
-    return _mpoly(out, den)
+def mpoly_sum(polys: Iterable[MPoly]) -> MPoly:
+    """The sum of the polys over the lcm of their denominators, the one sum
+    of the ring (+ and - call it): the rows accumulated once, and one
+    normalisation at the end."""
+    polys = list(polys)
+    den = lcm(*(p.den for p in polys))
+    acc: dict[tuple[int, int], list[int]] = {}
+    for p in polys:
+        scale = den // p.den
+        for key, row in p.rows.items():
+            out = acc.setdefault(key, [])
+            if len(out) < len(row):
+                out.extend([0] * (len(row) - len(out)))
+            for i, c in enumerate(row):
+                out[i] += scale * c
+    return _mpoly(acc, den)
 
 
 @lru_cache(maxsize=None)

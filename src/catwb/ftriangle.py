@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import UnsupportedType
-from .exactmath import MPoly, MUniPoly, _mup, _parts, binom_int, falling, int_poly_mul, substitute_dual
+from .exactmath import MPoly, MUniPoly, _mup, _parts, binom_int, falling, int_poly_mul, mpoly_sum, substitute_dual
 from .ncposet import rank_census
 from .report import VerificationReport
 from .rootdata import Irreducible, RootSystemType, deletion_types
@@ -290,9 +290,7 @@ def check_recurrence(t: RootSystemType) -> VerificationReport:
     the F-triangle equals the sum of the F-triangles of all one-node diagram
     deletions."""
     lhs = f_closed(t).diff_y()
-    rhs = MPoly.zero()
-    for sub in deletion_types(t):
-        rhs = rhs + f_closed(sub)
+    rhs = mpoly_sum(map(f_closed, deletion_types(t)))
     return VerificationReport("recurrence", str(t), "symbolic", None, lhs, rhs)
 
 

@@ -30,16 +30,20 @@ rank-preserving automorphism of NC^m, whose orbits have at most h elements
 constant on its orbits, so each coordinate pass solves one element per
 orbit, and the reads, m (Cat^(m+1) - Cat^(m)) over all elements, fall by
 about the mean orbit size; the Cat^(2m) - Cat^(m) related pairs are never
-read.  The sorted up-lists are derived from the products only when read
-(chain counts, the Hasse export).
+read.  Sums over up-sets (`up_sums`) make the same passes with + in place of
+-, orbit by orbit, and count the rank-jump chains (`chain_count`) as
+repeated up-set sums of a rank indicator.  The sorted up-lists are derived
+from the products only for the Hasse export.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from math import factorial
+from operator import mul
 
 from .errors import BudgetExceeded, InvalidArgument, InvariantError
 from .exactmath import MPoly, falling
@@ -80,7 +84,8 @@ class NCmPoset:
     array (a list where |NC|^m passes 2^64).  The tuples are decoded only
     when read (the Hasse export and the up-lists).  The order is read off
     the NC down-lists of the coordinates (see the module docstring); `poset`
-    derives the sorted up-lists from their products on first read."""
+    derives the sorted up-lists from their products on first read, for the
+    Hasse export."""
 
     def __init__(self, type: RootSystemType, m: int, core: NCCore, firsts: Sequence[int], keys: Sequence[int],
                  conjugates: Sequence[int]):
@@ -233,6 +238,70 @@ class NCmPoset:
         for r, size, v in zip(rep_ranks, sizes, h):
             rows[r] += v * size
         return unpack_rows(rows, width)
+
+    @cached_property
+    def _summed(self) -> tuple[dict, list[int], list[int], list[int], list[list[list[int]]], dict]:
+        """What the up-set sums read, kept only on the posets whose up-sets
+        are summed (the M-triangle calls `orbits` afresh): the map from key
+        to orbit, and per orbit the key and rank of its representative, in
+        increasing rank as stored, and its size; for each coordinate the NC
+        down-sets as key differences; and the memo of chain-count states."""
+        at, reps, sizes = self.orbits()
+        ranks, radix = self.core.poset.ranks, self.core.size
+        steps = [[[x * radix**i for x in row] for row in self.core.lower] for i in range(self.m)]
+        return at, [self.keys[k] for k in reps], [ranks[self.firsts[k]] for k in reps], sizes, steps, {}
+
+    def up_sums(self, values: Sequence[int], low: int = 0, high: int | None = None) -> list[int]:
+        """For each orbit of conjugation by c (see `orbits`, in its order),
+        the sum of `values`, one per orbit, over the closed up-set of its
+        elements.  As in `m_triangle`, one pass per coordinate i: each
+        representative A, in increasing rank, adds the values of the B that
+        lower A[i] in NC, which lie above and so are not yet summed in this
+        pass.  Only the representatives of rank low..high are summed: for
+        values that vanish above `high` the sums are exact from rank `low`
+        up, and below it the values come back as given.  A lowered key that
+        is no element raises InvariantError naming it."""
+        at, repkeys, rep_ranks, _, steps, _ = self._summed
+        start = bisect_left(rep_ranks, low)
+        stop = bisect_right(rep_ranks, self.type.rank if high is None else high)
+        out = list(values)
+        get, value, radix = at.__getitem__, out.__getitem__, self.core.size
+        try:
+            for scale, rows in zip((radix**i for i in range(self.m)), steps):
+                for o in range(start, stop):
+                    key = repkeys[o]
+                    step = rows[key // scale % radix]
+                    if step:
+                        out[o] += sum(map(value, map(get, map(key.__add__, step))))
+        except KeyError as exc:
+            raise InvariantError(f"{self.name}: {exc.args[0]} lies above an element but is no element") from None
+        return out
+
+    def chain_count(self, jumps: Sequence[int]) -> int:
+        """Multichains x_1 >= x_2 >= ... of NC^m whose ranks fall from n by
+        the given jumps, the last one to 0: x_i has rank n - (j_1 + ... +
+        j_i).  A chain through a rank outside 0..n, or that climbs, is none.
+        The count for each prefix of ranks is kept: the indicator of the
+        first rank, then per rank the up-set sums of the last state,
+        restricted to the ranks between, read at that rank only."""
+        n = self.type.rank
+        partial = list(accumulate(jumps))
+        if partial[-1] != n:
+            raise InvalidArgument("jumps must sum to the rank")
+        needed = tuple(n - p for p in partial[:-1])  # the ranks of x_1, x_2, ...
+        if not needed:
+            return 1
+        if any(a < b for a, b in zip((n, *needed), (*needed, 0))):
+            return 0
+        _, _, rep_ranks, sizes, _, memo = self._summed
+        state = [1 if r == needed[0] else 0 for r in rep_ranks]
+        for k in range(2, len(needed) + 1):
+            prefix = needed[:k]
+            if prefix not in memo:
+                t = prefix[-1]
+                memo[prefix] = [v if r == t else 0 for v, r in zip(self.up_sums(state, t, prefix[-2]), rep_ranks)]
+            state = memo[prefix]
+        return sum(map(mul, state, sizes))
 
     @cached_property
     def poset(self) -> Poset:

@@ -445,16 +445,8 @@ class Poset:
         """up[i] has bit j set iff element i <= element j."""
         return [sum(1 << j for j in (i, *row)) for i, row in enumerate(self.above)]
 
-    @cached_property
-    def slices(self) -> list[list[int]]:
-        """slices[r] lists the elements of rank r in increasing order."""
-        out: list[list[int]] = [[] for _ in range(max(self.ranks, default=0) + 1)]
-        for i, r in enumerate(self.ranks):
-            out[r].append(i)
-        return out
-
     def rank_counts(self) -> list[int]:
-        return list(map(len, self.slices))
+        return [self.ranks.count(r) for r in range(max(self.ranks, default=0) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -912,28 +904,6 @@ def chain_count_formula(t: RootSystemType, m: int, jumps: tuple[int, ...]) -> in
     raise UnsupportedType(f"no closed chain count for {t}")
 
 
-def chain_count_brute(poset: Poset, rank: int, jumps: tuple[int, ...]) -> int:
-    """Multichains in the dual of an m-divisible poset with the given rank
-    jumps: descending multichains with prescribed co-ranks."""
-    partial = list(itertools.accumulate(jumps))
-    if partial[-1] != rank:
-        raise InvalidArgument("jumps must sum to the rank")
-    needed = [rank - p for p in partial[:-1]]  # ranks in the primal order
-    if not needed:
-        return 1
-    slices = dict(enumerate(poset.slices))  # a rank outside the poset has no elements
-    current = {e: 1 for e in slices.get(needed[0], [])}
-    for r in needed[1:]:
-        nxt: dict[int, int] = {}
-        for f in slices.get(r, []):
-            # f itself when a jump is zero, else the e above f
-            total = current.get(f, 0) + sum(current.get(e, 0) for e in poset.above[f])
-            if total:
-                nxt[f] = total
-        current = nxt
-    return sum(current.values())
-
-
 def chain_counts_classical(
     t: RootSystemType,
     m: int,
@@ -942,13 +912,13 @@ def chain_counts_classical(
     poset_cap: int | None = None,
 ) -> ChainCountResult:
     """Closed-form chain count plus the brute-force count from the
-    m-divisible poset; they must agree.  BudgetExceeded when the poset or
-    the group exceeds its cap."""
+    m-divisible poset, by up-set sums over its c-conjugation orbits
+    (NCmPoset.chain_count); they must agree.  BudgetExceeded when the poset
+    or the group exceeds its cap."""
     formula = chain_count_formula(t, m, jumps)
     # the one import inside a function: ncposet imports wgroup, and this
     # function stays here because perfbench's tracer looks it up in wgroup
     from .ncposet import build_ncm
 
-    poset = build_ncm(t, m, group_cap=group_cap, poset_cap=poset_cap).poset
-    brute = chain_count_brute(poset, t.rank, tuple(jumps))
+    brute = build_ncm(t, m, group_cap=group_cap, poset_cap=poset_cap).chain_count(tuple(jumps))
     return ChainCountResult(t, m, tuple(jumps), formula, brute)

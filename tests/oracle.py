@@ -2,19 +2,20 @@
 the absolute length checked two ways, and the Coxeter element of an
 enumerated group, the set bits of a mask, the down-set rows and the order
 test of a poset, NC^m as sorted delta tuples with their ranks and keys, the
-Mobius function, zeta polynomials and Mobius column vectors of a poset, the
-M-triangle by a sweep over every related pair and by a coordinate sweep over
-every element of NC^m, the conjugates of the elements of NC^m by c read off
-their keys, rank censuses of intervals and of NC, the rows of an NC core
-formed element by element, the parabolic-type table read off a whole NC
-core, and a canonical JSON dump of a core for pinned digests."""
+Mobius function, zeta polynomials, Mobius column vectors and rank-jump
+chain counts of a poset, the M-triangle by a sweep over every related pair
+and by a coordinate sweep over every element of NC^m, the conjugates of the
+elements of NC^m by c read off their keys, rank censuses of intervals and of
+NC, the rows of an NC core formed element by element, the parabolic-type
+table read off a whole NC core, and a canonical JSON dump of a core for
+pinned digests."""
 
 import itertools
 from operator import mul
 from collections import Counter
 from fractions import Fraction
 
-from catwb.errors import CatwbError, InvariantError
+from catwb.errors import CatwbError, InvalidArgument, InvariantError
 from catwb.exactmath import MPoly
 from catwb.ncposet import NCmPoset, unpack_rows
 from catwb.rootdata import RootSystemType
@@ -253,6 +254,32 @@ def zeta_poly(core_or_poset, i: int, j: int) -> list[Fraction]:
     if z_at_neg1 != mu:
         raise InvariantError(f"zeta(-1) = {z_at_neg1} but mobius = {mu}")
     return list(poly.coeffs)
+
+
+def chain_count_brute(poset: Poset, rank: int, jumps: tuple[int, ...]) -> int:
+    """Multichains in the dual of an m-divisible poset with the given rank
+    jumps: descending multichains with prescribed co-ranks, by a walk over
+    the up-lists of each rank in turn; the reference for the up-set sums
+    that catwb counts them by."""
+    partial = list(itertools.accumulate(jumps))
+    if partial[-1] != rank:
+        raise InvalidArgument("jumps must sum to the rank")
+    needed = [rank - p for p in partial[:-1]]  # ranks in the primal order
+    if not needed:
+        return 1
+    slices: dict[int, list[int]] = {}  # a rank outside the poset has no elements
+    for i, r in enumerate(poset.ranks):
+        slices.setdefault(r, []).append(i)
+    current = {e: 1 for e in slices.get(needed[0], [])}
+    for r in needed[1:]:
+        nxt: dict[int, int] = {}
+        for f in slices.get(r, []):
+            # f itself when a jump is zero, else the e above f
+            total = current.get(f, 0) + sum(current.get(e, 0) for e in poset.above[f])
+            if total:
+                nxt[f] = total
+        current = nxt
+    return sum(current.values())
 
 
 def interval_rank_genfun(core: NCCore, w: int) -> list[int]:

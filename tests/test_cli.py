@@ -181,6 +181,19 @@ class TestPinnedOutputs:
         digest = hashlib.sha256((tmp_path / "verify_all.json").read_bytes()).hexdigest()
         assert digest == VERIFY_ALL_SHA256
 
+    def test_verify_all_never_reads_the_pair_relation(self, capsys, monkeypatch, tmp_path, fresh_memos):
+        from catwb.ncposet import NCmPoset
+
+        def refuse(ncm):
+            raise AssertionError(f"verify read the up-lists of {ncm.name}")
+
+        monkeypatch.setattr(NCmPoset, "poset", property(refuse))
+        rc, _ = run(capsys, ["verify", "--suite", "all", "--cache-dir", str(tmp_path)])
+        assert rc == 1  # criterion 10's D4 cases at m = 2, 3 stay red
+        checks = json.loads((tmp_path / "verify_all.json").read_text())["checks"]
+        pinned = json.loads((SRC_DIR.parent / "perfbench/reference/verify_all.json").read_text())
+        assert [[c["check"], c["type"], c["mode"], c["m"], c["equal"]] for c in checks] == pinned
+
 
 class TestExitCodes:
     def test_parse_error(self):

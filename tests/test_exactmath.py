@@ -4,6 +4,7 @@ transform, and the reference generalized binomial that the closed-form
 oracles are built from."""
 
 import copy
+import functools
 import json
 import math
 import pickle
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catwb.errors import DegreeError
-from catwb.exactmath import GoldInt, MPoly, MUniPoly, binom_int, substitute_dual, substitute_fm
+from catwb.exactmath import GoldInt, MPoly, MUniPoly, binom_int, mpoly_sum, substitute_dual, substitute_fm
 from catwb.ftriangle import f_closed
 from catwb.rootdata import ir
 
@@ -303,6 +304,29 @@ class TestMPoly:
     def test_latex_format(self):
         p = Fraction(25, 3) * M * MPoly.term(3, 0) + MPoly.term(1, 1)
         assert p.format(latex=True) == "\\frac{25}{3} m x^{3} + xy"
+
+    def test_the_n_ary_sum_adds_coefficient_by_coefficient(self):
+        rng = random.Random(20261020)
+        for count in [0, 1, 2, 3, 7, 20]:
+            polys = [random_mpoly(rng) * Fraction(1, rng.randint(1, 9)) for _ in range(count)]
+            polys += [-p for p in polys[: count // 3]]  # rows that cancel
+            total = mpoly_sum(polys)
+            assert total == functools.reduce(reference_add, polys, MPoly.zero()) and canonical_problems(total) == []
+        assert mpoly_sum(iter([MPoly.x(), MPoly.y()])) == MPoly.x() + MPoly.y()
+
+    @pytest.mark.parametrize("number", [0, 5, -3, Fraction(1, 2), Fraction(-7, 3)])
+    def test_a_constant_hashes_like_the_number_it_equals(self, number):
+        poly, view = MPoly.const(number), MPoly.const(number).coeff(0, 0)
+        for value in (poly, view):
+            assert value == number and hash(value) == hash(number)
+            assert value in {number} and number in {value}
+        assert MPoly.zero() in {0} and 0 in {MPoly.zero()}
+
+    def test_a_polynomial_that_is_not_constant_is_no_number_in_a_set(self):
+        for poly in (MPoly.x(), 2 * M, MPoly.const(3) + MPoly.y()):
+            assert poly not in {0, 1, 2, 3} and not {poly} & {0, 1, 2, 3}
+        # constant in x and y but not in m: it equals, and hashes as, its view
+        assert 2 * M in {(2 * M).coeff(0, 0)} and (2 * M).coeff(0, 0) in {2 * M}
 
     def test_serialization_roundtrip_bit_exact(self):
         rng = random.Random(7)

@@ -1,14 +1,17 @@
 """m-divisible posets: construction, censuses, M-triangles both ways."""
 
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
 from functools import cached_property
+from operator import mul
 
 import pytest
 
-from catwb.errors import BudgetExceeded, InvariantError
+from catwb.cli import CHAINS_GRID, FM_BRUTE_TYPES
+from catwb.errors import BudgetExceeded, InvalidArgument, InvariantError
 from catwb.exactmath import MPoly
 from catwb.fmverify import verify_fm
 from catwb.ftriangle import narayana_closed, row_sum
@@ -24,13 +27,14 @@ from catwb.ncposet import (
     _build_ncm,
 )
 from catwb.rootdata import degrees_irr, fuss_catalan, ir
-from catwb.wgroup import NCCore, _build_nc, _type_table, build_nc
+from catwb.wgroup import NCCore, _build_nc, _type_table, build_nc, chain_counts_classical
 
 import closed_form_reference as ref
 from mobius_reference import reference_m_triangle
 from mpoly_reference import M, gen_binomial, reference_m_triangle_formula
 from oracle import (
     _iter_bits,
+    chain_count_brute,
     digit_conjugates,
     down,
     leq,
@@ -512,6 +516,76 @@ class TestMTriangles:
                 + 1
             )
             assert m_triangle_formula(t) == expected
+
+
+def weak_compositions(n: int) -> list[tuple[int, ...]]:
+    """Every composition of n into at most n + 1 non-negative parts."""
+    return [
+        tuple(b - a - 1 for a, b in zip((-1,) + cut, cut + (n + parts - 1,)))
+        for parts in range(1, n + 2)
+        for cut in itertools.combinations(range(n + parts - 1), parts - 1)
+    ]
+
+
+def zeta_values(p: NCmPoset, top: int) -> list[int]:
+    """Z(k) for k = 2..top, the multichains x_1 <= ... <= x_(k-1) of p: the
+    orbit-weighted total of 1 summed over up-sets k - 2 times."""
+    sizes = p.orbits()[2]
+    values, out = [1] * len(sizes), []
+    for _ in range(2, top + 1):
+        out.append(sum(map(mul, values, sizes)))
+        values = p.up_sums(values)
+    return out
+
+
+class TestUpSums:
+    @pytest.mark.parametrize("s,m", CHAINS_GRID)
+    def test_chain_counts_match_the_walk_over_the_up_lists(self, s, m):
+        p = build_ncm(ir(s), m)
+        n = p.type.rank
+        for jumps in weak_compositions(n) + [(n + 1, -1), (-1, n + 1), (n, 1, -1), (1, -1, n)]:
+            assert p.chain_count(jumps) == chain_count_brute(p.poset, n, jumps), jumps
+        with pytest.raises(InvalidArgument, match="sum to the rank"):
+            p.chain_count((n, 1))
+
+    @pytest.mark.parametrize("s,m", [("A3", 2), ("B3", 3), ("D4", 1), ("H3", 2)])
+    def test_the_sums_of_ones_are_the_up_set_sizes(self, s, m):
+        p = build_ncm(ir(s), m)
+        at, reps, _ = p.orbits()
+        sums = p.up_sums([1] * len(reps))
+        assert [sums[at[key]] for key in p.keys] == [len(row) + 1 for row in p.poset.above]
+
+    @pytest.mark.parametrize("s,m", [(s, m) for s in FM_BRUTE_TYPES for m in (1, 2, 3)]
+                             + [("F4", 2), ("H4", 2), ("D6", 2), ("E6", 2)])
+    def test_the_zeta_polynomial_is_a_fuss_catalan_number(self, s, m):
+        # Z(k) = Cat^((k-1)m)(W) (Armstrong, Mem. AMS 2009, 3.6; Chapoton,
+        # Sem. Lothar. Combin. 51, 2004, at m = 1), at k = 2 .. n + 2
+        t = ir(s)
+        p = build_ncm(t, m, poset_cap=10**9)
+        assert zeta_values(p, t.rank + 2) == [fuss_catalan(t, (k - 1) * m) for k in range(2, t.rank + 3)]
+
+    def test_the_zeta_polynomial_of_e7(self):
+        t = ir("E7")
+        p = build_ncm(t, 1, group_cap=10**7, poset_cap=10**9)
+        assert zeta_values(p, 9) == [fuss_catalan(t, k - 1) for k in range(2, 10)]
+
+    def test_a_missing_element_is_refused(self):
+        # as in TestBuildNcm: each element its own orbit, one of rank 1 cut
+        p = build_ncm(ir("B3"), 2)
+        k = p.ranks.index(1)
+        firsts, keys = ([x for i, x in enumerate(seq) if i != k] for seq in (p.firsts, p.keys))
+        cut = NCmPoset(p.type, p.m, p.core, firsts, keys, keys)
+        with pytest.raises(InvariantError, match=rf"NC\^2\(B3\): {p.keys[k]} lies above an element but is no"):
+            cut.up_sums([1] * cut.size)
+        with pytest.raises(InvariantError, match=rf"{p.keys[k]} lies above an element but is no element"):
+            cut.chain_count((1, 2, 0))  # sums from rank 2 down to rank 0, which lies below the cut
+
+    def test_chains_are_counted_without_the_up_lists(self):
+        t = ir("B3")
+        _build_ncm.cache_clear()
+        p = build_ncm(t, 2)
+        assert [chain_counts_classical(t, 2, j).equal for j in weak_compositions(3)] == [True] * 35
+        assert "poset" not in vars(p) and "elements" not in vars(p)
 
 
 class TestZetaRoute:

@@ -25,7 +25,6 @@ from catwb.wgroup import (
     RootPermBackend,
     TypeTable,
     build_nc,
-    chain_count_brute,
     chain_count_formula,
     chain_counts_classical,
     char_poly,
@@ -45,6 +44,7 @@ from oracle import (
     _iter_bits,
     abs_leq,
     abs_length,
+    chain_count_brute,
     core_dump,
     coxeter_element,
     down,
