@@ -12,7 +12,7 @@ increasing quotient order, the order in which the core stores them, so it
 lists NC^m in canonical order, sorted by delta tuple, and sorts nothing;
 the poset holds only the keys, the first links w_0 and the keys of the
 conjugates, as three index arrays, and the tuples are decoded only for the
-Hasse export and the up-lists.
+Hasse export.
 
 The order is B >= A iff B[i] <= A[i] in NC for i = 1..m, and the tuples
 (w_1, ..., w_m) of NC^m are closed downward under the componentwise NC order
@@ -30,20 +30,20 @@ rank-preserving automorphism of NC^m, whose orbits have at most h elements
 constant on its orbits, so each coordinate pass solves one element per
 orbit, and the reads, m (Cat^(m+1) - Cat^(m)) over all elements, fall by
 about the mean orbit size; the Cat^(2m) - Cat^(m) related pairs are never
-read.  Sums over up-sets (`up_sums`) make the same passes with + in place of
--, orbit by orbit, and count the rank-jump chains (`chain_count`) as
-repeated up-set sums of a rank indicator.  The sorted up-lists are derived
-from the products only for the Hasse export.
+read.  Sums over up-sets (`up_sums`), of which the rank-jump chain counts
+(`chain_count`) are made, run the same pass loop on the same step tables,
+adding in increasing rank where the inversion subtracts in decreasing rank:
+both follow one order of the representatives, by rank, whatever the stored
+order.  The sorted up-lists for the Hasse export read those tables too.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat
 from math import factorial
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import BudgetExceeded, InvalidArgument, InvariantError
 from .exactmath import MPoly, falling
@@ -82,10 +82,9 @@ class NCmPoset:
     indices follow rank: for each element its first link w_0, its
     coordinate key and the key of its conjugate by c, each column an index
     array (a list where |NC|^m passes 2^64).  The tuples are decoded only
-    when read (the Hasse export and the up-lists).  The order is read off
-    the NC down-lists of the coordinates (see the module docstring); `poset`
-    derives the sorted up-lists from their products on first read, for the
-    Hasse export."""
+    for the Hasse export.  The order is read off the NC down-lists of the
+    coordinates (see the module docstring); `poset` derives the sorted
+    up-lists from their products on first read, for the Hasse export."""
 
     def __init__(self, type: RootSystemType, m: int, core: NCCore, firsts: Sequence[int], keys: Sequence[int],
                  conjugates: Sequence[int]):
@@ -135,24 +134,6 @@ class NCmPoset:
     def minimal_count(self) -> int:
         return self.ranks.count(0)
 
-    def _down_lists(self) -> list[list[int]]:
-        """For each NC index d, d and then the smaller indices below it in NC."""
-        return [[d, *(d + x for x in row)] for d, row in enumerate(self.core.lower)]
-
-    def _up_keys(self, elements):
-        """For each delta in turn, the keys of its closed up-set: the product
-        of the NC down-lists of delta[1..m], scaled by the radix.  Each
-        down-list starts with its own element, so the key of delta comes
-        first."""
-        downs, size = self._down_lists(), self.core.size
-        tables = [[[q * size**i for q in row] for row in downs] for i in range(self.m)]
-        for delta in elements:
-            keys = None  # until a coordinate is not the identity: the key 0 alone
-            for scaled, d in zip(tables, delta[1:]):
-                if d:  # the identity is below itself only, and adds 0 to every key
-                    keys = scaled[d] if keys is None else [a + b for b in scaled[d] for a in keys]
-            yield keys or (0,)
-
     def orbits(self) -> tuple[dict, list[int], list[int]]:
         """The orbits of conjugation by c in every coordinate, found by
         following the conjugates, each represented by its element stored
@@ -184,6 +165,58 @@ class NCmPoset:
         at.update(zip(keys, orbit))
         return at, reps, sizes
 
+    def _steps(self) -> list[tuple[int, list[list[int]]]]:
+        """Per coordinate i = 1..m, the scale |NC|^(i-1) and the NC down-sets
+        as key differences: row d holds x |NC|^(i-1) for each d + x below d."""
+        radix, lower = self.core.size, self.core.lower
+        steps = [(1, lower)]
+        for scale in (radix**i for i in range(1, self.m)):
+            scaled = [x * scale for x in range(-radix, 0)]  # scaled[x] = x * scale, read from the end like lower's rows
+            steps.append((scale, [[scaled[x] for x in row] for row in lower]))
+        return steps
+
+    def _tables(self) -> tuple[tuple[dict, list[int], list], list[int], list[int], list[int]]:
+        """What the coordinate passes read, built afresh on each call: for
+        `_sweep`, the map from key to orbit (see `orbits`), the key of each
+        orbit's representative and the `_steps`; per orbit the rank of its
+        representative and its size; and the orbits in increasing rank, the
+        one order of every pass, whatever the stored order.  A conjugate that
+        is no element raises KeyError."""
+        at, reps, sizes = self.orbits()
+        ranks = self.core.poset.ranks  # an element's rank is that of its first link
+        rep_ranks = [ranks[self.firsts[k]] for k in reps]
+        order = sorted(range(len(reps)), key=rep_ranks.__getitem__)
+        return (at, [self.keys[k] for k in reps], self._steps()), rep_ranks, sizes, order
+
+    def _sweep(self, tables: tuple, values: list[int], order: Sequence[int], combine) -> list[int]:
+        """One pass per coordinate i over the representatives A in `order`, in
+        place: A's value becomes combine(it, the sum of the values of the B
+        that lower A[i] in NC), each read through the map from key to orbit.
+        Such a B lies above A, so in decreasing rank its value is read once
+        this pass has combined it, and in increasing rank before.  A lowered
+        key that is no element raises KeyError."""
+        at, repkeys, steps = tables
+        get, value, radix = at.__getitem__, values.__getitem__, self.core.size
+        for scale, rows in steps:
+            for o in order:
+                key = repkeys[o]
+                step = rows[key // scale % radix]
+                if len(step) == 1:  # an atom: one read, of the identity in its place
+                    values[o] = combine(values[o], values[get(key + step[0])])
+                elif step:
+                    values[o] = combine(values[o], sum(map(value, map(get, map(key.__add__, step)))))
+        return values
+
+    def _up_keys(self, keys):
+        """For each key in turn, the keys of its closed up-set, the product of
+        the NC down-lists of its coordinates, the key itself first."""
+        steps, radix = self._steps(), self.core.size
+        for key in keys:
+            up = [key]
+            for scale, rows in steps:
+                up += [a + x for x in rows[key // scale % radix] for a in up]
+            yield up
+
     def m_triangle(self) -> MPoly:
         """Sum of mu(A, B) x^rank(A) y^rank(B) over all pairs A <= B.
 
@@ -191,11 +224,10 @@ class NCmPoset:
         B >= A = X^rank(A); as the up-set is a product, it is solved for one
         coordinate i at a time: h(A) -= the h(B) of the B that lower A[i] in
         NC.  Conjugation by c in every coordinate keeps rank and order, so h
-        is constant on its orbits (see `orbits`): each pass solves one
-        representative per orbit, and every value is read through the map
-        from key to orbit.  The representatives go in decreasing rank, so a
-        lowered neighbour, which lies above, has its value final: its
-        representative has its rank.  Row r of the triangle sums h over the
+        is constant on its orbits (see `orbits`) and each pass solves one
+        representative per orbit.  The passes (`_sweep`) go in decreasing
+        rank, so a lowered neighbour, which lies above, has its value final:
+        its representative has its rank.  Row r of the triangle sums h over the
         representatives of rank r, each weighted by its orbit size.
         In base X = 2^W, field s of h(A) is at most the chains from A, below
         (N + 1)^n for N = self.size, and a row sum is below (N + 1)^(n + 1):
@@ -204,29 +236,11 @@ class NCmPoset:
         it, and a list of other than Cat^(m) elements is refused.
         Down-closure is so checked at the representatives only; with closure
         under conjugation it holds everywhere."""
-        radix, n = self.core.size, self.type.rank
+        n = self.type.rank
         width = (n + 1) * (self.size + 1).bit_length() + 1
-        ranks = self.core.poset.ranks  # an element's rank is that of its first link
         try:
-            at, reps, sizes = self.orbits()
-            get = at.__getitem__
-            repkeys = list(map(self.keys.__getitem__, reps))
-            rep_ranks = [ranks[self.firsts[k]] for k in reps]
-            h = [1 << width * r for r in rep_ranks]  # h[o]: the value on orbit o
-            value = h.__getitem__
-            order = sorted(range(len(reps)), key=rep_ranks.__getitem__, reverse=True)
-            steps = lower = self.core.lower
-            for scale in (radix**i for i in range(self.m)):
-                if scale > 1:  # scaled[x] = x * scale, read from the end like lower's table
-                    scaled = [x * scale for x in range(-radix, 0)]
-                    steps = [[scaled[x] for x in row] for row in lower]
-                for o in order:
-                    key = repkeys[o]
-                    step = steps[key // scale % radix]
-                    if len(step) == 1:  # an atom: one read, of the identity in its place
-                        h[o] -= h[get(key + step[0])]
-                    elif step:
-                        h[o] -= sum(map(value, map(get, map(key.__add__, step))))
+            tables, rep_ranks, sizes, order = self._tables()
+            h = self._sweep(tables, [1 << width * r for r in rep_ranks], order[::-1], sub)
         except KeyError as exc:
             raise InvariantError(
                 f"{self.name}: {exc.args[0]} lies above an element or is the conjugate of one, but is no element"
@@ -240,42 +254,27 @@ class NCmPoset:
         return unpack_rows(rows, width)
 
     @cached_property
-    def _summed(self) -> tuple[dict, list[int], list[int], list[int], list[list[list[int]]], dict]:
-        """What the up-set sums read, kept only on the posets whose up-sets
-        are summed (the M-triangle calls `orbits` afresh): the map from key
-        to orbit, and per orbit the key and rank of its representative, in
-        increasing rank as stored, and its size; for each coordinate the NC
-        down-sets as key differences; and the memo of chain-count states."""
-        at, reps, sizes = self.orbits()
-        ranks, radix = self.core.poset.ranks, self.core.size
-        steps = [[[x * radix**i for x in row] for row in self.core.lower] for i in range(self.m)]
-        return at, [self.keys[k] for k in reps], [ranks[self.firsts[k]] for k in reps], sizes, steps, {}
+    def _summed(self) -> tuple[tuple, dict]:
+        """The tables of the up-set sums and the memo of chain-count states,
+        kept only on the posets whose up-sets are summed (the M-triangle
+        builds its tables afresh)."""
+        return self._tables(), {}
 
     def up_sums(self, values: Sequence[int], low: int = 0, high: int | None = None) -> list[int]:
         """For each orbit of conjugation by c (see `orbits`, in its order),
         the sum of `values`, one per orbit, over the closed up-set of its
-        elements.  As in `m_triangle`, one pass per coordinate i: each
-        representative A, in increasing rank, adds the values of the B that
-        lower A[i] in NC, which lie above and so are not yet summed in this
-        pass.  Only the representatives of rank low..high are summed: for
-        values that vanish above `high` the sums are exact from rank `low`
-        up, and below it the values come back as given.  A lowered key that
-        is no element raises InvariantError naming it."""
-        at, repkeys, rep_ranks, _, steps, _ = self._summed
-        start = bisect_left(rep_ranks, low)
-        stop = bisect_right(rep_ranks, self.type.rank if high is None else high)
-        out = list(values)
-        get, value, radix = at.__getitem__, out.__getitem__, self.core.size
+        elements.  The passes (`_sweep`) go in increasing rank, so a lowered
+        neighbour, which lies above, is read before this pass sums it.  Only
+        the representatives of rank low..high are summed: for values that
+        vanish above `high` the sums are exact from rank `low` up, and below
+        it the values come back as given.  A lowered key that is no element
+        raises InvariantError naming it."""
+        tables, rep_ranks, _, order = self._summed[0]
+        high = self.type.rank if high is None else high
         try:
-            for scale, rows in zip((radix**i for i in range(self.m)), steps):
-                for o in range(start, stop):
-                    key = repkeys[o]
-                    step = rows[key // scale % radix]
-                    if step:
-                        out[o] += sum(map(value, map(get, map(key.__add__, step))))
+            return self._sweep(tables, list(values), [o for o in order if low <= rep_ranks[o] <= high], add)
         except KeyError as exc:
             raise InvariantError(f"{self.name}: {exc.args[0]} lies above an element but is no element") from None
-        return out
 
     def chain_count(self, jumps: Sequence[int]) -> int:
         """Multichains x_1 >= x_2 >= ... of NC^m whose ranks fall from n by
@@ -286,14 +285,14 @@ class NCmPoset:
         restricted to the ranks between, read at that rank only."""
         n = self.type.rank
         partial = list(accumulate(jumps))
-        if partial[-1] != n:
+        if not partial or partial[-1] != n:
             raise InvalidArgument("jumps must sum to the rank")
         needed = tuple(n - p for p in partial[:-1])  # the ranks of x_1, x_2, ...
         if not needed:
             return 1
         if any(a < b for a, b in zip((n, *needed), (*needed, 0))):
             return 0
-        _, _, rep_ranks, sizes, _, memo = self._summed
+        (_, rep_ranks, sizes, _), memo = self._summed
         state = [1 if r == needed[0] else 0 for r in rep_ranks]
         for k in range(2, len(needed) + 1):
             prefix = needed[:k]
@@ -310,7 +309,7 @@ class NCmPoset:
         index = {key: k for k, key in enumerate(self.keys)}
         above = []
         try:
-            for k, keys in enumerate(self._up_keys(self.elements)):
+            for k, keys in enumerate(self._up_keys(self.keys)):
                 row = sorted(map(index.__getitem__, keys))
                 if row[0] != k:  # delta[0] gains rank up the order, so k sorts first
                     raise InvariantError(f"element {k} of {self.name} is not the least of its up-set")

@@ -176,7 +176,7 @@ def poset_m_triangle(poset: Poset) -> MPoly:
 def ncm_pair_sweep(ncm: NCmPoset) -> MPoly:
     """The pair sweep over NC^m in reverse stored order, each element reading
     its up-set as the product of the NC down-lists of its coordinates."""
-    upsets = zip(reversed(ncm.ranks), ncm._up_keys(reversed(ncm.elements)))
+    upsets = zip(reversed(ncm.ranks), ncm._up_keys(reversed(ncm.keys)))
     return mobius_sweep(ncm.type.rank, ncm.size, upsets, ncm.name)
 
 

@@ -105,9 +105,17 @@ def _reads(tree: ast.AST) -> Counter:
     return reads
 
 
+def _methods(tree: ast.Module) -> list[ast.stmt]:
+    """The methods and properties defined in the bodies of the module's
+    classes."""
+    return [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef)]
+
+
 def _unread_names(trees: dict[str, ast.Module], private: bool) -> list[tuple[str, int, str]]:
     """(module, line, name) for the module-level private (or public)
-    functions, classes and assignments, dunders aside, that no module of the
+    functions, classes and assignments, and for the private methods and
+    properties of module-level classes, dunders aside, that no module of the
     package reads outside their definition.  Each tree is walked once for
     its reads; the reads inside a definition, from its own subtree, are
     taken off."""
@@ -115,7 +123,7 @@ def _unread_names(trees: dict[str, ast.Module], private: bool) -> list[tuple[str
     return [
         (module, node.lineno, name)
         for module, tree in trees.items()
-        for node in tree.body
+        for node in tree.body + (_methods(tree) if private else [])
         for name in _defined_names(node)
         if name.startswith("_") == private and reads[name] == _reads(node)[name]
     ]
@@ -148,10 +156,14 @@ def test_an_unread_private_name_is_reported():
             "def _rec(n):\n    return _rec(n - 1) if n else 0\n"
             "def _used():\n    return _LIMIT\n"
             "class _Box:\n    pass\n"
+            "class Cell:\n"
+            "    def __init__(self):\n        self._n = 0\n"
+            "    def _left_over(self):\n        return self._left_over()\n"
+            "    @property\n    def _read(self):\n        return self._n\n"
         ),
-        "b": ast.parse("from .a import _used\nimport a\nx = _used() + a._Box\n"),
+        "b": ast.parse("from .a import _used\nimport a\nx = _used() + a._Box + a.Cell()._read\n"),
     }
-    assert unread_private_names(trees) == ["a.py:2 defines _dead", "a.py:3 defines _rec"]
+    assert unread_private_names(trees) == ["a.py:2 defines _dead", "a.py:3 defines _rec", "a.py:12 defines _left_over"]
 
 
 def test_every_unread_public_name_is_listed():

@@ -255,9 +255,9 @@ class TestBuildNcm:
         # the pairs (u, y <= u[i]) are the elements of NC^(m+1)
         t = ir(s)
         p = build_ncm(t, m, poset_cap=2 * 10**8)
-        downs = p._down_lists()
+        lower = p.core.lower
         for i in range(1, m + 1):
-            assert sum(len(downs[delta[i]]) - 1 for delta in p.elements) == fuss_catalan(t, m + 1) - fuss_catalan(t, m)
+            assert sum(len(lower[delta[i]]) for delta in p.elements) == fuss_catalan(t, m + 1) - fuss_catalan(t, m)
 
     @pytest.mark.parametrize("s,m", [("A3", 3), ("B3", 2), ("H3", 2), ("H3", 3)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -271,6 +271,11 @@ class TestBuildNcm:
         columns = (p.firsts, p.keys, p.conjugates if seed % 2 else digit_conjugates(p))
         shuffled = NCmPoset(p.type, m, p.core, *([seq[k] for k in order] for seq in columns))
         assert shuffled.m_triangle() == reference_m_triangle(p.poset)
+        # the up-set sums go by rank too: the sums of ones and the chain counts
+        at, reps, _ = shuffled.orbits()
+        ones, n = shuffled.up_sums([1] * len(reps)), p.type.rank
+        assert ([ones[at[key]] for key in p.keys], [shuffled.chain_count(j) for j in weak_compositions(n)]) == (
+            [len(row) + 1 for row in p.poset.above], [chain_count_brute(p.poset, n, j) for j in weak_compositions(n)])
 
     def test_the_brute_witness_reads_no_formula_memo(self):
         # the brute side must stay independent of the type tables, which every formula path reads
@@ -545,8 +550,9 @@ class TestUpSums:
         n = p.type.rank
         for jumps in weak_compositions(n) + [(n + 1, -1), (-1, n + 1), (n, 1, -1), (1, -1, n)]:
             assert p.chain_count(jumps) == chain_count_brute(p.poset, n, jumps), jumps
-        with pytest.raises(InvalidArgument, match="sum to the rank"):
-            p.chain_count((n, 1))
+        for jumps in [(n, 1), ()]:
+            with pytest.raises(InvalidArgument, match="sum to the rank"):
+                p.chain_count(jumps)
 
     @pytest.mark.parametrize("s,m", [("A3", 2), ("B3", 3), ("D4", 1), ("H3", 2)])
     def test_the_sums_of_ones_are_the_up_set_sizes(self, s, m):
