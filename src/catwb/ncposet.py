@@ -7,9 +7,9 @@ Elements are tuples (w_0; w_1, ..., w_m) of NC indices whose group product is
 the Coxeter element with additive absolute lengths; they are enumerated as
 m-multichains of NC, which bounds the work by the poset size rather than by
 |W|^(m+1).  Each is keyed by w_1..w_m as a mixed-radix integer; w_0 is
-determined by them.  The walk takes the links from each NC element in
-increasing quotient order, the order in which the core stores them, so it
-lists NC^m in canonical order, sorted by delta tuple, and sorts nothing;
+determined by them.  The walk splits off one factor at a time, read from
+the down-set of the rest of c in increasing index, as the core stores it,
+so it lists NC^m in canonical order, sorted by delta tuple, and sorts nothing;
 the poset holds only the keys, the first links w_0 and the keys of the
 conjugates, as three index arrays, and the tuples are decoded only for the
 Hasse export.
@@ -107,7 +107,7 @@ class NCmPoset:
     @property
     def ranks(self) -> list[int]:
         """The rank of each element: the NC rank of its first link."""
-        return list(map(self.core.poset.ranks.__getitem__, self.firsts))
+        return list(map(self.core.ranks.__getitem__, self.firsts))
 
     @cached_property
     def elements(self) -> list[tuple[int, ...]]:
@@ -183,7 +183,7 @@ class NCmPoset:
         one order of every pass, whatever the stored order.  A conjugate that
         is no element raises KeyError."""
         at, reps, sizes = self.orbits()
-        ranks = self.core.poset.ranks  # an element's rank is that of its first link
+        ranks = self.core.ranks  # an element's rank is that of its first link
         rep_ranks = [ranks[self.firsts[k]] for k in reps]
         order = sorted(range(len(reps)), key=rep_ranks.__getitem__)
         return (at, [self.keys[k] for k in reps], self._steps()), rep_ranks, sizes, order
@@ -267,9 +267,11 @@ class NCmPoset:
         neighbour, which lies above, is read before this pass sums it.  Only
         the representatives of rank low..high are summed: for values that
         vanish above `high` the sums are exact from rank `low` up, and below
-        it the values come back as given.  A lowered key that is no element
-        raises InvariantError naming it."""
+        it the values come back as given.  Values not one per orbit raise
+        InvalidArgument, and a lowered key that is no element InvariantError."""
         tables, rep_ranks, _, order = self._summed[0]
+        if len(values) != len(rep_ranks):
+            raise InvalidArgument(f"expected one value per orbit of {self.name}: {len(rep_ranks)}, not {len(values)}")
         high = self.type.rank if high is None else high
         try:
             return self._sweep(tables, list(values), [o for o in order if low <= rep_ranks[o] <= high], add)
@@ -353,50 +355,48 @@ def build_ncm(
 def _build_ncm(t: RootSystemType, m: int) -> NCmPoset:
     n_elements = fuss_catalan(t, m)
     core = _build_nc(t)
-    quot, size, sigma = core.quot, core.size, core.sigma
-    # multichains e <= c_0 <= ... <= c_(m-1) <= c of NC, grown one link at a
-    # time as columns of first links, keys so far and last links a, over the
-    # links (q, b) from a: quot[a] lists q = a^-1 b for b in (a, *above[a])
-    # in increasing q, as the core stores them, and ends with a^-1 c.  The
-    # first links, from e, are all of NC in order, since q = b there.
-    # Within each level the links come in increasing q, and a prefix
+    down, quot, size, sigma = core.down, core.quot, core.size, core.sigma
+    # multichains e <= c_0 <= ... <= c_(m-1) <= c of NC, grown one factor
+    # w_i = c_(i-1)^-1 c_i at a time as columns of first links, keys so far
+    # and rests r = c_(i-1)^-1 c: the next factor is some q <= r and leaves
+    # q^-1 r, the pairs that down[r] and quot[r] list with q increasing.
+    # The first links are all of NC in order, leaving the rests quot[top].
+    # Within each level the factors come in increasing index, and a prefix
     # (w_0, ..., w_(m-1)) fixes the whole tuple, so the walk lists NC^m in
-    # sorted order with no sort.  The rows of the last link also add b^-1 c
-    # in the next digit, so no column of last links follows them.  A further
+    # sorted order with no sort.  The rows of the last factor also add q^-1 r
+    # in the next digit, so no column of rests follows them.  A further
     # column carries the keys of the conjugates c w_i c^-1, each q read
     # through sigma.
-    ends = [row[-1] for row in quot]  # a^-1 c
+    firsts, rests = range(size), quot[core.top]
     if m == 1:
-        firsts, keys, conjugates = range(size), ends, list(map(sigma.__getitem__, ends))
+        keys, conjugates = rests, list(map(sigma.__getitem__, rests))
     else:
-        counts = list(map(len, quot))
-        closed = [(a, *row) for a, row in enumerate(core.poset.above)]
-        firsts = lasts = range(size)
-    for level in range(1, m):  # the link c_(level-1) <= c_level, digit level - 1 of the key
+        counts = list(map(len, down))
+    for level in range(1, m):  # the factor w_level, digit level - 1 of the key
         scale = size ** (level - 1)
         if level < m - 1:
-            qs = [[q * scale for q in row] for row in quot]
-            cs = [[sigma[q] * scale for q in row] for row in quot]
-        else:  # the last link: each q with b^-1 c in the next digit
-            rows = list(zip(quot, closed))
-            qs = [[(q + size * ends[b]) * scale for q, b in zip(*row)] for row in rows]
-            cs = [[(sigma[q] + size * sigma[ends[b]]) * scale for q, b in zip(*row)] for row in rows]
+            qs = [[q * scale for q in row] for row in down]
+            cs = [[sigma[q] * scale for q in row] for row in down]
+        else:  # the last factor: each q with q^-1 r in the next digit
+            rows = list(zip(down, quot))
+            qs = [[(q + size * p) * scale for q, p in zip(*row)] for row in rows]
+            cs = [[(sigma[q] + size * sigma[p]) * scale for q, p in zip(*row)] for row in rows]
+        firsts = list(chain.from_iterable(map(repeat, firsts, map(counts.__getitem__, rests))))
         if level == 1:  # every key so far is 0
-            firsts = list(chain.from_iterable(map(repeat, firsts, counts)))
-            keys, conjugates = list(chain.from_iterable(qs)), list(chain.from_iterable(cs))
+            keys = list(chain.from_iterable(map(qs.__getitem__, rests)))
+            conjugates = list(chain.from_iterable(map(cs.__getitem__, rests)))
         else:
-            firsts = list(chain.from_iterable(map(repeat, firsts, map(counts.__getitem__, lasts))))
-            keys = [key + q for key, a in zip(keys, lasts) for q in qs[a]]
-            conjugates = [key + q for key, a in zip(conjugates, lasts) for q in cs[a]]
+            keys = [key + q for key, r in zip(keys, rests) for q in qs[r]]
+            conjugates = [key + q for key, r in zip(conjugates, rests) for q in cs[r]]
         if level < m - 1:
-            lasts = list(chain.from_iterable(map(closed.__getitem__, lasts)))
+            rests = list(chain.from_iterable(map(quot.__getitem__, rests)))
     if len(firsts) != n_elements:
         raise InvariantError(f"NC^{m}({t}) has {len(firsts)} elements, Cat^({m}) = {n_elements}")
     if len(set(keys)) != len(keys):
         raise InvariantError(f"two elements of NC^{m}({t}) share the coordinates 1..{m}")
     ncm = NCmPoset(t, m, core, _index_array(size, firsts), _index_array(size**m, keys),
                    _index_array(size**m, conjugates))
-    rank = core.poset.ranks[ncm.firsts[ncm.maximum()]]
+    rank = core.ranks[ncm.firsts[ncm.maximum()]]
     if rank != t.rank:
         raise InvariantError(f"the maximum of NC^{m}({t}) has rank {rank}")
     return ncm

@@ -34,12 +34,12 @@ below its first element w_B, the counts P_B(A, C) of u of type A with
 u^-1 w_B of type C.  It is read off the walk alone, with no up-sets or
 quotients (Krattenthaler-Muller, Trans. AMS 2010, need only the types of u
 and of u^-1 w_B), and it is all that persists on disk (kind `nctypes`), so
-formula-mode runs build no core.  The core, with its up-sets and quotients
-u^-1 w, is built in memory from the same walk, and never stored, for the
-brute-force NC^m, chain counts and exports.  It too is formed for one
-element per orbit, the rows of the others mapped through the index
-permutation that conjugation by c induces, and each row is an index array
-in increasing quotient.
+formula-mode runs build no core.  The core, each element's down-set with
+its quotients u^-1 w, is built in memory from the same walk's lower covers,
+and never stored, for the brute-force NC^m, chain counts and exports.  It
+too is formed for one element per orbit, the rows of the others mapped
+through the index permutation that conjugation by c induces, and each row
+is an index array in increasing index.
 
 Posets are immutable once built and memoised by type alone: every public
 entry point checks the group cap from the closed-form |W| before any memo or
@@ -431,9 +431,8 @@ def parabolic_type_of(table: GroupTable, w) -> RootSystemType:
 
 class Poset:
     """A finite graded poset: ranks plus the order as strict up-lists, one
-    sequence of indices per element: increasing in an NC^m poset, and in an
-    NC core an index array in the order of its quotients (see NCCore).  The
-    bit rows `up` are derived from the lists on first read."""
+    increasing sequence of indices per element.  The bit rows `up` are
+    derived from the lists on first read."""
 
     def __init__(self, ranks: list[int], above: list):
         self.ranks = ranks
@@ -456,25 +455,23 @@ class Poset:
 
 class NCCore:
     """NC for one irreducible type: the interval below the Coxeter element,
-    with the order relation, rank function, per-pair quotients u^-1 w (again
-    indices into NC), the parabolic type of every element, and conjugation
-    by c as an index array: sigma[i] is the index of c u_i c^-1, a
-    rank-preserving automorphism of the order.  quot[i] is an index array
-    aligned with (i, *poset.above[i]): it lists u_i^-1 u_j for each of those
-    j, and both are kept in increasing quotient, the order in which the NC^m
-    walk reads them, so they start with (i, the identity 0) and end with
-    (c, u_i^-1 c)."""
+    with the rank of each element, and conjugation by c as an index array:
+    sigma[i] is the index of c u_i c^-1, a rank-preserving automorphism of
+    the order.  down[d] is an index array of the u <= d, increasing, so from
+    the identity 0 to d, and quot[d], aligned with it, lists the quotients
+    u^-1 d, again indices into NC: as u -> u^-1 d maps [e, d] onto itself,
+    the pairs (q, q^-1 d) that split d, as the NC^m walk reads them."""
 
-    def __init__(self, type: RootSystemType, poset: Poset, quot: list, partypes: list[RootSystemType], sigma):
+    def __init__(self, type: RootSystemType, ranks: list[int], down: list, quot: list, sigma):
         self.type = type
-        self.poset = poset
+        self.ranks = ranks
+        self.down = down
         self.quot = quot
-        self.partypes = partypes
         self.sigma = sigma
 
     @property
     def size(self) -> int:
-        return self.poset.size
+        return len(self.ranks)
 
     @property
     def top(self) -> int:
@@ -483,15 +480,21 @@ class NCCore:
     @cached_property
     def lower(self) -> list[list[int]]:
         """For each index d, y - d for the y < d below d, y increasing: the
-        down-sets as index differences, transposed from the up-sets once
-        per core.  The values are read from one table, by index y - d from
-        its end, so the rows share their ints."""
+        down-sets but d itself as index differences, formed once per core.
+        The values are read from one table, by index y - d from its end, so
+        the rows share their ints."""
         table = list(range(-self.size, 0))
-        lower: list[list[int]] = [[] for _ in table]
-        for y, row in enumerate(self.poset.above):
-            for d in row:
-                lower[d].append(table[y - d])
-        return lower
+        return [[table[y - d] for y in row[:-1]] for d, row in enumerate(self.down)]
+
+    @cached_property
+    def poset(self) -> Poset:
+        """The strict up-lists, transposed from the down-sets on first read;
+        only the tests and the benchmark's pair count read them."""
+        above: list[list[int]] = [[] for _ in self.down]
+        for d, row in enumerate(self.down):
+            for u in row[:-1]:
+                above[u].append(d)
+        return Poset(self.ranks, above)
 
 
 def build_nc(t: RootSystemType, group_cap: int | None = None) -> NCCore:
@@ -581,13 +584,13 @@ def _index_array(bound: int, values=()):
 
 @lru_cache(maxsize=None)
 def _build_nc(t: RootSystemType) -> NCCore:
-    """Add the up-sets and the quotients u^-1 w to the walk of NC, formed for
-    one element u per c-conjugation orbit.  Each row is in increasing
-    quotient, the order in which the NC^m walk reads its links: the pairs
-    (u^-1 w, w) are packed in one int each, quotient high, and sorted once.
-    As conjugation by c is a poset automorphism of NC and
-    (c u c^-1)^-1 (c w c^-1) = c (u^-1 w) c^-1, the rows of c u c^-1 are
-    those of u with both halves mapped through the index permutation sigma,
+    """Add the down-sets and the quotients u^-1 w to the walk of NC, formed
+    bottom up for one element w per c-conjugation orbit: the down-set of w
+    is w and those of its lower covers t w, for the t below w in the walk,
+    and u^-1 w = (u^-1 c) (w^-1 c)^-1, with u^-1 c from the row of c, formed
+    first.  As conjugation by c is a poset automorphism of NC and
+    (c u c^-1)^-1 (c w c^-1) = c (u^-1 w) c^-1, the rows of c w c^-1 are
+    those of w with both halves mapped through the index permutation sigma,
     and re-sorted.  The rows are index arrays (see _index_array): 'H' up to
     65,536 elements."""
     backend, elems, steps = walk_nc(t)
@@ -601,38 +604,33 @@ def _build_nc(t: RootSystemType) -> NCCore:
     width = 8 * array(code).itemsize
     high = [s << width for s in sigma]
     lo = 0 if sys.byteorder == "little" else 1  # where the low half of a wide int lies in memory
-    above: list = [None] * size
+    down: list = [None] * size
     quot: list = [None] * size
-    # top down, so the up-sets of the upper covers are complete; the element
-    # of each orbit met first is formed, and the rest conjugated from it
-    for i in reversed(range(size)):
-        if above[i] is not None:
+    down[-1] = array(code, range(size))
+    quot[-1] = complements = array(code, [index[mul(inv(u), c)] for u in elems])  # u^-1 c
+    # bottom up, so the down-sets of the lower covers are complete; the
+    # element of each orbit met first is formed, and the rest conjugated from it
+    for i in range(size):
+        if down[i] is not None:
             continue
         w = elems[i]
-        w_inv = inv(w)
-        # v -> w^-1 v maps [w, c] onto [e, w^-1 c], so the upper covers of w
-        # are w t for the reflections t below w^-1 c
-        up = {i}
-        for r in steps[mul(w_inv, c)][1]:
-            j = index[mul(w, refls[r])]
-            up.add(j)
-            up.update(above[j])
-        # (quotient, up-set index) in one wide int each, sorted by the
-        # quotient; i comes first, as its quotient, the identity, is 0
-        pairs = sorted([index[mul(w_inv, elems[j])] << width | j for j in up])
+        below = {i}
+        for r in steps[w][1]:
+            below.update(down[index[mul(refls[r], w)]])
+        row = sorted(below)
+        cw = inv(elems[complements[i]])  # c^-1 w
+        rows = array(code, row), array(code, [index[mul(elems[complements[u]], cw)] for u in row])
         j = i
         while True:
-            halves = array(code, array(wide, pairs).tobytes())
-            quot[j] = halves[1 - lo::2]
-            above[j] = halves[2 + lo::2]  # the low halves after j itself
+            down[j], quot[j] = rows
             if sigma[j] == i:
                 break
-            # the same pairs for sigma(j): sigma keeps the identity, so sigma(j) stays first
-            pairs = sorted(map(add, map(high.__getitem__, quot[j]),
-                               map(sigma.__getitem__, itertools.chain((j,), above[j]))))
+            # the same pairs for sigma(j), (index, quotient) in one wide int each, sorted by index
+            pairs = sorted(map(add, map(high.__getitem__, down[j]), map(sigma.__getitem__, quot[j])))
+            halves = array(code, array(wide, pairs).tobytes())
+            rows = halves[1 - lo::2], halves[lo::2]
             j = sigma[j]
-    poset = Poset([steps[w][0] for w in elems], above)
-    return NCCore(t, poset, quot, [steps[w][2] for w in elems], array(code, sigma))
+    return NCCore(t, [steps[w][0] for w in elems], down, quot, array(code, sigma))
 
 
 REPR_VERSION = 1

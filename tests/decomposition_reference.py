@@ -6,25 +6,27 @@ from collections import Counter
 
 from catwb.wgroup import NCCore
 
+from oracle import partypes
+
 
 def reference_chain_census(core: NCCore, max_d: int | None) -> Counter:
     """Strict chains from the identity, of at most max_d steps, to every
     element of the core, by the ordered tuple of their step types (the
     identity's empty chain included).  The type of the step u -> w is that of
-    u^-1 w; elements are in rank order, so every chain reaches j before j is
-    read, and each element pushes its census to every element above it."""
+    u^-1 w; elements are in rank order, so every chain reaches u before w is
+    formed, and each element pulls the census of every element below it."""
     depth = core.type.rank if max_d is None else min(max_d, core.type.rank)
-    paths = [Counter() for _ in range(core.size)]
-    paths[0][()] = 1
+    types = partypes(core.type)
+    paths: list[Counter] = []
     buckets: Counter = Counter()
-    for i in range(core.size):
-        row, paths[i] = paths[i], None
-        buckets.update(row)
-        steps = [(paths[j], core.partypes[q]) for j, q in zip(core.poset.above[i], core.quot[i][1:])]
-        for tau, cnt in row.items():
-            if len(tau) < depth:
-                for target, ty in steps:
-                    target[tau + (ty,)] += cnt
+    for w, (row, qs) in enumerate(zip(core.down, core.quot)):
+        census = Counter({(): 1} if w == 0 else {})
+        for u, q in zip(row[:-1], qs[:-1]):
+            for tau, cnt in paths[u].items():
+                if len(tau) < depth:
+                    census[tau + (types[q],)] += cnt
+        paths.append(census)
+        buckets.update(census)
     return buckets
 
 

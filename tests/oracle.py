@@ -6,9 +6,9 @@ Mobius function, zeta polynomials, Mobius column vectors and rank-jump
 chain counts of a poset, the M-triangle by a sweep over every related pair
 and by a coordinate sweep over every element of NC^m, the conjugates of the
 elements of NC^m by c read off their keys, rank censuses of intervals and of
-NC, the rows of an NC core formed element by element, the parabolic-type
-table read off a whole NC core, and a canonical JSON dump of a core for
-pinned digests."""
+NC, the parabolic types of NC from the walk, the rows of an NC core formed
+element by element, the parabolic-type table read off an NC core, and a
+canonical JSON dump of a core for pinned digests."""
 
 import itertools
 from operator import mul
@@ -91,16 +91,15 @@ def _poset(core_or_poset) -> Poset:
 
 def ncm_tuples(core: NCCore, m: int) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
     """NC^m as its sorted delta tuples (w_0; w_1, ..., w_m), their ranks and
-    their keys, the sum of w_i |NC|^(i-1) over i = 1..m: the m-multichains
-    e <= c_0 <= ... <= c_(m-1) <= c of NC grown one link at a time as
-    (delta so far, last link), then sorted and keyed in separate passes."""
-    quot = core.quot
-    closed = [(a, *row) for a, row in enumerate(core.poset.above)]
-    level = [((), 0)]
-    for _ in range(m - 1):
-        level = [(delta + (q,), b) for delta, a in level for b, q in zip(closed[a], quot[a])]
-    elements = sorted(delta + (q, quot[b][-1]) for delta, a in level for b, q in zip(closed[a], quot[a]))
-    ranks = [core.poset.ranks[delta[0]] for delta in elements]
+    their keys, the sum of w_i |NC|^(i-1) over i = 1..m: the factorizations
+    of c grown one factor at a time as (delta so far, rest r), each factor
+    q <= r leaving q^-1 r, from r = c, then sorted and keyed in separate
+    passes."""
+    level = [((), core.top)]
+    for _ in range(m):
+        level = [(delta + (q,), p) for delta, r in level for q, p in zip(core.down[r], core.quot[r])]
+    elements = sorted(delta + (r,) for delta, r in level)
+    ranks = [core.ranks[delta[0]] for delta in elements]
     radix = [core.size**i for i in range(m)]
     keys = [sum(map(mul, delta[1:], radix)) for delta in elements]
     return elements, ranks, keys
@@ -189,7 +188,7 @@ def per_element_m_triangle(ncm: NCmPoset) -> MPoly:
     InvariantError."""
     radix, n = ncm.core.size, ncm.type.rank
     width = (n + 1) * (ncm.size + 1).bit_length() + 1
-    ranks = ncm.core.poset.ranks
+    ranks = ncm.core.ranks
     h = {key: 1 << width * ranks[w0] for key, w0 in zip(ncm.keys, ncm.firsts)}
     get = h.__getitem__
     try:
@@ -284,9 +283,9 @@ def chain_count_brute(poset: Poset, rank: int, jumps: tuple[int, ...]) -> int:
 
 def interval_rank_genfun(core: NCCore, w: int) -> list[int]:
     """Rank census of the lower interval [identity, w] inside NC."""
-    out = [0] * (core.poset.ranks[w] + 1)
-    for v in _iter_bits(down(core.poset)[w]):
-        out[core.poset.ranks[v]] += 1
+    out = [0] * (core.ranks[w] + 1)
+    for v in core.down[w]:
+        out[core.ranks[v]] += 1
     return out
 
 
@@ -303,12 +302,19 @@ def nc_rank_genfun(t: RootSystemType, group_cap: int | None = None) -> tuple[int
     return tuple(out)
 
 
+def partypes(t: RootSystemType) -> list[RootSystemType]:
+    """The parabolic type of each element of NC(t), in canonical order, as
+    the walk of NC classifies it."""
+    _, elems, steps = walk_nc(t)
+    return [steps[w][2] for w in elems]
+
+
 def per_element_rows(t: RootSystemType) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The up-lists and quotient rows of NC(t) formed element by element from
-    the walk: each strict up-set pushed top down to the lower covers t w, and
-    one product u^-1 w per pair, each row then sorted by quotient; the
-    reference for the core that catwb forms one c-conjugation orbit at a
-    time."""
+    """The down-sets and quotient rows of NC(t) formed element by element
+    from the walk: each strict up-set pushed top down to the lower covers
+    t w, the down-sets read off them, and one product u^-1 w per pair, u
+    inverted for each; the reference for the core that catwb forms one
+    c-conjugation orbit at a time from the down-sets of the lower covers."""
     backend, elems, steps = walk_nc(t)
     mul, inv, refls = backend.mul, backend.inv, backend.reflections
     index = {w: i for i, w in enumerate(elems)}
@@ -319,22 +325,27 @@ def per_element_rows(t: RootSystemType) -> tuple[list[tuple[int, ...]], list[tup
             lower = ups[index[mul(refls[r], w)]]
             lower |= ups[i]
             lower.add(i)
-    rows = [sorted((index[mul(inv(u), elems[j])], j) for j in (i, *ups[i])) for i, u in enumerate(elems)]
-    return [tuple(j for _, j in row[1:]) for row in rows], [tuple(q for q, _ in row) for row in rows]
+    rows: list[list[int]] = [[] for _ in elems]
+    for u in range(len(elems)):
+        for d in (u, *ups[u]):
+            rows[d].append(u)
+    quots = [tuple(index[mul(inv(elems[u]), w)] for u in row) for row, w in zip(rows, elems)]
+    return [tuple(row) for row in rows], quots
 
 
 def type_table_from_core(core: NCCore) -> TypeTable:
-    """The parabolic-type table read off a whole core in one scan of its
-    intervals and quotients: the reference for the table that catwb reads
-    off the walk of NC without building a core."""
-    types = tuple(dict.fromkeys(core.partypes))
-    tid = list(map({T: b for b, T in enumerate(types)}.__getitem__, core.partypes))
-    rep = {tid.index(b): b for b in range(len(types))}  # the NC index of w_B -> b
+    """The parabolic-type table read off the rows of a core, with the types
+    from the walk: for the first element w_B of each type, the types of each
+    u < w_B and of its quotient u^-1 w_B; the reference for the table that
+    catwb reads off the walk of NC without building a core."""
+    types_of = partypes(core.type)
+    types = tuple(dict.fromkeys(types_of))
+    tid = list(map({T: b for b, T in enumerate(types)}.__getitem__, types_of))
     counts = [Counter() for _ in types]
-    for u, (row, qs) in enumerate(zip(core.poset.above, core.quot)):
-        for j, q in zip(row, qs[1:]):  # q = u^-1 j
-            if j in rep:
-                counts[rep[j]][tid[u], tid[q]] += 1
+    for b in range(len(types)):
+        w_b = tid.index(b)
+        for u, q in zip(core.down[w_b][:-1], core.quot[w_b][:-1]):
+            counts[b][tid[u], tid[q]] += 1
     pairs = tuple(tuple((a, c, k) for (a, c), k in sorted(row.items())) for row in counts)
     return TypeTable(types, tuple(map(tid.count, range(len(types)))), pairs)
 
@@ -342,19 +353,20 @@ def type_table_from_core(core: NCCore) -> TypeTable:
 def core_dump(core: NCCore) -> dict:
     """Canonical JSON form of a core: ranks, up-set bit rows in hex, each
     quotient row as (j, u_i^-1 u_j) pairs for j = i and then the j > i in
-    increasing order (whatever order the core keeps them in), and the
-    parabolic types.  It is the layout, version field included, of the
-    core entries that earlier versions of catwb kept on disk, so that digests
-    pinned then still apply."""
+    increasing order, read off the down-sets whose quotients the core keeps,
+    and the parabolic types.  It is the layout, version field included, of
+    the core entries that earlier versions of catwb kept on disk, so that
+    digests pinned then still apply."""
+    quot: list[list[list[int]]] = [[] for _ in range(core.size)]
+    for j, (row, qs) in enumerate(zip(core.down, core.quot, strict=True)):
+        for i, q in zip(row, qs, strict=True):
+            quot[i].append([j, q])
     return {
         "repr_version": 1,
         "type": str(core.type),
         "rank": core.type.rank,
-        "ranks": list(core.poset.ranks),
-        "up": [format(mask, "x") for mask in core.poset.up],
-        "quot": [
-            sorted([j, q] for j, q in zip((i, *row), qs, strict=True))
-            for i, (row, qs) in enumerate(zip(core.poset.above, core.quot))
-        ],
-        "partypes": [str(t) for t in core.partypes],
+        "ranks": list(core.ranks),
+        "up": [format(sum(1 << j for j, _ in pairs), "x") for pairs in quot],
+        "quot": quot,
+        "partypes": [str(t) for t in partypes(core.type)],
     }

@@ -194,6 +194,22 @@ class TestPinnedOutputs:
         pinned = json.loads((SRC_DIR.parent / "perfbench/reference/verify_all.json").read_text())
         assert [[c["check"], c["type"], c["mode"], c["m"], c["equal"]] for c in checks] == pinned
 
+    def test_no_command_reads_the_up_lists_of_a_core(self, capsys, monkeypatch, tmp_path, fresh_memos):
+        # every command reads the down-sets of NC; the up-lists are derived for the tests and the benchmark alone
+        from catwb.wgroup import NCCore
+
+        def refuse(core):
+            raise AssertionError(f"the up-lists of NC({core.type}) were read")
+
+        monkeypatch.setattr(NCCore, "poset", property(refuse))
+        rc, _ = run(capsys, ["verify", "--suite", "all", "--cache-dir", str(tmp_path)])
+        assert rc == 1  # criterion 10's D4 cases at m = 2, 3 stay red
+        assert hashlib.sha256((tmp_path / "verify_all.json").read_bytes()).hexdigest() == VERIFY_ALL_SHA256
+        for s, m, jumps in (("A2", "3", "1,1"), ("B3", "2", "2,1"), ("D4", "1", "1,1,2")):
+            assert run(capsys, ["mtriangle", s, "--mode", "brute", "--m", m])[0] == 0
+            assert run(capsys, ["chains", s, "--m", m, "--jumps", jumps])[0] == 0
+            assert main(["export-poset", s, "--m", m, "--out", str(tmp_path / f"{s}.json")]) == 0
+
 
 class TestExitCodes:
     def test_parse_error(self):

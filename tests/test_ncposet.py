@@ -160,7 +160,7 @@ class TestBuildNcm:
         + SWEEP_CASES,
     )
     def test_the_walk_lists_the_sorted_tuples(self, s, m):
-        # the quotient-sorted walk against the tuples built, sorted and keyed in separate passes
+        # the walk over the down-sets against the tuples built, sorted and keyed in separate passes
         p = build_ncm(ir(s), m, poset_cap=2 * 10**8)
         assert (p.elements, p.ranks, list(p.keys)) == ncm_tuples(p.core, m)
 
@@ -171,7 +171,7 @@ class TestBuildNcm:
         assert hashlib.sha256(blob.encode()).hexdigest() == NCM_COLUMNS_SHA256[f"{s}/{m}"]
 
     def test_the_walk_sorts_nothing(self, monkeypatch):
-        # the core keeps its rows in the quotient order the walk reads
+        # the core keeps its down-sets in the index order the walk reads
         calls = []
 
         def counted(*args, **kwargs):
@@ -585,6 +585,14 @@ class TestUpSums:
             cut.up_sums([1] * cut.size)
         with pytest.raises(InvariantError, match=rf"{p.keys[k]} lies above an element but is no element"):
             cut.chain_count((1, 2, 0))  # sums from rank 2 down to rank 0, which lies below the cut
+
+    @pytest.mark.parametrize("count", [0, 1, 18, 20, 200])
+    def test_one_value_per_orbit_is_required(self, count):
+        # A3 at m = 2 has 19 orbits
+        p = build_ncm(ir("A3"), 2)
+        assert len(p.orbits()[1]) == 19
+        with pytest.raises(InvalidArgument, match=rf"one value per orbit of NC\^2\(A3\): 19, not {count}$"):
+            p.up_sums([1] * count)
 
     def test_chains_are_counted_without_the_up_lists(self):
         t = ir("B3")

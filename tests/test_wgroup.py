@@ -53,6 +53,7 @@ from oracle import (
     mobius,
     mobius_column_vectors,
     nc_rank_genfun,
+    partypes,
     per_element_rows,
     poset_m_triangle,
     type_table_from_core,
@@ -225,16 +226,17 @@ class TestNCPoset:
 
     def test_parabolic_types(self):
         core = build_nc(ir("D4"))
-        assert str(core.partypes[core.top]) == "D4"
+        types = partypes(ir("D4"))
+        assert str(types[core.top]) == "D4"
         counts = {}
-        for t in core.partypes:
+        for t in types:
             counts[str(t)] = counts.get(str(t), 0) + 1
         assert counts["e"] == 1
         assert counts["A1"] == 12  # one per positive root
 
     def test_parabolic_type_of_reflection_in_h3(self):
-        core = build_nc(ir("H3"))
-        refl_types = [str(core.partypes[i]) for i in range(core.size) if core.poset.ranks[i] == 1]
+        core, types = build_nc(ir("H3")), partypes(ir("H3"))
+        refl_types = [str(types[i]) for i in range(core.size) if core.ranks[i] == 1]
         assert refl_types == ["A1"] * 15
 
     def test_nc_e6_size(self):
@@ -368,13 +370,15 @@ class TestTopDownBuild:
         index = {w: i for i, w in enumerate(elems)}
         core = build_nc(t)
         assert walk_nc(t)[1] == elems
-        assert core.poset.ranks == [r for r, _ in members]
-        for i, u in enumerate(elems):
-            above = [j for j, w in enumerate(elems) if abs_leq(g, u, w)]
-            assert list(_iter_bits(core.poset.up[i])) == above
-            pairs = dict(zip((i, *core.poset.above[i]), core.quot[i], strict=True))
-            assert pairs == {j: index[mul(inv(u), elems[j])] for j in above}
-        assert core.partypes == [parabolic_type_of(g, w) for w in elems]
+        assert core.ranks == [r for r, _ in members]
+        related = [[abs_leq(g, u, w) for w in elems] for u in elems]
+        for i, w in enumerate(elems):
+            below = [j for j in range(core.size) if related[j][i]]
+            assert list(core.down[i]) == below
+            assert list(core.quot[i]) == [index[mul(inv(elems[j]), w)] for j in below]
+            # the up-lists derived from the rows
+            assert list(_iter_bits(core.poset.up[i])) == [j for j in range(core.size) if related[i][j]]
+        assert partypes(t) == [parabolic_type_of(g, w) for w in elems]
 
     STEP_TYPES = ["A5", "B4", "D5", "E6", "E7", "F4", "H3", "H4", "I2(7)"]
 
@@ -440,8 +444,8 @@ class TestTopDownBuild:
     @pytest.mark.parametrize("s", STEP_TYPES)
     def test_core_matches_the_per_element_build(self, s):
         core = build_nc(ir(s), group_cap=10**7)
-        assert (list(map(tuple, core.poset.above)), list(map(tuple, core.quot))) == per_element_rows(ir(s))
-        assert {row.typecode for row in (*core.poset.above, *core.quot)} == {"H"}
+        assert (list(map(tuple, core.down)), list(map(tuple, core.quot))) == per_element_rows(ir(s))
+        assert {row.typecode for row in (*core.down, *core.quot)} == {"H"}
 
     def test_wide_rows_match_the_per_element_build(self, monkeypatch):
         # from 65,536 elements on, rows are 'I' arrays, conjugated as pairs
@@ -449,27 +453,28 @@ class TestTopDownBuild:
         narrowest = wgroup._index_array
         monkeypatch.setattr(wgroup, "_index_array", lambda bound, values=(): narrowest(max(bound, 1 << 17), values))
         core = wgroup._build_nc.__wrapped__(ir("E6"))
-        assert (list(map(tuple, core.poset.above)), list(map(tuple, core.quot))) == per_element_rows(ir("E6"))
-        assert {row.typecode for row in (*core.poset.above, *core.quot)} == {"I"}
+        assert (list(map(tuple, core.down)), list(map(tuple, core.quot))) == per_element_rows(ir("E6"))
+        assert {row.typecode for row in (*core.down, *core.quot)} == {"I"}
 
     @pytest.mark.parametrize("s", STEP_TYPES)
-    def test_core_rows_are_in_quotient_order(self, s, monkeypatch):
-        # each row starts with (i, e) and ends with (c, u_i^-1 c), quotients
-        # increasing, as the NC^m walk reads them; the same holds for 'I' rows,
-        # forced here, which hold the same values
+    def test_each_row_splits_its_element(self, s, monkeypatch):
+        # down[d] runs from the identity up to d, and u -> u^-1 d maps it onto
+        # itself, so its quotients are the same indices in another order,
+        # each of the complementary rank; c lies above everything.  The same
+        # holds for 'I' rows, forced here, which hold the same values
         core = build_nc(ir(s), group_cap=10**7)
         narrowest = wgroup._index_array
         monkeypatch.setattr(wgroup, "_index_array", lambda bound, values=(): narrowest(max(bound, 1 << 17), values))
         wide = wgroup._build_nc.__wrapped__(ir(s))
-        assert {row.typecode for row in (*wide.poset.above, *wide.quot)} == {"I"}
+        assert {row.typecode for row in (*wide.down, *wide.quot)} == {"I"}
+        ranks = core.ranks
         for built in (core, wide):
-            for i, (row, qs) in enumerate(zip(built.poset.above, built.quot)):
-                assert len(qs) == len(row) + 1 and qs[0] == 0
-                assert all(a < b for a, b in zip(qs, qs[1:]))
-                # u_i^-1 c, the quotient of the top, has the complementary rank
-                assert i == core.top or row[-1] == core.top
-                assert core.poset.ranks[qs[-1]] == core.type.rank - core.poset.ranks[i]
-        assert list(map(list, wide.poset.above)) == list(map(list, core.poset.above))
+            assert list(built.down[built.top]) == list(range(built.size))
+            for d, (row, qs) in enumerate(zip(built.down, built.quot, strict=True)):
+                assert row[0] == 0 and row[-1] == d and all(a < b for a, b in zip(row, row[1:]))
+                assert sorted(qs) == list(row)
+                assert all(ranks[u] + ranks[q] == ranks[d] for u, q in zip(row, qs, strict=True))
+        assert list(map(list, wide.down)) == list(map(list, core.down))
         assert list(map(list, wide.quot)) == list(map(list, core.quot))
 
     @pytest.mark.parametrize("s", ["A3", "B4", "D4", "D5", "E6", "F4", "H3", "I2(5)", "I2(8)"])
@@ -482,9 +487,9 @@ class TestTopDownBuild:
         sigma = core.sigma
         assert list(sigma) == [index[mul(mul(c, w), c_inv)] for w in elems]
         assert sorted(sigma) == list(range(core.size))
-        assert [core.poset.ranks[j] for j in sigma] == core.poset.ranks
-        # sigma carries the (j, u_i^-1 u_j) pairs of each element onto those of its image
-        rows = [dict(zip((i, *row), qs, strict=True)) for i, (row, qs) in enumerate(zip(core.poset.above, core.quot))]
+        assert [core.ranks[j] for j in sigma] == core.ranks
+        # sigma carries the (u, u^-1 d) pairs of each element onto those of its image
+        rows = [dict(zip(row, qs, strict=True)) for row, qs in zip(core.down, core.quot)]
         assert all(
             {sigma[j]: sigma[q] for j, q in row.items()} == rows[sigma[i]] for i, row in enumerate(rows)
         )
@@ -611,18 +616,20 @@ class TestDecomposition:
     )
     def test_matches_recursive_chain_walk(self, s):
         t = ir(s)
-        core = build_nc(t)
+        core, types = build_nc(t), partypes(t)
         walked = Counter()  # strict chains from the identity by ordered step types
 
-        def walk(i, prefix):
-            for j, q in zip((i, *core.poset.above[i]), core.quot[i], strict=True):
-                if j != i:
-                    tau = prefix + (core.partypes[q],)
+        def walk(w, suffix):
+            # the chains from the identity to w, walked down from w: each step u -> w prepends the type of u^-1 w
+            for u, q in zip(core.down[w][:-1], core.quot[w][:-1], strict=True):
+                tau = (types[q],) + suffix
+                if u == 0:
                     walked[tau] += 1
-                    if len(tau) < t.rank:
-                        walk(j, tau)
+                elif len(tau) < t.rank:
+                    walk(u, tau)
 
-        walk(0, ())
+        for w in range(1, core.size):
+            walk(w, ())
         for d in range(t.rank + 1):
             expected = {(): 1}
             for tau, cnt in walked.items():
@@ -711,11 +718,11 @@ class TestDiskCache:
 class TestBessisIntervals:
     @pytest.mark.parametrize("s", ["A4", "B3", "D4", "H3", "F4"])
     def test_interval_rank_genfun_matches_parabolic(self, s):
-        core = build_nc(ir(s))
+        core, types = build_nc(ir(s)), partypes(ir(s))
         for w in range(core.size):
             got = tuple(interval_rank_genfun(core, w))
-            expected = nc_rank_genfun(core.partypes[w])
-            assert got == expected, (s, w, core.partypes[w])
+            expected = nc_rank_genfun(types[w])
+            assert got == expected, (s, w, types[w])
 
 
 class TestChainCounts:
