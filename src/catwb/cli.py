@@ -57,18 +57,23 @@ class RunConfig:
             raise InvalidArgument("--m-grid values must be positive")
         self.group_cap, self.poset_cap, self.m_grid = group_cap, poset_cap, m_grid
         self.format, self.seed = format, seed
+        # a blank name would parse as the empty type, which no row has
+        if not all(s.strip() for s in types):
+            raise InvalidArgument(f"--types expects comma-separated type names, got {','.join(types)!r}")
         # TypeParseError for a filter that names no type
         self.types = frozenset(RootSystemType.parse(s) for s in types)
 
     @staticmethod
     def from_args(args) -> "RunConfig":
         """Parse the raw flag values, whose defaults are the CATWB_ variables;
-        InvalidArgument for a value that is not an integer or out of range."""
+        InvalidArgument for a value that is not an integer or out of range,
+        and for an empty filter: only an absent one keeps every row."""
+        m_grid, types = getattr(args, "m_grid", None), getattr(args, "types", None)
         return RunConfig(
             group_cap=_int(args.group_cap, "--group-cap", DEFAULT_GROUP_CAP),
             poset_cap=_int(args.poset_cap, "--poset-cap", DEFAULT_POSET_CAP),
-            m_grid=_int_list(args.m_grid, "--m-grid") if getattr(args, "m_grid", None) else (1, 2, 3),
-            types=tuple(getattr(args, "types", "").split(",")) if getattr(args, "types", None) else (),
+            m_grid=(1, 2, 3) if m_grid is None else _int_list(m_grid, "--m-grid"),
+            types=() if types is None else tuple(types.split(",")),
             format=getattr(args, "format", None) or "latex",
             seed=_int(args.seed, "--seed", 7),
         )

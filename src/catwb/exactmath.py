@@ -234,16 +234,18 @@ def binom_int(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def falling(a: int, b: int, k: int) -> list[int]:
+@lru_cache(maxsize=None)
+def falling(a: int, b: int, k: int) -> tuple[int, ...]:
     """(a m + b)(a m + b - 1)...(a m + b - k + 1), that is k! binom(a m + b, k),
-    as integer coefficients by ascending power of m; [] (zero) for k < 0."""
+    as integer coefficients by ascending power of m; () (zero) for k < 0.
+    Memoised, as the closed forms ask for a few rows many times."""
     if k < 0:
-        return []
+        return ()
     out = [1]
     for i in range(k):
         c = b - i
         out = [c * out[0]] + [c * u + a * v for u, v in zip(out[1:], out)] + [a * out[-1]]
-    return out
+    return tuple(out)
 
 
 def int_poly_mul(p, q) -> list[int]:
@@ -451,12 +453,8 @@ class MPoly:
 
     def to_json_obj(self) -> list[dict]:
         """Canonical JSON form: term list sorted by (dx, dy), each coefficient
-        in lowest terms."""
-        den = self.den
-        return [
-            {"dx": k, "dy": l, "coeff": [f"{a // g}/{den // g}" for a in self.rows[(k, l)] for g in (gcd(a, den),)]}
-            for (k, l) in sorted(self.rows)
-        ]
+        in lowest terms; read back from `dumps`, the one encoder."""
+        return json.loads(self.dumps())
 
     @staticmethod
     def from_json_obj(obj: Iterable[Mapping]) -> "MPoly":
@@ -468,7 +466,14 @@ class MPoly:
         return MPoly.from_parts(parts)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        """`to_json_obj` as canonical JSON, keys sorted and no spaces, in one
+        pass: its strings hold only digits, '-' and '/', which need no escape."""
+        den = self.den
+        return "[" + ",".join(
+            '{"coeff":["' + '","'.join(f"{a // g}/{den // g}" for a in row for g in (gcd(a, den),))
+            + f'"],"dx":{k},"dy":{l}}}'
+            for (k, l), row in sorted(self.rows.items())
+        ) + "]"
 
     @staticmethod
     def loads(s: str) -> "MPoly":

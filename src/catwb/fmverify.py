@@ -6,6 +6,7 @@ the m-divisible posets.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 from .errors import UnsupportedType
@@ -16,8 +17,10 @@ from .report import VerificationReport
 from .rootdata import RootSystemType
 
 
+@lru_cache(maxsize=None)
 def fm_lhs(t: RootSystemType) -> MPoly:
-    """(1 - xy)^rank * F(x(1+y)/(1-xy), xy/(1-xy)), symbolic in m."""
+    """(1 - xy)^rank * F(x(1+y)/(1-xy), xy/(1-xy)), symbolic in m; memoised,
+    as every brute-force row of a type compares it at another m."""
     return substitute_fm(f_closed(t), t.rank)
 
 

@@ -344,8 +344,10 @@ def narayana_closed(t: RootSystemType) -> tuple[MUniPoly, ...]:
     raise UnsupportedType(f"no closed Fuss-Narayana formula for {t}")
 
 
+@lru_cache(maxsize=None)
 def dual_f_triangle(t: RootSystemType) -> MPoly:
-    """(-1)^rank * F(-1-x, -1-y), symbolic in m."""
+    """(-1)^rank * F(-1-x, -1-y), symbolic in m; memoised, as every census
+    row of a type compares it at another m."""
     return substitute_dual(f_closed(t), t.rank)
 
 

@@ -38,15 +38,20 @@ class Irreducible:
     """One irreducible factor: family letter, rank, and the dihedral label a
     for family I (None otherwise).  Instances are canonical labels only; use
     RootSystemType.make to apply the alias rewrites.  Immutable, hashable and
-    unordered, like RootSystemType: both key every memo and table."""
+    unordered, like RootSystemType: both key every memo and table, so both
+    hash once, and pickle through their constructor to rehash where loaded."""
 
     def __init__(self, family: str, rank: int, param: int | None = None):
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "param", param)
+        object.__setattr__(self, "_hash", hash((family, rank, param)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return Irreducible, (self.family, self.rank, self.param)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -54,7 +59,7 @@ class Irreducible:
         return self.family == other.family and self.rank == other.rank and self.param == other.param
 
     def __hash__(self):
-        return hash((self.family, self.rank, self.param))
+        return self._hash
 
     def sort_key(self):
         return (-self.rank, _FAMILIES.index(self.family), self.param or 0)
@@ -111,9 +116,14 @@ class RootSystemType:
 
     def __init__(self, factors: tuple[Irreducible, ...]):
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "rank", sum(f.rank for f in factors))
+        object.__setattr__(self, "_hash", hash(factors))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return RootSystemType, (self.factors,)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -121,7 +131,7 @@ class RootSystemType:
         return self.factors == other.factors
 
     def __hash__(self):
-        return hash(self.factors)
+        return self._hash
 
     @staticmethod
     def make(*factors: Irreducible) -> "RootSystemType":
@@ -156,10 +166,6 @@ class RootSystemType:
             return RootSystemType.make(*factors)
         except UnsupportedType as exc:
             raise TypeParseError(str(exc)) from exc
-
-    @property
-    def rank(self) -> int:
-        return sum(f.rank for f in self.factors)
 
     def single(self) -> Irreducible:
         """The one factor of an irreducible type; UnsupportedType otherwise."""

@@ -88,7 +88,10 @@ def fresh_memos():
 MEMOS_OF_ARGUMENTS_ALONE = {
     "catwb.exactmath._dual_kernel",
     "catwb.exactmath._fm_kernel",
+    "catwb.exactmath.falling",
+    "catwb.fmverify.fm_lhs",
     "catwb.ftriangle._f_closed_irr",
+    "catwb.ftriangle.dual_f_triangle",
     "catwb.ftriangle.f_closed",
     "catwb.ncposet._build_ncm",
     "catwb.rootdata.RootSystemType.parse",
@@ -262,6 +265,12 @@ class TestExitCodes:
             ["verify", "--suite", "fm", "--types", "E7"],
             ["verify", "--suite", "dual", "--types", "E7"],
             ["verify", "--suite", "chains", "--m-grid", "4"],
+            # an empty filter is not an absent one
+            ["verify", "--suite", "recurrence", "--types", ""],
+            ["verify", "--suite", "all", "--types", ""],
+            ["verify", "--suite", "fm", "--types", "A2,"],
+            ["verify", "--suite", "chains", "--m-grid", ""],
+            ["verify", "--suite", "all", "--m-grid", ""],
             # a reducible or empty type where an irreducible one is needed
             ["chains", "A1xA1", "--m", "1", "--jumps", "1,1"],
             ["dual", "A1xA2"],

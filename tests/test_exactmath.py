@@ -15,7 +15,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catwb.errors import DegreeError
-from catwb.exactmath import GoldInt, MPoly, MUniPoly, binom_int, mpoly_sum, substitute_dual, substitute_fm
+from catwb.exactmath import (
+    GoldInt,
+    MPoly,
+    MUniPoly,
+    binom_int,
+    falling,
+    mpoly_sum,
+    substitute_dual,
+    substitute_fm,
+)
 from catwb.ftriangle import f_closed
 from catwb.rootdata import ir
 
@@ -86,6 +95,15 @@ class TestGenBinomial:
     def test_binom_int(self):
         assert binom_int(7, 3) == 35
         assert binom_int(-1, 3) == -1
+
+    def test_falling_is_a_memoised_tuple_of_the_product(self):
+        for a in range(-3, 4):
+            for b in range(-4, 5):
+                for k in range(-1, 7):
+                    row = falling(a, b, k)
+                    assert type(row) is tuple and falling(a, b, k) is row
+                    product = MPoly.zero() if k < 0 else math.prod((a * M + b - i for i in range(k)), start=M**0)
+                    assert MPoly.from_parts({(0, 0): (row, 1)}) == product, (a, b, k)
 
     def test_integer_n_matches_the_product_definition(self):
         for n in range(-12, 13):
@@ -487,6 +505,17 @@ class TestIntegerKernels:
         for _ in range(100):
             q = kernel_operand(rng) * kernel_operand(rng)
             assert q.to_json_obj() == reference_json(q)
+
+
+    def test_dumps_is_the_canonical_json_of_the_reference(self):
+        big = MPoly.from_parts({(0, 0): ([-(10**40), 3, 0, 7 * 10**25], 10**30 + 1), (4, 1): ([-5], 3)})
+        polys = [MPoly.zero(), MPoly.const(-1), M - 1, big, -big * big]
+        rng = random.Random(20261022)
+        polys += [kernel_operand(rng) * kernel_operand(rng) for _ in range(100)]
+        for p in polys:
+            s = p.dumps()
+            assert s == json.dumps(reference_json(p), sort_keys=True, separators=(",", ":"))
+            assert MPoly.loads(s) == p
 
 
 class TestSubstituteFm:

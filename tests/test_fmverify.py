@@ -78,6 +78,10 @@ class TestLhs:
         assert fm_lhs(ir("A1")) == 1 + M * MPoly.term(1, 0) + M * MPoly.term(1, 1)
         assert fm_lhs_closed_classical(ir("A1")) == fm_lhs(ir("A1"))
 
+    def test_memoised_per_type(self):
+        assert fm_lhs(ir("A1")) is fm_lhs(ir("A1"))
+        assert fm_lhs(ir("I2(3)")) is fm_lhs(ir("A2"))
+
     @pytest.mark.parametrize(
         "s", [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
     )

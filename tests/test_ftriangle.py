@@ -224,6 +224,10 @@ class TestDual:
         out = dual_f_triangle(ir("A1"))
         assert out == M + M * MPoly.x() + MPoly.y()
 
+    def test_memoised_per_type(self):
+        assert dual_f_triangle(ir("A1")) is dual_f_triangle(ir("A1"))
+        assert dual_f_triangle(ir("I2(4)")) is dual_f_triangle(ir("B2"))
+
     @pytest.mark.parametrize("s", RECURRENCE_TYPES)
     def test_matches_monomial_products(self, s):
         t = ir(s)

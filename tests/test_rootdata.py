@@ -1,7 +1,13 @@
 """Root-system catalog: type algebra, Gram matrices, deletions, and the
 backend's sub-root-system classifier."""
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +100,35 @@ class TestTypeAlgebra:
         with pytest.raises(AttributeError):
             t.factors[0].rank = 4
         assert str(t) == "B3xA1" and t.factors[0].rank == 3
+
+    def test_types_hash_once_and_rebuild_through_their_constructor(self):
+        assert hash(ir("A2")) == hash(ir("I2(3)"))
+        for t in (ir("A2"), ir("B3xA1xI2(7)"), ir("e")):
+            for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+                for value, copied in ((t, clone(t)), *zip(t.factors, clone(t.factors))):
+                    assert copied == value and hash(copied) == hash(value) and copied.rank == value.rank
+        with pytest.raises(AttributeError):
+            ir("A2").rank = 5
+        assert ir("A2").rank == 2
+
+    def test_a_type_pickled_under_another_hash_seed_keys_a_local_dict(self):
+        code = (
+            "import pickle, sys\n"
+            "from catwb.rootdata import ir\n"
+            "t = ir('B3xI2(7)')\n"
+            "sys.stdout.buffer.write(pickle.dumps((t, t.factors[1])))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            # a seed other than this process's, so that string hashes differ
+            "PYTHONHASHSEED": "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1",
+        }
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        t, f = pickle.loads(proc.stdout)
+        assert {ir("B3xI2(7)"): "t"}.get(t) == "t" and {ir("I2(7)").single(): "f"}.get(f) == "f"
 
     @pytest.mark.parametrize(
         "s,factors", [("A5", "(A5,)"), ("B3xA1", "(B3, A1)"), ("I2(7)", "(I2(7),)"), ("e", "()")]

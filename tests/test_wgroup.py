@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from math import factorial
+from math import factorial, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -498,6 +498,40 @@ class TestTopDownBuild:
         for _ in range(h):
             power = [sigma[i] for i in power]
         assert power == list(range(core.size))  # c^h = e
+
+    @pytest.mark.parametrize(
+        "s",
+        [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)] + ["D4", "D5", "D6", "F4", "H3", "H4"]
+        + ["E6", "E7", "E8", "I2(5)", "I2(7)", "I2(8)", "I2(9)", "I2(10)"],
+    )
+    def test_conjugation_orbits_sieve_by_the_q_catalan_number(self, s):
+        # cyclic sieving (Bessis-Reiner, Ann. Comb. 2011): c^k fixes as many
+        # elements of NC(c) as Cat(W; q) = prod [h + d]_q / [d]_q has at a
+        # primitive o-th root of unity, o = h / gcd(h, k): the product of
+        # (h + d) / d over the degrees d that o divides
+        backend, elems, steps = walk_nc(ir(s))
+        conj, perm = wgroup._conjugation(backend, elems[-1])
+        index = {w: i for i, w in enumerate(elems)}
+        sigma = [index[conj(w)] for w in elems]
+        # the walk filled in each orbit through perm: it must carry the
+        # reflections below w onto those below c w c^-1
+        assert all(sorted(perm[r] for r in steps[w][1]) == steps[elems[j]][1] for w, j in zip(elems, sigma))
+        orbit_length = [0] * len(elems)
+        for i in range(len(elems)):
+            if not orbit_length[i]:
+                orbit = [i]
+                while sigma[orbit[-1]] != i:
+                    orbit.append(sigma[orbit[-1]])
+                for j in orbit:
+                    orbit_length[j] = len(orbit)
+        degrees = degrees_irr(ir(s).single())
+        h = max(degrees)
+        for k in range(h):
+            o = h // gcd(h, k)
+            num = prod(h + d for d in degrees if d % o == 0)
+            den = prod(d for d in degrees if d % o == 0)
+            assert num % den == 0, (s, k)
+            assert sum(1 for n in orbit_length if k % n == 0) == num // den, (s, k)
 
     def test_index_arrays_are_the_narrowest_that_hold_the_bound(self):
         bounds = (2**16, 2**16 + 1, 2**32 + 1, 2**64, 2**64 + 1)
